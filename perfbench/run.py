@@ -39,6 +39,11 @@ WORKLOADS = ("media26", "dense36", "pipe128", "tempered")
 # A timing percentile is reported as credible only with this many samples
 # beyond it.
 SAMPLES_BEYOND = 10
+# The tail is taken relative to the ops around each op, this many on each
+# side. The host's speed drifts over seconds, and op times follow it (their
+# lag-1 autocorrelation is 0.6-0.8 on 2 vCPUs); a slow phase of a second
+# then passes for tail latency and moves p90 by 15-30% between runs.
+NEIGHBOURS = 8
 BUILD_TIMEOUT_S = 850.0
 HARNESS_TIMEOUT_S = 150.0
 
@@ -63,6 +68,17 @@ def tail_quantile(n):
     SAMPLES_BEYOND samples beyond it, otherwise the highest percentile that
     does, and never less than the median."""
     return min(0.9, max(0.5, 1.0 - SAMPLES_BEYOND / n))
+
+
+def detrended(values, width=NEIGHBOURS):
+    """Each value of a time series divided by the median of the up to
+    `width` values on either side of it, itself excluded: what is left is
+    op-to-op variation, with slow drift divided out."""
+    out = []
+    for i, x in enumerate(values):
+        around = values[max(0, i - width):i] + values[i + 1:i + 1 + width]
+        out.append(x / statistics.median(around) if around else 1.0)
+    return out
 
 
 # --- report parsing and op checks ---------------------------------------
@@ -281,8 +297,9 @@ def timed_run(tool, cli, prep, args, work):
     raw_p50 = mean(medians)
     p50 = raw_p50 * reference / calib_wall
     # The tail pools every op, each scaled by its design's median, so the
-    # panel's mix of designs does not pass for tail latency.
-    scaled = [x / m for w, m in zip(walls, medians) for x in w]
+    # panel's mix of designs does not pass for tail latency, and taken in
+    # op order relative to its neighbours, so the host's drift does not.
+    scaled = detrended([op["wall_s"] / medians[op["member"]] for op in records])
     q = tail_quantile(len(scaled))
     tail, beyond = percentile(scaled, q)
     summaries = [m["summary"] for m in members]

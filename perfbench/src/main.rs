@@ -54,9 +54,11 @@ const LAYERS: [&str; 13] = [
 ];
 
 /// Set-up repeats at least this often, and until this much time is spent.
-const SETUP_MIN_REPS: usize = 3;
-const SETUP_MIN_SECONDS: f64 = 0.5;
-const SETUP_MAX_REPS: usize = 15;
+/// A set-up of 50 ms then takes about 30 samples across two seconds of the
+/// host's drift; with half a second, its median spread 29% across runs.
+const SETUP_MIN_REPS: usize = 5;
+const SETUP_MIN_SECONDS: f64 = 2.0;
+const SETUP_MAX_REPS: usize = 60;
 
 struct Args {
     workload: Workload,

@@ -63,6 +63,18 @@ class PercentileRule(unittest.TestCase):
         self.assertEqual(run.tail_quantile(10), 0.5)
         self.assertEqual(run.tail_quantile(1), 0.5)
 
+    def test_detrending_keeps_spikes_and_drops_drift(self):
+        # A host that slows by half over the run, with one op stalled.
+        values = [1.0 + 0.01 * i for i in range(50)]
+        values[25] *= 1.5
+        d = run.detrended(values)
+        self.assertAlmostEqual(d[25], 1.5, delta=0.01)
+        for i, x in enumerate(d):
+            if i != 25:
+                self.assertAlmostEqual(x, 1.0, delta=0.06, msg=i)
+        self.assertEqual(run.detrended([3.0]), [1.0])
+        self.assertEqual(run.detrended([1.0, 2.0, 4.0], width=1), [0.5, 0.8, 2.0])
+
 
 class ReportParsing(unittest.TestCase):
     def test_parses_header_table_and_counters(self):
