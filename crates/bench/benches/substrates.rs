@@ -250,60 +250,6 @@ fn bench_theta_sparse_vs_dense(c: &mut Criterion) {
     group.finish();
 }
 
-/// The class-decomposed routing pass: request and response CDGs routed as
-/// independent passes (on one thread and on two) and merged back into the
-/// interleaved creation order, against the legacy interleaved pass every
-/// variant is bit-identical to.
-fn bench_route_classes_parallel(c: &mut Criterion) {
-    let bench = media26();
-    let graph = CommGraph::new(&bench.soc, &bench.comm);
-    let lib = NocLibrary::lp65();
-    let core_layers: Vec<u32> = bench.soc.cores.iter().map(|c| c.layer).collect();
-    let conn = phase1::connectivity(&graph, &bench.soc, 8, 0.6, None, 15.0, 0xC0FFEE).unwrap();
-    let cfg = PathConfig::new(25, lib.switch.max_size_for_frequency(400.0), 400.0);
-    let mut group = c.benchmark_group("route_classes_parallel");
-    group.bench_function("interleaved_legacy", |b| {
-        let mut alloc = PathAllocator::new();
-        b.iter(|| {
-            alloc
-                .compute_paths(
-                    black_box(&graph),
-                    &conn.core_attach,
-                    &conn.switch_layer,
-                    &conn.est_positions,
-                    &core_layers,
-                    bench.soc.layers,
-                    &lib,
-                    &cfg,
-                    0.6,
-                )
-                .unwrap()
-        });
-    });
-    for (name, threaded) in [("classed_serial", false), ("classed_two_threads", true)] {
-        group.bench_function(name, |b| {
-            let mut alloc = PathAllocator::new();
-            b.iter(|| {
-                alloc
-                    .compute_paths_classed(
-                        black_box(&graph),
-                        &conn.core_attach,
-                        &conn.switch_layer,
-                        &conn.est_positions,
-                        &core_layers,
-                        bench.soc.layers,
-                        &lib,
-                        &cfg,
-                        0.6,
-                        threaded,
-                    )
-                    .unwrap()
-            });
-        });
-    }
-    group.finish();
-}
-
 /// The Tang/Wong O(n log n) LCS packer against the retained O(n²)
 /// longest-path reference oracle, at the annealer's bench scale (20) and
 /// the 65-core pipeline scale where the asymptotics dominate.
@@ -393,7 +339,6 @@ criterion_group!(
     bench_phase1_connectivity,
     bench_router,
     bench_theta_sparse_vs_dense,
-    bench_route_classes_parallel,
     bench_annealer,
     bench_anneal_tempering,
     bench_pack_lcs,

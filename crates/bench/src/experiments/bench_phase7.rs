@@ -25,10 +25,7 @@
 //!   `partition_phase1_k8_theta_spg_s` with the phase-7 sparsification;
 //!   the gate skips renamed metrics rather than failing on them).
 //! * one flow-routing pass through the indexed [`PathAllocator`] core
-//!   (reported as flows routed per second), plus the phase-7
-//!   class-decomposed form (`routing.class_parallel_per_pass_s`): the
-//!   request and response CDG passes routed on two threads and merged
-//!   back into the interleaved creation order,
+//!   (reported as flows routed per second),
 //! * the switch-placement LP, cold (`placement_lp_k8_s`: the first
 //!   placement of a candidate, through a chain-cut [`PlacementSolver`])
 //!   and warm (`placement_lp_warm_k8_s`: a re-placement through the
@@ -235,27 +232,6 @@ fn try_bench_phase7(effort: Effort) -> Result<Artifact, String> {
     });
     let flows = graph.edge_list().len();
     let flows_per_s = flows as f64 / route_s;
-    // The class-decomposed form of the same pass (the phase-7 tentpole):
-    // request and response CDGs routed as independent passes on two
-    // threads, links merged back into the interleaved creation order.
-    // Bit-identical to `compute_paths`; the delta against `per_pass_s`
-    // is the thread + merge overhead vs the two-way concurrency win.
-    let class_route_s = time_per_rep(route_reps, || {
-        alloc
-            .compute_paths_classed(
-                &graph,
-                &conn.core_attach,
-                &conn.switch_layer,
-                &conn.est_positions,
-                &core_layers,
-                bench.soc.layers,
-                &lib,
-                &path_cfg,
-                0.6,
-                true,
-            )
-            .ok()
-    });
 
     // Switch-placement LP on routed topologies for the k ∈ {2..8} chain
     // the acceptance gate tracks. Cold = the first placement of a
@@ -464,7 +440,6 @@ fn try_bench_phase7(effort: Effort) -> Result<Artifact, String> {
     let _ = writeln!(json, "  \"routing\": {{");
     let _ = writeln!(json, "    \"flows\": {flows},");
     let _ = writeln!(json, "    \"per_pass_s\": {route_s:.9},");
-    let _ = writeln!(json, "    \"class_parallel_per_pass_s\": {class_route_s:.9},");
     let _ = writeln!(json, "    \"flows_per_s\": {flows_per_s:.1}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"placement_lp_k8_s\": {place_cold_s:.9},");

@@ -125,7 +125,7 @@ impl CommGraph {
     /// zero-weight flow on a same-layer pair: the literal dense builder
     /// suppresses that pair's weak edge, the fold still attracts it — a
     /// weightless flow carries no Definition-3 signal either way.
-    /// [`tests/partition_warm.rs`] pins the folded cut against the dense
+    /// `tests/partition_warm.rs` pins the folded cut against the dense
     /// reference ([`Self::scaled_partitioning_graph_dense`]) on every
     /// in-tree benchmark.
     #[must_use]

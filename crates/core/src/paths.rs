@@ -14,6 +14,11 @@
 //!   within `soft_max_ill` of its budget or a switch within the soft size
 //!   margin — steering the router away *before* the hard limits bite.
 //!
+//! Request and response flows share the vertical-link and port budgets, and
+//! both classes are routed in one interleaved pass in the global criticality
+//! order, so the soft steering of every flow sees what *both* classes have
+//! already used (§VI).
+//!
 //! Deadlock freedom follows the approach of Hansson et al. that the paper
 //! adopts: a channel-dependency graph (CDG) is maintained *per message
 //! class* (request and response flows never share links, which removes
@@ -33,23 +38,6 @@
 //! use Pearce–Kelly incremental topological-order maintenance, so inserting
 //! one dependency edge costs near-constant amortized time instead of a
 //! from-scratch DFS over the whole CDG.
-//!
-//! # Class-decomposed routing
-//!
-//! Request and response flows never share links or CDG state (§VI), so the
-//! two message classes are routed as *independent passes*: each pass starts
-//! from the attachment-only port/vertical budgets, routes its class's flows
-//! in the global criticality order, and the results are merged
-//! deterministically — links re-ordered to the exact interleaved creation
-//! order, combined budgets validated afterwards. Whenever no budget
-//! threshold couples the classes (the common, loosely-constrained case) the
-//! merged topology is bit-identical to the legacy interleaved routing; when
-//! the combined budgets *do* overflow, or a class pass fails outright, the
-//! router falls back to one interleaved pass, preserving the legacy
-//! behaviour exactly. Because the passes share no state, a sweep worker
-//! that is not itself competing for cores (a serial sweep) can run them on
-//! two scoped threads — [`PathAllocator::compute_paths_classed`] — and the
-//! result is bit-for-bit the same either way.
 
 use crate::graph::CommGraph;
 use crate::spec::MessageType;
@@ -340,10 +328,10 @@ impl ClassCdg {
 ///
 /// Mirrors `PartitionStats` / `LpStats`: every field counts per-candidate
 /// events that are a pure function of the candidate (never of thread
-/// scheduling — routing the two classes on scoped threads or sequentially
-/// yields identical counts), so the engine can accumulate a delta per
-/// candidate evaluation and sum the deltas in commit order, making serial
-/// and parallel sweeps report identical totals.
+/// scheduling), so the engine can accumulate a delta per candidate
+/// evaluation and sum the deltas in commit order, making serial and
+/// parallel sweeps report identical totals. Only successful routing calls
+/// are counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoutingStats {
     /// Flows successfully routed (single-hop same-switch flows included).
@@ -353,10 +341,10 @@ pub struct RoutingStats {
     /// Paths rejected because their dependencies closed a CDG cycle (each
     /// rejection rolls the path back and retries with a banned turn).
     pub deadlock_rollbacks: u64,
-    /// Routing calls answered by merging two independent per-class passes.
+    /// Always 0: routing is one interleaved pass. Kept only because the
+    /// `perfbench/` harness still reads it.
     pub class_merges: u64,
-    /// Routing calls where the merged per-class budgets overflowed (or a
-    /// class pass failed) and the legacy interleaved pass was replayed.
+    /// Always 0, for the same reason as [`Self::class_merges`].
     pub merge_fallbacks: u64,
 }
 
@@ -365,8 +353,6 @@ impl std::ops::AddAssign for RoutingStats {
         self.flows_routed += rhs.flows_routed;
         self.links_created += rhs.links_created;
         self.deadlock_rollbacks += rhs.deadlock_rollbacks;
-        self.class_merges += rhs.class_merges;
-        self.merge_fallbacks += rhs.merge_fallbacks;
     }
 }
 
@@ -378,8 +364,7 @@ impl std::ops::Sub for RoutingStats {
             flows_routed: self.flows_routed - rhs.flows_routed,
             links_created: self.links_created - rhs.links_created,
             deadlock_rollbacks: self.deadlock_rollbacks - rhs.deadlock_rollbacks,
-            class_merges: self.class_merges - rhs.class_merges,
-            merge_fallbacks: self.merge_fallbacks - rhs.merge_fallbacks,
+            ..Self::default()
         }
     }
 }
@@ -418,17 +403,6 @@ pub struct PathAllocator {
     weights: Vec<f64>,
     link_ids: Vec<usize>,
     cdg_added: Vec<(usize, usize)>,
-    // Attachment-only budget baselines (the state before any link was
-    // routed), kept so the class-merge validation can subtract the doubly
-    // counted attachments.
-    base_ill: Vec<u32>,
-    base_in: Vec<u32>,
-    base_out: Vec<u32>,
-    // Criticality rank per flow (inverse of `order`), for the merge sort.
-    rank: Vec<u32>,
-    // Second scratch workspace for the response-class routing pass (lazily
-    // created; lets the two class passes run on two scoped threads).
-    second: Option<Box<PathAllocator>>,
     // Cumulative deterministic routing counters.
     stats: RoutingStats,
 }
@@ -474,10 +448,6 @@ impl PathAllocator {
 
     /// Routes all flows over the switches, producing a complete
     /// [`Topology`] — the reusable-workspace form of [`compute_paths`].
-    /// Routes the two message classes as independent sequential passes (see
-    /// the [module docs](self#class-decomposed-routing));
-    /// [`Self::compute_paths_classed`] additionally offers to overlap the
-    /// passes on scoped threads, with bit-identical results.
     ///
     /// # Errors
     ///
@@ -496,7 +466,8 @@ impl PathAllocator {
         cfg: &PathConfig,
         alpha: f64,
     ) -> Result<Topology, PathError> {
-        self.compute_paths_classed(
+        let mut router = Router::new(
+            self,
             graph,
             core_attach,
             switch_layer,
@@ -505,26 +476,18 @@ impl PathAllocator {
             layers,
             lib,
             cfg,
-            alpha,
-            false,
-        )
+        )?;
+        router.route_all(alpha)?;
+        Ok(router.finish())
     }
 
-    /// [`Self::compute_paths`] with an explicit threading choice for the
-    /// two per-class routing passes: with `threaded` set (and more than one
-    /// hardware core available) the response class routes on a scoped
-    /// thread using this allocator's second scratch workspace while the
-    /// request class routes on the calling thread. The passes share no
-    /// state and the merge commits them in class order, so the result — the
-    /// topology *and* the [`RoutingStats`] deltas — is bit-for-bit
-    /// identical to the sequential form. Callers that already saturate the
-    /// machine (the engine's parallel sweep workers) pass `false`, the
-    /// same thread-collapse pattern the tempered annealer uses.
+    /// Forwards to [`Self::compute_paths`]; `threaded` is ignored. Kept only
+    /// because the `perfbench/` harness still calls it.
     ///
     /// # Errors
     ///
-    /// Returns [`PathError`] when any flow cannot be routed within the hard
-    /// constraints or without deadlock.
+    /// As [`Self::compute_paths`].
+    #[doc(hidden)]
     #[allow(clippy::too_many_arguments)]
     pub fn compute_paths_classed(
         &mut self,
@@ -537,36 +500,9 @@ impl PathAllocator {
         lib: &NocLibrary,
         cfg: &PathConfig,
         alpha: f64,
-        threaded: bool,
+        _threaded: bool,
     ) -> Result<Topology, PathError> {
-        let mut class_flows = [0usize; 2];
-        for e in graph.edge_list() {
-            class_flows[class_index(e.class)] += 1;
-        }
-
-        // A single-class spec degenerates to one pass: the legacy
-        // interleaved pass *is* the class pass, so route it directly.
-        if class_flows[0] == 0 || class_flows[1] == 0 {
-            let (topo, stats) = route_pass(
-                self,
-                graph,
-                core_attach,
-                switch_layer,
-                est_switch_pos,
-                core_layers,
-                layers,
-                lib,
-                cfg,
-                alpha,
-                None,
-            )?;
-            self.stats += stats;
-            return Ok(topo);
-        }
-
-        let mut second = self.second.take().unwrap_or_default();
-        let result = self.classed_inner(
-            &mut second,
+        self.compute_paths(
             graph,
             core_attach,
             switch_layer,
@@ -576,238 +512,8 @@ impl PathAllocator {
             lib,
             cfg,
             alpha,
-            threaded,
-        );
-        self.second = Some(second);
-        result
+        )
     }
-
-    /// The two-pass body of [`Self::compute_paths_classed`], with the
-    /// response-class scratch split out so the passes can borrow disjoint
-    /// workspaces.
-    #[allow(clippy::too_many_arguments)]
-    fn classed_inner(
-        &mut self,
-        second: &mut PathAllocator,
-        graph: &CommGraph,
-        core_attach: &[usize],
-        switch_layer: &[u32],
-        est_switch_pos: &[(f64, f64)],
-        core_layers: &[u32],
-        layers: u32,
-        lib: &NocLibrary,
-        cfg: &PathConfig,
-        alpha: f64,
-        threaded: bool,
-    ) -> Result<Topology, PathError> {
-        let spawn = threaded
-            && std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > 1;
-        let (res0, res1) = if spawn {
-            std::thread::scope(|s| {
-                let handle = s.spawn(|| {
-                    route_pass(
-                        second,
-                        graph,
-                        core_attach,
-                        switch_layer,
-                        est_switch_pos,
-                        core_layers,
-                        layers,
-                        lib,
-                        cfg,
-                        alpha,
-                        Some(MessageType::Response),
-                    )
-                });
-                let r0 = route_pass(
-                    self,
-                    graph,
-                    core_attach,
-                    switch_layer,
-                    est_switch_pos,
-                    core_layers,
-                    layers,
-                    lib,
-                    cfg,
-                    alpha,
-                    Some(MessageType::Request),
-                );
-                let r1 = match handle.join() {
-                    Ok(r) => r,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                };
-                (r0, r1)
-            })
-        } else {
-            let r0 = route_pass(
-                self,
-                graph,
-                core_attach,
-                switch_layer,
-                est_switch_pos,
-                core_layers,
-                layers,
-                lib,
-                cfg,
-                alpha,
-                Some(MessageType::Request),
-            );
-            let r1 = route_pass(
-                second,
-                graph,
-                core_attach,
-                switch_layer,
-                est_switch_pos,
-                core_layers,
-                layers,
-                lib,
-                cfg,
-                alpha,
-                Some(MessageType::Response),
-            );
-            (r0, r1)
-        };
-
-        match (res0, res1) {
-            (Ok((t0, s0)), Ok((t1, s1))) => {
-                if let Some(topo) = self.merge_class_runs(second, graph, cfg, t0, t1) {
-                    self.stats += s0;
-                    self.stats += s1;
-                    self.stats.class_merges += 1;
-                    return Ok(topo);
-                }
-            }
-            // Attachment-stage failures (vertical budget / core ports) are
-            // computed before any flow routes, identically in every pass:
-            // report them directly, exactly like the legacy router.
-            (Err(e), _) | (_, Err(e))
-                if matches!(
-                    e,
-                    PathError::IllBudgetExhausted { .. } | PathError::SwitchTooSmall { .. }
-                ) =>
-            {
-                return Err(e);
-            }
-            _ => {}
-        }
-
-        // A class pass failed, or the merged budgets overflowed: the
-        // classes are coupled through the shared budgets here, so replay
-        // the legacy interleaved pass, whose soft steering sees both
-        // classes at once — preserving the pre-decomposition behaviour
-        // (including which error is reported) exactly.
-        self.stats.merge_fallbacks += 1;
-        let (topo, stats) = route_pass(
-            self,
-            graph,
-            core_attach,
-            switch_layer,
-            est_switch_pos,
-            core_layers,
-            layers,
-            lib,
-            cfg,
-            alpha,
-            None,
-        )?;
-        self.stats += stats;
-        Ok(topo)
-    }
-
-    /// Merges the two finished per-class passes: validates the *combined*
-    /// budgets (each pass only enforced its own usage against the limits),
-    /// moves the response-class paths and links into the request-class
-    /// topology, and restores the exact link order the legacy interleaved
-    /// pass would have created — links sort by (criticality rank of the
-    /// flow that created them, hop position within that flow's path), which
-    /// is precisely the interleaved creation order. Returns `None` when the
-    /// combined budgets overflow and the caller must re-route interleaved.
-    // sf: hot-path
-    fn merge_class_runs(
-        &mut self,
-        second: &PathAllocator,
-        graph: &CommGraph,
-        cfg: &PathConfig,
-        mut t0: Topology,
-        mut t1: Topology,
-    ) -> Option<Topology> {
-        for (b, &base) in self.base_ill.iter().enumerate() {
-            if self.ill[b] + second.ill[b] - base > cfg.max_ill {
-                return None;
-            }
-        }
-        for (s, (&bi, &bo)) in self.base_in.iter().zip(&self.base_out).enumerate() {
-            let ip = self.in_ports[s] + second.in_ports[s] - bi;
-            let op = self.out_ports[s] + second.out_ports[s] - bo;
-            if ip.max(op) > cfg.max_switch_size {
-                return None;
-            }
-        }
-
-        for (f, e) in graph.edge_list().iter().enumerate() {
-            if class_index(e.class) == 1 {
-                t0.flow_paths[f] = std::mem::take(&mut t1.flow_paths[f]);
-            }
-        }
-        t0.links.append(&mut t1.links);
-
-        self.rank.clear();
-        self.rank.resize(graph.edge_list().len(), 0);
-        for (i, &f) in self.order.iter().enumerate() {
-            self.rank[f] = i as u32;
-        }
-        let mut links = std::mem::take(&mut t0.links);
-        let paths = &t0.flow_paths;
-        let rank = &self.rank;
-        links.sort_by_key(|l| {
-            // A surviving link's first flow is the flow that created it
-            // (rollbacks only ever strip the most recent flow), and a hop
-            // appears at most once in a simple path, so the key pairs are
-            // unique and reproduce the interleaved creation order.
-            let creator = l.flows.first().copied().unwrap_or(0);
-            let hop = paths[creator]
-                .switches
-                .windows(2)
-                .position(|w| w[0] == l.from && w[1] == l.to)
-                .map_or(u32::MAX, |p| p as u32);
-            (rank[creator], hop)
-        });
-        t0.links = links;
-        Some(t0)
-    }
-}
-
-/// One routing pass over `class`'s flows (or every flow for `None` — the
-/// legacy interleaved pass) through the given workspace, returning the
-/// finished per-pass topology and its deterministic counters.
-#[allow(clippy::too_many_arguments)]
-fn route_pass(
-    alloc: &mut PathAllocator,
-    graph: &CommGraph,
-    core_attach: &[usize],
-    switch_layer: &[u32],
-    est_switch_pos: &[(f64, f64)],
-    core_layers: &[u32],
-    layers: u32,
-    lib: &NocLibrary,
-    cfg: &PathConfig,
-    alpha: f64,
-    class: Option<MessageType>,
-) -> Result<(Topology, RoutingStats), PathError> {
-    let mut router = Router::new(
-        alloc,
-        graph,
-        core_attach,
-        switch_layer,
-        est_switch_pos,
-        core_layers,
-        layers,
-        lib,
-        cfg,
-        class,
-    )?;
-    router.route_all(alpha)?;
-    Ok(router.finish())
 }
 
 /// Routes all flows over the switches, producing a complete [`Topology`].
@@ -870,10 +576,7 @@ struct Router<'a> {
     /// Marginal port power of opening a new link (frequency-dependent,
     /// identical for every edge).
     new_port_cost: f64,
-    /// Restrict this pass to one message class (`None` routes every flow —
-    /// the legacy interleaved pass).
-    class: Option<MessageType>,
-    /// Counters this pass accrued.
+    /// Counters this call accrued, committed by [`Self::finish`].
     stats: RoutingStats,
 }
 
@@ -889,7 +592,6 @@ impl<'a> Router<'a> {
         layers: u32,
         lib: &'a NocLibrary,
         cfg: &'a PathConfig,
-        class: Option<MessageType>,
     ) -> Result<Self, PathError> {
         let nsw = switch_layer.len();
         let boundaries = layers.saturating_sub(1) as usize;
@@ -939,12 +641,6 @@ impl<'a> Router<'a> {
             }
         }
 
-        // Snapshot the attachment-only budgets: the class-merge validation
-        // subtracts them so the attachments are not counted twice.
-        alloc.base_ill.clone_from(&alloc.ill);
-        alloc.base_in.clone_from(&alloc.in_ports);
-        alloc.base_out.clone_from(&alloc.out_ports);
-
         let capacity_gbps = lib.link.capacity_gbps(cfg.frequency_mhz);
 
         // Pairwise Manhattan distances between position estimates, and the
@@ -978,7 +674,6 @@ impl<'a> Router<'a> {
             capacity_gbps,
             soft_inf,
             new_port_cost,
-            class,
             stats: RoutingStats::default(),
         })
     }
@@ -996,14 +691,7 @@ impl<'a> Router<'a> {
         self.graph.flows_by_criticality_into(alpha, &mut order, &mut weights);
         self.alloc.weights = weights;
         for i in 0..order.len() {
-            let idx = order[i];
-            // A class-restricted pass routes its class's subsequence of the
-            // global criticality order, so per-link flow order matches the
-            // interleaved pass exactly.
-            if self.class.is_some_and(|c| self.graph.edge_list()[idx].class != c) {
-                continue;
-            }
-            if let Err(e) = self.route_flow(idx) {
+            if let Err(e) = self.route_flow(order[i]) {
                 self.alloc.order = order;
                 return Err(e);
             }
@@ -1037,13 +725,13 @@ impl<'a> Router<'a> {
             };
 
             self.realize_links(&path, e.class, bw_gbps, flow_idx);
-            if let Some(bad_second) = self.try_insert_deps(e.class) {
+            if let Some(bad_link) = self.try_insert_deps(e.class) {
                 self.stats.deadlock_rollbacks += 1;
                 let link_ids = std::mem::take(&mut self.alloc.link_ids);
                 self.unrealize_flow(flow_idx, &link_ids, bw_gbps);
                 self.alloc.link_ids = link_ids;
                 // Ban the second leg of the offending turn.
-                let link = &self.topo.links[bad_second];
+                let link = &self.topo.links[bad_link];
                 self.alloc.banned[link.from * self.nsw + link.to] = self.alloc.banned_gen;
                 continue;
             }
@@ -1264,13 +952,14 @@ impl<'a> Router<'a> {
         }
     }
 
-    /// Compacts tombstoned links and returns the finished topology with the
-    /// counters this pass accrued.
-    fn finish(mut self) -> (Topology, RoutingStats) {
+    /// Compacts tombstoned links, commits this call's counters to the
+    /// allocator and returns the finished topology.
+    fn finish(mut self) -> Topology {
         let mut topo = self.topo;
         topo.links.retain(|l| !l.flows.is_empty());
         self.stats.links_created += topo.links.len() as u64;
-        (topo, self.stats)
+        self.alloc.stats += self.stats;
+        topo
     }
 }
 
@@ -1387,73 +1076,32 @@ mod tests {
         }
     }
 
-    /// The two per-class passes on scoped threads produce the same
-    /// topology *and* the same counter deltas as the sequential form.
+    /// Both classes draw on one vertical budget, and the soft/hard checks
+    /// of every flow see the usage of both: here the request flows claim
+    /// the one vertical link, and the response flow then finds every edge
+    /// hard-walled.
     #[test]
-    fn class_threaded_routing_matches_sequential() {
-        let (soc, _, g) = setup();
-        let cfg = PathConfig::new(25, 11, 400.0);
-        let layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
-        let mut serial = PathAllocator::new();
-        let topo_serial = serial
-            .compute_paths(&g, &[0, 0, 1, 1], &[0, 1], &[(1.0, 1.0), (2.0, 1.0)], &layers, 2, &lib(), &cfg, 1.0)
-            .unwrap();
-        let mut threaded = PathAllocator::new();
-        let topo_threaded = threaded
-            .compute_paths_classed(
-                &g,
-                &[0, 0, 1, 1],
-                &[0, 1],
-                &[(1.0, 1.0), (2.0, 1.0)],
-                &layers,
-                2,
-                &lib(),
-                &cfg,
-                1.0,
-                true,
-            )
-            .unwrap();
-        assert_eq!(topo_serial, topo_threaded, "class threading must not change the topology");
-        assert_eq!(serial.stats(), threaded.stats(), "counter deltas must match too");
-        // The spec has both classes, so both calls answered via the merge.
-        assert_eq!(serial.stats().class_merges, 1);
-        assert_eq!(serial.stats().merge_fallbacks, 0);
-        assert_eq!(serial.stats().flows_routed, 4);
-    }
-
-    /// When the classes collide on a shared budget (each class fits alone,
-    /// the combination does not), the router replays the legacy interleaved
-    /// pass, reproducing its exact behaviour — here, the response flow hits
-    /// the exhausted vertical budget and reports `NoRoute`.
-    #[test]
-    fn merged_budget_overflow_falls_back_to_interleaved() {
+    fn shared_vertical_budget_blocks_response_flow() {
         let (soc, _, g) = setup();
         let cfg = PathConfig::new(1, 11, 400.0);
         let layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
-        let mut alloc = PathAllocator::new();
-        let err = alloc
-            .compute_paths_classed(
-                &g,
-                &[0, 0, 1, 1],
-                &[0, 1],
-                &[(1.0, 1.0), (2.0, 1.0)],
-                &layers,
-                2,
-                &lib(),
-                &cfg,
-                1.0,
-                true,
-            )
-            .unwrap_err();
-        // Interleaved semantics: the request flows claim the one vertical
-        // link; the response flow then finds every edge hard-walled.
+        let err = compute_paths(
+            &g,
+            &[0, 0, 1, 1],
+            &[0, 1],
+            &[(1.0, 1.0), (2.0, 1.0)],
+            &layers,
+            2,
+            &lib(),
+            &cfg,
+            1.0,
+        )
+        .unwrap_err();
         assert!(matches!(err, PathError::NoRoute { flow: 1 }), "{err:?}");
-        assert_eq!(alloc.stats().merge_fallbacks, 1);
-        assert_eq!(alloc.stats().class_merges, 0);
     }
 
-    /// A single-class spec skips the merge machinery entirely and routes
-    /// one legacy pass.
+    /// A single-class spec routes its one flow over one new link, and the
+    /// allocator counts both.
     #[test]
     fn single_class_spec_routes_without_merge() {
         let (soc, _, _) = setup();
@@ -1473,7 +1121,7 @@ mod tests {
         let layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
         let mut alloc = PathAllocator::new();
         alloc
-            .compute_paths_classed(
+            .compute_paths(
                 &g,
                 &[0, 0, 1, 1],
                 &[0, 1],
@@ -1483,11 +1131,8 @@ mod tests {
                 &lib(),
                 &cfg,
                 1.0,
-                true,
             )
             .unwrap();
-        assert_eq!(alloc.stats().class_merges, 0);
-        assert_eq!(alloc.stats().merge_fallbacks, 0);
         assert_eq!(alloc.stats().flows_routed, 1);
         assert_eq!(alloc.stats().links_created, 1);
     }

@@ -81,8 +81,7 @@ struct CandidateEvaluation {
     /// determinism contract as `stats`).
     anneal_stats: AnnealStats,
     /// Routing counters this candidate accrued (same per-candidate
-    /// determinism contract as `stats`; class-threaded and sequential
-    /// routing produce identical deltas).
+    /// determinism contract as `stats`).
     routing_stats: RoutingStats,
 }
 
@@ -292,19 +291,10 @@ impl<'a> SynthesisEngine<'a> {
                 };
             };
             let core_layers: Vec<u32> = self.soc.cores.iter().map(|c| c.layer).collect();
-            let path_cfg = PathConfig {
-                max_ill: cfg.max_ill,
-                soft_ill_margin: cfg.soft_ill_margin,
-                max_switch_size: cfg.library.switch.max_size_for_frequency(freq),
-                soft_switch_margin: cfg.soft_switch_margin,
-                adjacent_layers_only: false,
-                frequency_mhz: freq,
-                deadlock_retries: 24,
-            };
-            let class_threads = cfg.parallelism.effective_jobs() <= 1;
+            let path_cfg = self.path_config(freq, false);
             for (count, seed) in &self.phase1_seeds().seeds {
                 let Ok(seed) = seed else { continue };
-                let Ok(mut topo) = alloc.compute_paths_classed(
+                let Ok(mut topo) = alloc.compute_paths(
                     &self.graph,
                     &seed.conn.core_attach,
                     &seed.conn.switch_layer,
@@ -314,7 +304,6 @@ impl<'a> SynthesisEngine<'a> {
                     &cfg.library,
                     &path_cfg,
                     cfg.alpha,
-                    class_threads,
                 ) else {
                     continue;
                 };
@@ -772,6 +761,21 @@ impl<'a> SynthesisEngine<'a> {
         ev
     }
 
+    /// The router's constraint set at `freq`: the configured vertical-link
+    /// budget and soft margins, and the library's switch-size limit.
+    fn path_config(&self, freq: f64, adjacent_only: bool) -> PathConfig {
+        let cfg = &self.cfg;
+        PathConfig {
+            max_ill: cfg.max_ill,
+            soft_ill_margin: cfg.soft_ill_margin,
+            max_switch_size: cfg.library.switch.max_size_for_frequency(freq),
+            soft_switch_margin: cfg.soft_switch_margin,
+            adjacent_layers_only: adjacent_only,
+            frequency_mhz: freq,
+            deadlock_retries: 24,
+        }
+    }
+
     /// Routes, places, lays out and evaluates one connectivity candidate,
     /// applying the indirect-switch fallback on routing failure. Counters
     /// from the tempered layout path (if configured) accrue into `anneal`.
@@ -789,16 +793,7 @@ impl<'a> SynthesisEngine<'a> {
         let cfg = &self.cfg;
         let soc = self.soc;
         let core_layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
-        let max_sw = cfg.library.switch.max_size_for_frequency(freq);
-        let path_cfg = PathConfig {
-            max_ill: cfg.max_ill,
-            soft_ill_margin: cfg.soft_ill_margin,
-            max_switch_size: max_sw,
-            soft_switch_margin: cfg.soft_switch_margin,
-            adjacent_layers_only: adjacent_only,
-            frequency_mhz: freq,
-            deadlock_retries: 24,
-        };
+        let path_cfg = self.path_config(freq, adjacent_only);
 
         // Routing with the indirect-switch fallback (§VI): when no route
         // exists, add one unattached switch per layer (a pure transit
@@ -809,14 +804,8 @@ impl<'a> SynthesisEngine<'a> {
         let mut topo: Option<Topology> = None;
         let mut last_err: Option<PathError> = None;
 
-        // Class-threaded routing follows the tempered annealer's
-        // thread-collapse pattern: a parallel sweep already saturates the
-        // machine with candidate workers, so the two class passes then run
-        // sequentially on the worker's thread (the result is identical
-        // either way — the threads only schedule the passes).
-        let class_threads = cfg.parallelism.effective_jobs() <= 1;
         for round in 0..=cfg.indirect_switch_rounds {
-            match alloc.compute_paths_classed(
+            match alloc.compute_paths(
                 &self.graph,
                 &conn.core_attach,
                 &switch_layer,
@@ -826,7 +815,6 @@ impl<'a> SynthesisEngine<'a> {
                 &cfg.library,
                 &path_cfg,
                 cfg.alpha,
-                class_threads,
             ) {
                 Ok(mut t) => {
                     t.indirect_switches = indirect.clone();
@@ -909,11 +897,11 @@ impl<'a> SynthesisEngine<'a> {
             });
         }
         for s in 0..topo.switch_count() {
-            if topo.switch_size(s) > max_sw {
+            if topo.switch_size(s) > path_cfg.max_switch_size {
                 return Err(RejectReason::SwitchTooLarge {
                     switch: s,
                     ports: topo.switch_size(s),
-                    limit: max_sw,
+                    limit: path_cfg.max_switch_size,
                     frequency_mhz: freq,
                 });
             }

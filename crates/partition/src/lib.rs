@@ -48,7 +48,7 @@
 mod fm;
 mod graph;
 
-pub use graph::WeightedGraph;
+pub use graph::{GroupAttraction, WeightedGraph};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
