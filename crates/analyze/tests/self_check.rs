@@ -114,7 +114,7 @@ fn allocation_in_unfenced_helper_reachable_from_hot_path_fails_with_chain() {
     let baseline = load_baseline(&root).expect("committed baseline parses");
     let sources = collect_sources(&root).expect("sources readable");
 
-    // `Tableau::row_prefix` carries no `// sf: hot-path` fence of its own,
+    // `Tableau::row_entries` carries no `// sf: hot-path` fence of its own,
     // but the fenced `price` in pricing.rs calls it — the transitive rule
     // must walk that edge and flag an allocation injected into the helper,
     // reporting the call chain from the fenced root.
@@ -122,12 +122,12 @@ fn allocation_in_unfenced_helper_reachable_from_hot_path_fails_with_chain() {
         .iter()
         .position(|(p, _)| p == "crates/lp/src/solver/tableau.rs")
         .expect("tableau.rs is analyzed");
-    let marker = "let stride = self.stride();";
-    assert!(sources[idx].1.contains(marker), "row_prefix body changed; update this test");
+    let marker = "pub(crate) fn row_entries(&self, i: usize) -> &[(usize, f64)] {";
+    assert!(sources[idx].1.contains(marker), "row_entries signature changed; update this test");
     let mut mutated = sources.clone();
     mutated[idx].1 = mutated[idx].1.replacen(
         marker,
-        "let stride = self.stride();\n        let _probe = vec![0u8; col_limit];",
+        &format!("{marker}\n        let _probe = vec![0u8; i];"),
         1,
     );
     let report = analyze_sources(&mutated, &baseline);
@@ -141,7 +141,7 @@ fn allocation_in_unfenced_helper_reachable_from_hot_path_fails_with_chain() {
             panic!("expected a transitive hot-path-alloc finding:\n{}", report.render())
         });
     assert!(finding.message.contains("reachable from the hot path"), "{}", finding.message);
-    assert!(finding.message.contains("row_prefix"), "names the helper: {}", finding.message);
+    assert!(finding.message.contains("row_entries"), "names the helper: {}", finding.message);
     assert!(finding.message.contains(" → "), "renders the chain: {}", finding.message);
     assert!(finding.message.contains("price"), "chain starts at a fenced root: {}", finding.message);
 }

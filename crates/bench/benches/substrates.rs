@@ -14,7 +14,7 @@ use sunfloor_floorplan::{
     anneal, anneal_tempered, insert_components, AnnealConfig, Block, InsertRequest, Net,
     PackScratch, PlacedBlock, SequencePair, TemperConfig,
 };
-use sunfloor_lp::{PlacementProblem, PlacementState};
+use sunfloor_lp::{LpWorkspace, PlacementProblem, PlacementState};
 use sunfloor_models::NocLibrary;
 use sunfloor_partition::PartitionConfig;
 
@@ -67,7 +67,8 @@ fn bench_placement_lp(c: &mut Criterion) {
 /// the 65-core scale: an identical re-solve (the θ-escalation retry
 /// shape — basis replay, zero pivots) and a weight-perturbed re-solve
 /// (in-place LP refresh + warm re-entry), both through a persistent
-/// [`PlacementState`].
+/// [`PlacementState`] and one reused [`LpWorkspace`], as the engine's
+/// placement solver runs them.
 fn bench_placement_warm_vs_cold(c: &mut Criterion) {
     let p = placement_65core_scale(0.0);
     let perturbed = [placement_65core_scale(0.0), placement_65core_scale(0.25)];
@@ -76,17 +77,17 @@ fn bench_placement_warm_vs_cold(c: &mut Criterion) {
         b.iter(|| black_box(&p).solve().unwrap());
     });
     group.bench_function("warm_identical", |b| {
-        let mut state = PlacementState::new();
-        p.solve_with(&mut state).unwrap();
-        b.iter(|| black_box(&p).solve_with(&mut state).unwrap());
+        let (mut state, mut ws) = (PlacementState::new(), LpWorkspace::new());
+        p.solve_in(&mut state, &mut ws).unwrap();
+        b.iter(|| black_box(&p).solve_in(&mut state, &mut ws).unwrap());
     });
     group.bench_function("warm_reweighted", |b| {
-        let mut state = PlacementState::new();
-        p.solve_with(&mut state).unwrap();
+        let (mut state, mut ws) = (PlacementState::new(), LpWorkspace::new());
+        p.solve_in(&mut state, &mut ws).unwrap();
         let mut flip = 0usize;
         b.iter(|| {
             flip ^= 1;
-            black_box(&perturbed[flip]).solve_with(&mut state).unwrap()
+            black_box(&perturbed[flip]).solve_in(&mut state, &mut ws).unwrap()
         });
     });
     group.finish();

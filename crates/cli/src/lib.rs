@@ -313,6 +313,10 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
             lp.simplex_iterations,
             lp.iterations_saved
         ));
+        report.push_str(&format!(
+            "placement LP replay: {} basis-replay pivots\n",
+            lp.replay_pivots
+        ));
     }
     let anneal = outcome.anneal_stats;
     if anneal.runs > 0 {

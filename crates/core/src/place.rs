@@ -11,11 +11,13 @@
 //! # Warm-started placement
 //!
 //! Placement is served by a [`PlacementSolver`] — one per synthesis-engine
-//! worker, the same ownership pattern as the routing `PathAllocator`. The
-//! solver keeps one warm-startable LP state per switch count, so the
-//! repeated placements a candidate evaluation performs (the base attempt,
-//! every θ-escalation retry at the same switch count, and the
-//! indirect-switch rounds at a grown switch count) re-enter the simplex
+//! worker, the same ownership pattern as the routing `PathAllocator`. All
+//! of a solver's LP solves run in its one [`LpWorkspace`], so a state holds
+//! only its axis LPs, saved bases and reports. The solver keeps one
+//! warm-startable LP state per switch count, so the repeated placements a
+//! candidate evaluation performs (the base attempt, every θ-escalation
+//! retry at the same switch count, and the indirect-switch rounds at a
+//! grown switch count) re-enter the simplex
 //! from the previous optimal basis instead of running two-phase from
 //! scratch; the y-axis LP additionally seeds from the x-axis basis on
 //! every solve. [`PlacementSolver::begin_candidate`] cuts the warm chain
@@ -47,7 +49,9 @@ use crate::graph::CommGraph;
 use crate::spec::SocSpec;
 use crate::topology::Topology;
 use std::sync::Arc;
-use sunfloor_lp::{PlacementProblem, PlacementSeed, PlacementState, SolveError, SolveReport};
+use sunfloor_lp::{
+    LpWorkspace, PlacementProblem, PlacementSeed, PlacementState, SolveError, SolveReport,
+};
 
 /// Accumulated traffic between every core and its switch, and between switch
 /// pairs — the `bw_sw2core` / `bw_sw2sw` weights of equation (4).
@@ -138,6 +142,10 @@ pub struct LpStats {
     /// basis (the engine's serial warm-up bank) rather than by a
     /// within-candidate chain. A subset of [`LpStats::warm_solves`].
     pub cross_candidate_warm_solves: u64,
+    /// Basis-replay pivots the warm re-entries performed before pricing
+    /// resumed (the sum of `SolveReport::replayed_pivots`). Not part of
+    /// [`LpStats::simplex_iterations`].
+    pub replay_pivots: u64,
 }
 
 impl LpStats {
@@ -151,6 +159,7 @@ impl LpStats {
         if report.warm {
             self.warm_solves += 1;
             self.iterations_saved += u64::from(report.iterations_saved);
+            self.replay_pivots += u64::from(report.replayed_pivots);
         } else {
             self.cold_solves += 1;
         }
@@ -165,6 +174,7 @@ impl std::ops::AddAssign for LpStats {
         self.simplex_iterations += rhs.simplex_iterations;
         self.iterations_saved += rhs.iterations_saved;
         self.cross_candidate_warm_solves += rhs.cross_candidate_warm_solves;
+        self.replay_pivots += rhs.replay_pivots;
     }
 }
 
@@ -179,6 +189,7 @@ impl std::ops::Sub for LpStats {
             iterations_saved: self.iterations_saved - rhs.iterations_saved,
             cross_candidate_warm_solves: self.cross_candidate_warm_solves
                 - rhs.cross_candidate_warm_solves,
+            replay_pivots: self.replay_pivots - rhs.replay_pivots,
         }
     }
 }
@@ -238,6 +249,8 @@ impl PlacementSeeds {
 pub struct PlacementSolver {
     problem: PlacementProblem,
     weights: PlacementWeights,
+    /// The tableau and scratch every solve of this solver works in.
+    workspace: LpWorkspace,
     /// Warm-start states keyed by switch count (indirect-switch rounds
     /// grow the count mid-candidate, so one candidate can touch several).
     states: Vec<StateSlot>,
@@ -358,7 +371,7 @@ impl PlacementSolver {
             }
         };
         let slot = &mut self.states[slot];
-        let positions = self.problem.solve_with(&mut slot.state)?;
+        let positions = self.problem.solve_in(&mut slot.state, &mut self.workspace)?;
         let (rx, ry) = slot.state.reports();
         self.stats.record(rx);
         self.stats.record(ry);

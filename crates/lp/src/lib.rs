@@ -7,31 +7,36 @@
 //! package; this crate rebuilds the needed capability:
 //!
 //! * [`Problem`] — a general minimization LP over non-negative variables with
-//!   `≤` / `≥` / `=` constraints, solved by a dense **two-phase primal
-//!   simplex** with Bland's anti-cycling rule ([`Problem::solve`]).
+//!   `≤` / `≥` / `=` constraints, solved by a **two-phase primal simplex**
+//!   on a sparse tableau, with Bland's anti-cycling rule
+//!   ([`Problem::solve`]).
 //! * [`SolverState`] — a persistent solver state for *sequences* of related
-//!   LPs: [`Problem::solve_from`] keeps the tableau buffers and the previous
-//!   optimal basis across solves, re-entering phase 2 directly (or running
-//!   the **dual simplex** after a right-hand-side change) whenever the saved
-//!   basis fits the new problem, and falling back to the cold two-phase path
-//!   when it does not. [`SolveReport`] says which path ran and how many
-//!   pivots it took.
+//!   LPs: [`Problem::solve_from`] keeps the previous optimal basis across
+//!   solves, re-entering phase 2 directly (or running the **dual simplex**
+//!   after a right-hand-side change) whenever the saved basis fits the new
+//!   problem, and falling back to the cold two-phase path when it does
+//!   not. [`SolveReport`] says which path ran and how many pivots it took.
+//! * [`LpWorkspace`] — the tableau and scratch buffers a solve works in.
+//!   Nothing in it outlives a solve, so one workspace serves every state
+//!   of a worker ([`Problem::solve_in`]).
 //! * [`PlacementProblem`] — the Manhattan-distance objective builder: it
 //!   linearizes every `|xi − xk|` with a distance variable pair and solves
 //!   per-axis LPs (the x and y problems are separable). Repeated placements
-//!   solve through a [`PlacementState`] ([`PlacementProblem::solve_with`]),
-//!   which rebuilds the axis LPs in place when only weights and constants
+//!   solve through a [`PlacementState`] ([`PlacementProblem::solve_with`],
+//!   or [`PlacementProblem::solve_in`] with a shared workspace), which
+//!   rebuilds the axis LPs in place when only weights and constants
 //!   changed and chains warm starts — the y axis seeds from the x basis
 //!   (same matrix and objective), and successive placements reuse the last
 //!   optimal basis. A [`PlacementProblem::solve_weighted_median`] fast path
 //!   provides the classic iterated-weighted-median heuristic for
 //!   cross-checking.
 //!
-//! The LPs arising in topology synthesis are small — a few hundred variables
-//! for the paper's largest 65-core design ("even for big applications … the
-//! optimal solution is obtained in few seconds", §VII) — so a dense tableau
-//! is the right tool, and the per-candidate cost is dominated by simplex
-//! pivots, which is exactly what the warm starts cut.
+//! The LPs arising in topology synthesis have a few hundred rows and
+//! columns — about 300 × 750 per axis at 128 cores — but a pivot row holds
+//! only about five nonzeros, so the tableau stores only the entries that
+//! can be nonzero, while keeping the pivot sequence of a dense tableau bit
+//! for bit. The per-candidate cost is dominated by simplex pivots, which is
+//! exactly what the warm starts cut.
 //!
 //! # Example
 //!
@@ -58,5 +63,6 @@ mod solver;
 
 pub use manhattan::{PlacementProblem, PlacementSeed, PlacementState};
 pub use solver::{
-    BasisSnapshot, ConstraintOp, Problem, Solution, SolveError, SolveReport, SolverState,
+    BasisSnapshot, ConstraintOp, LpWorkspace, Problem, Solution, SolveError, SolveReport,
+    SolverState,
 };

@@ -1,6 +1,8 @@
 //! Bandwidth-weighted Manhattan-distance placement objective.
 
-use crate::solver::{BasisSnapshot, ConstraintOp, Problem, SolveError, SolveReport, SolverState};
+use crate::solver::{
+    BasisSnapshot, ConstraintOp, LpWorkspace, Problem, SolveError, SolveReport, SolverState,
+};
 
 /// Builder and solver for the switch-placement problem of paper §VII:
 /// place `n` free points (switches) so that the sum of *weighted Manhattan
@@ -14,7 +16,9 @@ use crate::solver::{BasisSnapshot, ConstraintOp, Problem, SolveError, SolveRepor
 /// repeatedly (the synthesis engine solves one placement per routed
 /// candidate attempt) keep a [`PlacementState`] and call
 /// [`PlacementProblem::solve_with`], which reuses the axis LPs and
-/// warm-starts the simplex from the previous optimal basis.
+/// warm-starts the simplex from the previous optimal basis, or
+/// [`PlacementProblem::solve_in`], which also reuses one [`LpWorkspace`]
+/// across all of a worker's states.
 ///
 /// # Example
 ///
@@ -37,7 +41,8 @@ pub struct PlacementProblem {
 }
 
 /// Reusable warm-start state for [`PlacementProblem::solve_with`]: the two
-/// per-axis LPs plus a [`SolverState`] for each axis.
+/// per-axis LPs plus a [`SolverState`] for each axis. The tableau a solve
+/// works in is not part of the state: it lives in an [`LpWorkspace`].
 ///
 /// Across solves the state retains
 ///
@@ -52,7 +57,7 @@ pub struct PlacementProblem {
 ///   for y).
 ///
 /// [`PlacementState::clear_warm`] forgets the bases (the next solve is
-/// cold) while keeping every buffer; the synthesis engine calls it at
+/// cold) while keeping the axis LPs; the synthesis engine calls it at
 /// candidate boundaries so warm chains never depend on worker scheduling.
 #[derive(Debug, Clone, Default)]
 pub struct PlacementState {
@@ -108,8 +113,7 @@ impl PlacementState {
         self.reports
     }
 
-    /// Forgets both axes' saved bases (keeps all buffers): the next solve
-    /// is cold.
+    /// Forgets both axes' saved bases: the next solve is cold.
     pub fn clear_warm(&mut self) {
         self.x.clear_warm();
         self.y.clear_warm();
@@ -215,15 +219,30 @@ impl PlacementProblem {
         &self,
         state: &mut PlacementState,
     ) -> Result<Vec<(f64, f64)>, SolveError> {
+        self.solve_in(state, &mut LpWorkspace::new())
+    }
+
+    /// [`PlacementProblem::solve_with`] in a caller-owned [`LpWorkspace`]:
+    /// the same positions and reports, with the tableau buffers reused
+    /// across calls and across states.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PlacementProblem::solve`].
+    pub fn solve_in(
+        &self,
+        state: &mut PlacementState,
+        workspace: &mut LpWorkspace,
+    ) -> Result<Vec<(f64, f64)>, SolveError> {
         self.rebuild_into(state);
-        let xs = state.x_lp.solve_from(&mut state.x)?;
+        let xs = state.x_lp.solve_in(&mut state.x, workspace)?;
         state.reports.0 = state.x.last_report();
         // The axes share matrix and objective, so the x optimum is a
         // dual-feasible basis for y; adopt it when y has nothing better.
         if !state.y.has_basis_for(&state.y_lp) {
             state.y.adopt_basis_from(&state.x);
         }
-        let ys = state.y_lp.solve_from(&mut state.y)?;
+        let ys = state.y_lp.solve_in(&mut state.y, workspace)?;
         state.reports.1 = state.y.last_report();
         let mut out: Vec<(f64, f64)> =
             (0..self.free_points).map(|i| (xs.value(i), ys.value(i))).collect();

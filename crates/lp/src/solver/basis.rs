@@ -104,7 +104,8 @@ impl SavedBasis {
     /// Replays the snapshot into a freshly rebuilt tableau: each saved
     /// basic column is pivoted in (columns processed in saved row order),
     /// choosing the pivot row by partial pivoting over the rows not yet
-    /// claimed — largest magnitude, ties towards the smallest row index, so
+    /// claimed — largest magnitude, ties towards the smallest row index
+    /// (the column's rows are scanned in ascending order), so
     /// the elimination is deterministic and succeeds whenever the basis
     /// matrix is (numerically) nonsingular. Replay pivots skip the pricing
     /// and ratio-test scans, so they cost a fraction of a simplex iteration
@@ -121,11 +122,12 @@ impl SavedBasis {
         for &col in &self.rows {
             let mut best_row = None;
             let mut best_mag = REPLAY_PIVOT_TOL;
-            for (i, &taken) in claimed.iter().enumerate() {
-                if taken {
+            tab.gather_column(col);
+            for &(i, a) in tab.gathered() {
+                if claimed[i] {
                     continue;
                 }
-                let mag = tab.cell(i, col).abs();
+                let mag = a.abs();
                 if mag > best_mag {
                     best_mag = mag;
                     best_row = Some(i);

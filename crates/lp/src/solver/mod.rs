@@ -1,22 +1,23 @@
-//! The simplex solver subsystem: the [`Problem`] model, the dense tableau
+//! The simplex solver subsystem: the [`Problem`] model, the sparse tableau
 //! ([`tableau`]), basis bookkeeping and warm-start snapshots ([`basis`]),
 //! the primal/dual pivot loops ([`pricing`]) and the persistent
-//! [`SolverState`] warm-start machinery ([`warm`]).
+//! [`SolverState`] warm-start machinery with its shared [`LpWorkspace`]
+//! ([`warm`]).
 //!
 //! One-shot callers use [`Problem::solve`] — a cold two-phase primal
-//! simplex, unchanged from the original single-file implementation. Callers
-//! that solve *sequences* of related problems keep a [`SolverState`] and
-//! call [`Problem::solve_from`]: the state retains the tableau buffers and
-//! the previous optimal basis, and re-enters phase 2 (or runs the dual
-//! simplex) from that basis whenever it fits the new problem, falling back
-//! to the cold two-phase path when it does not.
+//! simplex. Callers that solve *sequences* of related problems keep a
+//! [`SolverState`] and call [`Problem::solve_from`] (or
+//! [`Problem::solve_in`], which also reuses an [`LpWorkspace`]): the state
+//! retains the previous optimal basis, and re-enters phase 2 (or runs the
+//! dual simplex) from that basis whenever it fits the new problem, falling
+//! back to the cold two-phase path when it does not.
 
 pub(crate) mod basis;
 pub(crate) mod pricing;
 pub(crate) mod tableau;
 pub(crate) mod warm;
 
-pub use warm::{BasisSnapshot, SolveReport, SolverState};
+pub use warm::{BasisSnapshot, LpWorkspace, SolveReport, SolverState};
 
 use std::error::Error;
 use std::fmt;
@@ -208,7 +209,7 @@ impl Problem {
     /// [`SolveError::Infeasible`], [`SolveError::Unbounded`] or (on numerical
     /// breakdown) [`SolveError::IterationLimit`].
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        SolverState::new().solve_cold(self)
+        SolverState::new().solve_cold(self, &mut LpWorkspace::new())
     }
 
     /// Solves the LP through a persistent [`SolverState`], warm-starting
@@ -243,7 +244,34 @@ impl Problem {
     /// Same as [`Problem::solve`]; warm-start failures are not errors (the
     /// state falls back to a cold solve internally).
     pub fn solve_from(&self, state: &mut SolverState) -> Result<Solution, SolveError> {
-        state.solve(self)
+        self.solve_in(state, &mut LpWorkspace::new())
+    }
+
+    /// [`Problem::solve_from`] in a caller-owned [`LpWorkspace`]: the same
+    /// result, but repeated solves reuse the workspace's buffers instead of
+    /// allocating a tableau each time. One workspace can serve many states.
+    ///
+    /// ```
+    /// use sunfloor_lp::{ConstraintOp, LpWorkspace, Problem, SolverState};
+    ///
+    /// let mut p = Problem::minimize(1);
+    /// p.set_objective(&[(0, 1.0)]);
+    /// p.add_constraint(&[(0, 1.0)], ConstraintOp::Ge, 2.0);
+    /// let mut ws = LpWorkspace::new();
+    /// let (mut a, mut b) = (SolverState::new(), SolverState::new());
+    /// assert_eq!(p.solve_in(&mut a, &mut ws)?, p.solve_in(&mut b, &mut ws)?);
+    /// # Ok::<(), sunfloor_lp::SolveError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Problem::solve_from`].
+    pub fn solve_in(
+        &self,
+        state: &mut SolverState,
+        workspace: &mut LpWorkspace,
+    ) -> Result<Solution, SolveError> {
+        state.solve(self, workspace)
     }
 }
 

@@ -29,10 +29,10 @@ fn max_iterations(tab: &Tableau) -> u32 {
 }
 
 /// Accumulates `z_j = Σ_i cost[basis[i]] · a[i][j]` for `j < col_limit`,
-/// row by row so each `z_j` sums in the same row order a per-column dot
-/// product would use (bit-identical), but with sequential memory access.
-/// Rows whose basic cost is exactly zero contribute exactly nothing and
-/// are skipped.
+/// row by row over the stored entries, so each `z_j` sums in ascending
+/// row order exactly as a per-column dot product would (bit-identical: an
+/// unstored zero adds nothing). Rows whose basic cost is exactly zero
+/// contribute exactly nothing and are skipped.
 // sf: hot-path
 pub(crate) fn price(tab: &Tableau, cost: &[f64], col_limit: usize, z: &mut [f64]) {
     let m = tab.rows();
@@ -44,9 +44,11 @@ pub(crate) fn price(tab: &Tableau, cost: &[f64], col_limit: usize, z: &mut [f64]
         if yi == 0.0 {
             continue;
         }
-        let row = tab.row_prefix(i, col_limit);
-        for (zj, &aij) in z[..col_limit].iter_mut().zip(row) {
-            *zj += yi * aij;
+        for &(j, aij) in tab.row_entries(i) {
+            if j >= col_limit {
+                break;
+            }
+            z[j] += yi * aij;
         }
     }
 }
@@ -75,7 +77,6 @@ pub(crate) fn primal(
     z: &mut [f64],
     iterations: &mut u32,
 ) -> Result<f64, SolveError> {
-    let m = tab.rows();
     let max_iter = max_iterations(tab);
     for iter in 0..max_iter {
         price(tab, cost, col_limit, z);
@@ -104,11 +105,11 @@ pub(crate) fn primal(
             return Ok(objective_value(tab, cost));
         };
 
-        // Ratio test.
+        // Ratio test, over the entering column's rows in ascending order.
         let mut leaving = None;
         let mut best_ratio = f64::INFINITY;
-        for i in 0..m {
-            let aij = tab.cell(i, j);
+        tab.gather_column(j);
+        for &(i, aij) in tab.gathered() {
             if aij > EPS {
                 let ratio = tab.rhs(i) / aij;
                 // Bland tie-break: smallest basis index.
@@ -175,11 +176,13 @@ pub(crate) fn dual(
         price(tab, cost, col_limit, z);
         let mut entering = None;
         let mut best_ratio = f64::INFINITY;
-        for j in 0..col_limit {
+        for &(j, arj) in tab.row_entries(r) {
+            if j >= col_limit {
+                break;
+            }
             if tab.basis.member[j] {
                 continue;
             }
-            let arj = tab.cell(r, j);
             if arj < -EPS {
                 let ratio = (cost[j] - z[j]) / -arj;
                 if ratio < best_ratio - EPS {

@@ -1,6 +1,8 @@
-//! The persistent solver state behind [`Problem::solve_from`]: reusable
-//! tableau/pricing buffers plus the previous solve's optimal basis, and the
-//! decision logic that re-enters the simplex from that basis.
+//! The persistent solver state behind [`Problem::solve_from`] and
+//! [`Problem::solve_in`]: the previous solve's optimal basis, and the
+//! decision logic that re-enters the simplex from that basis. The scratch
+//! a solve works in — tableau, pricing vectors, replay flags — lives in an
+//! [`LpWorkspace`] that one worker shares across all its states.
 //!
 //! A warm re-entry goes through three gates, falling back to the cold
 //! two-phase path whenever one fails:
@@ -65,10 +67,38 @@ pub struct BasisSnapshot {
     cold_iterations: u32,
 }
 
-/// Persistent, reusable solver state for [`Problem::solve_from`]: owns the
-/// tableau and pricing buffers (so repeated solves allocate nothing) and
-/// the previous solve's optimal basis (so a structurally matching next
-/// problem skips phase 1 and most of phase 2).
+/// Scratch for LP solves: the sparse tableau, the pricing vectors and the
+/// basis-replay flags.
+///
+/// Nothing in a workspace carries over from one solve to the next except
+/// the capacity of its buffers — every solve rebuilds the tableau — so one
+/// workspace can serve any number of [`SolverState`]s, one solve at a
+/// time. The synthesis engine keeps one per sweep worker, which keeps a
+/// worker's repeated solves allocation-free and its memory footprint
+/// independent of how many warm states it holds. Pass it to
+/// [`Problem::solve_in`].
+#[derive(Debug, Clone, Default)]
+pub struct LpWorkspace {
+    tab: Tableau,
+    pricing: Pricing,
+    /// Replay scratch: which rows the basis replay has claimed.
+    claimed: Vec<bool>,
+}
+
+impl LpWorkspace {
+    /// An empty workspace; its buffers grow to the largest LP solved in it.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Persistent solver state for [`Problem::solve_from`] and
+/// [`Problem::solve_in`]: the previous solve's optimal basis (so a
+/// structurally matching next problem skips phase 1 and most of phase 2),
+/// the report of the last solve and the cold-pivot baseline the reports
+/// estimate savings against. The tableau itself lives in an
+/// [`LpWorkspace`].
 ///
 /// A warm re-entry goes through three gates, falling back to the cold
 /// two-phase path whenever one fails: the saved basis must fit the new
@@ -80,11 +110,7 @@ pub struct BasisSnapshot {
 /// [`Problem::solve_from`] example for typical use.
 #[derive(Debug, Clone, Default)]
 pub struct SolverState {
-    tab: Tableau,
-    pricing: Pricing,
     saved: SavedBasis,
-    /// Replay scratch: which rows the basis replay has claimed.
-    claimed: Vec<bool>,
     report: SolveReport,
     /// Pivot count of the most recent cold solve — the baseline
     /// [`SolveReport::iterations_saved`] is estimated against.
@@ -111,8 +137,8 @@ impl SolverState {
         self.saved.matches(p)
     }
 
-    /// Forgets the saved basis (keeps the buffers): the next solve is
-    /// cold. Used to cut warm chains at determinism boundaries.
+    /// Forgets the saved basis: the next solve is cold. Used to cut warm
+    /// chains at determinism boundaries.
     pub fn clear_warm(&mut self) {
         self.saved.clear();
     }
@@ -151,52 +177,54 @@ impl SolverState {
         self.last_cold_iterations = snapshot.cold_iterations;
     }
 
-    pub(crate) fn solve(&mut self, p: &Problem) -> Result<Solution, SolveError> {
+    pub(crate) fn solve(
+        &mut self,
+        p: &Problem,
+        ws: &mut LpWorkspace,
+    ) -> Result<Solution, SolveError> {
         if self.saved.matches(p) {
-            if let Some(sol) = self.try_warm(p) {
+            if let Some(sol) = self.try_warm(p, ws) {
                 return Ok(sol);
             }
         }
-        self.solve_cold(p)
+        self.solve_cold(p, ws)
     }
 
     /// Attempts the warm re-entry; `None` means "fall back to cold" (the
     /// basis replay went singular, neither re-entry applies, or the warm
     /// run hit a numerical guard — cold re-derives the authoritative
     /// answer, including genuine infeasibility/unboundedness errors).
-    fn try_warm(&mut self, p: &Problem) -> Option<Solution> {
-        self.tab.rebuild(p);
-        let replayed = self.saved.replay(&mut self.tab, &mut self.claimed)?;
-        self.pricing.reset(self.tab.n_total);
+    fn try_warm(&mut self, p: &Problem, ws: &mut LpWorkspace) -> Option<Solution> {
+        let LpWorkspace { tab, pricing: prices, claimed } = ws;
+        tab.rebuild(p);
+        let replayed = self.saved.replay(tab, claimed)?;
+        prices.reset(tab.n_total);
         let num_vars = p.num_vars();
-        self.pricing.cost[..num_vars].copy_from_slice(p.objective_coefficients());
-        let cost = &self.pricing.cost;
-        let art_start = self.tab.art_start;
+        prices.cost[..num_vars].copy_from_slice(p.objective_coefficients());
+        let cost = &prices.cost;
+        let art_start = tab.art_start;
 
         let mut iterations = 0u32;
-        let feasible = (0..self.tab.rows()).all(|i| self.tab.rhs(i) >= 0.0);
+        let feasible = (0..tab.rows()).all(|i| tab.rhs(i) >= 0.0);
         let objective = if feasible {
             // Primal feasible: resume phase 2 directly.
-            pricing::primal(&mut self.tab, cost, art_start, &mut self.pricing.z, &mut iterations)
-                .ok()?
+            pricing::primal(tab, cost, art_start, &mut prices.z, &mut iterations).ok()?
         } else {
             // Primal infeasibility from a rhs change: legal re-entry only
             // if the basis is still dual feasible under the new objective.
-            pricing::price(&self.tab, cost, art_start, &mut self.pricing.z);
-            let dual_feasible = (0..art_start).all(|j| {
-                self.tab.basis.member[j] || cost[j] - self.pricing.z[j] >= -EPS
-            });
+            pricing::price(tab, cost, art_start, &mut prices.z);
+            let dual_feasible =
+                (0..art_start).all(|j| tab.basis.member[j] || cost[j] - prices.z[j] >= -EPS);
             if !dual_feasible {
                 return None;
             }
-            pricing::dual(&mut self.tab, cost, art_start, &mut self.pricing.z, &mut iterations)
-                .ok()?
+            pricing::dual(tab, cost, art_start, &mut prices.z, &mut iterations).ok()?
         };
 
         // Phase 2 and the dual loop only ever enter structural or slack
         // columns, so a replayed (artificial-free) basis stays
         // artificial-free and is always worth saving.
-        self.saved.capture(p, &self.tab.basis.rows);
+        self.saved.capture(p, &tab.basis.rows);
         self.report = SolveReport {
             warm: true,
             iterations,
@@ -204,32 +232,33 @@ impl SolverState {
             iterations_saved: self.last_cold_iterations.saturating_sub(iterations),
         };
         let mut values = Vec::new();
-        self.tab.extract_values(num_vars, &mut values);
+        tab.extract_values(num_vars, &mut values);
         Some(Solution { objective, values })
     }
 
     /// The cold two-phase primal simplex, bit-identical to
     /// [`Problem::solve`] (which delegates here through a fresh state).
-    pub(crate) fn solve_cold(&mut self, p: &Problem) -> Result<Solution, SolveError> {
-        self.tab.rebuild(p);
-        self.pricing.reset(self.tab.n_total);
-        let m = self.tab.rows();
-        let n_total = self.tab.n_total;
-        let art_start = self.tab.art_start;
+    pub(crate) fn solve_cold(
+        &mut self,
+        p: &Problem,
+        ws: &mut LpWorkspace,
+    ) -> Result<Solution, SolveError> {
+        let LpWorkspace { tab, pricing: prices, .. } = ws;
+        tab.rebuild(p);
+        prices.reset(tab.n_total);
+        let m = tab.rows();
+        let n_total = tab.n_total;
+        let art_start = tab.art_start;
         let mut iterations = 0u32;
 
-        if self.tab.basis.contains_artificial(art_start) {
+        if tab.basis.contains_artificial(art_start) {
             // Phase 1 objective: minimize sum of artificials.
-            for c in self.pricing.cost.iter_mut().skip(art_start) {
+            for c in prices.cost.iter_mut().skip(art_start) {
                 *c = 1.0;
             }
-            let obj = match pricing::primal(
-                &mut self.tab,
-                &self.pricing.cost,
-                n_total,
-                &mut self.pricing.z,
-                &mut iterations,
-            ) {
+            let phase1 =
+                pricing::primal(tab, &prices.cost, n_total, &mut prices.z, &mut iterations);
+            let obj = match phase1 {
                 Ok(obj) => obj,
                 Err(e) => return Err(self.record_failure(iterations, e)),
             };
@@ -238,11 +267,15 @@ impl SolverState {
             }
             // Pivot remaining artificials out of the basis if possible.
             for i in 0..m {
-                if self.tab.basis.rows[i] >= art_start {
-                    if let Some(j) =
-                        (0..art_start).find(|&j| self.tab.cell(i, j).abs() > 1e-7)
-                    {
-                        self.tab.pivot(i, j);
+                if tab.basis.rows[i] >= art_start {
+                    let entering = tab
+                        .row_entries(i)
+                        .iter()
+                        .take_while(|e| e.0 < art_start)
+                        .find(|e| e.1.abs() > 1e-7)
+                        .map(|e| e.0);
+                    if let Some(j) = entering {
+                        tab.pivot(i, j);
                     }
                     // Else the row is all-zero in structural columns: a
                     // redundant constraint; leave the (zero-valued)
@@ -254,17 +287,12 @@ impl SolverState {
 
         // Phase 2: original objective over structural + slack columns only.
         let num_vars = p.num_vars();
-        for c in &mut self.pricing.cost {
+        for c in &mut prices.cost {
             *c = 0.0;
         }
-        self.pricing.cost[..num_vars].copy_from_slice(p.objective_coefficients());
-        let objective = match pricing::primal(
-            &mut self.tab,
-            &self.pricing.cost,
-            art_start,
-            &mut self.pricing.z,
-            &mut iterations,
-        ) {
+        prices.cost[..num_vars].copy_from_slice(p.objective_coefficients());
+        let phase2 = pricing::primal(tab, &prices.cost, art_start, &mut prices.z, &mut iterations);
+        let objective = match phase2 {
             Ok(obj) => obj,
             Err(e) => return Err(self.record_failure(iterations, e)),
         };
@@ -275,13 +303,13 @@ impl SolverState {
         // A basis holding a (zero-valued) artificial from a redundant
         // constraint cannot be replayed; forget it rather than warm-start
         // the next solve from an invalid snapshot.
-        if self.tab.basis.contains_artificial(art_start) {
+        if tab.basis.contains_artificial(art_start) {
             self.saved.clear();
         } else {
-            self.saved.capture(p, &self.tab.basis.rows);
+            self.saved.capture(p, &tab.basis.rows);
         }
         let mut values = Vec::new();
-        self.tab.extract_values(num_vars, &mut values);
+        tab.extract_values(num_vars, &mut values);
         Ok(Solution { objective, values })
     }
 

@@ -265,6 +265,42 @@ fn golden_seeded_pipeline_is_reproducible_and_no_worse_than_cold_start() {
     );
 }
 
+/// Golden regression at 128 cores, the size where the placement LP is the
+/// largest layer: a seeded 128-core pipeline at 200 MHz over a few switch
+/// counts (no layout). Pins the outcome bit-for-bit and the exact
+/// placement-LP counters, so a change to the simplex's pivot sequence on
+/// large tableaux fails here even where the small goldens do not reach.
+#[test]
+#[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences flip SA decisions elsewhere")]
+fn golden_128_core_pipeline_is_reproducible() {
+    let bench = pipeline_seeded(128, 401);
+    let cfg = SynthesisConfig::builder()
+        .frequency_mhz(200.0)
+        .switch_count_range(6, 24)
+        .switch_count_step(6)
+        .rng_seed(401)
+        .run_layout(false)
+        .build()
+        .unwrap();
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg).unwrap().run();
+    let lp = out.lp_stats;
+    assert_eq!(out.points.len(), 4, "128-core 6..24 sweep must keep its four points");
+    assert_eq!(
+        (lp.cold_solves, lp.warm_solves, lp.simplex_iterations, lp.iterations_saved),
+        (4, 12, 1660, 3680),
+        "128-core placement-LP counters drifted"
+    );
+    assert_eq!(
+        lp.cross_candidate_warm_solves, 8,
+        "128-core seed-bank warm solves drifted"
+    );
+    assert_eq!(
+        fingerprint_outcome(&out),
+        0xa292_b7f0_0b6a_1231,
+        "128-core pipeline outcome drifted"
+    );
+}
+
 /// Golden regression for the annealer alone: the mutate-and-undo loop with
 /// cached net bounding boxes must produce the same floorplan as the
 /// clone-per-iteration implementation for the same seed.
