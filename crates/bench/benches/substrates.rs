@@ -115,6 +115,25 @@ fn bench_insertion(c: &mut Criterion) {
     c.bench_function("floorplan_insertion_25cores_8switches", |b| {
         b.iter(|| insert_components(black_box(&cores), black_box(&requests), 3.0));
     });
+
+    // Zero-gap 14x14 grid of 0.5 mm cores with a 0.1 mm TSV macro aimed at
+    // its middle: the 0.05 mm step floor gives 60 rings within the 3 mm
+    // radius and none holds free space, so the request tests all 7320
+    // candidates before it shoves (the 25-core case above mostly finds
+    // space on an early ring).
+    let grid: Vec<PlacedBlock> = (0..14 * 14)
+        .map(|i| {
+            PlacedBlock::new(
+                Block::new(format!("c{i}"), 0.5, 0.5),
+                f64::from(i % 14) * 0.5,
+                f64::from(i / 14) * 0.5,
+            )
+        })
+        .collect();
+    let macros = [InsertRequest::new(Block::new("tsv", 0.1, 0.1), (3.55, 3.55))];
+    c.bench_function("floorplan_insertion_shove_heavy", |b| {
+        b.iter(|| insert_components(black_box(&grid), black_box(&macros), 3.0));
+    });
 }
 
 fn bench_phase1_connectivity(c: &mut Criterion) {

@@ -7,6 +7,16 @@
 //! We iteratively move the necessary blocks in the same direction as the
 //! first block, until we remove all overlaps. As more components are placed,
 //! they can re-use the gap created by the earlier components."
+//!
+//! Each component first looks for free space on expanding rings of
+//! candidate spots around its ideal spot; `find_free_spot` documents the
+//! exact rule. Only when no ring within the search radius has room does
+//! `shove_open` displace blocks. The search tests candidates only against
+//! the placed blocks that can reach them, skips candidates that cannot
+//! beat the best free one already found on the ring, and allocates nothing
+//! per request. Its answer is the one a search that sorts each ring by
+//! distance and tests every block would give; a proptest in this module
+//! checks the two bit for bit.
 
 use crate::geometry::{Block, Floorplan, PlacedBlock, Rect};
 
@@ -48,7 +58,9 @@ pub struct InsertionResult {
 ///
 /// `search_radius` bounds the free-space search around each ideal location —
 /// "the area in which we look for free space is the same for all of the
-/// switches, as it is given as a constant" (§VII).
+/// switches, as it is given as a constant" (§VII). Each component lands on
+/// the free spot the ring search picks, or, when the search finds none, at
+/// its ideal spot after the blocks in the way are shoved aside.
 #[must_use]
 pub fn insert_components(
     cores: &[PlacedBlock],
@@ -59,13 +71,14 @@ pub fn insert_components(
     let n_cores = cores.len();
     let mut centers = Vec::with_capacity(requests.len());
     let mut deviation = 0.0;
+    let mut scratch = SearchScratch::default();
 
     for req in requests {
         let w = req.block.width;
         let h = req.block.height;
         let ideal_ll = (req.ideal.0 - w / 2.0, req.ideal.1 - h / 2.0);
 
-        let spot = find_free_spot(&placed, w, h, ideal_ll, search_radius)
+        let spot = find_free_spot(&placed, w, h, ideal_ll, search_radius, &mut scratch)
             .unwrap_or_else(|| {
                 shove_open(&mut placed, w, h, ideal_ll);
                 ideal_ll
@@ -92,48 +105,109 @@ pub fn insert_components(
     }
 }
 
-/// Searches expanding rings around `ideal_ll` for a position where a `w`×`h`
-/// rectangle overlaps nothing. Candidates on each ring are visited nearest
-/// first; coordinates are clamped to the first quadrant.
+/// Buffers of [`find_free_spot`], reused across the requests of one
+/// [`insert_components`] call.
+#[derive(Default)]
+struct SearchScratch {
+    /// The placed rectangles that can overlap some candidate of the
+    /// current request.
+    window: Vec<Rect>,
+    /// `(cos t, sin t)` of the current ring's sample angles.
+    units: Vec<(f64, f64)>,
+}
+
+/// Searches expanding rings around `ideal_ll` for a lower-left corner where a
+/// `w`×`h` rectangle overlaps no placed block.
+///
+/// Ring 0 is the ideal corner itself. Ring `j ≥ 1` has radius `j·step`, with
+/// `step = max(min(w, h) / 2, 0.05)`, and samples `4j` angles
+/// `t_i = i / 4j · 2π`; every coordinate is clamped to the first quadrant
+/// (`max(0, ·)`). The first ring holding a free candidate wins, and on it the
+/// free candidate nearest `ideal_ll` in Manhattan distance (compared with
+/// `total_cmp`), ties going to the lower angle index `i` — the first free
+/// element of the ring stably sorted by distance. `None` means no ring up to
+/// `search_radius` has a free candidate.
+///
+/// One pass over each ring finds that candidate without sorting: it keeps
+/// the first free candidate whose distance is strictly smaller than the
+/// best so far, and a candidate no nearer than that best is never tested.
+///
+/// Only the placed blocks inside a window are tested. On each axis, every
+/// candidate corner lies within `[max(0, ideal − r), max(0, ideal + r)]`
+/// for its ring radius `r`, because `|r·cos t| ≤ r` and both rounding and
+/// the clamp are monotone. A block that cannot reach that range, widened
+/// by the component's `w`×`h`, overlaps no candidate, so dropping it
+/// changes no answer. The window takes the last ring's radius plus one
+/// more step as a margin. The overlap test tries the rectangle that
+/// blocked the previous candidate first; it is a pure predicate, so the
+/// order of its tests does not change its answer.
+// sf: hot-path
 fn find_free_spot(
     placed: &[PlacedBlock],
     w: f64,
     h: f64,
     ideal_ll: (f64, f64),
     search_radius: f64,
+    scratch: &mut SearchScratch,
 ) -> Option<(f64, f64)> {
     let step = (w.min(h) / 2.0).max(0.05);
     let rings = (search_radius / step).ceil() as i32;
-
-    let free = |x: f64, y: f64| -> bool {
-        let r = Rect::new(x, y, w, h);
-        placed.iter().all(|p| !p.rect().overlaps(&r))
-    };
-
     let clamp = |v: f64| v.max(0.0);
+
+    let reach = f64::from(rings.max(0)) * step + step;
+    let (x0, x1) = (clamp(ideal_ll.0 - reach), clamp(ideal_ll.0 + reach) + w);
+    let (y0, y1) = (clamp(ideal_ll.1 - reach), clamp(ideal_ll.1 + reach) + h);
+    let window = &mut scratch.window;
+    window.clear();
+    window.extend(
+        placed
+            .iter()
+            .map(PlacedBlock::rect)
+            .filter(|p| p.x + p.w > x0 && p.x < x1 && p.y + p.h > y0 && p.y < y1),
+    );
+
+    let mut blocker = 0;
+    let mut free = |x: f64, y: f64| -> bool {
+        let r = Rect::new(x, y, w, h);
+        if window.get(blocker).is_some_and(|p| p.overlaps(&r)) {
+            return false;
+        }
+        match window.iter().position(|p| p.overlaps(&r)) {
+            Some(i) => {
+                blocker = i;
+                false
+            }
+            None => true,
+        }
+    };
 
     // Ring 0: the ideal spot itself.
     let (ix, iy) = (clamp(ideal_ll.0), clamp(ideal_ll.1));
     if free(ix, iy) {
         return Some((ix, iy));
     }
+    let units = &mut scratch.units;
     for ring in 1..=rings {
         let r = f64::from(ring) * step;
-        let mut candidates: Vec<(f64, f64)> = Vec::new();
         let k = 4 * ring; // denser sampling on larger rings
-        for i in 0..k {
+        units.clear();
+        units.extend((0..k).map(|i| {
             let t = f64::from(i) / f64::from(k) * std::f64::consts::TAU;
-            candidates.push((clamp(ideal_ll.0 + r * t.cos()), clamp(ideal_ll.1 + r * t.sin())));
-        }
-        candidates.sort_by(|a, b| {
-            let da = (a.0 - ideal_ll.0).abs() + (a.1 - ideal_ll.1).abs();
-            let db = (b.0 - ideal_ll.0).abs() + (b.1 - ideal_ll.1).abs();
-            da.total_cmp(&db)
-        });
-        for (x, y) in candidates {
-            if free(x, y) {
-                return Some((x, y));
+            (t.cos(), t.sin())
+        }));
+        let mut best: Option<(f64, (f64, f64))> = None;
+        for &(cos, sin) in units.iter() {
+            let (x, y) = (clamp(ideal_ll.0 + r * cos), clamp(ideal_ll.1 + r * sin));
+            let d = (x - ideal_ll.0).abs() + (y - ideal_ll.1).abs();
+            if best.is_some_and(|(bd, _)| d.total_cmp(&bd).is_ge()) {
+                continue;
             }
+            if free(x, y) {
+                best = Some((d, (x, y)));
+            }
+        }
+        if let Some((_, spot)) = best {
+            return Some(spot);
         }
     }
     None
@@ -196,6 +270,7 @@ fn shove_open(placed: &mut [PlacedBlock], w: f64, h: f64, ll: (f64, f64)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn grid_cores(nx: usize, ny: usize, size: f64, gap: f64) -> Vec<PlacedBlock> {
         let mut v = Vec::new();
@@ -286,5 +361,169 @@ mod tests {
         let res = insert_components(&cores, &reqs, 3.0);
         assert!(res.plan.overlapping_pair().is_none());
         assert_eq!(res.plan.blocks.len(), 16 + 8);
+    }
+
+    /// The free-space search as first written: one `cos`/`sin` pair per
+    /// candidate, each ring stably sorted by Manhattan distance, and every
+    /// candidate tested against every placed block.
+    fn reference_find_free_spot(
+        placed: &[PlacedBlock],
+        w: f64,
+        h: f64,
+        ideal_ll: (f64, f64),
+        search_radius: f64,
+    ) -> Option<(f64, f64)> {
+        let step = (w.min(h) / 2.0).max(0.05);
+        let rings = (search_radius / step).ceil() as i32;
+        let free = |x: f64, y: f64| -> bool {
+            let r = Rect::new(x, y, w, h);
+            placed.iter().all(|p| !p.rect().overlaps(&r))
+        };
+        let clamp = |v: f64| v.max(0.0);
+        let (ix, iy) = (clamp(ideal_ll.0), clamp(ideal_ll.1));
+        if free(ix, iy) {
+            return Some((ix, iy));
+        }
+        for ring in 1..=rings {
+            let r = f64::from(ring) * step;
+            let mut candidates: Vec<(f64, f64)> = Vec::new();
+            let k = 4 * ring;
+            for i in 0..k {
+                let t = f64::from(i) / f64::from(k) * std::f64::consts::TAU;
+                candidates.push((clamp(ideal_ll.0 + r * t.cos()), clamp(ideal_ll.1 + r * t.sin())));
+            }
+            candidates.sort_by(|a, b| {
+                let da = (a.0 - ideal_ll.0).abs() + (a.1 - ideal_ll.1).abs();
+                let db = (b.0 - ideal_ll.0).abs() + (b.1 - ideal_ll.1).abs();
+                da.total_cmp(&db)
+            });
+            for (x, y) in candidates {
+                if free(x, y) {
+                    return Some((x, y));
+                }
+            }
+        }
+        None
+    }
+
+    /// [`insert_components`] driven by [`reference_find_free_spot`].
+    fn reference_insert_components(
+        cores: &[PlacedBlock],
+        requests: &[InsertRequest],
+        search_radius: f64,
+    ) -> InsertionResult {
+        let mut placed: Vec<PlacedBlock> = cores.to_vec();
+        let mut centers = Vec::new();
+        let mut deviation = 0.0;
+        for req in requests {
+            let w = req.block.width;
+            let h = req.block.height;
+            let ideal_ll = (req.ideal.0 - w / 2.0, req.ideal.1 - h / 2.0);
+            let spot = reference_find_free_spot(&placed, w, h, ideal_ll, search_radius)
+                .unwrap_or_else(|| {
+                    shove_open(&mut placed, w, h, ideal_ll);
+                    ideal_ll
+                });
+            let pb = PlacedBlock::new(req.block.clone(), spot.0.max(0.0), spot.1.max(0.0));
+            let c = pb.center();
+            deviation += (c.0 - req.ideal.0).abs() + (c.1 - req.ideal.1).abs();
+            centers.push(c);
+            placed.push(pb);
+        }
+        let core_displacement = cores
+            .iter()
+            .zip(&placed[..cores.len()])
+            .map(|(a, b)| (a.x - b.x).abs() + (a.y - b.y).abs())
+            .sum();
+        InsertionResult {
+            plan: Floorplan { blocks: placed },
+            component_centers: centers,
+            core_displacement,
+            component_deviation: deviation,
+        }
+    }
+
+    /// Every float of an insertion result as raw bits, so `-0.0` against
+    /// `0.0` or a last-ulp difference counts as a mismatch.
+    fn result_bits(res: &InsertionResult) -> Vec<u64> {
+        let mut v = Vec::new();
+        for b in &res.plan.blocks {
+            v.extend([b.x, b.y, b.block.width, b.block.height].map(f64::to_bits));
+            v.push(u64::from(b.rotated));
+        }
+        for &(x, y) in &res.component_centers {
+            v.extend([x.to_bits(), y.to_bits()]);
+        }
+        v.extend([res.core_displacement.to_bits(), res.component_deviation.to_bits()]);
+        v
+    }
+
+    /// A core grid `(nx, ny, size, gap)`, zero-gap half the time; blocks
+    /// scattered over and around it as `(x, y, w, h, rotated)`; requests;
+    /// and a search radius. A request is `(kind, tsv, a, b, u, v)`: `tsv`
+    /// picks a TSV-macro size (0.05–0.3 mm, on the 0.05 mm step floor)
+    /// over a switch size (0.3–1.5 mm); `kind` puts the ideal centre within
+    /// 1 mm of the origin, negative coordinates included (0), anywhere over
+    /// the grid (1), or on a grid corner (2).
+    #[allow(clippy::type_complexity)]
+    fn arb_insertion_case() -> impl Strategy<
+        Value = (
+            (usize, usize, f64, f64),
+            Vec<(f64, f64, f64, f64, bool)>,
+            Vec<(u8, bool, f64, f64, f64, f64)>,
+            f64,
+        ),
+    > {
+        let grid = (1usize..6, 1usize..6, 0.4f64..3.0, 0.0f64..0.6, prop::bool::ANY)
+            .prop_map(|(nx, ny, size, gap, zero)| (nx, ny, size, if zero { 0.0 } else { gap }));
+        let scatter = (0.0f64..16.0, 0.0f64..16.0, 0.1f64..2.0, 0.1f64..2.0, prop::bool::ANY);
+        let request = (0u8..3, prop::bool::ANY, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0);
+        (
+            grid,
+            prop::collection::vec(scatter, 0..12),
+            prop::collection::vec(request, 1..8),
+            0.5f64..5.0,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The windowed, sort-free search returns the reference search's
+        /// spot on every request, so the whole insertion is bit-identical:
+        /// plan, centres, core displacement and component deviation.
+        #[test]
+        fn windowed_search_matches_reference_bit_for_bit(
+            ((nx, ny, size, gap), scatter, raw, radius) in arb_insertion_case()
+        ) {
+            let mut cores = grid_cores(nx, ny, size, gap);
+            cores.extend(scatter.iter().enumerate().map(|(n, &(x, y, w, h, rotated))| {
+                PlacedBlock { rotated, ..PlacedBlock::new(Block::new(format!("s{n}"), w, h), x, y) }
+            }));
+            let pitch = size + gap;
+            let requests: Vec<InsertRequest> = raw
+                .iter()
+                .enumerate()
+                .map(|(n, &(kind, tsv, a, b, u, v))| {
+                    let (w, h) = if tsv {
+                        (0.05 + 0.25 * a, 0.05 + 0.25 * b)
+                    } else {
+                        (0.3 + 1.2 * a, 0.3 + 1.2 * b)
+                    };
+                    let ideal = match kind {
+                        0 => (2.0 * u - 1.0, 2.0 * v - 1.0),
+                        1 => (u * nx as f64 * pitch, v * ny as f64 * pitch),
+                        _ => (
+                            (u * nx as f64).floor() * pitch + w / 2.0,
+                            (v * ny as f64).floor() * pitch + h / 2.0,
+                        ),
+                    };
+                    InsertRequest::new(Block::new(format!("n{n}"), w, h), ideal)
+                })
+                .collect();
+            let fast = insert_components(&cores, &requests, radius);
+            let reference = reference_insert_components(&cores, &requests, radius);
+            prop_assert_eq!(result_bits(&fast), result_bits(&reference));
+        }
     }
 }

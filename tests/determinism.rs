@@ -2,7 +2,7 @@
 //! seeded from configuration, so identical inputs must produce identical
 //! outputs — bit-for-bit, run after run, whatever the thread count.
 
-use sunfloor_benchmarks::{media26, pipeline_seeded, tvopd_seeded};
+use sunfloor_benchmarks::{distributed, media26, pipeline_seeded, tvopd_seeded};
 use sunfloor_core::spec::MessageType;
 use sunfloor_core::synthesis::{SynthesisConfig, SynthesisEngine, SynthesisOutcome};
 use sunfloor_floorplan::{
@@ -298,6 +298,36 @@ fn golden_128_core_pipeline_is_reproducible() {
         fingerprint_outcome(&out),
         0xa292_b7f0_0b6a_1231,
         "128-core pipeline outcome drifted"
+    );
+}
+
+/// Golden regression for the shove-insertion layout on a two-layer design:
+/// `D_36_8` at 400 MHz over switch counts 4..8 with layout on. Every
+/// feasible point's layout displaces cores, so on each of them the
+/// free-space search ran out of rings and shoved at least once; the hash
+/// pins each floorplan bit-for-bit. (The media26 golden has three layers
+/// and few shoves; the other engine goldens run without layout.)
+#[test]
+#[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences flip SA decisions elsewhere")]
+fn golden_dense36_shove_layout_is_reproducible() {
+    let bench = distributed(8);
+    let cfg = SynthesisConfig::builder()
+        .frequency_mhz(400.0)
+        .switch_count_range(4, 8)
+        .run_layout(true)
+        .build()
+        .unwrap();
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg).unwrap().run();
+    assert_eq!(out.points.len(), 5, "D_36_8 4..8 sweep must keep its five points");
+    for p in &out.points {
+        let layout = p.layout.as_ref().expect("layout requested");
+        assert_eq!(layout.layers.len(), 2);
+        assert!(layout.core_displacement_mm > 0.0, "every point's layout must shove cores");
+    }
+    assert_eq!(
+        fingerprint_outcome(&out),
+        0xb62a_8bb0_34d6_babd,
+        "D_36_8 shove-layout outcome drifted"
     );
 }
 
