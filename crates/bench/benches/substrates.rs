@@ -53,20 +53,10 @@ fn placement_65core_scale(salt: f64) -> PlacementProblem {
     p
 }
 
-fn bench_placement_lp(c: &mut Criterion) {
-    let p = placement_65core_scale(0.0);
-    c.bench_function("placement_lp_65core_scale", |b| {
-        b.iter(|| black_box(&p).solve().unwrap());
-    });
-    c.bench_function("placement_median_65core_scale", |b| {
-        b.iter(|| black_box(&p).solve_weighted_median(30));
-    });
-}
-
 /// The warm-started placement solver against the cold two-phase path, at
 /// the 65-core scale: an identical re-solve (the θ-escalation retry
 /// shape — basis replay, zero pivots) and a weight-perturbed re-solve
-/// (in-place LP refresh + warm re-entry), both through a persistent
+/// (LP rebuild + warm re-entry), both through a persistent
 /// [`PlacementState`] and one reused [`LpWorkspace`], as the engine's
 /// placement solver runs them.
 fn bench_placement_warm_vs_cold(c: &mut Criterion) {
@@ -81,7 +71,7 @@ fn bench_placement_warm_vs_cold(c: &mut Criterion) {
         p.solve_in(&mut state, &mut ws).unwrap();
         b.iter(|| black_box(&p).solve_in(&mut state, &mut ws).unwrap());
     });
-    group.bench_function("warm_reweighted", |b| {
+    group.bench_function("warm_perturbed", |b| {
         let (mut state, mut ws) = (PlacementState::new(), LpWorkspace::new());
         p.solve_in(&mut state, &mut ws).unwrap();
         let mut flip = 0usize;
@@ -205,7 +195,7 @@ fn bench_annealer(c: &mut Criterion) {
     group.finish();
 }
 
-/// Warm-started Phase-1 partitioning through the cache: the
+/// Warm-started Phase-1 partitioning: the
 /// adjacent-switch-count chain step every sweep candidate pays, next to
 /// the from-scratch cold call it replaced.
 fn bench_partition_warm(c: &mut Criterion) {
@@ -353,7 +343,6 @@ criterion_group!(
     benches,
     bench_partition,
     bench_partition_warm,
-    bench_placement_lp,
     bench_placement_warm_vs_cold,
     bench_insertion,
     bench_phase1_connectivity,

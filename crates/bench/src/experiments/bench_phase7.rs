@@ -16,8 +16,9 @@
 //!   construction-plus-first-run sweep is reported as `sweep.first_run_s`.
 //! * the per-call Phase-1 partitioning cost at 8 switches, in the form
 //!   the sweep now pays it (`partition_phase1_k8_s`): the
-//!   adjacent-switch-count chain step through the `PartitionCache` —
-//!   PG built once, partitioner warm-started from the k=7 assignment.
+//!   adjacent-switch-count chain step through
+//!   `phase1::connectivity_cached` — partitioner warm-started from the
+//!   k=7 assignment.
 //!   The from-scratch cold path phase 3 measured is kept as
 //!   `partition_phase1_k8_cold_s`, and the θ-escalation step — now the
 //!   sparse group-attraction fold instead of a materialized dense SPG —
@@ -151,8 +152,8 @@ fn try_bench_phase7(effort: Effort) -> Result<Artifact, String> {
 
     // Phase-1 partitioning at 8 switches. `partition_phase1_k8_s` is the
     // per-call cost the sweep pays today: the adjacent-switch-count chain
-    // step through the cache (PG built once, partitioner warm-started
-    // from the k=7 assignment and FM-polished against a reduced cold
+    // step (PG built per call, partitioner warm-started from the k=7
+    // assignment and FM-polished against a reduced cold
     // restart budget). The from-scratch cold form phase 3 tracked stays
     // alongside, plus the θ-escalation step, whose attraction terms are
     // now folded per group instead of materialized as a dense SPG.

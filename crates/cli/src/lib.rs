@@ -294,6 +294,8 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
     );
     let pstats = outcome.partition_stats;
     if pstats.cache_hits() > 0 || pstats.cold_partitions > 0 {
+        // The last count is the SPGs built for θ steps; `perfbench/run.py`
+        // parses this line, so its wording stays as it is.
         report.push_str(&format!(
             "partition cache: {} hits ({} base lookups, {} warm-started), {} cold, {} in-place SPG derivations\n",
             pstats.cache_hits(),

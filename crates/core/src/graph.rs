@@ -250,87 +250,6 @@ impl CommGraph {
         &self.edges
     }
 
-    /// Builds the θ-independent part of the SPG cache: the reference graph
-    /// (topology + θ=`SPG_THETA_REF` weights) plus, per directed adjacency
-    /// entry, the data needed to recompute its weight at any θ with the
-    /// exact float operations of [`Self::scaled_partitioning_graph`].
-    fn spg_template(&self, soc: &SocSpec, alpha: f64, theta_max: f64) -> SpgTemplate {
-        let graph = self.scaled_partitioning_graph(soc, alpha, SPG_THETA_REF, theta_max);
-        let n = self.n;
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total = 0usize;
-        for v in 0..n {
-            offsets.push(total);
-            total += graph.neighbors(v).len();
-        }
-        offsets.push(total);
-
-        // Collect each directed entry's flow contributions in flow order —
-        // the accumulation order `add_edge` used, so re-summing at a new θ
-        // reproduces the scratch-built SPG bit for bit.
-        let mut contrib: Vec<Vec<f64>> = vec![Vec::new(); total];
-        let mut dist_of = vec![0.0f64; total];
-        for e in &self.edges {
-            if e.src == e.dst {
-                continue;
-            }
-            let h = self.edge_weight(e.bandwidth_mbs, e.latency_cycles, alpha);
-            let (ls, ld) = (soc.cores[e.src].layer, soc.cores[e.dst].layer);
-            let dist = f64::from(ls.abs_diff(ld));
-            let w_ref = if ls == ld { h } else { h / (SPG_THETA_REF * dist) };
-            if w_ref <= 0.0 {
-                // `add_edge` drops non-positive weights; at any θ > 0 the
-                // weight stays non-positive, so the entry never exists.
-                continue;
-            }
-            for (a, b) in [(e.src, e.dst), (e.dst, e.src)] {
-                let pos = graph
-                    .neighbors(a)
-                    .iter()
-                    .position(|&(t, _)| t as usize == b)
-                    // sf-allow(panic-in-lib): invariant — `graph` was built from these same edges with a positive reference weight, so the directed entry exists; a miss is template corruption, not a recoverable state
-                    .expect("flow edge present in the reference SPG");
-                let idx = offsets[a] + pos;
-                contrib[idx].push(h);
-                dist_of[idx] = dist;
-            }
-        }
-
-        let mut kinds = Vec::with_capacity(total);
-        let mut hs = Vec::new();
-        for idx in 0..total {
-            // Every adjacency entry is a flow edge: the weak same-layer
-            // clique lives in the graph's group attraction, not its edges.
-            debug_assert!(!contrib[idx].is_empty(), "SPG entry without a flow contribution");
-            if dist_of[idx] == 0.0 {
-                // Intra-layer flow edge: the θ-independent accumulated flow
-                // weight; the stored entry is this minus the θ-dependent
-                // attraction compensation.
-                let mut acc = 0.0;
-                for &h in &contrib[idx] {
-                    acc += h;
-                }
-                kinds.push(SpgEntryKind::Intra(acc));
-            } else {
-                let start = hs.len() as u32;
-                hs.extend_from_slice(&contrib[idx]);
-                kinds.push(SpgEntryKind::Inter {
-                    start,
-                    len: contrib[idx].len() as u32,
-                    dist: dist_of[idx],
-                });
-            }
-        }
-        SpgTemplate {
-            graph,
-            kinds,
-            hs,
-            max_wt: self.max_weight(alpha),
-            theta_max,
-            current_theta: SPG_THETA_REF,
-        }
-    }
-
     /// Flow indices in decreasing Definition-3 criticality (ties broken by
     /// flow index, so the order is deterministic) — the routing order of
     /// §VI.
@@ -363,81 +282,10 @@ impl CommGraph {
     }
 }
 
-/// Reference θ the cached SPG template is built at (the weights stored in
-/// the template's graph before the first rescale).
-const SPG_THETA_REF: f64 = 1.0;
-
-/// How one cached SPG adjacency entry's weight depends on θ.
-#[derive(Debug, Clone)]
-enum SpgEntryKind {
-    /// Intra-layer flow edge: the θ-independent accumulated flow weight.
-    /// The stored entry is this minus the θ-dependent group-attraction
-    /// compensation `θ·max_wt/(10·θ_max)` (both endpoints share a layer).
-    Intra(f64),
-    /// Inter-layer flow edge: weight is the flow contributions
-    /// `hs[start..start + len]` re-accumulated as `Σ h / (θ·dist)`.
-    Inter {
-        start: u32,
-        len: u32,
-        dist: f64,
-    },
-}
-
-/// The θ-independent skeleton of the scaled partitioning graph: topology
-/// plus per-entry weight recipes, rescaled in place per θ.
-#[derive(Debug, Clone)]
-struct SpgTemplate {
-    graph: WeightedGraph,
-    /// Per directed adjacency entry, in [`WeightedGraph::reweigh`] order.
-    kinds: Vec<SpgEntryKind>,
-    /// Flat inter-layer flow contributions referenced by the kinds.
-    hs: Vec<f64>,
-    max_wt: f64,
-    theta_max: f64,
-    current_theta: f64,
-}
-
-impl SpgTemplate {
-    /// Rewrites the weights in place for `theta`. A no-op when the graph
-    /// already sits at `theta` — the result is a pure function of θ, so
-    /// skipping the rewrite cannot change any downstream partition.
-    // sf: hot-path
-    fn rescale(&mut self, theta: f64) {
-        if self.current_theta == theta {
-            return;
-        }
-        let Self { graph, kinds, hs, max_wt, theta_max, current_theta } = self;
-        let extra = theta * *max_wt / (10.0 * *theta_max);
-        let mut idx = 0usize;
-        graph.reweigh(|_, _, _| {
-            let kind = &kinds[idx];
-            idx += 1;
-            match *kind {
-                // Accumulate-then-subtract, the exact float operations of
-                // `add_edge` + `set_group_attraction` on the scratch path.
-                SpgEntryKind::Intra(acc) => acc - extra,
-                SpgEntryKind::Inter { start, len, dist } => {
-                    let mut acc = 0.0;
-                    for &h in &hs[start as usize..(start + len) as usize] {
-                        acc += h / (theta * dist);
-                    }
-                    acc
-                }
-            }
-        });
-        if graph.attraction().is_some() {
-            graph.reweigh_attraction(extra);
-        }
-        *current_theta = theta;
-    }
-}
-
 /// Deterministic counters of how the Phase-1 partitioning work was served.
 ///
 /// Every field counts per-candidate (or per-seed-chain) events, so serial
-/// and parallel sweeps report identical totals — worker-local effects such
-/// as each worker lazily building its own SPG template are deliberately
-/// *not* counted here.
+/// and parallel sweeps report identical totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PartitionStats {
     /// Phase-1 base partitions served from the engine's precomputed
@@ -447,8 +295,7 @@ pub struct PartitionStats {
     pub warm_partitions: u64,
     /// Partitions recursive-bisected from scratch.
     pub cold_partitions: u64,
-    /// SPGs derived by rescaling the cached template in place (one per
-    /// θ-escalation attempt) instead of rebuilding the graph.
+    /// SPGs built for θ-escalation attempts (one per attempt).
     pub spg_derivations: u64,
 }
 
@@ -483,64 +330,22 @@ impl std::ops::Sub for PartitionStats {
     }
 }
 
-/// Caches the partitioning graphs one `CommGraph` induces so a design-space
-/// sweep stops rebuilding them per candidate: the α-weighted PG is
-/// constructed once, and every SPG is derived by rescaling a cached
-/// template's edge weights in place (θ only scales weights — the edge set
-/// never changes). Weights are bit-identical to the scratch-built graphs of
-/// [`CommGraph::partitioning_graph`] / [`CommGraph::scaled_partitioning_graph`].
+/// The per-sweep-worker counters of [`crate::phase1::connectivity_cached`].
 ///
-/// A cache is tied to the first `CommGraph`/`SocSpec` it sees (the
-/// synthesis engine keeps one per sweep worker); changing `alpha` or
-/// `theta_max` rebuilds the cached graphs.
+/// Every call builds its PG or SPG from scratch, so the only state kept
+/// between calls is the [`PartitionStats`] tally.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionCache {
-    pg: Option<(f64, WeightedGraph)>,
-    spg: Option<SpgTemplate>,
-    spg_alpha: f64,
-    /// Deterministic counters of the partitioning work this cache served;
-    /// see [`PartitionStats`].
+    /// Deterministic counters of the partitioning work done through this
+    /// value; see [`PartitionStats`].
     pub stats: PartitionStats,
 }
 
 impl PartitionCache {
-    /// An empty cache; graphs are built on first use.
+    /// Zeroed counters.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The α-weighted PG, built once and reused.
-    pub fn pg(&mut self, graph: &CommGraph, alpha: f64) -> &WeightedGraph {
-        let rebuild = !matches!(&self.pg, Some((a, _)) if *a == alpha);
-        if rebuild {
-            self.pg = None;
-        }
-        &self.pg.get_or_insert_with(|| (alpha, graph.partitioning_graph(alpha))).1
-    }
-
-    /// The SPG at `theta`, derived by rescaling the cached template in
-    /// place (built on first use).
-    pub fn spg(
-        &mut self,
-        graph: &CommGraph,
-        soc: &SocSpec,
-        alpha: f64,
-        theta: f64,
-        theta_max: f64,
-    ) -> &WeightedGraph {
-        let rebuild = match &self.spg {
-            Some(t) => t.theta_max != theta_max || self.spg_alpha != alpha,
-            None => true,
-        };
-        if rebuild {
-            self.spg = None;
-            self.spg_alpha = alpha;
-        }
-        let template =
-            self.spg.get_or_insert_with(|| graph.spg_template(soc, alpha, theta_max));
-        template.rescale(theta);
-        &template.graph
     }
 }
 
@@ -784,57 +589,6 @@ mod tests {
                     "blocks={blocks} round={round} {assignment:?}: folded cut {s} != dense {d}"
                 );
             }
-        }
-    }
-
-    /// The cache must reproduce the scratch-built graphs bit for bit: same
-    /// topology, same weights, for the PG and for SPGs across the whole θ
-    /// escalation schedule — in any θ order (rescaling is stateless in θ).
-    #[test]
-    fn partition_cache_matches_scratch_construction_bit_for_bit() {
-        let (soc, g) = graph();
-        let alpha = 0.6;
-        let theta_max = 15.0;
-        let mut cache = PartitionCache::new();
-        assert_eq!(cache.pg(&g, alpha), &g.partitioning_graph(alpha));
-        for theta in [1.0, 4.0, 7.0, 13.0, 7.0, 1.0, 15.0] {
-            let scratch = g.scaled_partitioning_graph(&soc, alpha, theta, theta_max);
-            assert_eq!(
-                cache.spg(&g, &soc, alpha, theta, theta_max),
-                &scratch,
-                "cached SPG drifted from scratch construction at theta {theta}"
-            );
-        }
-        // Bidirectional flows on the same pair must re-accumulate in the
-        // same order too.
-        let soc2 = soc_2x2();
-        let comm2 = CommSpec::new(
-            vec![
-                Flow {
-                    src: 0,
-                    dst: 2,
-                    bandwidth_mbs: 300.0,
-                    max_latency_cycles: 5.0,
-                    message_type: MessageType::Request,
-                },
-                Flow {
-                    src: 2,
-                    dst: 0,
-                    bandwidth_mbs: 120.0,
-                    max_latency_cycles: 9.0,
-                    message_type: MessageType::Response,
-                },
-            ],
-            &soc2,
-        )
-        .unwrap();
-        let g2 = CommGraph::new(&soc2, &comm2);
-        let mut cache2 = PartitionCache::new();
-        for theta in [2.0, 11.0] {
-            assert_eq!(
-                cache2.spg(&g2, &soc2, 1.0, theta, theta_max),
-                &g2.scaled_partitioning_graph(&soc2, 1.0, theta, theta_max)
-            );
         }
     }
 }

@@ -6,7 +6,10 @@
 //! its cores' layers (Algorithm 1, step 7). When the resulting design misses
 //! the `max_ill` constraint, the caller re-runs with the scaled partitioning
 //! graph (SPG) at increasing θ, which pulls same-layer cores together and
-//! trades inter-layer links for intra-layer power.
+//! trades inter-layer links for intra-layer power. Every call builds its PG
+//! or SPG from scratch: since the SPG folds its same-layer clique into a
+//! group attraction, a build costs `O(|flows|)`, a small fraction of the
+//! partition it feeds.
 
 use crate::graph::{CommGraph, PartitionCache};
 use crate::spec::SocSpec;
@@ -36,7 +39,7 @@ impl Connectivity {
 }
 
 /// Builds the Phase-1 candidate with `switches` switches from the PG
-/// (`theta = None`) or the SPG at the given θ.
+/// (`theta = None`) or the SPG at the given θ, partitioning from scratch.
 ///
 /// # Errors
 ///
@@ -50,12 +53,10 @@ pub fn connectivity(
     theta_max: f64,
     seed: u64,
 ) -> Result<Connectivity, PartitionError> {
-    let pg = match theta {
-        None => graph.partitioning_graph(alpha),
-        Some(t) => graph.scaled_partitioning_graph(soc, alpha, t, theta_max),
-    };
-    let parts = pg.partition(&PartitionConfig::k_way(switches).with_seed(seed))?;
-    Ok(build_connectivity(&parts, soc, theta))
+    let mut cache = PartitionCache::new();
+    connectivity_cached(
+        graph, soc, switches, alpha, theta, theta_max, seed, None, &mut cache,
+    )
 }
 
 /// Cold restarts run alongside a warm-started partition, keeping the
@@ -83,9 +84,9 @@ const THETA_WARM_RESTARTS: u32 = 2;
 /// Seed spacing of a θ-step's cold restarts (see [`THETA_WARM_RESTARTS`]).
 const THETA_SEED_STRIDE: u32 = 2;
 
-/// [`connectivity`] through a [`PartitionCache`]: the PG is built once per
-/// cache, SPGs are derived by rescaling the cached template in place, and
-/// an optional `initial` assignment warm-starts the partitioner (FM-style
+/// [`connectivity`] with an optional `initial` assignment and a
+/// [`PartitionCache`] that tallies the work. The PG or SPG is built from
+/// scratch on every call; `initial` warm-starts the partitioner (FM-style
 /// refinement of the previous assignment) instead of recursive-bisecting
 /// from scratch.
 ///
@@ -94,11 +95,8 @@ const THETA_SEED_STRIDE: u32 = 2;
 /// cold restart budget and give the winner a final FM polish
 /// — roughly half the cold effort per call, with the warm seed making up
 /// the quality (hMetis-style refinement converges far faster than cold
-/// k-way partitioning).
-///
-/// The graphs the partitioner sees are bit-identical to the ones
-/// [`connectivity`] builds from scratch; with `initial = None` the result
-/// is exactly the cold-start result.
+/// k-way partitioning). With `initial = None` the result is the cold-start
+/// result.
 ///
 /// # Errors
 ///
@@ -128,13 +126,14 @@ pub fn connectivity_cached(
     } else {
         cache.stats.cold_partitions += 1;
     }
-    let parts = match theta {
-        None => cache.pg(graph, alpha).partition(&cfg)?,
+    let pg = match theta {
+        None => graph.partitioning_graph(alpha),
         Some(t) => {
             cache.stats.spg_derivations += 1;
-            cache.spg(graph, soc, alpha, t, theta_max).partition(&cfg)?
+            graph.scaled_partitioning_graph(soc, alpha, t, theta_max)
         }
     };
+    let parts = pg.partition(&cfg)?;
     Ok(build_connectivity(&parts, soc, theta))
 }
 

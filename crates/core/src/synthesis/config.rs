@@ -169,6 +169,9 @@ impl SynthesisConfig {
                 max: self.theta_max,
             });
         }
+        if self.theta_min <= 0.0 {
+            return Err(ConfigError::NonPositiveTheta(self.theta_min));
+        }
         if !self.theta_step.is_finite() || self.theta_step <= 0.0 {
             return Err(ConfigError::NonPositiveThetaStep(self.theta_step));
         }
@@ -204,6 +207,9 @@ pub enum ConfigError {
         /// Configured `theta_max`.
         max: f64,
     },
+    /// `theta_min` is zero or negative: the SPG divides inter-layer weights
+    /// by θ, so the schedule must start above zero.
+    NonPositiveTheta(f64),
     /// `theta_step` is zero, negative or non-finite.
     NonPositiveThetaStep(f64),
     /// `switch_count_range` has `lo > hi`.
@@ -230,6 +236,7 @@ impl fmt::Display for ConfigError {
             Self::InvalidThetaRange { min, max } => {
                 write!(f, "theta schedule is inverted: theta_min {min} > theta_max {max}")
             }
+            Self::NonPositiveTheta(t) => write!(f, "theta_min {t} is not positive"),
             Self::NonPositiveThetaStep(s) => write!(f, "theta_step {s} is not positive"),
             Self::InvertedSwitchRange { lo, hi } => {
                 write!(f, "switch-count range is inverted: {lo} > {hi}")
@@ -279,7 +286,8 @@ impl SynthesisConfigBuilder {
         self
     }
 
-    /// Sets the θ escalation schedule `min..=max` by `step`.
+    /// Sets the θ escalation schedule `min..=max` by `step` (validated:
+    /// `0 < min ≤ max`, both finite, and a positive finite `step`).
     #[must_use]
     pub fn theta_schedule(mut self, min: f64, max: f64, step: f64) -> Self {
         self.cfg.theta_min = min;
@@ -433,6 +441,17 @@ mod tests {
     fn builder_rejects_inverted_theta_schedule() {
         let err = SynthesisConfig::builder().theta_schedule(10.0, 5.0, 1.0).build().unwrap_err();
         assert_eq!(err, ConfigError::InvalidThetaRange { min: 10.0, max: 5.0 });
+    }
+
+    #[test]
+    fn builder_rejects_non_positive_theta_min() {
+        for bad in [0.0, -3.0] {
+            let err = SynthesisConfig::builder()
+                .theta_schedule(bad, 15.0, 3.0)
+                .build()
+                .unwrap_err();
+            assert_eq!(err, ConfigError::NonPositiveTheta(bad));
+        }
     }
 
     #[test]

@@ -604,8 +604,8 @@ impl<'a> SynthesisEngine<'a> {
 
     /// Algorithm 1 for one candidate: the base attempt from the
     /// precomputed seed partition, then the θ escalation loop — each step
-    /// warm-started from the previous assignment on an in-place-rescaled
-    /// SPG — until the constraints are met or θ runs out.
+    /// warm-started from the previous assignment on a freshly built SPG —
+    /// until the constraints are met or θ runs out.
     fn evaluate_phase1(
         &self,
         candidate: Candidate,
@@ -627,7 +627,7 @@ impl<'a> SynthesisEngine<'a> {
 
         // Resolve the base seed: from the precomputed warm-chained set, or
         // (defensively — cannot happen for counts the engine itself
-        // enumerates) computed through this worker's cache.
+        // enumerates) computed here.
         let mut computed: Option<Phase1Seed> = None;
         let seed: &Phase1Seed = match self.phase1_seeds().get(count) {
             Some(Ok(seed)) => {

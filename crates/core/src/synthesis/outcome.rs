@@ -77,7 +77,7 @@ pub struct SynthesisOutcome {
     /// candidate order.
     pub rejected: Vec<RejectedPoint>,
     /// How the Phase-1 partitioning work was served (cache hits, warm vs
-    /// cold partitions, in-place SPG derivations). Counted per candidate,
+    /// cold partitions, SPGs built for θ steps). Counted per candidate,
     /// so serial and parallel sweeps report identical totals.
     pub partition_stats: PartitionStats,
     /// How the switch-placement LP work was served (warm vs cold simplex

@@ -70,6 +70,6 @@ pub use geometry::{Block, Floorplan, Net, PlacedBlock, Rect};
 pub use insertion::{insert_components, InsertRequest, InsertionResult};
 pub use seqpair::{PackScratch, SequencePair};
 pub use tempering::{
-    anneal_tempered, anneal_tempered_constrained, anneal_tempered_constrained_with_stats,
-    anneal_tempered_with_stats, TemperConfig, TemperStats,
+    anneal_tempered, anneal_tempered_constrained_with_stats, anneal_tempered_with_stats,
+    TemperConfig, TemperStats,
 };

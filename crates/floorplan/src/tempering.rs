@@ -173,22 +173,8 @@ pub fn anneal_tempered_with_stats(
 
 /// Tempered counterpart of [`anneal_constrained`](crate::anneal_constrained):
 /// keeps the cores' relative order intact while inserting NoC components,
-/// with `cfg.replicas` exchange-coupled chains.
-///
-/// # Panics
-///
-/// Panics if the seed sequence pair length disagrees with `blocks`.
-#[must_use]
-pub fn anneal_tempered_constrained(
-    input: &ConstrainedInput,
-    nets: &[Net],
-    cfg: &TemperConfig,
-) -> Floorplan {
-    anneal_tempered_constrained_with_stats(input, nets, cfg).0
-}
-
-/// Like [`anneal_tempered_constrained`], additionally returning the run's
-/// [`TemperStats`].
+/// with `cfg.replicas` exchange-coupled chains. Returns the floorplan and
+/// the run's [`TemperStats`].
 ///
 /// # Panics
 ///
@@ -491,7 +477,8 @@ mod tests {
         assert!(x0 < x1 && x1 < x2, "core order broken: {x0} {x1} {x2}");
         assert_eq!(stats.replicas, 3);
         // Thread-count invariance holds for the constrained variant too.
-        let serial_sched = anneal_tempered_constrained(&input, &[], &cfg.clone().with_threads(1));
+        let (serial_sched, _) =
+            anneal_tempered_constrained_with_stats(&input, &[], &cfg.clone().with_threads(1));
         assert_eq!(plan, serial_sched);
     }
 

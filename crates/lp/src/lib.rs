@@ -24,12 +24,9 @@
 //!   per-axis LPs (the x and y problems are separable). Repeated placements
 //!   solve through a [`PlacementState`] ([`PlacementProblem::solve_with`],
 //!   or [`PlacementProblem::solve_in`] with a shared workspace), which
-//!   rebuilds the axis LPs in place when only weights and constants
-//!   changed and chains warm starts — the y axis seeds from the x basis
-//!   (same matrix and objective), and successive placements reuse the last
-//!   optimal basis. A [`PlacementProblem::solve_weighted_median`] fast path
-//!   provides the classic iterated-weighted-median heuristic for
-//!   cross-checking.
+//!   rebuilds the axis LPs from scratch and chains warm starts — the y
+//!   axis seeds from the x basis (same matrix and objective), and
+//!   successive placements reuse the last optimal basis.
 //!
 //! The LPs arising in topology synthesis have a few hundred rows and
 //! columns — about 300 × 750 per axis at 128 cores — but a pivot row holds

@@ -15,7 +15,7 @@ use crate::solver::{
 /// One-shot callers use [`PlacementProblem::solve`]; callers that place
 /// repeatedly (the synthesis engine solves one placement per routed
 /// candidate attempt) keep a [`PlacementState`] and call
-/// [`PlacementProblem::solve_with`], which reuses the axis LPs and
+/// [`PlacementProblem::solve_with`], which reuses the axis LP buffers and
 /// warm-starts the simplex from the previous optimal basis, or
 /// [`PlacementProblem::solve_in`], which also reuses one [`LpWorkspace`]
 /// across all of a worker's states.
@@ -46,10 +46,8 @@ pub struct PlacementProblem {
 ///
 /// Across solves the state retains
 ///
-/// * the axis [`Problem`]s — [`PlacementProblem::rebuild_into`] refreshes
-///   only the right-hand sides and objective weights in place when the
-///   attraction *structure* (which free point each attraction pulls on)
-///   is unchanged, and rebuilds them otherwise;
+/// * the axis [`Problem`]s' buffers — [`PlacementProblem::rebuild_into`]
+///   rebuilds both LPs from scratch on every solve, reusing them;
 /// * the previous optimal bases — each axis re-enters the simplex from its
 ///   last basis when the shape still fits, and the y axis seeds from the
 ///   *x* basis when it has none of its own (the two axes share constraint
@@ -57,7 +55,7 @@ pub struct PlacementProblem {
 ///   for y).
 ///
 /// [`PlacementState::clear_warm`] forgets the bases (the next solve is
-/// cold) while keeping the axis LPs; the synthesis engine calls it at
+/// cold) while keeping the axis LP buffers; the synthesis engine calls it at
 /// candidate boundaries so warm chains never depend on worker scheduling.
 #[derive(Debug, Clone, Default)]
 pub struct PlacementState {
@@ -65,10 +63,6 @@ pub struct PlacementState {
     y_lp: Problem,
     x: SolverState,
     y: SolverState,
-    sig_free: usize,
-    sig_fixed: Vec<usize>,
-    sig_pairs: Vec<(usize, usize)>,
-    built: bool,
     reports: (SolveReport, SolveReport),
 }
 
@@ -250,49 +244,10 @@ impl PlacementProblem {
         Ok(out)
     }
 
-    /// Builds (or refreshes) the two per-axis LPs inside `state`.
-    ///
-    /// When the attraction *structure* — free-point count, the target of
-    /// every fixed attraction and the endpoints of every pair, in order —
-    /// matches what the state already holds, only the right-hand sides
-    /// (pin coordinates) and objective weights are overwritten in place:
-    /// no constraint rows are re-derived and nothing reallocates. Any
-    /// structural change rebuilds both LPs from scratch (reusing buffers).
+    /// Builds the two per-axis LPs inside `state` from scratch, reusing
+    /// the state's buffers.
     pub fn rebuild_into(&self, state: &mut PlacementState) {
         let n = self.free_points;
-        let structure_matches = state.built
-            && state.sig_free == n
-            && state.sig_fixed.len() == self.fixed.len()
-            && state.sig_fixed.iter().zip(&self.fixed).all(|(&i, f)| i == f.0)
-            && state.sig_pairs.len() == self.pairs.len()
-            && state
-                .sig_pairs
-                .iter()
-                .zip(&self.pairs)
-                .all(|(&(a, b), p)| a == p.0 && b == p.1);
-
-        if structure_matches {
-            let mut d = n;
-            let mut row = 0;
-            for &(_, x, y, w) in &self.fixed {
-                state.x_lp.set_constraint_rhs(row, x);
-                state.x_lp.set_constraint_rhs(row + 1, -x);
-                state.y_lp.set_constraint_rhs(row, y);
-                state.y_lp.set_constraint_rhs(row + 1, -y);
-                state.x_lp.set_objective_coefficient(d, w);
-                state.y_lp.set_objective_coefficient(d, w);
-                row += 2;
-                d += 1;
-            }
-            for &(_, _, w) in &self.pairs {
-                // Pair rows compare two free coordinates: rhs stays 0.
-                state.x_lp.set_objective_coefficient(d, w);
-                state.y_lp.set_objective_coefficient(d, w);
-                d += 1;
-            }
-            return;
-        }
-
         let n_dist = self.fixed.len() + self.pairs.len();
         for axis in 0..2 {
             let lp = if axis == 0 { &mut state.x_lp } else { &mut state.y_lp };
@@ -315,72 +270,6 @@ impl PlacementProblem {
                 d += 1;
             }
         }
-        state.sig_free = n;
-        state.sig_fixed.clear();
-        state.sig_fixed.extend(self.fixed.iter().map(|f| f.0));
-        state.sig_pairs.clear();
-        state.sig_pairs.extend(self.pairs.iter().map(|p| (p.0, p.1)));
-        state.built = true;
-    }
-
-    /// Iterated weighted-median heuristic: each free point repeatedly jumps
-    /// to the weighted median of its attraction set (fixed pins + current
-    /// partner positions). Converges quickly; optimal when the free-free
-    /// attraction graph is a forest, and never better than [`Self::solve`].
-    #[must_use]
-    pub fn solve_weighted_median(&self, max_rounds: u32) -> Vec<(f64, f64)> {
-        let n = self.free_points;
-        let mut pos = vec![(0.0, 0.0); n];
-        self.settle_unattracted(&mut pos);
-        // Warm start every point at the weighted mean of its fixed pins.
-        let mut wsum = vec![0.0f64; n];
-        for &(i, x, y, w) in &self.fixed {
-            pos[i].0 += x * w;
-            pos[i].1 += y * w;
-            wsum[i] += w;
-        }
-        for i in 0..n {
-            if wsum[i] > 0.0 {
-                pos[i].0 /= wsum[i];
-                pos[i].1 /= wsum[i];
-            }
-        }
-
-        for _ in 0..max_rounds {
-            let mut moved = false;
-            for i in 0..n {
-                let mut xs: Vec<(f64, f64)> = Vec::new();
-                let mut ys: Vec<(f64, f64)> = Vec::new();
-                for &(fi, x, y, w) in &self.fixed {
-                    if fi == i {
-                        xs.push((x, w));
-                        ys.push((y, w));
-                    }
-                }
-                for &(a, b, w) in &self.pairs {
-                    if a == i {
-                        xs.push((pos[b].0, w));
-                        ys.push((pos[b].1, w));
-                    } else if b == i {
-                        xs.push((pos[a].0, w));
-                        ys.push((pos[a].1, w));
-                    }
-                }
-                if xs.is_empty() {
-                    continue;
-                }
-                let nx = weighted_median(&mut xs);
-                let ny = weighted_median(&mut ys);
-                if (nx - pos[i].0).abs() > 1e-9 || (ny - pos[i].1).abs() > 1e-9 {
-                    pos[i] = (nx, ny);
-                    moved = true;
-                }
-            }
-            if !moved {
-                break;
-            }
-        }
-        pos
     }
 
     /// Places points with no attractions at the centroid of the fixed pins.
@@ -409,22 +298,6 @@ impl PlacementProblem {
             }
         }
     }
-}
-
-/// Weighted median of `(value, weight)` samples: the smallest value at which
-/// the cumulative weight reaches half the total.
-fn weighted_median(samples: &mut [(f64, f64)]) -> f64 {
-    debug_assert!(!samples.is_empty());
-    samples.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let total: f64 = samples.iter().map(|(_, w)| w).sum();
-    let mut acc = 0.0;
-    for &(v, w) in samples.iter() {
-        acc += w;
-        if acc + 1e-12 >= total / 2.0 {
-            return v;
-        }
-    }
-    samples[samples.len() - 1].0
 }
 
 #[cfg(test)]
@@ -482,17 +355,6 @@ mod tests {
         let p = PlacementProblem::new(3);
         let pos = p.solve().unwrap();
         assert_eq!(pos, vec![(0.0, 0.0); 3]);
-    }
-
-    #[test]
-    fn median_heuristic_matches_lp_on_single_point() {
-        let mut p = PlacementProblem::new(1);
-        p.attract_to_fixed(0, (1.0, 7.0), 2.0);
-        p.attract_to_fixed(0, (5.0, 3.0), 1.0);
-        p.attract_to_fixed(0, (9.0, 1.0), 1.5);
-        let lp = p.solve().unwrap();
-        let med = p.solve_weighted_median(20);
-        assert!((p.objective(&lp) - p.objective(&med)).abs() < 1e-6);
     }
 
     #[test]
@@ -554,8 +416,8 @@ mod tests {
         };
         let mut state = PlacementState::new();
         build(1.0, 0.0).solve_with(&mut state).unwrap();
-        // Same structure, new weight + pin location: refreshed in place,
-        // solved warm, optimum matches a cold solve.
+        // Same structure, new weight + pin location: rebuilt, solved warm,
+        // optimum matches a cold solve.
         for (w, px) in [(3.0, 1.0), (0.5, 5.0), (2.0, 0.5)] {
             let p = build(w, px);
             let warm = p.solve_with(&mut state).unwrap();
@@ -587,10 +449,11 @@ mod tests {
     }
 
     proptest! {
-        /// The LP solution is never worse than the weighted-median heuristic
-        /// (global optimality of the simplex on this convex problem).
+        /// The LP optimum is global: it matches the best placement whose
+        /// coordinates all sit on pin coordinates, where this separable L1
+        /// objective always attains its minimum (searched per axis).
         #[test]
-        fn lp_at_least_as_good_as_median(
+        fn lp_matches_brute_force_over_pin_coordinates(
             pins in proptest::collection::vec((0.0f64..20.0, 0.0f64..20.0, 0.1f64..5.0), 2..8),
             pairs in proptest::collection::vec((0usize..3, 0usize..3, 0.1f64..5.0), 0..4),
         ) {
@@ -602,9 +465,27 @@ mod tests {
                 p.attract_pair(a, b, w);
             }
             let lp = p.solve().unwrap();
-            let med = p.solve_weighted_median(30);
-            prop_assert!(p.objective(&lp) <= p.objective(&med) + 1e-6,
-                "LP {} worse than median {}", p.objective(&lp), p.objective(&med));
+            let mut brute = 0.0;
+            for axis in 0..2 {
+                let coord = |pt: (f64, f64)| if axis == 0 { pt.0 } else { pt.1 };
+                let cands: Vec<f64> = pins.iter().map(|&(x, y, _)| coord((x, y))).collect();
+                let m = cands.len();
+                let mut best = f64::INFINITY;
+                for code in 0..m * m * m {
+                    let s = [cands[code % m], cands[code / m % m], cands[code / (m * m)]];
+                    let mut cost = 0.0;
+                    for &(i, x, y, w) in &p.fixed {
+                        cost += w * (s[i] - coord((x, y))).abs();
+                    }
+                    for &(a, b, w) in &p.pairs {
+                        cost += w * (s[a] - s[b]).abs();
+                    }
+                    best = f64::min(best, cost);
+                }
+                brute += best;
+            }
+            prop_assert!((p.objective(&lp) - brute).abs() < 1e-6,
+                "LP {} vs brute force {}", p.objective(&lp), brute);
         }
 
         /// LP optimum is no worse than pins' centroid or any individual pin.

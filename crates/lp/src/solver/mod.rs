@@ -148,9 +148,7 @@ impl Problem {
         }
     }
 
-    /// Sets (overwrites) the objective coefficient of one variable — the
-    /// in-place refresh used when re-solving a structurally identical
-    /// problem with new weights.
+    /// Sets (overwrites) the objective coefficient of one variable.
     ///
     /// # Panics
     ///
@@ -180,18 +178,6 @@ impl Problem {
             }
         }
         self.rows.push(Row { terms: dense, op, rhs });
-    }
-
-    /// Overwrites the right-hand side of constraint `row`, leaving its
-    /// terms and operator untouched — the in-place refresh used when
-    /// re-solving a structurally identical problem with new constants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or `rhs` is not finite.
-    pub fn set_constraint_rhs(&mut self, row: usize, rhs: f64) {
-        assert!(rhs.is_finite(), "constraint rhs must be finite");
-        self.rows[row].rhs = rhs;
     }
 
     pub(crate) fn constraint_rows(&self) -> &[Row] {
@@ -395,15 +381,5 @@ mod tests {
         assert_eq!(p.num_vars(), 3);
         assert_eq!(p.num_constraints(), 0);
         assert!(p.objective_coefficients().iter().all(|&c| c == 0.0));
-    }
-
-    #[test]
-    fn set_constraint_rhs_moves_the_optimum() {
-        let mut p = Problem::minimize(1);
-        p.set_objective(&[(0, 1.0)]);
-        p.add_constraint(&[(0, 1.0)], ConstraintOp::Ge, 3.0);
-        assert!((solve(&p).value(0) - 3.0).abs() < 1e-7);
-        p.set_constraint_rhs(0, 8.0);
-        assert!((solve(&p).value(0) - 8.0).abs() < 1e-7);
     }
 }

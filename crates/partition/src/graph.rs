@@ -175,23 +175,6 @@ impl WeightedGraph {
         self.attraction.as_ref()
     }
 
-    /// Replaces the attraction weight **without** touching stored edge
-    /// weights. This is the companion of [`Self::reweigh`] for caches that
-    /// rescale one topology under many weight functions: the caller must
-    /// rewrite the compensated same-group edge weights consistently (pair
-    /// totals are its responsibility). Does nothing on a graph without an
-    /// attraction — there is no implicit weight to replace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not finite positive.
-    pub fn reweigh_attraction(&mut self, weight: f64) {
-        assert!(weight > 0.0 && weight.is_finite(), "attraction weight must be finite positive");
-        if let Some(at) = self.attraction.as_mut() {
-            at.weight = weight;
-        }
-    }
-
     /// Accumulated weight of the undirected edge `a — b` (0.0 if absent).
     ///
     /// On a graph with a [`GroupAttraction`] this is the *stored* (possibly
@@ -209,27 +192,6 @@ impl WeightedGraph {
     #[must_use]
     pub fn neighbors(&self, v: usize) -> &[(u32, f64)] {
         &self.adj[v]
-    }
-
-    /// Rewrites every directed adjacency entry's weight in place:
-    /// `f(v, u, w)` is called once per stored `(v, u)` entry — vertices in
-    /// ascending order, entries in insertion order — and its return value
-    /// becomes the new weight.
-    ///
-    /// This is the hot-path hook for caches that reuse one graph's
-    /// *topology* under many weight functions (SunFloor's θ-scaled
-    /// partitioning graphs only rescale weights; the edge set never
-    /// changes). Both directions of an undirected edge are visited and `f`
-    /// must return the same weight for `(v, u)` and `(u, v)`. Entries are
-    /// kept, never dropped: returning a non-positive weight is only
-    /// meaningful on attraction-compensated same-group entries, where the
-    /// pair total stays positive.
-    pub fn reweigh(&mut self, mut f: impl FnMut(usize, usize, f64) -> f64) {
-        for (v, list) in self.adj.iter_mut().enumerate() {
-            for entry in list.iter_mut() {
-                entry.1 = f(v, entry.0 as usize, entry.1);
-            }
-        }
     }
 
     /// Sum of all stored edge weights (each undirected edge counted once;

@@ -219,28 +219,6 @@ fn wrong_length_initial_is_ignored_not_fatal() {
     assert_eq!(with_bad_initial, cold, "a wrong-length initial must fall back to cold");
 }
 
-#[test]
-fn reweigh_rescales_weights_in_place() {
-    let mut g = WeightedGraph::new(4);
-    g.add_edge(0, 1, 2.0);
-    g.add_edge(1, 2, 3.0);
-    g.add_edge(2, 3, 4.0);
-    let before = g.clone();
-    g.reweigh(|_, _, w| w * 2.0);
-    for (a, b) in [(0usize, 1usize), (1, 2), (2, 3)] {
-        assert_eq!(g.edge_weight(a, b), before.edge_weight(a, b) * 2.0);
-        assert_eq!(g.edge_weight(b, a), g.edge_weight(a, b), "symmetry preserved");
-    }
-    assert_eq!(g.total_weight(), before.total_weight() * 2.0);
-    // Visiting order is deterministic: vertices ascending, insertion order.
-    let mut visits = Vec::new();
-    g.reweigh(|v, u, w| {
-        visits.push((v, u));
-        w
-    });
-    assert_eq!(visits, vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]);
-}
-
 proptest! {
     #[test]
     fn warm_start_from_arbitrary_labels_stays_balanced(

@@ -3,8 +3,11 @@
 //! outputs — bit-for-bit, run after run, whatever the thread count.
 
 use sunfloor_benchmarks::{distributed, media26, pipeline_seeded, tvopd_seeded};
+use sunfloor_core::graph::PartitionStats;
+use sunfloor_core::place::LpStats;
 use sunfloor_core::spec::MessageType;
 use sunfloor_core::synthesis::{SynthesisConfig, SynthesisEngine, SynthesisOutcome};
+use sunfloor_core::RoutingStats;
 use sunfloor_floorplan::{
     anneal, anneal_tempered, anneal_tempered_with_stats, AnnealConfig, Block, Floorplan, Net,
     TemperConfig,
@@ -106,6 +109,28 @@ fn assert_no_worse_than_cold(out: &SynthesisOutcome, power_mw: f64, hops: f64, n
     );
 }
 
+/// Pins the work counters a sweep reports (the benchmark's per-op counter
+/// lines read the same values), so a change that keeps the outcome but
+/// changes how many partitions, LP solves or routed flows produced it
+/// fails here.
+fn assert_counters(
+    out: &SynthesisOutcome,
+    partition: PartitionStats,
+    lp: LpStats,
+    routing: RoutingStats,
+    name: &str,
+) {
+    assert_eq!(
+        out.partition_stats, partition,
+        "{name}: partition counters drifted"
+    );
+    assert_eq!(out.lp_stats, lp, "{name}: placement-LP counters drifted");
+    assert_eq!(
+        out.routing_stats, routing,
+        "{name}: routing counters drifted"
+    );
+}
+
 fn mix(h: &mut u64, v: u64) {
     *h ^= v;
     *h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -201,6 +226,31 @@ fn golden_media26_full_flow_is_reproducible_and_no_worse_than_cold_start() {
         fingerprint_outcome(&out),
         0xc5a1_3b14_caf6_fc39,
         "media26 outcome drifted from the warm-start re-baseline"
+    );
+    assert_counters(
+        &out,
+        PartitionStats {
+            base_cache_hits: 3,
+            warm_partitions: 7,
+            cold_partitions: 1,
+            spg_derivations: 5,
+        },
+        LpStats {
+            cold_solves: 2,
+            warm_solves: 6,
+            simplex_iterations: 160,
+            iterations_saved: 360,
+            cross_candidate_warm_solves: 4,
+            replay_pivots: 348,
+        },
+        RoutingStats {
+            flows_routed: 152,
+            links_created: 20,
+            deadlock_rollbacks: 0,
+            class_merges: 0,
+            merge_fallbacks: 0,
+        },
+        "media26",
     );
 }
 
@@ -328,6 +378,31 @@ fn golden_dense36_shove_layout_is_reproducible() {
         fingerprint_outcome(&out),
         0xb62a_8bb0_34d6_babd,
         "D_36_8 shove-layout outcome drifted"
+    );
+    assert_counters(
+        &out,
+        PartitionStats {
+            base_cache_hits: 5,
+            warm_partitions: 19,
+            cold_partitions: 1,
+            spg_derivations: 15,
+        },
+        LpStats {
+            cold_solves: 8,
+            warm_solves: 42,
+            simplex_iterations: 1051,
+            iterations_saved: 4145,
+            cross_candidate_warm_solves: 10,
+            replay_pivots: 3918,
+        },
+        RoutingStats {
+            flows_routed: 3600,
+            links_created: 370,
+            deadlock_rollbacks: 2,
+            class_merges: 0,
+            merge_fallbacks: 0,
+        },
+        "D_36_8",
     );
 }
 
