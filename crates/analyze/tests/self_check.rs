@@ -114,20 +114,20 @@ fn allocation_in_unfenced_helper_reachable_from_hot_path_fails_with_chain() {
     let baseline = load_baseline(&root).expect("committed baseline parses");
     let sources = collect_sources(&root).expect("sources readable");
 
-    // `Tableau::row_entries` carries no `// sf: hot-path` fence of its own,
-    // but the fenced `price` in pricing.rs calls it — the transitive rule
-    // must walk that edge and flag an allocation injected into the helper,
-    // reporting the call chain from the fenced root.
+    // `Network::add_edge` carries no `// sf: hot-path` fence of its own,
+    // but the fenced `cut` in the placement solver calls it — the
+    // transitive rule must walk that edge and flag an allocation injected
+    // into the helper, reporting the call chain from the fenced root.
     let idx = sources
         .iter()
-        .position(|(p, _)| p == "crates/lp/src/solver/tableau.rs")
-        .expect("tableau.rs is analyzed");
-    let marker = "pub(crate) fn row_entries(&self, i: usize) -> &[(usize, f64)] {";
-    assert!(sources[idx].1.contains(marker), "row_entries signature changed; update this test");
+        .position(|(p, _)| p == "crates/lp/src/cut.rs")
+        .expect("cut.rs is analyzed");
+    let marker = "fn add_edge(&mut self, u: usize, v: usize, uv: Lex, vu: Lex) {";
+    assert!(sources[idx].1.contains(marker), "add_edge signature changed; update this test");
     let mut mutated = sources.clone();
     mutated[idx].1 = mutated[idx].1.replacen(
         marker,
-        &format!("{marker}\n        let _probe = vec![0u8; i];"),
+        &format!("{marker}\n        let _probe = vec![0u8; u];"),
         1,
     );
     let report = analyze_sources(&mutated, &baseline);
@@ -136,12 +136,16 @@ fn allocation_in_unfenced_helper_reachable_from_hot_path_fails_with_chain() {
         .verdict
         .new_findings
         .iter()
-        .find(|f| f.rule == "hot-path-alloc" && f.path == "crates/lp/src/solver/tableau.rs")
+        .find(|f| f.rule == "hot-path-alloc" && f.path == "crates/lp/src/cut.rs")
         .unwrap_or_else(|| {
             panic!("expected a transitive hot-path-alloc finding:\n{}", report.render())
         });
     assert!(finding.message.contains("reachable from the hot path"), "{}", finding.message);
-    assert!(finding.message.contains("row_entries"), "names the helper: {}", finding.message);
+    assert!(finding.message.contains("add_edge"), "names the helper: {}", finding.message);
     assert!(finding.message.contains(" → "), "renders the chain: {}", finding.message);
-    assert!(finding.message.contains("price"), "chain starts at a fenced root: {}", finding.message);
+    assert!(
+        finding.message.contains("PlacementWorkspace::cut → "),
+        "chain starts at a fenced root: {}",
+        finding.message
+    );
 }

@@ -1,5 +1,5 @@
 //! Criterion benchmarks for the substrate algorithms: min-cut partitioning,
-//! the placement LP, floorplan insertion and the mesh-mapping baseline.
+//! switch placement, floorplan insertion and the mesh-mapping baseline.
 //! These are the inner loops whose cost the paper's runtime claim ("a few
 //! seconds per topology") rests on.
 
@@ -14,7 +14,7 @@ use sunfloor_floorplan::{
     anneal, anneal_tempered, insert_components, AnnealConfig, Block, InsertRequest, Net,
     PackScratch, PlacedBlock, SequencePair, TemperConfig,
 };
-use sunfloor_lp::{LpWorkspace, PlacementProblem, PlacementState};
+use sunfloor_lp::{PlacementProblem, PlacementWorkspace};
 use sunfloor_models::NocLibrary;
 use sunfloor_partition::PartitionConfig;
 
@@ -32,52 +32,38 @@ fn bench_partition(c: &mut Criterion) {
 }
 
 /// A placement problem at the scale of the 65-core design: 12 switches,
-/// 65 core pins, a ring plus chords of switch-switch attractions. `salt`
-/// perturbs the attraction weights without touching the structure (the
-/// warm-start in-place-refresh shape).
-fn placement_65core_scale(salt: f64) -> PlacementProblem {
+/// 65 core pins, a ring plus chords of switch-switch attractions, and the
+/// switches' estimated positions on a diagonal.
+fn placement_65core_scale() -> (PlacementProblem, Vec<(f64, f64)>) {
     let mut p = PlacementProblem::new(12);
     for k in 0..65usize {
         p.attract_to_fixed(
             k % 12,
             ((k % 8) as f64 * 2.0, (k / 8) as f64 * 2.0),
-            1.0 + (k % 5) as f64 + salt * ((k % 3) as f64),
+            1.0 + (k % 5) as f64,
         );
     }
     for s in 0..12usize {
-        p.attract_pair(s, (s + 1) % 12, 2.0 + salt);
+        p.attract_pair(s, (s + 1) % 12, 2.0);
         if s % 3 == 0 {
             p.attract_pair(s, (s + 5) % 12, 1.0);
         }
     }
-    p
+    let near = (0..12).map(|s| (s as f64 * 1.3, s as f64 * 1.3)).collect();
+    (p, near)
 }
 
-/// The warm-started placement solver against the cold two-phase path, at
-/// the 65-core scale: an identical re-solve (the θ-escalation retry
-/// shape — basis replay, zero pivots) and a weight-perturbed re-solve
-/// (LP rebuild + warm re-entry), both through a persistent
-/// [`PlacementState`] and one reused [`LpWorkspace`], as the engine's
-/// placement solver runs them.
-fn bench_placement_warm_vs_cold(c: &mut Criterion) {
-    let p = placement_65core_scale(0.0);
-    let perturbed = [placement_65core_scale(0.0), placement_65core_scale(0.25)];
-    let mut group = c.benchmark_group("placement_warm_vs_cold");
-    group.bench_function("cold", |b| {
-        b.iter(|| black_box(&p).solve().unwrap());
-    });
-    group.bench_function("warm_identical", |b| {
-        let (mut state, mut ws) = (PlacementState::new(), LpWorkspace::new());
-        p.solve_in(&mut state, &mut ws).unwrap();
-        b.iter(|| black_box(&p).solve_in(&mut state, &mut ws).unwrap());
-    });
-    group.bench_function("warm_perturbed", |b| {
-        let (mut state, mut ws) = (PlacementState::new(), LpWorkspace::new());
-        p.solve_in(&mut state, &mut ws).unwrap();
-        let mut flip = 0usize;
+/// The min-cut placement at the 65-core scale, through one reused
+/// [`PlacementWorkspace`] as the engine's placement solver runs it.
+fn bench_placement(c: &mut Criterion) {
+    let (p, near) = placement_65core_scale();
+    let mut group = c.benchmark_group("placement");
+    group.bench_function("65core", |b| {
+        let mut ws = PlacementWorkspace::new();
+        let mut pos = near.clone();
         b.iter(|| {
-            flip ^= 1;
-            black_box(&perturbed[flip]).solve_in(&mut state, &mut ws).unwrap()
+            pos.copy_from_slice(&near);
+            black_box(&p).solve_in(&mut pos, &mut ws);
         });
     });
     group.finish();
@@ -343,7 +329,7 @@ criterion_group!(
     benches,
     bench_partition,
     bench_partition_warm,
-    bench_placement_warm_vs_cold,
+    bench_placement,
     bench_insertion,
     bench_phase1_connectivity,
     bench_router,

@@ -305,21 +305,6 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
             pstats.spg_derivations
         ));
     }
-    let lp = outcome.lp_stats;
-    if lp.total_solves() > 0 {
-        report.push_str(&format!(
-            "placement LP: {} axis solves ({} warm-started, {} cold), {} simplex pivots, ~{} pivots saved\n",
-            lp.total_solves(),
-            lp.warm_solves,
-            lp.cold_solves,
-            lp.simplex_iterations,
-            lp.iterations_saved
-        ));
-        report.push_str(&format!(
-            "placement LP replay: {} basis-replay pivots\n",
-            lp.replay_pivots
-        ));
-    }
     let anneal = outcome.anneal_stats;
     if anneal.runs > 0 {
         report.push_str(&format!(

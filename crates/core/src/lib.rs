@@ -15,11 +15,11 @@
 //! 3. routes every flow deadlock-free under the through-silicon-via budget
 //!    (`max_ill`) and frequency-dependent switch-size constraints
 //!    (Algorithm 3's hard/soft thresholds),
-//! 4. places the switches at the LP optimum of bandwidth-weighted Manhattan
-//!    wirelength (§VII) — through a warm-started, per-worker
-//!    [`place::PlacementSolver`] that re-enters the simplex from the
-//!    previous attempt's basis — and inserts them, plus the TSV macros,
-//!    into the floorplan with a minimal-disturbance shove routine,
+//! 4. places the switches at the optimum of bandwidth-weighted Manhattan
+//!    wirelength (§VII) — solved exactly by nested minimum cuts in a
+//!    per-worker [`place::PlacementSolver`] — and inserts them, plus the
+//!    TSV macros, into the floorplan with a minimal-disturbance shove
+//!    routine,
 //! 5. reports power / latency / area / vertical-link metrics for every
 //!    feasible design point, forming the trade-off set the designer picks
 //!    from.

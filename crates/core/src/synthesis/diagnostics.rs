@@ -81,7 +81,10 @@ pub enum RejectReason {
     NonFiniteMetrics,
     /// The min-cut partitioner could not produce the requested split.
     Partition(PartitionError),
-    /// The switch-placement LP broke down.
+    /// The switch-placement LP broke down. Never produced: placement is
+    /// exact and total. Kept, with [`SolveError`], for the benchmark's
+    /// replay; delete both with the benchmark change that removes
+    /// `perfbench/src/replay.rs`.
     Placement(SolveError),
     /// Routing failed with no more specific cause recorded.
     RoutingFailed,

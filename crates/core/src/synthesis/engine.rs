@@ -12,11 +12,11 @@ use crate::layout::{layout_design, layout_design_tempered, AnnealStats};
 use crate::paths::{PathAllocator, PathConfig, PathError, RoutingStats};
 use crate::phase1::{self, Connectivity};
 use crate::phase2;
-use crate::place::{LpStats, PlacementSeeds, PlacementSolver};
+use crate::place::{LpStats, PlacementSolver};
 use crate::spec::{CommSpec, SocSpec};
 use crate::topology::Topology;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 use sunfloor_partition::PartitionError;
@@ -128,25 +128,6 @@ impl Phase1Seeds {
     }
 }
 
-/// The precomputed cross-candidate placement seeds: one optimal LP basis
-/// pair per swept switch count, captured by a serial warm-up that routes
-/// and places each Phase-1 seed connectivity once at the first usable
-/// frequency — the placement-LP analogue of [`Phase1Seeds`].
-///
-/// The bank is computed once per engine and shared read-only (behind an
-/// [`Arc`]) by every sweep worker's [`PlacementSolver`], so seeding from
-/// it is scheduling-invariant: a candidate's base placement starts from
-/// the same fixed basis whether the sweep runs serially or fanned out.
-/// The counters the warm-up itself accrued are added to the outcome once
-/// per run, like the Phase-1 seed chain's partition counters.
-struct PlacementWarmup {
-    seeds: Arc<PlacementSeeds>,
-    /// Placement-LP counters the warm-up accrued (its cold solves).
-    lp_stats: LpStats,
-    /// Routing counters the warm-up accrued (one pass per seeded count).
-    routing_stats: RoutingStats,
-}
-
 /// The redesigned synthesis driver (paper Fig. 3).
 ///
 /// Construction validates the configuration and the specifications eagerly;
@@ -188,9 +169,6 @@ pub struct SynthesisEngine<'a> {
     /// Lazily computed warm-chained Phase-1 base partitions (shared by all
     /// sweep workers; stable across repeated `run` calls).
     phase1_seeds: OnceLock<Phase1Seeds>,
-    /// Lazily computed cross-candidate placement seed bank (same sharing
-    /// and stability contract as `phase1_seeds`).
-    placement_warmup: OnceLock<PlacementWarmup>,
 }
 
 impl<'a> SynthesisEngine<'a> {
@@ -227,7 +205,6 @@ impl<'a> SynthesisEngine<'a> {
             cfg,
             frequencies,
             phase1_seeds: OnceLock::new(),
-            placement_warmup: OnceLock::new(),
         })
     }
 
@@ -269,55 +246,6 @@ impl<'a> SynthesisEngine<'a> {
                 }
             }
             Phase1Seeds { seeds, stats: cache.stats }
-        })
-    }
-
-    /// The cross-candidate placement seed bank, computed once per engine:
-    /// each Phase-1 seed connectivity is routed and placed once — serially,
-    /// in ascending switch-count order, at the first usable frequency — and
-    /// the optimal basis pair exported. Counts whose warm-up fails to route
-    /// simply stay unseeded (those candidates place cold, as before).
-    fn placement_warmup(&self) -> &PlacementWarmup {
-        self.placement_warmup.get_or_init(|| {
-            let cfg = &self.cfg;
-            let mut seeds = PlacementSeeds::new();
-            let mut alloc = PathAllocator::new();
-            let mut placement = PlacementSolver::new();
-            let Some(&freq) = self.frequencies.first() else {
-                return PlacementWarmup {
-                    seeds: Arc::new(seeds),
-                    lp_stats: LpStats::default(),
-                    routing_stats: RoutingStats::default(),
-                };
-            };
-            let core_layers: Vec<u32> = self.soc.cores.iter().map(|c| c.layer).collect();
-            let path_cfg = self.path_config(freq, false);
-            for (count, seed) in &self.phase1_seeds().seeds {
-                let Ok(seed) = seed else { continue };
-                let Ok(mut topo) = alloc.compute_paths(
-                    &self.graph,
-                    &seed.conn.core_attach,
-                    &seed.conn.switch_layer,
-                    &seed.conn.est_positions,
-                    &core_layers,
-                    self.soc.layers,
-                    &cfg.library,
-                    &path_cfg,
-                    cfg.alpha,
-                ) else {
-                    continue;
-                };
-                if placement.place(&mut topo, self.soc, &self.graph).is_ok() {
-                    if let Some(s) = placement.export_seed(topo.switch_count()) {
-                        seeds.insert(*count, s);
-                    }
-                }
-            }
-            PlacementWarmup {
-                seeds: Arc::new(seeds),
-                lp_stats: placement.stats(),
-                routing_stats: alloc.stats(),
-            }
         })
     }
 
@@ -385,13 +313,9 @@ impl<'a> SynthesisEngine<'a> {
         let started = Instant::now(); // sf-allow(nondet-source): the Deadline StopPolicy is wall-clock by design; results stay deterministic, only the cut-off point varies
         let mut outcome = SynthesisOutcome::default();
         if self.cfg.mode != SynthesisMode::Phase2Only {
-            // The shared warm-chained base partitions and the placement
-            // seed bank (computed on first run) count towards this run's
-            // diagnostics.
+            // The shared warm-chained base partitions (computed on first
+            // run) count towards this run's diagnostics.
             outcome.partition_stats += self.phase1_seeds().stats;
-            let warmup = self.placement_warmup();
-            outcome.lp_stats += warmup.lp_stats;
-            outcome.routing_stats += warmup.routing_stats;
         }
         for &freq in &self.frequencies {
             let primary = self.primary_candidates(freq);
@@ -431,24 +355,12 @@ impl<'a> SynthesisEngine<'a> {
         started: Instant,
     ) -> bool {
         let jobs = self.cfg.parallelism.effective_jobs().min(candidates.len());
-        // Every solver (serial or per worker) seeds candidates from the
-        // same shared bank, so which worker draws which candidate cannot
-        // influence any placement's starting basis.
-        let seed_bank = (self.cfg.mode != SynthesisMode::Phase2Only)
-            .then(|| Arc::clone(&self.placement_warmup().seeds));
-        let new_solver = || {
-            let mut placement = PlacementSolver::new();
-            if let Some(bank) = &seed_bank {
-                placement.install_seeds(Arc::clone(bank));
-            }
-            placement
-        };
         if jobs <= 1 {
             // One reusable routing workspace, partition cache and placement
             // solver for the whole serial sweep.
             let mut alloc = PathAllocator::new();
             let mut cache = PartitionCache::new();
-            let mut placement = new_solver();
+            let mut placement = PlacementSolver::new();
             for &candidate in candidates {
                 if policy.met(outcome, started) {
                     return true;
@@ -470,13 +382,10 @@ impl<'a> SynthesisEngine<'a> {
                 s.spawn(|| {
                     // Per-worker routing workspace, partition cache and
                     // placement solver, reused across every candidate this
-                    // worker claims. The placement solver's warm chains are
-                    // cut (and re-seeded from the shared bank) per
-                    // candidate, so the reuse never leaks results between
-                    // the candidates a worker happens to draw.
+                    // worker claims.
                     let mut alloc = PathAllocator::new();
                     let mut cache = PartitionCache::new();
-                    let mut placement = new_solver();
+                    let mut placement = PlacementSolver::new();
                     loop {
                         if stop.load(Ordering::Relaxed) {
                             break;
@@ -583,10 +492,6 @@ impl<'a> SynthesisEngine<'a> {
         cache: &mut PartitionCache,
         placement: &mut PlacementSolver,
     ) -> CandidateEvaluation {
-        // Warm chains are per candidate: a basis surviving into the next
-        // candidate would make results depend on which worker evaluated
-        // which candidate before (see `PlacementSolver::begin_candidate`).
-        placement.begin_candidate();
         let before = cache.stats;
         let lp_before = placement.stats();
         let routing_before = alloc.stats();
@@ -851,8 +756,7 @@ impl<'a> SynthesisEngine<'a> {
             last_err.map_or(RejectReason::RoutingFailed, RejectReason::from)
         })?;
 
-        // Switch placement LP (§VII), warm-started within this candidate's
-        // attempt chain.
+        // Switch placement (§VII).
         placement.place(&mut topo, soc, &self.graph).map_err(RejectReason::from)?;
 
         // Physical insertion + final evaluation: the shove-insertion

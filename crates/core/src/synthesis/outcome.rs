@@ -80,8 +80,7 @@ pub struct SynthesisOutcome {
     /// cold partitions, SPGs built for θ steps). Counted per candidate,
     /// so serial and parallel sweeps report identical totals.
     pub partition_stats: PartitionStats,
-    /// How the switch-placement LP work was served (warm vs cold simplex
-    /// solves, pivots run and pivots saved). Counted per candidate like
+    /// How many placement axes were solved. Counted per candidate like
     /// [`SynthesisOutcome::partition_stats`], so the totals are
     /// scheduling-independent.
     pub lp_stats: LpStats,

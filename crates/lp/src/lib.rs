@@ -1,65 +1,77 @@
-//! A small, dependency-free linear-programming toolkit with warm-startable
-//! solver state.
+//! Exact switch placement for SunFloor 3D.
 //!
-//! SunFloor 3D computes the positions of the NoC switches by solving a linear
-//! program that minimizes bandwidth-weighted Manhattan wire length (paper
-//! §VII, equations (2)–(5)). The original tool delegated to the `lp_solve`
-//! package; this crate rebuilds the needed capability:
+//! SunFloor 3D computes the positions of the NoC switches by minimizing
+//! bandwidth-weighted Manhattan wire length (paper §VII, equations
+//! (2)–(5)). The original tool stated this as a linear program and handed
+//! it to `lp_solve`. The LP has no constraint except the linearization of
+//! `|a − b|`, so per axis it is the rectilinear multi-facility location
+//! problem, and this crate solves it exactly and directly:
 //!
-//! * [`Problem`] — a general minimization LP over non-negative variables with
-//!   `≤` / `≥` / `=` constraints, solved by a **two-phase primal simplex**
-//!   on a sparse tableau, with Bland's anti-cycling rule
-//!   ([`Problem::solve`]).
-//! * [`SolverState`] — a persistent solver state for *sequences* of related
-//!   LPs: [`Problem::solve_from`] keeps the previous optimal basis across
-//!   solves, re-entering phase 2 directly (or running the **dual simplex**
-//!   after a right-hand-side change) whenever the saved basis fits the new
-//!   problem, and falling back to the cold two-phase path when it does
-//!   not. [`SolveReport`] says which path ran and how many pivots it took.
-//! * [`LpWorkspace`] — the tableau and scratch buffers a solve works in.
-//!   Nothing in it outlives a solve, so one workspace serves every state
-//!   of a worker ([`Problem::solve_in`]).
-//! * [`PlacementProblem`] — the Manhattan-distance objective builder: it
-//!   linearizes every `|xi − xk|` with a distance variable pair and solves
-//!   per-axis LPs (the x and y problems are separable). Repeated placements
-//!   solve through a [`PlacementState`] ([`PlacementProblem::solve_with`],
-//!   or [`PlacementProblem::solve_in`] with a shared workspace), which
-//!   rebuilds the axis LPs from scratch and chains warm starts — the y
-//!   axis seeds from the x basis (same matrix and objective), and
-//!   successive placements reuse the last optimal basis.
-//!
-//! The LPs arising in topology synthesis have a few hundred rows and
-//! columns — about 300 × 750 per axis at 128 cores — but a pivot row holds
-//! only about five nonzeros, so the tableau stores only the entries that
-//! can be nonzero, while keeping the pivot sequence of a dense tableau bit
-//! for bit. The per-candidate cost is dominated by simplex pivots, which is
-//! exactly what the warm starts cut.
+//! * [`PlacementProblem`] collects the attractions — each switch to its
+//!   cores' pins, and switch to switch — and solves the x and y axes
+//!   separately.
+//! * Each axis is solved by nested minimum s–t cuts, one per threshold
+//!   between consecutive candidate coordinates, with divide and conquer
+//!   over the thresholds and Dinic's max flow ([`PlacementWorkspace`]).
+//!   The workspace holds every buffer a solve needs, so one workspace
+//!   serves all of a worker's placements without allocating.
+//! * Optima are rarely unique. The solve takes each switch's estimated
+//!   position and returns the optimal placement L1-nearest to the
+//!   estimates, with remaining ties going to the larger coordinate.
 //!
 //! # Example
 //!
 //! ```
-//! use sunfloor_lp::{ConstraintOp, Problem};
+//! use sunfloor_lp::PlacementProblem;
 //!
-//! // minimize x + 2y  s.t.  x + y >= 4, y <= 3, x,y >= 0
-//! let mut p = Problem::minimize(2);
-//! p.set_objective(&[(0, 1.0), (1, 2.0)]);
-//! p.add_constraint(&[(0, 1.0), (1, 1.0)], ConstraintOp::Ge, 4.0);
-//! p.add_constraint(&[(1, 1.0)], ConstraintOp::Le, 3.0);
-//! let s = p.solve()?;
-//! assert!((s.objective() - 4.0).abs() < 1e-9); // x=4, y=0
-//! # Ok::<(), sunfloor_lp::SolveError>(())
+//! // Two switches between two cores, linked to each other.
+//! let mut p = PlacementProblem::new(2);
+//! p.attract_to_fixed(0, (0.0, 0.0), 2.0);
+//! p.attract_to_fixed(1, (8.0, 2.0), 2.0);
+//! p.attract_pair(0, 1, 1.0);
+//! let pos = p.solve(&[(1.0, 0.0), (7.0, 2.0)]);
+//! // Each switch sits on its heavier core; the link pays the distance.
+//! assert_eq!(pos, vec![(0.0, 0.0), (8.0, 2.0)]);
+//! assert_eq!(p.objective(&pos), 10.0);
 //! ```
-//!
-//! For the warm-started form, see the example on [`Problem::solve_from`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cut;
 mod manhattan;
-mod solver;
 
-pub use manhattan::{PlacementProblem, PlacementSeed, PlacementState};
-pub use solver::{
-    BasisSnapshot, ConstraintOp, LpWorkspace, Problem, Solution, SolveError, SolveReport,
-    SolverState,
-};
+use std::error::Error;
+use std::fmt;
+
+pub use cut::PlacementWorkspace;
+pub use manhattan::PlacementProblem;
+
+/// Why a linear program could not be solved.
+///
+/// No placement fails any more: the cut solver is exact and total. The type
+/// survives only because `sunfloor_core`'s `PlacementSolver::place` still
+/// returns it to the benchmark's replay; delete it with the benchmark
+/// change that removes `perfbench/src/replay.rs`.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolveError {
+    /// The constraint set admits no point with all variables ≥ 0.
+    Infeasible,
+    /// The objective can be driven to −∞ within the feasible region.
+    Unbounded,
+    /// The pivot-iteration safety cap was exceeded (numerical trouble).
+    IterationLimit,
+}
+
+impl fmt::Display for SolveError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Infeasible => write!(f, "linear program is infeasible"),
+            Self::Unbounded => write!(f, "linear program is unbounded"),
+            Self::IterationLimit => write!(f, "simplex iteration limit exceeded"),
+        }
+    }
+}
+
+impl Error for SolveError {}
