@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use sunfloor_baselines::{optimized_mesh, MeshConfig};
-use sunfloor_benchmarks::{distributed, media26};
+use sunfloor_benchmarks::{distributed, media26, Benchmark};
 use sunfloor_core::graph::{CommGraph, PartitionCache};
 use sunfloor_core::paths::{PathAllocator, PathConfig};
 use sunfloor_core::phase1;
@@ -110,6 +110,18 @@ fn bench_insertion(c: &mut Criterion) {
     c.bench_function("floorplan_insertion_shove_heavy", |b| {
         b.iter(|| insert_components(black_box(&grid), black_box(&macros), 3.0));
     });
+
+    // The same grid with eight macros in one call, aimed along its
+    // diagonal: later requests reuse the rings earlier ones computed.
+    let macros: Vec<InsertRequest> = (0..8)
+        .map(|i| {
+            let at = 0.55 + 0.8 * f64::from(i);
+            InsertRequest::new(Block::new(format!("tsv{i}"), 0.1, 0.1), (at, at))
+        })
+        .collect();
+    c.bench_function("floorplan_insertion_shove_heavy_8req", |b| {
+        b.iter(|| insert_components(black_box(&grid), black_box(&macros), 3.0));
+    });
 }
 
 fn bench_phase1_connectivity(c: &mut Criterion) {
@@ -123,14 +135,20 @@ fn bench_phase1_connectivity(c: &mut Criterion) {
 }
 
 /// The indexed routing core: one full flow-routing pass per iteration with
-/// a reused [`PathAllocator`], the per-candidate hot path of the sweep.
+/// a reused [`PathAllocator`], the per-candidate hot path of the sweep. On
+/// media26 (4 and 8 switches) and on `D_36_8` with 24 switches, where each
+/// Dijkstra prices hundreds of switch pairs.
 fn bench_router(c: &mut Criterion) {
-    let bench = media26();
+    route_flows(c, "route_flows_media26", &media26(), &[4, 8]);
+    route_flows(c, "route_flows_d36_8", &distributed(8), &[24]);
+}
+
+fn route_flows(c: &mut Criterion, name: &str, bench: &Benchmark, switches: &[usize]) {
     let graph = CommGraph::new(&bench.soc, &bench.comm);
     let lib = NocLibrary::lp65();
     let core_layers: Vec<u32> = bench.soc.cores.iter().map(|c| c.layer).collect();
-    let mut group = c.benchmark_group("route_flows_media26");
-    for k in [4usize, 8] {
+    let mut group = c.benchmark_group(name);
+    for &k in switches {
         let conn =
             phase1::connectivity(&graph, &bench.soc, k, 0.6, None, 15.0, 0xC0FFEE).unwrap();
         let cfg = PathConfig::new(25, lib.switch.max_size_for_frequency(400.0), 400.0);

@@ -33,11 +33,32 @@
 //! the router is written to be allocation-free across candidate
 //! evaluations: a reusable [`PathAllocator`] owns every scratch structure —
 //! generation-stamped Dijkstra state, the dense per-class link index, the
-//! pairwise distance matrix, the banned-turn matrix and the incremental
+//! per-pair cost table, the banned-turn matrix and the incremental
 //! cycle-detection state — and only grows them monotonically. Cycle checks
 //! use Pearce–Kelly incremental topological-order maintenance, so inserting
 //! one dependency edge costs near-constant amortized time instead of a
 //! from-scratch DFS over the whole CDG.
+//!
+//! Dijkstra prices every switch pair for every flow, so the edge cost does
+//! no work that the flow does not change. A switch pair's estimated length
+//! and the clock frequency are fixed for the whole routing call, so the
+//! router fills a per-pair table once per call with the bandwidth-independent
+//! terms: the clamped length, the wire leakage, the pipeline-register power
+//! (which needs a square root, a division and a `ceil`) and the TSV hops. It
+//! computes the flow's bandwidth products (wire, TSV and switch energy)
+//! once per flow. An edge cost is then a few multiplies and adds, the same
+//! float operations in the same order as
+//! [`sunfloor_models::LinkModel::power_mw`], so costs are bit-identical.
+//!
+//! Ties between equal-cost paths are broken by the heap's pop order, which
+//! depends on the exact sequence of pushes. The search therefore pushes
+//! every improved node, even one whose cost already reaches the
+//! destination's tentative cost: pruning those pushes changes which of two
+//! equal paths wins, and with it the design points of a `D_36_8` sweep
+//! (`golden_dense36_router_tie_order_is_pinned` in `tests/determinism.rs`
+//! pins that sweep). Nor does it skip edges into nodes already settled:
+//! that saves about a quarter of the edge evaluations but no measurable
+//! time.
 
 use crate::graph::CommGraph;
 use crate::spec::MessageType;
@@ -45,7 +66,7 @@ use crate::topology::{FlowPath, Link, Topology};
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
-use sunfloor_models::NocLibrary;
+use sunfloor_models::{LinkFixedPower, NocLibrary};
 
 /// Constraint set handed to the router.
 #[derive(Debug, Clone, PartialEq)]
@@ -387,8 +408,8 @@ pub struct PathAllocator {
     // Dense per-class live-link index: `link_of[(class·n + u)·n + v]` is the
     // link slot or `usize::MAX`.
     link_of: Vec<usize>,
-    // Pairwise Manhattan distances between switch position estimates.
-    dist_mat: Vec<f64>,
+    // Bandwidth-independent link costs per switch pair, `pair[u·n + v]`.
+    pair: Vec<PairCost>,
     // Banned turns for the current flow attempt (generation-stamped).
     banned: Vec<u32>,
     banned_gen: u32,
@@ -424,8 +445,8 @@ impl PathAllocator {
         }
         self.link_of.clear();
         self.link_of.resize(2 * nsw * nsw, usize::MAX);
-        self.dist_mat.clear();
-        self.dist_mat.resize(nsw * nsw, 0.0);
+        self.pair.clear();
+        self.pair.resize(nsw * nsw, PairCost::default());
         if self.banned.len() < nsw * nsw {
             self.banned.resize(nsw * nsw, 0);
         }
@@ -557,6 +578,39 @@ pub fn compute_paths(
     )
 }
 
+/// The bandwidth-independent terms of a switch-to-switch edge's wire cost,
+/// fixed for one routing call: the planar link over the pair's estimated
+/// Manhattan distance (clamped to 0.05 mm) and the TSV hops between their
+/// layers.
+#[derive(Debug, Clone, Copy, Default)]
+struct PairCost {
+    link: LinkFixedPower,
+    tsv_hops: f64,
+}
+
+/// The bandwidth products of the flow being routed, computed once per flow.
+#[derive(Debug, Clone, Copy)]
+struct FlowEnergy {
+    bw_gbps: f64,
+    /// Planar wire power per mm of link, mW/mm.
+    wire: f64,
+    /// TSV power per hop, mW.
+    tsv: f64,
+    /// Switch traversal power, mW.
+    switch: f64,
+}
+
+impl FlowEnergy {
+    fn new(lib: &NocLibrary, bw_gbps: f64) -> Self {
+        Self {
+            bw_gbps,
+            wire: lib.link.technology.wire_energy_pj_per_bit_mm() * bw_gbps,
+            tsv: lib.tsv.energy_pj_per_bit_hop * bw_gbps,
+            switch: lib.switch.energy_pj_per_bit * bw_gbps,
+        }
+    }
+}
+
 fn class_index(class: MessageType) -> usize {
     match class {
         MessageType::Request => 0,
@@ -643,13 +697,16 @@ impl<'a> Router<'a> {
 
         let capacity_gbps = lib.link.capacity_gbps(cfg.frequency_mhz);
 
-        // Pairwise Manhattan distances between position estimates, and the
+        // The bandwidth-independent cost of every switch pair, and the
         // placement diameter for the SOFT_INF bound below.
         let mut max_d = 1.0f64;
         for (u, a) in est_switch_pos.iter().enumerate() {
             for (v, b) in est_switch_pos.iter().enumerate() {
                 let d = (a.0 - b.0).abs() + (a.1 - b.1).abs();
-                alloc.dist_mat[u * nsw + v] = d;
+                alloc.pair[u * nsw + v] = PairCost {
+                    link: lib.link.fixed_power(d.max(0.05), cfg.frequency_mhz),
+                    tsv_hops: f64::from(switch_layer[u].abs_diff(switch_layer[v])),
+                };
                 max_d = max_d.max(d);
             }
         }
@@ -704,6 +761,7 @@ impl<'a> Router<'a> {
     fn route_flow(&mut self, flow_idx: usize) -> Result<(), PathError> {
         let e = self.graph.edge_list()[flow_idx];
         let bw_gbps = e.bandwidth_mbs * 8.0 / 1000.0;
+        let energy = FlowEnergy::new(self.lib, bw_gbps);
         let s_sw = self.topo.core_attach[e.src];
         let d_sw = self.topo.core_attach[e.dst];
 
@@ -716,7 +774,7 @@ impl<'a> Router<'a> {
         // Fresh banned-turn set for this flow: bump the generation.
         self.alloc.banned_gen += 1;
         for attempt in 0..=self.cfg.deadlock_retries {
-            let Some(path) = self.dijkstra(s_sw, d_sw, bw_gbps, e.class) else {
+            let Some(path) = self.dijkstra(s_sw, d_sw, &energy, e.class) else {
                 return if attempt == 0 {
                     Err(PathError::NoRoute { flow: flow_idx })
                 } else {
@@ -777,7 +835,7 @@ impl<'a> Router<'a> {
         &mut self,
         src: usize,
         dst: usize,
-        bw_gbps: f64,
+        energy: &FlowEnergy,
         class: MessageType,
     ) -> Option<Vec<usize>> {
         let nsw = self.nsw;
@@ -801,7 +859,7 @@ impl<'a> Router<'a> {
                 if v == u || self.alloc.banned[u * nsw + v] == self.alloc.banned_gen {
                     continue;
                 }
-                let Some(cost) = self.edge_cost(u, v, bw_gbps, class) else { continue };
+                let Some(cost) = self.edge_cost(u, v, energy, class) else { continue };
                 let nd = d + cost;
                 let dv = if self.alloc.dij_stamp[v] == gen {
                     self.alloc.dist[v]
@@ -832,23 +890,32 @@ impl<'a> Router<'a> {
 
     /// Marginal cost of sending the flow over `u → v`, or `None` when the
     /// edge is forbidden (Algorithm 3's `INF`).
+    ///
+    /// The wire part is the link power, plus the TSV power, plus the switch
+    /// traversal energy, summed in that order. The link power is
+    /// [`LinkFixedPower::power_mw`] over the pair's table entry, the same
+    /// float operations [`sunfloor_models::LinkModel::power_mw`] performs.
     // sf: hot-path
-    fn edge_cost(&self, u: usize, v: usize, bw_gbps: f64, class: MessageType) -> Option<f64> {
+    fn edge_cost(
+        &self,
+        u: usize,
+        v: usize,
+        energy: &FlowEnergy,
+        class: MessageType,
+    ) -> Option<f64> {
         let (lu, lv) = (self.topo.switch_layer[u], self.topo.switch_layer[v]);
-        let delta = lu.abs_diff(lv);
 
-        if self.cfg.adjacent_layers_only && delta >= 2 {
+        if self.cfg.adjacent_layers_only && lu.abs_diff(lv) >= 2 {
             return None; // Algorithm 3 step 3
         }
 
-        let dx = self.alloc.dist_mat[u * self.nsw + v];
-        let wire = self.lib.link.power_mw(dx.max(0.05), bw_gbps, self.cfg.frequency_mhz)
-            + self.lib.tsv.power_mw(delta, bw_gbps)
-            + self.lib.switch.energy_pj_per_bit * bw_gbps;
+        let pair = &self.alloc.pair[u * self.nsw + v];
+        let wire =
+            pair.link.power_mw(energy.wire) + energy.tsv * pair.tsv_hops + energy.switch;
 
         // Reuse an existing same-class link with spare capacity?
         if let Some(li) = self.live_link(u, v, class) {
-            if self.topo.links[li].bandwidth_gbps + bw_gbps <= self.capacity_gbps {
+            if self.topo.links[li].bandwidth_gbps + energy.bw_gbps <= self.capacity_gbps {
                 return Some(wire);
             }
             // Saturated: fall through to the new-link cost below (a second
@@ -1380,6 +1447,117 @@ mod tests {
             }
             assert_eq!(drained, nodes.len(), "CDG for {class:?} has a cycle");
         }
+    }
+
+    /// The wire cost of the edge between switches at `a` and `b` on layers
+    /// `la` and `lb`, as `edge_cost` computed it before the pair table: the
+    /// link power inline as `LinkModel::power_mw` was first written, plus
+    /// the TSV power, plus the switch energy.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_wire(
+        lib: &NocLibrary,
+        a: (f64, f64),
+        b: (f64, f64),
+        la: u32,
+        lb: u32,
+        bw_gbps: f64,
+        frequency_mhz: f64,
+    ) -> f64 {
+        let length_mm = ((a.0 - b.0).abs() + (a.1 - b.1).abs()).max(0.05);
+        let link = if length_mm <= 0.0 {
+            0.0
+        } else {
+            let tech = &lib.link.technology;
+            let dynamic = tech.wire_energy_pj_per_bit_mm() * bw_gbps * length_mm;
+            let wires = f64::from(sunfloor_models::link_wire_count(lib.link.flit_width_bits));
+            let leakage = tech.wire_leakage_mw_per_mm * wires * length_mm;
+            let stages = f64::from(lib.link.pipeline_stages(length_mm, frequency_mhz));
+            let registers = lib.link.stage_mw_per_mhz * stages * frequency_mhz;
+            dynamic + leakage + registers
+        };
+        link + lib.tsv.power_mw(la.abs_diff(lb), bw_gbps) + lib.switch.energy_pj_per_bit * bw_gbps
+    }
+
+    /// The table-driven `edge_cost` equals, bit for bit, the new-link cost
+    /// built on the reference wire expression: over random switch positions
+    /// (coincident pairs included, so the 0.05 mm clamp binds), layers,
+    /// frequencies and bandwidths (huge ones included, so costs reach inf
+    /// and NaN).
+    #[test]
+    fn edge_cost_table_matches_inline_power_bit_for_bit() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        let lib = lib();
+        let bandwidths =
+            |u: f64| [0.0, 1e-3 * u, 12.8 * u, 1e3 * u, 1e306 * u, f64::MAX, f64::INFINITY];
+        let mut alloc = PathAllocator::new();
+        let mut non_finite = 0;
+        for case in 0..200 {
+            let layers = 1 + (case % 4) as u32;
+            let nsw = 2 + case % 7;
+            let mut pos: Vec<(f64, f64)> = Vec::new();
+            let mut switch_layer = Vec::new();
+            for s in 0..nsw {
+                pos.push(if s > 0 && unit() < 0.3 {
+                    pos[s - 1] // coincident with the previous switch
+                } else {
+                    (40.0 * unit(), 40.0 * unit())
+                });
+                switch_layer.push((unit() * f64::from(layers)) as u32 % layers);
+            }
+            // Core `i` attaches to switch `i`, on its layer. The graph only
+            // sets SOFT_INF, which no edge here reaches.
+            let (_, _, g) = setup();
+            let frequency_mhz = 100.0 + 1400.0 * unit();
+            let cfg = PathConfig::new(1000, 1000, frequency_mhz);
+            let attach: Vec<usize> = (0..nsw).collect();
+            let router = Router::new(
+                &mut alloc,
+                &g,
+                &attach,
+                &switch_layer,
+                &pos,
+                &switch_layer,
+                layers,
+                &lib,
+                &cfg,
+            )
+            .unwrap();
+            for bw_gbps in bandwidths(unit()) {
+                let energy = FlowEnergy::new(&lib, bw_gbps);
+                for u in 0..nsw {
+                    for v in (0..nsw).filter(|&v| v != u) {
+                        let wire = reference_wire(
+                            &lib,
+                            pos[u],
+                            pos[v],
+                            switch_layer[u],
+                            switch_layer[v],
+                            bw_gbps,
+                            frequency_mhz,
+                        );
+                        non_finite += usize::from(!wire.is_finite());
+                        // A fresh router has no link to reuse and no budget
+                        // near its soft limit: every edge is a new link with
+                        // no penalty.
+                        let expected = wire + router.new_port_cost + 0.0;
+                        let got = router.edge_cost(u, v, &energy, MessageType::Request);
+                        assert_eq!(
+                            got.map(f64::to_bits),
+                            Some(expected.to_bits()),
+                            "case {case}, {u} -> {v}, bw {bw_gbps}: {got:?} vs {expected}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(non_finite > 0, "the sample must reach inf/NaN costs");
     }
 
     /// The incremental Pearce–Kelly CDG agrees with a from-scratch

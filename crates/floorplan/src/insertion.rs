@@ -112,8 +112,37 @@ struct SearchScratch {
     /// The placed rectangles that can overlap some candidate of the
     /// current request.
     window: Vec<Rect>,
-    /// `(cos t, sin t)` of the current ring's sample angles.
+    /// The sample angles of every ring a request of the call has reached.
+    units: RingTable,
+}
+
+/// `(cos t_i, sin t_i)`, `t_i = i / 4j · 2π`, of the `4j` sample angles of
+/// each ring `j ≥ 1` the search has reached, ring `j` at offset `2j(j − 1)`.
+/// The angles depend on the ring index alone, so each ring is computed once
+/// per [`insert_components`] call, when a request first reaches it.
+#[derive(Default)]
+struct RingTable {
     units: Vec<(f64, f64)>,
+    /// Rings held in `units`: `units.len() = 2·rings·(rings + 1)`.
+    rings: i32,
+}
+
+impl RingTable {
+    /// The unit vectors of ring `ring ≥ 1`, computing first every ring up
+    /// to it that no earlier request reached.
+    fn ring(&mut self, ring: i32) -> &[(f64, f64)] {
+        while self.rings < ring {
+            self.rings += 1;
+            let k = 4 * self.rings; // denser sampling on larger rings
+            self.units.extend((0..k).map(|i| {
+                let t = f64::from(i) / f64::from(k) * std::f64::consts::TAU;
+                (t.cos(), t.sin())
+            }));
+        }
+        let j = ring as usize;
+        let start = 2 * j * (j - 1);
+        &self.units[start..start + 4 * j]
+    }
 }
 
 /// Searches expanding rings around `ideal_ll` for a lower-left corner where a
@@ -127,6 +156,11 @@ struct SearchScratch {
 /// `total_cmp`), ties going to the lower angle index `i` — the first free
 /// element of the ring stably sorted by distance. `None` means no ring up to
 /// `search_radius` has a free candidate.
+///
+/// The unit vectors `(cos t_i, sin t_i)` of a ring do not depend on the
+/// request, so they come from the call's [`RingTable`] in `scratch`,
+/// computed when a request first reaches the ring and reused by every later
+/// request of the same call.
 ///
 /// One pass over each ring finds that candidate without sorting: it keeps
 /// the first free candidate whose distance is strictly smaller than the
@@ -186,17 +220,10 @@ fn find_free_spot(
     if free(ix, iy) {
         return Some((ix, iy));
     }
-    let units = &mut scratch.units;
     for ring in 1..=rings {
         let r = f64::from(ring) * step;
-        let k = 4 * ring; // denser sampling on larger rings
-        units.clear();
-        units.extend((0..k).map(|i| {
-            let t = f64::from(i) / f64::from(k) * std::f64::consts::TAU;
-            (t.cos(), t.sin())
-        }));
         let mut best: Option<(f64, (f64, f64))> = None;
-        for &(cos, sin) in units.iter() {
+        for &(cos, sin) in scratch.units.ring(ring) {
             let (x, y) = (clamp(ideal_ll.0 + r * cos), clamp(ideal_ll.1 + r * sin));
             let d = (x - ideal_ll.0).abs() + (y - ideal_ll.1).abs();
             if best.is_some_and(|(bd, _)| d.total_cmp(&bd).is_ge()) {
@@ -456,6 +483,44 @@ mod tests {
         }
         v.extend([res.core_displacement.to_bits(), res.component_deviation.to_bits()]);
         v
+    }
+
+    /// One call whose requests reach a small ring, then a large one, then
+    /// a middle one: the ring table grows past the middle ring on the
+    /// second request, so the third reads a ring computed for an earlier
+    /// request. Each 0.1 mm component (0.05 mm step) sits in the concave
+    /// corner of its own L of two cores, the only free space near it lies
+    /// diagonally beyond the corner, and the spot found is off the axes, so
+    /// a ring read from the wrong offset finds a different spot.
+    #[test]
+    fn ring_table_reused_out_of_order_matches_reference_bit_for_bit() {
+        let mut cores = Vec::new();
+        for (k, ox) in [0.0, 30.0, 60.0].into_iter().enumerate() {
+            cores.push(PlacedBlock::new(Block::new(format!("a{k}"), 10.0, 20.0), ox, 0.0));
+            cores.push(PlacedBlock::new(Block::new(format!("b{k}"), 10.0, 10.0), ox + 10.0, 0.0));
+        }
+        // Corner depths 0.05, 1.95 and 0.95 mm.
+        let requests: Vec<InsertRequest> = [(9.95, 9.95), (38.05, 8.05), (69.05, 9.05)]
+            .iter()
+            .enumerate()
+            .map(|(n, &ideal)| InsertRequest::new(Block::new(format!("sw{n}"), 0.1, 0.1), ideal))
+            .collect();
+        let fast = insert_components(&cores, &requests, 10.0);
+        let reference = reference_insert_components(&cores, &requests, 10.0);
+        assert_eq!(result_bits(&fast), result_bits(&reference));
+        assert_eq!(fast.core_displacement, 0.0, "every request must find free space");
+        // The ring each request stopped on, from its component's distance
+        // to the ideal spot, and whether that spot is off the axes.
+        let reached: Vec<(i64, bool)> = fast
+            .component_centers
+            .iter()
+            .zip(&requests)
+            .map(|(c, r)| {
+                let (dx, dy) = (c.0 - r.ideal.0, c.1 - r.ideal.1);
+                ((dx.hypot(dy) / 0.05).round() as i64, dx.abs() > 1e-9 && dy.abs() > 1e-9)
+            })
+            .collect();
+        assert_eq!(reached, vec![(4, true), (58, true), (30, true)]);
     }
 
     /// A core grid `(nx, ny, size, gap)`, zero-gap half the time; blocks

@@ -47,7 +47,7 @@ mod tsv;
 mod yield_model;
 
 pub use library::NocLibrary;
-pub use link::LinkModel;
+pub use link::{LinkFixedPower, LinkModel};
 pub use ni::NetworkInterfaceModel;
 pub use switch::SwitchModel;
 pub use technology::Technology;

@@ -10,6 +10,12 @@ use crate::link_wire_count;
 /// throughput on the NoC"); every pipeline stage adds one cycle of zero-load
 /// latency and one flit-register's worth of power.
 ///
+/// Power splits into a bandwidth-independent part, [`LinkFixedPower`]
+/// (length, leakage, registers; see [`LinkModel::fixed_power`]), and the
+/// dynamic wire energy, which scales with bandwidth. [`LinkModel::power_mw`]
+/// is built on that split, so a router pricing many flows over one switch
+/// pair can compute the fixed part once and get bit-identical costs.
+///
 /// # Example
 ///
 /// ```
@@ -66,18 +72,32 @@ impl LinkModel {
     /// Power (mW) of a link of `length_mm` carrying `bw_gbps` of payload
     /// bandwidth at `frequency_mhz`: dynamic wire energy + wire leakage +
     /// pipeline-register power.
+    ///
+    /// Evaluated as [`Self::fixed_power`] of the link, then
+    /// [`LinkFixedPower::power_mw`] of the bandwidth's wire energy, so a
+    /// caller that prices many bandwidths over one link can split the two
+    /// steps and get the same bits.
     #[must_use]
     pub fn power_mw(&self, length_mm: f64, bw_gbps: f64, frequency_mhz: f64) -> f64 {
         if length_mm <= 0.0 {
             return 0.0;
         }
-        // pJ/bit/mm * Gbps * mm = mW
-        let dynamic = self.technology.wire_energy_pj_per_bit_mm() * bw_gbps * length_mm;
+        self.fixed_power(length_mm, frequency_mhz)
+            .power_mw(self.technology.wire_energy_pj_per_bit_mm() * bw_gbps)
+    }
+
+    /// The bandwidth-independent part of [`Self::power_mw`] for a link of
+    /// `length_mm` clocked at `frequency_mhz`: the length itself, the wire
+    /// leakage and the pipeline-register power.
+    #[must_use]
+    pub fn fixed_power(&self, length_mm: f64, frequency_mhz: f64) -> LinkFixedPower {
         let wires = f64::from(link_wire_count(self.flit_width_bits));
-        let leakage = self.technology.wire_leakage_mw_per_mm * wires * length_mm;
         let stages = f64::from(self.pipeline_stages(length_mm, frequency_mhz));
-        let registers = self.stage_mw_per_mhz * stages * frequency_mhz;
-        dynamic + leakage + registers
+        LinkFixedPower {
+            length_mm,
+            leakage_mw: self.technology.wire_leakage_mw_per_mm * wires * length_mm,
+            registers_mw: self.stage_mw_per_mhz * stages * frequency_mhz,
+        }
     }
 
     /// Peak payload bandwidth the link sustains at `frequency_mhz`, in Gbps.
@@ -85,6 +105,29 @@ impl LinkModel {
     #[must_use]
     pub fn capacity_gbps(&self, frequency_mhz: f64) -> f64 {
         f64::from(self.flit_width_bits) * frequency_mhz / 1000.0
+    }
+}
+
+/// The bandwidth-independent terms of one link's power, from
+/// [`LinkModel::fixed_power`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LinkFixedPower {
+    /// Wire length, mm.
+    pub length_mm: f64,
+    /// Wire leakage, mW.
+    pub leakage_mw: f64,
+    /// Pipeline-register power, mW.
+    pub registers_mw: f64,
+}
+
+impl LinkFixedPower {
+    /// Link power (mW) given `energy_bw`, the wire energy per bit-mm times
+    /// the payload bandwidth: `energy_bw·length + leakage + registers`,
+    /// summed left to right.
+    #[must_use]
+    pub fn power_mw(&self, energy_bw: f64) -> f64 {
+        // pJ/bit/mm * Gbps * mm = mW
+        energy_bw * self.length_mm + self.leakage_mw + self.registers_mw
     }
 }
 
