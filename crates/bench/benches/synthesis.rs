@@ -62,6 +62,26 @@ fn bench_phase2_flow(c: &mut Criterion) {
     group.finish();
 }
 
+/// The θ loop on a design where it escalates a lot: `D_36_8` at 400 MHz
+/// over switch counts 4..8 with layout on. Most θ steps there repeat the
+/// partition just tried, and reuse its rejection instead of routing,
+/// placing and laying it out again.
+fn bench_theta_loop(c: &mut Criterion) {
+    let bench = distributed(8);
+    let cfg = SynthesisConfig::builder()
+        .frequency_mhz(400.0)
+        .switch_count_range(4, 8)
+        .run_layout(true)
+        .build()
+        .unwrap();
+    let mut group = c.benchmark_group("synthesis_theta_loop_d36_8");
+    group.sample_size(10);
+    group.bench_function("switches_4_to_8_at_400mhz", |b| {
+        b.iter(|| run(black_box(&bench.soc), &bench.comm, &cfg));
+    });
+    group.finish();
+}
+
 /// Serial vs parallel design-space sweep on media26: identical outcomes by
 /// construction, so the group isolates the engine's thread fan-out speedup.
 fn bench_parallel_sweep(c: &mut Criterion) {
@@ -88,6 +108,7 @@ criterion_group!(
     bench_single_design_point,
     bench_benchmark_suite,
     bench_phase2_flow,
+    bench_theta_loop,
     bench_parallel_sweep
 );
 criterion_main!(benches);

@@ -314,6 +314,12 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
             anneal.swap_acceptance() * 100.0
         ));
     }
+    if outcome.repeated_attempts > 0 {
+        report.push_str(&format!(
+            "theta steps: {} repeated the previous partition and reused its rejection\n",
+            outcome.repeated_attempts
+        ));
+    }
     report.push_str("switches  total_mW  latency_cyc  max_ill\n");
     let mut points: Vec<_> = outcome.points.iter().collect();
     points.sort_by_key(|p| p.requested_switches);
@@ -733,6 +739,12 @@ mod tests {
         let report = run(&opts).unwrap();
         assert!(report.contains("no feasible topology"), "{report}");
         assert!(report.contains("rejections by reason:"), "{report}");
+        // Every θ step re-partitions to the same split, which then fails
+        // the same way: the report says how many steps reused a rejection.
+        assert!(
+            report.contains("theta steps: 15 repeated the previous partition"),
+            "{report}"
+        );
     }
 
     #[test]

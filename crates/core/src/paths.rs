@@ -1143,6 +1143,37 @@ mod tests {
         }
     }
 
+    /// Routing A, then B with another switch count, then A again on one
+    /// allocator gives the same topology and the same counter delta for the
+    /// second A as a fresh allocator gives for A: no scratch left by B
+    /// (a larger switch table, its CDGs, its budgets) leaks into A. The
+    /// engine relies on this when it reuses the rejection of a repeated
+    /// θ-step partition within one candidate.
+    #[test]
+    fn routing_does_not_depend_on_the_allocators_history() {
+        let (soc, _, g) = setup();
+        let cfg = PathConfig::new(25, 11, 400.0);
+        let layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
+        type Partition = (Vec<usize>, Vec<u32>, Vec<(f64, f64)>);
+        let a: Partition = (vec![0, 0, 1, 1], vec![0, 1], vec![(1.0, 1.0), (2.0, 1.0)]);
+        let b: Partition =
+            (vec![0, 1, 2, 2], vec![0, 0, 1], vec![(0.5, 0.5), (3.5, 0.5), (2.0, 0.5)]);
+        let route = |alloc: &mut PathAllocator, (attach, sw_layer, pos): &Partition| {
+            let before = alloc.stats();
+            let topo = alloc
+                .compute_paths(&g, attach, sw_layer, pos, &layers, 2, &lib(), &cfg, 1.0)
+                .unwrap();
+            (topo, alloc.stats() - before)
+        };
+        let fresh = route(&mut PathAllocator::new(), &a);
+        let mut alloc = PathAllocator::new();
+        assert_eq!(route(&mut alloc, &a), fresh);
+        let other = route(&mut alloc, &b);
+        assert_eq!(other.0.switch_count(), 3);
+        assert_ne!(other.0, fresh.0, "B must route differently from A");
+        assert_eq!(route(&mut alloc, &a), fresh, "routing B must not change A's result");
+    }
+
     /// Both classes draw on one vertical budget, and the soft/hard checks
     /// of every flow see the usage of both: here the request flows claim
     /// the one vertical link, and the response flow then finds every edge

@@ -83,6 +83,9 @@ struct CandidateEvaluation {
     /// Routing counters this candidate accrued (same per-candidate
     /// determinism contract as `stats`).
     routing_stats: RoutingStats,
+    /// θ steps whose partition repeated the previous attempt, so the
+    /// previous rejection was reused instead of evaluating it again.
+    repeated_attempts: u64,
 }
 
 impl CandidateEvaluation {
@@ -96,8 +99,34 @@ impl CandidateEvaluation {
             lp_stats: LpStats::default(),
             anneal_stats: AnnealStats::default(),
             routing_stats: RoutingStats::default(),
+            repeated_attempts: 0,
         }
     }
+}
+
+/// One call of [`SynthesisEngine::try_candidate`]: the partition to try at
+/// `freq`, and the candidate's routing workspace, placement solver and
+/// tempered-layout counters it works in.
+struct Attempt<'a> {
+    freq: f64,
+    conn: &'a Connectivity,
+    phase: PhaseKind,
+    /// Restrict vertical links to adjacent layers (Phase 2).
+    adjacent_only: bool,
+    alloc: &'a mut PathAllocator,
+    placement: &'a mut PlacementSolver,
+    anneal: &'a mut AnnealStats,
+}
+
+/// Whether two partitions make the same attempt: the same core
+/// attachments, the same switch layers and bit-equal estimated positions
+/// (so `0.0` and `-0.0` differ). θ is not compared; see
+/// [`SynthesisEngine::evaluate_phase1`].
+fn same_attempt(a: &Connectivity, b: &Connectivity) -> bool {
+    fn bits(c: &Connectivity) -> impl Iterator<Item = (u64, u64)> + '_ {
+        c.est_positions.iter().map(|&(x, y)| (x.to_bits(), y.to_bits()))
+    }
+    a.core_attach == b.core_attach && a.switch_layer == b.switch_layer && bits(a).eq(bits(b))
 }
 
 /// The precomputed Phase-1 base partitions: one per swept switch count, the
@@ -461,6 +490,7 @@ impl<'a> SynthesisEngine<'a> {
         outcome.lp_stats += ev.lp_stats;
         outcome.anneal_stats += ev.anneal_stats;
         outcome.routing_stats += ev.routing_stats;
+        outcome.repeated_attempts += ev.repeated_attempts;
         outcome.rejected.extend(ev.attempts);
         match ev.point {
             Some(point) => {
@@ -511,6 +541,18 @@ impl<'a> SynthesisEngine<'a> {
     /// precomputed seed partition, then the θ escalation loop — each step
     /// warm-started from the previous assignment on a freshly built SPG —
     /// until the constraints are met or θ runs out.
+    ///
+    /// A θ step whose partition repeats the last attempted one — the same
+    /// core attachments, the same switch layers and bit-equal estimated
+    /// positions — is not evaluated again: it is rejected with the last
+    /// attempt's reason. This is exact, because an attempt is a pure
+    /// function of the frequency and those three fields. Routing keeps no
+    /// state between calls that changes a result, placement keeps none at
+    /// all, and insertion, annealing and evaluation are pure. θ itself is
+    /// not compared: an attempt reads `conn.theta` only when it accepts, and
+    /// a repeat only ever follows a rejection. The partitioner still runs on
+    /// every step, so the θ list, the events and the rejections are those
+    /// of evaluating every step; only the work counters shrink.
     fn evaluate_phase1(
         &self,
         candidate: Candidate,
@@ -566,21 +608,24 @@ impl<'a> SynthesisEngine<'a> {
                 }
             },
         };
-        match self.try_candidate(
+        let mut last_reason = match self.try_candidate(Attempt {
             freq,
-            &seed.conn,
-            PhaseKind::Phase1,
-            false,
+            conn: &seed.conn,
+            phase: PhaseKind::Phase1,
+            adjacent_only: false,
             alloc,
             placement,
-            &mut ev.anneal_stats,
-        ) {
+            anneal: &mut ev.anneal_stats,
+        }) {
             Ok(point) => {
                 ev.point = Some(point);
                 return ev;
             }
-            Err(reason) => ev.attempts.push(reject(None, reason)),
-        }
+            Err(reason) => reason,
+        };
+        ev.attempts.push(reject(None, last_reason.clone()));
+        // The partition `last_reason` rejected; `None` is the seed's.
+        let mut last: Option<Connectivity> = None;
         let mut warm = seed.assignment.clone();
 
         // θ loop (Algorithm 1, steps 11–20), each step seeding the
@@ -601,21 +646,31 @@ impl<'a> SynthesisEngine<'a> {
             ) {
                 warm.clear();
                 warm.extend(conn.core_attach.iter().map(|&a| a as u32));
-                match self.try_candidate(
-                    freq,
-                    &conn,
-                    PhaseKind::Phase1,
-                    false,
-                    alloc,
-                    placement,
-                    &mut ev.anneal_stats,
-                ) {
-                    Ok(point) => {
-                        ev.point = Some(point);
-                        return ev;
+                let reason = if same_attempt(&conn, last.as_ref().unwrap_or(&seed.conn)) {
+                    ev.repeated_attempts += 1;
+                    last_reason
+                } else {
+                    match self.try_candidate(Attempt {
+                        freq,
+                        conn: &conn,
+                        phase: PhaseKind::Phase1,
+                        adjacent_only: false,
+                        alloc,
+                        placement,
+                        anneal: &mut ev.anneal_stats,
+                    }) {
+                        Ok(point) => {
+                            ev.point = Some(point);
+                            return ev;
+                        }
+                        Err(reason) => {
+                            last = Some(conn);
+                            reason
+                        }
                     }
-                    Err(reason) => ev.attempts.push(reject(Some(theta), reason)),
-                }
+                };
+                ev.attempts.push(reject(Some(theta), reason.clone()));
+                last_reason = reason;
             }
             theta += cfg.theta_step;
         }
@@ -637,15 +692,15 @@ impl<'a> SynthesisEngine<'a> {
         let mut ev = CandidateEvaluation::new(candidate);
         match phase2::connectivity(&self.graph, self.soc, increment, max_sw, cfg.alpha, cfg.rng_seed)
         {
-            Ok(conn) => match self.try_candidate(
+            Ok(conn) => match self.try_candidate(Attempt {
                 freq,
-                &conn,
-                PhaseKind::Phase2,
-                true,
+                conn: &conn,
+                phase: PhaseKind::Phase2,
+                adjacent_only: true,
                 alloc,
                 placement,
-                &mut ev.anneal_stats,
-            ) {
+                anneal: &mut ev.anneal_stats,
+            }) {
                 Ok(point) => ev.point = Some(point),
                 Err(reason) => ev.attempts.push(RejectedPoint {
                     requested_switches: conn.switch_count(),
@@ -683,18 +738,10 @@ impl<'a> SynthesisEngine<'a> {
 
     /// Routes, places, lays out and evaluates one connectivity candidate,
     /// applying the indirect-switch fallback on routing failure. Counters
-    /// from the tempered layout path (if configured) accrue into `anneal`.
-    #[allow(clippy::too_many_arguments)]
-    fn try_candidate(
-        &self,
-        freq: f64,
-        conn: &Connectivity,
-        phase: PhaseKind,
-        adjacent_only: bool,
-        alloc: &mut PathAllocator,
-        placement: &mut PlacementSolver,
-        anneal: &mut AnnealStats,
-    ) -> Result<DesignPoint, RejectReason> {
+    /// from the tempered layout path (if configured) accrue into
+    /// `attempt.anneal`.
+    fn try_candidate(&self, attempt: Attempt<'_>) -> Result<DesignPoint, RejectReason> {
+        let Attempt { freq, conn, phase, adjacent_only, alloc, placement, anneal } = attempt;
         let cfg = &self.cfg;
         let soc = self.soc;
         let core_layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
@@ -824,5 +871,51 @@ impl<'a> SynthesisEngine<'a> {
             phase,
             theta: conn.theta,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn conn() -> Connectivity {
+        Connectivity {
+            core_attach: vec![0, 1, 1, 0],
+            switch_layer: vec![0, 1],
+            est_positions: vec![(0.0, 1.5), (2.25, 3.0)],
+            theta: None,
+        }
+    }
+
+    #[test]
+    fn partitions_that_differ_only_in_theta_are_the_same_attempt() {
+        let stepped = Connectivity { theta: Some(4.0), ..conn() };
+        assert!(same_attempt(&conn(), &stepped));
+        assert!(same_attempt(&stepped, &Connectivity { theta: Some(5.0), ..conn() }));
+    }
+
+    #[test]
+    fn positions_compare_bit_for_bit() {
+        let mut signed = conn();
+        signed.est_positions[0].0 = -0.0;
+        assert!(!same_attempt(&conn(), &signed), "0.0 and -0.0 are different attempts");
+        let mut ulp = conn();
+        ulp.est_positions[1].1 = f64::from_bits(3.0f64.to_bits() + 1);
+        assert!(!same_attempt(&conn(), &ulp), "a one-ulp move is a different attempt");
+    }
+
+    #[test]
+    fn layers_attachments_and_switch_counts_are_compared() {
+        let mut layer = conn();
+        layer.switch_layer[1] = 0;
+        assert!(!same_attempt(&conn(), &layer));
+        let mut attach = conn();
+        attach.core_attach[2] = 0;
+        assert!(!same_attempt(&conn(), &attach));
+        let mut more = conn();
+        more.switch_layer.push(1);
+        more.est_positions.push((4.0, 4.0));
+        assert!(!same_attempt(&conn(), &more));
+        assert!(!same_attempt(&more, &conn()));
     }
 }

@@ -93,6 +93,11 @@ pub struct SynthesisOutcome {
     /// deadlock rollbacks). Counted per candidate like the other stats, so
     /// serial and parallel sweeps report identical totals.
     pub routing_stats: RoutingStats,
+    /// Phase-1 θ steps whose partition repeated the candidate's previous
+    /// attempt and were rejected with its reason instead of being routed,
+    /// placed and laid out again. Counted per candidate like the other
+    /// stats, so the totals are scheduling-independent.
+    pub repeated_attempts: u64,
 }
 
 impl SynthesisOutcome {

@@ -6,7 +6,7 @@ use sunfloor_benchmarks::{distributed, media26, pipeline_seeded, tvopd_seeded};
 use sunfloor_core::graph::PartitionStats;
 use sunfloor_core::place::LpStats;
 use sunfloor_core::spec::MessageType;
-use sunfloor_core::synthesis::{SynthesisConfig, SynthesisEngine, SynthesisOutcome};
+use sunfloor_core::synthesis::{PhaseKind, SynthesisConfig, SynthesisEngine, SynthesisOutcome};
 use sunfloor_core::RoutingStats;
 use sunfloor_floorplan::{
     anneal, anneal_tempered, anneal_tempered_with_stats, AnnealConfig, Block, Floorplan, Net,
@@ -62,6 +62,17 @@ fn run(cfg: SynthesisConfig) -> SynthesisOutcome {
 //   placement counters now count axis solves only, and the routing
 //   counters lost the warm-up's routing pass. The quality anchors below
 //   and every point count held unchanged.
+//
+// Reusing the rejection of a θ step whose partition repeats the previous
+// attempt re-pinned *counters*, not fingerprints. Every outcome and
+// rejection fingerprint held as recorded before that change (the
+// rejection fingerprints were added and captured first, so a skipped step
+// that reports the wrong θ or reason fails them). Only the two D_36_8
+// goldens' `LpStats` and `RoutingStats` moved, each by exactly the work of
+// the skipped attempts, tallied on the code before the change (300 MHz: 69
+// repeats, 120 axis solves, 8,640 flows, 2,892 links and 16 rollbacks;
+// 400 MHz: 12 repeats, 24 axis solves, 1,728 flows, 200 links). media26's
+// two repeats failed before routing, so its counters did not move.
 //
 // The quality tests right below pin those changes down: best power and
 // best hop count on media26, the seeded pipeline and (since PR 5) the
@@ -125,13 +136,14 @@ fn assert_no_worse_than_cold(out: &SynthesisOutcome, power_mw: f64, hops: f64, n
 
 /// Pins the work counters a sweep reports (the benchmark's per-op counter
 /// lines read the same values), so a change that keeps the outcome but
-/// changes how many partitions, LP solves or routed flows produced it
-/// fails here.
+/// changes how many partitions, LP solves, routed flows or reused θ-step
+/// rejections produced it fails here.
 fn assert_counters(
     out: &SynthesisOutcome,
     partition: PartitionStats,
     lp: LpStats,
     routing: RoutingStats,
+    repeated_attempts: u64,
     name: &str,
 ) {
     assert_eq!(
@@ -142,6 +154,10 @@ fn assert_counters(
     assert_eq!(
         out.routing_stats, routing,
         "{name}: routing counters drifted"
+    );
+    assert_eq!(
+        out.repeated_attempts, repeated_attempts,
+        "{name}: repeated θ-step attempts drifted"
     );
 }
 
@@ -214,6 +230,32 @@ fn fingerprint_outcome(out: &SynthesisOutcome) -> u64 {
     h
 }
 
+/// Hashes every rejected attempt: its switch count, frequency, phase, θ
+/// (or its absence) and the `Debug` form of its typed reason.
+/// [`fingerprint_outcome`] hashes only how many attempts were rejected, so
+/// a change that keeps that count but reports a different reason, or the
+/// wrong θ, for some attempt fails only here.
+fn fingerprint_rejections(out: &SynthesisOutcome) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    mix(&mut h, out.rejected.len() as u64);
+    for r in &out.rejected {
+        mix(&mut h, r.requested_switches as u64);
+        mix_f(&mut h, r.frequency_mhz);
+        mix(&mut h, u64::from(r.phase == PhaseKind::Phase2));
+        match r.theta {
+            Some(theta) => {
+                mix(&mut h, 1);
+                mix_f(&mut h, theta);
+            }
+            None => mix(&mut h, 0),
+        }
+        for b in format!("{:?}", r.reason).bytes() {
+            mix(&mut h, u64::from(b));
+        }
+    }
+    h
+}
+
 /// Golden regression: the warm-started partitioning pass must reproduce
 /// *this* media26 outcome exactly (topology link sets, flow paths, LP
 /// switch positions, per-layer floorplans, metrics — every f64
@@ -241,6 +283,11 @@ fn golden_media26_full_flow_is_reproducible_and_no_worse_than_cold_start() {
         0xc5a1_3b14_caf6_fc39,
         "media26 outcome drifted from the warm-start re-baseline"
     );
+    assert_eq!(
+        fingerprint_rejections(&out),
+        0x673d_a246_bd01_0800,
+        "media26 rejections drifted"
+    );
     assert_counters(
         &out,
         PartitionStats {
@@ -257,6 +304,7 @@ fn golden_media26_full_flow_is_reproducible_and_no_worse_than_cold_start() {
             class_merges: 0,
             merge_fallbacks: 0,
         },
+        2,
         "media26",
     );
 }
@@ -382,6 +430,11 @@ fn golden_dense36_shove_layout_is_reproducible() {
         0x3508_fcfa_9a77_fb8c,
         "D_36_8 shove-layout outcome drifted"
     );
+    assert_eq!(
+        fingerprint_rejections(&out),
+        0xc937_9348_0dae_a5a4,
+        "D_36_8 rejections drifted"
+    );
     assert_counters(
         &out,
         PartitionStats {
@@ -390,14 +443,15 @@ fn golden_dense36_shove_layout_is_reproducible() {
             cold_partitions: 1,
             spg_derivations: 15,
         },
-        LpStats { cold_solves: 40, ..LpStats::default() },
+        LpStats { cold_solves: 16, ..LpStats::default() },
         RoutingStats {
-            flows_routed: 2880,
-            links_created: 302,
+            flows_routed: 1152,
+            links_created: 102,
             deadlock_rollbacks: 1,
             class_merges: 0,
             merge_fallbacks: 0,
         },
+        12,
         "D_36_8",
     );
 }
@@ -428,6 +482,11 @@ fn golden_dense36_router_tie_order_is_pinned() {
         0x384c_5aa2_408c_5c4d,
         "D_36_8 300 MHz outcome drifted"
     );
+    assert_eq!(
+        fingerprint_rejections(&out),
+        0x1f20_044c_35ea_6dd9,
+        "D_36_8 300 MHz rejections drifted"
+    );
     assert_counters(
         &out,
         PartitionStats {
@@ -436,15 +495,48 @@ fn golden_dense36_router_tie_order_is_pinned() {
             cold_partitions: 1,
             spg_derivations: 85,
         },
-        LpStats { cold_solves: 208, ..LpStats::default() },
+        LpStats { cold_solves: 88, ..LpStats::default() },
         RoutingStats {
-            flows_routed: 14976,
-            links_created: 4716,
-            deadlock_rollbacks: 21,
+            flows_routed: 6336,
+            links_created: 1824,
+            deadlock_rollbacks: 5,
             class_merges: 0,
             merge_fallbacks: 0,
         },
+        69,
         "D_36_8 300 MHz",
+    );
+}
+
+/// Golden regression for reused θ-step rejections: `tvopd_seeded(9)` at
+/// 400 MHz over switch counts 2..10, without layout. At three switch
+/// counts a θ step changes the partition, that partition fails for
+/// another reason than the base attempt did, and the next step repeats
+/// it. The rejection fingerprint, recorded before repeats were skipped,
+/// then fails if a skipped step reports the base attempt's reason instead
+/// of the previous attempt's. In the other goldens every repeat fails for
+/// the base attempt's reason, so they cannot tell the two apart.
+#[test]
+#[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences flip SA decisions elsewhere")]
+fn golden_tvopd_repeated_theta_steps_keep_the_previous_reason() {
+    let bench = tvopd_seeded(9);
+    let cfg = SynthesisConfig::builder()
+        .switch_count_range(2, 10)
+        .run_layout(false)
+        .build()
+        .unwrap();
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg).unwrap().run();
+    assert_eq!(out.rejected.len(), 12);
+    assert_eq!(out.repeated_attempts, 7, "tvopd θ-step repeats drifted");
+    assert_eq!(
+        fingerprint_outcome(&out),
+        0x38fa_893b_47e1_7b15,
+        "tvopd 2..10 outcome drifted"
+    );
+    assert_eq!(
+        fingerprint_rejections(&out),
+        0xf16e_c62c_a202_bdb7,
+        "tvopd 2..10 rejections drifted"
     );
 }
 
