@@ -82,6 +82,26 @@ fn bench_theta_loop(c: &mut Criterion) {
     group.finish();
 }
 
+/// θ chains shared across frequencies: `D_36_8` at 300, 400 and 500 MHz
+/// over switch counts 4..8 with layout on. A count that escalates at more
+/// than one frequency takes its θ-step partitions from the chain the first
+/// frequency computed.
+fn bench_theta_chain(c: &mut Criterion) {
+    let bench = distributed(8);
+    let cfg = SynthesisConfig::builder()
+        .frequencies_mhz([300.0, 400.0, 500.0])
+        .switch_count_range(4, 8)
+        .run_layout(true)
+        .build()
+        .unwrap();
+    let mut group = c.benchmark_group("synthesis_theta_chain_d36_8");
+    group.sample_size(10);
+    group.bench_function("switches_4_to_8_at_300_400_500mhz", |b| {
+        b.iter(|| run(black_box(&bench.soc), &bench.comm, &cfg));
+    });
+    group.finish();
+}
+
 /// Serial vs parallel design-space sweep on media26: identical outcomes by
 /// construction, so the group isolates the engine's thread fan-out speedup.
 fn bench_parallel_sweep(c: &mut Criterion) {
@@ -109,6 +129,7 @@ criterion_group!(
     bench_benchmark_suite,
     bench_phase2_flow,
     bench_theta_loop,
+    bench_theta_chain,
     bench_parallel_sweep
 );
 criterion_main!(benches);

@@ -320,6 +320,12 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
             outcome.repeated_attempts
         ));
     }
+    if outcome.shared_theta_steps > 0 {
+        report.push_str(&format!(
+            "theta steps: {} shared with the same switch count at another frequency\n",
+            outcome.shared_theta_steps
+        ));
+    }
     report.push_str("switches  total_mW  latency_cyc  max_ill\n");
     let mut points: Vec<_> = outcome.points.iter().collect();
     points.sort_by_key(|p| p.requested_switches);
@@ -745,6 +751,32 @@ mod tests {
             report.contains("theta steps: 15 repeated the previous partition"),
             "{report}"
         );
+    }
+
+    #[test]
+    fn multi_frequency_run_reports_shared_theta_steps() {
+        let (cores, comm) = write_specs("shared");
+        let run_at = |freqs: &str| {
+            let opts = Options::parse(&args(&[
+                "--cores",
+                cores.to_str().unwrap(),
+                "--comm",
+                comm.to_str().unwrap(),
+                "--max-ill",
+                "0",
+                "--no-layout",
+                "--frequency",
+                freqs,
+            ]))
+            .unwrap();
+            run(&opts).unwrap()
+        };
+        // Each frequency tries every switch count through all five θ
+        // steps; the second frequency takes all 15 from the first.
+        let report = run_at("400,500");
+        let line = "theta steps: 15 shared with the same switch count at another frequency";
+        assert!(report.contains(line), "{report}");
+        assert!(!run_at("400").contains("shared with"), "one frequency shares nothing");
     }
 
     #[test]

@@ -284,18 +284,23 @@ impl CommGraph {
 
 /// Deterministic counters of how the Phase-1 partitioning work was served.
 ///
-/// Every field counts per-candidate (or per-seed-chain) events, so serial
-/// and parallel sweeps report identical totals.
+/// In a synthesis outcome every field counts partitions actually computed
+/// (or seed lookups), attributed in candidate order, so serial and
+/// parallel sweeps report identical totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PartitionStats {
     /// Phase-1 base partitions served from the engine's precomputed
     /// warm-chained seed set instead of being recomputed.
     pub base_cache_hits: u64,
-    /// Partitions refined from a warm initial assignment.
+    /// Partitions refined from a warm initial assignment: the seed chain's
+    /// and one per θ step computed. A θ step that candidates of the same
+    /// switch count share across frequencies is computed, and counted,
+    /// once.
     pub warm_partitions: u64,
     /// Partitions recursive-bisected from scratch.
     pub cold_partitions: u64,
-    /// SPGs built for θ-escalation attempts (one per attempt).
+    /// SPGs built for θ steps: one per θ step computed, so a shared step
+    /// counts once, like in [`PartitionStats::warm_partitions`].
     pub spg_derivations: u64,
 }
 

@@ -15,7 +15,7 @@ use crate::phase2;
 use crate::place::{LpStats, PlacementSolver};
 use crate::spec::{CommSpec, SocSpec};
 use crate::topology::Topology;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -71,8 +71,10 @@ struct CandidateEvaluation {
     /// θ values the escalation loop tried, in order.
     thetas: Vec<f64>,
     point: Option<DesignPoint>,
-    /// Partition-cache counters this candidate accrued (deterministic per
-    /// candidate, so the committed totals match serial and parallel).
+    /// Partition-cache counters this candidate accrued outside the θ loop
+    /// (deterministic per candidate, so the committed totals match serial
+    /// and parallel). Its θ steps are counted at commit; see
+    /// [`SynthesisEngine::commit`].
     stats: PartitionStats,
     /// Placement-LP counters this candidate accrued (same per-candidate
     /// determinism contract as `stats`).
@@ -154,6 +156,50 @@ struct Phase1Seed {
 impl Phase1Seeds {
     fn get(&self, count: usize) -> Option<&Result<Phase1Seed, PartitionError>> {
         self.seeds.iter().find(|(k, _)| *k == count).map(|(_, seed)| seed)
+    }
+}
+
+/// One θ step of a switch count's chain: the partition, or why the
+/// partitioner could not produce one.
+type ThetaStep = Result<Connectivity, PartitionError>;
+
+/// The θ-step partitions of one run, one chain per Phase-1 switch count.
+///
+/// Step `i` of a count's chain is the partition at the `i`-th θ of the
+/// escalation loop, warm-started from the last `Ok` step before it or, for
+/// the first, from the seed's assignment. None of that depends on the
+/// frequency, so every candidate of the count computes the same steps: the
+/// first to reach a step computes it under the chain's lock, and the others
+/// clone it.
+#[derive(Default)]
+struct ThetaChains {
+    chains: Vec<ThetaChain>,
+}
+
+struct ThetaChain {
+    count: usize,
+    steps: Mutex<Vec<ThetaStep>>,
+    /// The longest θ list a committed candidate of this count had: the
+    /// steps the run has counted so far.
+    committed: AtomicU64,
+}
+
+impl ThetaChains {
+    fn new(seeds: &Phase1Seeds) -> Self {
+        let chains = seeds
+            .seeds
+            .iter()
+            .map(|&(count, _)| ThetaChain {
+                count,
+                steps: Mutex::new(Vec::new()),
+                committed: AtomicU64::new(0),
+            })
+            .collect();
+        Self { chains }
+    }
+
+    fn get(&self, count: usize) -> Option<&ThetaChain> {
+        self.chains.iter().find(|c| c.count == count)
     }
 }
 
@@ -341,22 +387,25 @@ impl<'a> SynthesisEngine<'a> {
     ) -> SynthesisOutcome {
         let started = Instant::now(); // sf-allow(nondet-source): the Deadline StopPolicy is wall-clock by design; results stay deterministic, only the cut-off point varies
         let mut outcome = SynthesisOutcome::default();
-        if self.cfg.mode != SynthesisMode::Phase2Only {
+        let chains = if self.cfg.mode == SynthesisMode::Phase2Only {
+            ThetaChains::default()
+        } else {
             // The shared warm-chained base partitions (computed on first
             // run) count towards this run's diagnostics.
             outcome.partition_stats += self.phase1_seeds().stats;
-        }
+            ThetaChains::new(self.phase1_seeds())
+        };
         for &freq in &self.frequencies {
             let primary = self.primary_candidates(freq);
             let before = outcome.points.len();
-            if self.sweep(&primary, policy, &mut observer, &mut outcome, started) {
+            if self.sweep(&primary, policy, &mut observer, &mut outcome, started, &chains) {
                 return outcome;
             }
             // The two-phase method of §IV: when Phase 1 delivers nothing at
             // this frequency, retry layer-by-layer.
             if self.cfg.mode == SynthesisMode::Auto && outcome.points.len() == before {
                 let fallback = phase2_candidates(&self.cfg, self.soc, freq);
-                if self.sweep(&fallback, policy, &mut observer, &mut outcome, started) {
+                if self.sweep(&fallback, policy, &mut observer, &mut outcome, started, &chains) {
                     return outcome;
                 }
             }
@@ -382,6 +431,7 @@ impl<'a> SynthesisEngine<'a> {
         observer: &mut Option<&mut dyn SweepObserver>,
         outcome: &mut SynthesisOutcome,
         started: Instant,
+        chains: &ThetaChains,
     ) -> bool {
         let jobs = self.cfg.parallelism.effective_jobs().min(candidates.len());
         if jobs <= 1 {
@@ -394,9 +444,14 @@ impl<'a> SynthesisEngine<'a> {
                 if policy.met(outcome, started) {
                     return true;
                 }
-                let ev =
-                    self.evaluate_candidate(candidate, &mut alloc, &mut cache, &mut placement);
-                self.commit(ev, observer, outcome);
+                let ev = self.evaluate_candidate(
+                    candidate,
+                    &mut alloc,
+                    &mut cache,
+                    &mut placement,
+                    chains,
+                );
+                self.commit(ev, observer, outcome, chains);
             }
             return false;
         }
@@ -426,6 +481,7 @@ impl<'a> SynthesisEngine<'a> {
                             &mut alloc,
                             &mut cache,
                             &mut placement,
+                            chains,
                         );
                         let (lock, cvar) = &slots[i];
                         // Poison recovery: a slot holds a plain Option, so
@@ -460,7 +516,7 @@ impl<'a> SynthesisEngine<'a> {
                 };
                 drop(guard);
                 debug_assert_eq!(ev.candidate, candidates[i]);
-                self.commit(ev, observer, outcome);
+                self.commit(ev, observer, outcome, chains);
             }
         });
         stopped
@@ -469,11 +525,19 @@ impl<'a> SynthesisEngine<'a> {
     /// Appends one candidate's results to the outcome and replays its event
     /// stream: `CandidateStarted`, any `ThetaEscalated`, then exactly one
     /// terminal `CandidateAccepted` / `CandidateRejected`.
+    ///
+    /// A Phase-1 candidate's θ steps are counted here, in commit order: the
+    /// steps beyond the longest θ list an earlier committed candidate of the
+    /// same switch count had are new partitions (warm-started, each on its
+    /// own SPG), and the rest were shared with it. That is exactly what a
+    /// serial sweep computes, whichever worker reached a step first, and a
+    /// candidate an early stop leaves uncommitted is never counted.
     fn commit(
         &self,
         ev: CandidateEvaluation,
         observer: &mut Option<&mut dyn SweepObserver>,
         outcome: &mut SynthesisOutcome,
+        chains: &ThetaChains,
     ) {
         let emit = |observer: &mut Option<&mut dyn SweepObserver>, event: SweepEvent| {
             if let Some(obs) = observer.as_deref_mut() {
@@ -487,6 +551,16 @@ impl<'a> SynthesisEngine<'a> {
         let terminal_reason =
             if ev.point.is_none() { ev.attempts.last().map(|a| a.reason.clone()) } else { None };
         outcome.partition_stats += ev.stats;
+        if let SweepParam::SwitchCount(count) = ev.candidate.sweep {
+            let steps = ev.thetas.len() as u64;
+            let counted = chains.get(count).map_or(0, |chain| {
+                chain.committed.fetch_max(steps, Ordering::Relaxed)
+            });
+            let fresh = steps.saturating_sub(counted);
+            outcome.partition_stats.warm_partitions += fresh;
+            outcome.partition_stats.spg_derivations += fresh;
+            outcome.shared_theta_steps += steps - fresh;
+        }
         outcome.lp_stats += ev.lp_stats;
         outcome.anneal_stats += ev.anneal_stats;
         outcome.routing_stats += ev.routing_stats;
@@ -521,13 +595,14 @@ impl<'a> SynthesisEngine<'a> {
         alloc: &mut PathAllocator,
         cache: &mut PartitionCache,
         placement: &mut PlacementSolver,
+        chains: &ThetaChains,
     ) -> CandidateEvaluation {
         let before = cache.stats;
         let lp_before = placement.stats();
         let routing_before = alloc.stats();
         let mut ev = match candidate.sweep {
             SweepParam::SwitchCount(k) => {
-                self.evaluate_phase1(candidate, k, alloc, cache, placement)
+                self.evaluate_phase1(candidate, k, alloc, cache, placement, chains)
             }
             SweepParam::Increment(inc) => self.evaluate_phase2(candidate, inc, alloc, placement),
         };
@@ -542,6 +617,12 @@ impl<'a> SynthesisEngine<'a> {
     /// warm-started from the previous assignment on a freshly built SPG —
     /// until the constraints are met or θ runs out.
     ///
+    /// Every θ step's partition comes from the switch count's chain in
+    /// `chains`, computed by whichever candidate of the count reached it
+    /// first. This is exact: the partitioner reads neither the frequency nor
+    /// anything else that differs between those candidates, and its warm
+    /// start is the chain's previous step.
+    ///
     /// A θ step whose partition repeats the last attempted one — the same
     /// core attachments, the same switch layers and bit-equal estimated
     /// positions — is not evaluated again: it is rejected with the last
@@ -550,9 +631,9 @@ impl<'a> SynthesisEngine<'a> {
     /// state between calls that changes a result, placement keeps none at
     /// all, and insertion, annealing and evaluation are pure. θ itself is
     /// not compared: an attempt reads `conn.theta` only when it accepts, and
-    /// a repeat only ever follows a rejection. The partitioner still runs on
-    /// every step, so the θ list, the events and the rejections are those
-    /// of evaluating every step; only the work counters shrink.
+    /// a repeat only ever follows a rejection. The θ list, the events and
+    /// the rejections are therefore those of partitioning and evaluating
+    /// every step; only the work counters shrink.
     fn evaluate_phase1(
         &self,
         candidate: Candidate,
@@ -560,6 +641,7 @@ impl<'a> SynthesisEngine<'a> {
         alloc: &mut PathAllocator,
         cache: &mut PartitionCache,
         placement: &mut PlacementSolver,
+        chains: &ThetaChains,
     ) -> CandidateEvaluation {
         let cfg = &self.cfg;
         let freq = candidate.frequency_mhz;
@@ -626,26 +708,16 @@ impl<'a> SynthesisEngine<'a> {
         ev.attempts.push(reject(None, last_reason.clone()));
         // The partition `last_reason` rejected; `None` is the seed's.
         let mut last: Option<Connectivity> = None;
-        let mut warm = seed.assignment.clone();
+        // A count the seed set lacks gets a chain of its own.
+        let unshared = Mutex::new(Vec::new());
+        let steps = chains.get(count).map_or(&unshared, |chain| &chain.steps);
 
-        // θ loop (Algorithm 1, steps 11–20), each step seeding the
-        // partitioner from the previous assignment.
+        // θ loop (Algorithm 1, steps 11–20).
         let mut theta = cfg.theta_min;
         while theta <= cfg.theta_max + 1e-9 {
+            let step = ev.thetas.len();
             ev.thetas.push(theta);
-            if let Ok(conn) = phase1::connectivity_cached(
-                &self.graph,
-                self.soc,
-                count,
-                cfg.alpha,
-                Some(theta),
-                cfg.theta_max,
-                cfg.rng_seed,
-                Some(&warm),
-                cache,
-            ) {
-                warm.clear();
-                warm.extend(conn.core_attach.iter().map(|&a| a as u32));
+            if let Ok(conn) = self.theta_step(steps, step, theta, count, seed) {
                 let reason = if same_attempt(&conn, last.as_ref().unwrap_or(&seed.conn)) {
                     ev.repeated_attempts += 1;
                     last_reason
@@ -675,6 +747,48 @@ impl<'a> SynthesisEngine<'a> {
             theta += cfg.theta_step;
         }
         ev
+    }
+
+    /// Step `step` of a switch count's θ chain: the partition at `theta`,
+    /// warm-started from the last `Ok` step before it, or from `seed`'s
+    /// assignment. Computed under the chain's lock on first request and
+    /// cloned after that. A candidate requests its steps in order, so every
+    /// step before `step` is already in the chain.
+    fn theta_step(
+        &self,
+        steps: &Mutex<Vec<ThetaStep>>,
+        step: usize,
+        theta: f64,
+        count: usize,
+        seed: &Phase1Seed,
+    ) -> ThetaStep {
+        // Poison recovery: the chain only ever holds whole steps, so it is
+        // valid even if a worker panicked while holding the lock.
+        let mut steps = steps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(done) = steps.get(step) {
+            return done.clone();
+        }
+        debug_assert_eq!(steps.len(), step, "θ steps are requested in order");
+        let warm: Vec<u32> = match steps.iter().rev().find_map(|s| s.as_ref().ok()) {
+            Some(conn) => conn.core_attach.iter().map(|&a| a as u32).collect(),
+            None => seed.assignment.clone(),
+        };
+        let cfg = &self.cfg;
+        // The chain's steps are counted at commit, so this call's counters
+        // are dropped.
+        let result = phase1::connectivity_cached(
+            &self.graph,
+            self.soc,
+            count,
+            cfg.alpha,
+            Some(theta),
+            cfg.theta_max,
+            cfg.rng_seed,
+            Some(&warm),
+            &mut PartitionCache::new(),
+        );
+        steps.push(result.clone());
+        result
     }
 
     /// Algorithm 2 for one candidate: a single layer-by-layer attempt at
@@ -877,6 +991,91 @@ impl<'a> SynthesisEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{Core, Flow, MessageType};
+
+    /// Eight cores on two layers with twelve flows of uneven bandwidth,
+    /// drawn from a fixed LCG. On such an irregular design the θ steps'
+    /// partitions depend on the warm start they refine.
+    fn irregular_design() -> (SocSpec, CommSpec) {
+        let mut x = 2u64;
+        let mut next = || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as usize
+        };
+        let cores = (0..8u32)
+            .map(|i| Core {
+                name: format!("c{i}"),
+                width: 1.0,
+                height: 1.0,
+                x: (next() % 8) as f64,
+                y: (next() % 8) as f64,
+                layer: i % 2,
+            })
+            .collect();
+        let soc = SocSpec::new(cores, 2).unwrap();
+        let flows = (0..12)
+            .map(|_| {
+                let src = next() % 8;
+                let dst = (src + 1 + next() % 7) % 8;
+                Flow {
+                    src,
+                    dst,
+                    bandwidth_mbs: 50.0 + (next() % 400) as f64,
+                    max_latency_cycles: 10.0,
+                    message_type: MessageType::Request,
+                }
+            })
+            .collect();
+        let comm = CommSpec::new(flows, &soc).unwrap();
+        (soc, comm)
+    }
+
+    #[test]
+    fn each_chain_step_is_warm_started_from_the_previous_one() {
+        let (soc, comm) = irregular_design();
+        let engine = SynthesisEngine::new(&soc, &comm, SynthesisConfig::default()).unwrap();
+        let cfg = engine.config();
+        let chains = ThetaChains::new(engine.phase1_seeds());
+        let direct = |count: usize, theta: f64, warm: &[u32]| {
+            phase1::connectivity_cached(
+                &engine.graph,
+                &soc,
+                count,
+                cfg.alpha,
+                Some(theta),
+                cfg.theta_max,
+                cfg.rng_seed,
+                Some(warm),
+                &mut PartitionCache::new(),
+            )
+        };
+        // Steps whose partition differs when warm-started from the seed
+        // instead: without them this test could not tell the two apart.
+        let mut warm_start_matters = 0;
+        for (count, seed) in &engine.phase1_seeds().seeds {
+            let seed = seed.as_ref().unwrap();
+            let chain = chains.get(*count).unwrap();
+            let mut warm = seed.assignment.clone();
+            let mut theta = cfg.theta_min;
+            let mut step = 0;
+            while theta <= cfg.theta_max + 1e-9 {
+                let expected = direct(*count, theta, &warm);
+                let shared = engine.theta_step(&chain.steps, step, theta, *count, seed);
+                assert_eq!(shared, expected, "{count} switches, step {step}");
+                assert_eq!(engine.theta_step(&chain.steps, step, theta, *count, seed), expected);
+                if direct(*count, theta, &seed.assignment) != expected {
+                    warm_start_matters += 1;
+                }
+                if let Ok(conn) = expected {
+                    warm = conn.core_attach.iter().map(|&a| a as u32).collect();
+                }
+                theta += cfg.theta_step;
+                step += 1;
+            }
+            assert_eq!(chain.steps.lock().unwrap().len(), step, "each step is computed once");
+        }
+        assert!(warm_start_matters > 0, "the design must tell warm starts apart");
+    }
 
     fn conn() -> Connectivity {
         Connectivity {

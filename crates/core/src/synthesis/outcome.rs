@@ -98,6 +98,12 @@ pub struct SynthesisOutcome {
     /// placed and laid out again. Counted per candidate like the other
     /// stats, so the totals are scheduling-independent.
     pub repeated_attempts: u64,
+    /// Phase-1 θ steps a candidate took from a partition an earlier
+    /// committed candidate of the same switch count (at another frequency)
+    /// had already computed. Counted at commit, so the totals are
+    /// scheduling-independent; these steps are not in
+    /// [`SynthesisOutcome::partition_stats`].
+    pub shared_theta_steps: u64,
 }
 
 impl SynthesisOutcome {

@@ -508,6 +508,59 @@ fn golden_dense36_router_tie_order_is_pinned() {
     );
 }
 
+/// Golden regression for θ chains shared across frequencies: `D_36_8` at
+/// 300, 400 and 500 MHz over switch counts 4..12 with layout on. Candidates
+/// of the same switch count take their θ-step partitions from one chain,
+/// computed once per run. Both fingerprints were recorded before the
+/// chains were shared, and so were the placement and routing counters and
+/// the repeats. The two partition counters are the earlier ones (88 warm,
+/// 80 SPGs) less the 35 θ steps a candidate now takes from an earlier
+/// frequency, tallied from the earlier code's `ThetaEscalated` events.
+#[test]
+#[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences flip SA decisions elsewhere")]
+fn golden_dense36_theta_chains_are_shared_across_frequencies() {
+    let bench = distributed(8);
+    let cfg = SynthesisConfig::builder()
+        .frequencies_mhz([300.0, 400.0, 500.0])
+        .switch_count_range(4, 12)
+        .run_layout(true)
+        .build()
+        .unwrap();
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg).unwrap().run();
+    assert_eq!(out.points.len(), 19, "D_36_8 three-frequency sweep must keep its 19 points");
+    assert_eq!(out.rejected.len(), 88);
+    assert_eq!(
+        fingerprint_outcome(&out),
+        0x7bf8_ff72_b56e_0238,
+        "D_36_8 three-frequency outcome drifted"
+    );
+    assert_eq!(
+        fingerprint_rejections(&out),
+        0x11ca_350b_f224_48fd,
+        "D_36_8 three-frequency rejections drifted"
+    );
+    assert_counters(
+        &out,
+        PartitionStats {
+            base_cache_hits: 27,
+            warm_partitions: 53,
+            cold_partitions: 1,
+            spg_derivations: 45,
+        },
+        LpStats { cold_solves: 76, ..LpStats::default() },
+        RoutingStats {
+            flows_routed: 5472,
+            links_created: 719,
+            deadlock_rollbacks: 62,
+            class_merges: 0,
+            merge_fallbacks: 0,
+        },
+        64,
+        "D_36_8 three frequencies",
+    );
+    assert_eq!(out.shared_theta_steps, 35, "shared θ steps drifted");
+}
+
 /// Golden regression for reused θ-step rejections: `tvopd_seeded(9)` at
 /// 400 MHz over switch counts 2..10, without layout. At three switch
 /// counts a θ step changes the partition, that partition fails for

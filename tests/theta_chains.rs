@@ -1,0 +1,76 @@
+//! θ-step partitions are shared between the candidates of one switch count
+//! across frequencies. Sharing must not show in the outcome: a
+//! multi-frequency sweep equals its single-frequency sweeps laid end to
+//! end, and the thread count changes nothing, counters included, whatever
+//! the stop policy.
+
+use sunfloor_benchmarks::{distributed, Benchmark};
+use sunfloor_core::synthesis::{StopPolicy, SynthesisConfig, SynthesisEngine, SynthesisOutcome};
+
+const FREQUENCIES: [f64; 3] = [300.0, 400.0, 500.0];
+
+/// `D_36_8` over switch counts 4..12 with layout on: at 400 and 500 MHz
+/// most counts escalate through every θ step, and several of them already
+/// did at a lower frequency.
+fn cfg(freqs: &[f64], jobs: usize) -> SynthesisConfig {
+    SynthesisConfig::builder()
+        .frequencies_mhz(freqs.iter().copied())
+        .switch_count_range(4, 12)
+        .run_layout(true)
+        .jobs(jobs)
+        .build()
+        .unwrap()
+}
+
+fn run(bench: &Benchmark, cfg: SynthesisConfig, policy: StopPolicy) -> SynthesisOutcome {
+    SynthesisEngine::new(&bench.soc, &bench.comm, cfg)
+        .unwrap()
+        .run_with_policy(policy)
+}
+
+#[test]
+fn multi_frequency_sweep_concatenates_its_single_frequency_sweeps() {
+    let bench = distributed(8);
+    let all = run(&bench, cfg(&FREQUENCIES, 1), StopPolicy::Exhaustive);
+    let mut points = Vec::new();
+    let mut rejected = Vec::new();
+    for f in FREQUENCIES {
+        let single = run(&bench, cfg(&[f], 1), StopPolicy::Exhaustive);
+        assert_eq!(
+            single.shared_theta_steps, 0,
+            "one frequency has nothing to share"
+        );
+        points.extend(single.points);
+        rejected.extend(single.rejected);
+    }
+    assert!(all.shared_theta_steps > 0, "the sweep must share θ steps");
+    assert_eq!(all.points, points);
+    assert_eq!(all.rejected, rejected);
+}
+
+#[test]
+fn shared_theta_chains_are_thread_count_free_under_every_stop_policy() {
+    let bench = distributed(8);
+    // Five points stop inside the 300 MHz sweep; thirteen stop at 400 MHz
+    // right after a count that takes every θ step from 300 MHz, while
+    // parallel workers may already have extended later counts' chains.
+    for policy in [
+        StopPolicy::Exhaustive,
+        StopPolicy::FirstFeasible,
+        StopPolicy::PointBudget(5),
+        StopPolicy::PointBudget(13),
+    ] {
+        let serial = run(&bench, cfg(&FREQUENCIES, 1), policy);
+        if policy == StopPolicy::PointBudget(13) {
+            assert_eq!(serial.points.len(), 13);
+            assert!(
+                serial.shared_theta_steps > 0,
+                "the stop must follow a shared count"
+            );
+        }
+        for jobs in [2, 3] {
+            let parallel = run(&bench, cfg(&FREQUENCIES, jobs), policy);
+            assert_eq!(serial, parallel, "{policy:?} with {jobs} jobs");
+        }
+    }
+}
