@@ -123,10 +123,10 @@ fn try_bench_phase7(effort: Effort) -> Result<Artifact, String> {
             .build()
             .map_err(|e| format!("sweep config rejected: {e}"))
     };
-    // A cold first run: engine construction plus the sweep, including the
-    // one-time warm-chained Phase-1 seed partitions. Every further run
-    // (and every extra frequency) reuses the cached seeds, which is what
-    // the steady-state `serial_s` below measures. The config and engine
+    // A cold first run: engine construction, which partitions the
+    // warm-chained Phase-1 seeds once, plus the sweep. Every further run
+    // of the engine (and every extra frequency) reuses those seeds, which
+    // is what the steady-state `serial_s` below measures. The config and engine
     // are validated by the `?`s below, so the timed closure can drop
     // failures silently — they cannot occur once setup has succeeded.
     let first_run_s = time_per_rep(sweep_reps, || {

@@ -289,8 +289,10 @@ impl CommGraph {
 /// parallel sweeps report identical totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PartitionStats {
-    /// Phase-1 base partitions served from the engine's precomputed
-    /// warm-chained seed set instead of being recomputed.
+    /// Phase-1 base attempts served from their switch count's seed, which
+    /// [`SynthesisEngine::new`](crate::synthesis::SynthesisEngine::new)
+    /// partitioned once: one per committed Phase-1 candidate whose count
+    /// has a seed partition.
     pub base_cache_hits: u64,
     /// Partitions refined from a warm initial assignment: the seed chain's
     /// and one per θ step computed. A θ step that candidates of the same
@@ -335,7 +337,7 @@ impl std::ops::Sub for PartitionStats {
     }
 }
 
-/// The per-sweep-worker counters of [`crate::phase1::connectivity_cached`].
+/// The counters of [`crate::phase1::connectivity_cached`] calls.
 ///
 /// Every call builds its PG or SPG from scratch, so the only state kept
 /// between calls is the [`PartitionStats`] tally.

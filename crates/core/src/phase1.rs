@@ -90,8 +90,10 @@ const THETA_SEED_STRIDE: u32 = 2;
 /// refinement of the previous assignment) instead of recursive-bisecting
 /// from scratch.
 ///
-/// Warm-started calls (the engine's once-per-switch-count seed chain and
-/// every θ-escalation step) run the warm refinement against a reduced
+/// Warm-started calls (the seed chain
+/// [`SynthesisEngine::new`](crate::synthesis::SynthesisEngine::new)
+/// builds, one partition per swept switch count, and the θ steps a run
+/// computes once per switch count) run the warm refinement against a reduced
 /// cold restart budget and give the winner a final FM polish
 /// — roughly half the cold effort per call, with the warm seed making up
 /// the quality (hMetis-style refinement converges far faster than cold

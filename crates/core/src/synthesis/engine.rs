@@ -16,7 +16,7 @@ use crate::place::{LpStats, PlacementSolver};
 use crate::spec::{CommSpec, SocSpec};
 use crate::topology::Topology;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 use sunfloor_partition::PartitionError;
@@ -71,19 +71,14 @@ struct CandidateEvaluation {
     /// θ values the escalation loop tried, in order.
     thetas: Vec<f64>,
     point: Option<DesignPoint>,
-    /// Partition-cache counters this candidate accrued outside the θ loop
-    /// (deterministic per candidate, so the committed totals match serial
-    /// and parallel). Its θ steps are counted at commit; see
-    /// [`SynthesisEngine::commit`].
-    stats: PartitionStats,
-    /// Placement-LP counters this candidate accrued (same per-candidate
-    /// determinism contract as `stats`).
+    /// Placement-LP counters this candidate accrued (deterministic per
+    /// candidate, so the committed totals match serial and parallel).
     lp_stats: LpStats,
     /// Tempered-layout counters this candidate accrued (same per-candidate
-    /// determinism contract as `stats`).
+    /// determinism contract as `lp_stats`).
     anneal_stats: AnnealStats,
     /// Routing counters this candidate accrued (same per-candidate
-    /// determinism contract as `stats`).
+    /// determinism contract as `lp_stats`).
     routing_stats: RoutingStats,
     /// θ steps whose partition repeated the previous attempt, so the
     /// previous rejection was reused instead of evaluating it again.
@@ -97,7 +92,6 @@ impl CandidateEvaluation {
             attempts: Vec::new(),
             thetas: Vec::new(),
             point: None,
-            stats: PartitionStats::default(),
             lp_stats: LpStats::default(),
             anneal_stats: AnnealStats::default(),
             routing_stats: RoutingStats::default(),
@@ -131,76 +125,48 @@ fn same_attempt(a: &Connectivity, b: &Connectivity) -> bool {
     a.core_attach == b.core_attach && a.switch_layer == b.switch_layer && bits(a).eq(bits(b))
 }
 
-/// The precomputed Phase-1 base partitions: one per swept switch count, the
-/// chain warm-starting each count from the previous one's assignment.
+/// The partitioner's warm start that refines `conn`.
+fn assignment(conn: &Connectivity) -> Vec<u32> {
+    conn.core_attach.iter().map(|&a| a as u32).collect()
+}
+
+/// A Phase-1 partition, or why the partitioner could not produce one.
+type Partition = Result<Connectivity, PartitionError>;
+
+/// One θ step of a switch count's [`Chain`].
+#[derive(Clone)]
+struct ThetaStep {
+    partition: Partition,
+    /// The partition makes the same attempt ([`same_attempt`]) as the last
+    /// `Ok` step before it or, when there is none, the seed. Every
+    /// candidate of the count attempted that one just before, so this
+    /// does not depend on the candidate.
+    repeats: bool,
+}
+
+/// One Phase-1 switch count of a run: its seed partition on the PG and the
+/// θ steps computed so far.
 ///
-/// Base partitions are frequency-independent (the PG depends only on α), so
-/// they are computed once per engine — serially, in ascending switch-count
-/// order — and shared read-only by every sweep worker. This keeps
-/// warm-start chains deterministic: a worker never seeds from whatever it
-/// happened to evaluate last.
-struct Phase1Seeds {
-    /// `(requested switch count, seed)` in sweep order.
-    seeds: Vec<(usize, Result<Phase1Seed, PartitionError>)>,
-    /// Counters accrued while building the chain.
-    stats: PartitionStats,
-}
-
-struct Phase1Seed {
-    conn: Connectivity,
-    /// The partition assignment behind `conn`, kept as the warm-start seed
-    /// for the candidate's θ-escalation chain.
-    assignment: Vec<u32>,
-}
-
-impl Phase1Seeds {
-    fn get(&self, count: usize) -> Option<&Result<Phase1Seed, PartitionError>> {
-        self.seeds.iter().find(|(k, _)| *k == count).map(|(_, seed)| seed)
-    }
-}
-
-/// One θ step of a switch count's chain: the partition, or why the
-/// partitioner could not produce one.
-type ThetaStep = Result<Connectivity, PartitionError>;
-
-/// The θ-step partitions of one run, one chain per Phase-1 switch count.
-///
-/// Step `i` of a count's chain is the partition at the `i`-th θ of the
-/// escalation loop, warm-started from the last `Ok` step before it or, for
-/// the first, from the seed's assignment. None of that depends on the
-/// frequency, so every candidate of the count computes the same steps: the
-/// first to reach a step computes it under the chain's lock, and the others
-/// clone it.
-#[derive(Default)]
-struct ThetaChains {
-    chains: Vec<ThetaChain>,
-}
-
-struct ThetaChain {
+/// Step `i` is the partition at the `i`-th θ of the escalation loop,
+/// warm-started from the last `Ok` step before it or, for the first, from
+/// the seed. None of that depends on the frequency, so every candidate of
+/// the count walks the same steps: the first to reach a step computes it
+/// under the lock, and the others clone it.
+struct Chain<'s> {
     count: usize,
+    seed: &'s Partition,
     steps: Mutex<Vec<ThetaStep>>,
     /// The longest θ list a committed candidate of this count had: the
     /// steps the run has counted so far.
     committed: AtomicU64,
 }
 
-impl ThetaChains {
-    fn new(seeds: &Phase1Seeds) -> Self {
-        let chains = seeds
-            .seeds
-            .iter()
-            .map(|&(count, _)| ThetaChain {
-                count,
-                steps: Mutex::new(Vec::new()),
-                committed: AtomicU64::new(0),
-            })
-            .collect();
-        Self { chains }
-    }
-
-    fn get(&self, count: usize) -> Option<&ThetaChain> {
-        self.chains.iter().find(|c| c.count == count)
-    }
+/// The chain of switch count `count`.
+fn chain<'c, 's>(chains: &'c [Chain<'s>], count: usize) -> &'c Chain<'s> {
+    // sf-allow(panic-in-lib): invariant — the seeds, hence the chains, are
+    // built from the Phase-1 candidate list, whose switch counts do not
+    // depend on the frequency, so every Phase-1 candidate's count has one
+    chains.iter().find(|c| c.count == count).expect("every Phase-1 switch count has a chain")
 }
 
 /// The redesigned synthesis driver (paper Fig. 3).
@@ -241,14 +207,21 @@ pub struct SynthesisEngine<'a> {
     cfg: SynthesisConfig,
     /// Frequencies of the sweep that admit at least a 2-port switch.
     frequencies: Vec<f64>,
-    /// Lazily computed warm-chained Phase-1 base partitions (shared by all
-    /// sweep workers; stable across repeated `run` calls).
-    phase1_seeds: OnceLock<Phase1Seeds>,
+    /// Each core's layer, in core order.
+    core_layers: Vec<u32>,
+    /// The indirect-switch fallback's transit switches (§VI): one per
+    /// populated layer, `(layer, position)` at its cores' centroid.
+    transit_switches: Vec<(u32, (f64, f64))>,
+    /// The warm-chained Phase-1 seeds, `(switch count, partition on the
+    /// PG)` in sweep order; empty in [`SynthesisMode::Phase2Only`].
+    seeds: Vec<(usize, Partition)>,
+    /// The counters of building `seeds`, re-reported by every run.
+    seed_stats: PartitionStats,
 }
 
 impl<'a> SynthesisEngine<'a> {
     /// Validates the specifications and the configuration and prepares the
-    /// sweep.
+    /// sweep, partitioning every swept Phase-1 switch count on the PG.
     ///
     /// # Errors
     ///
@@ -270,38 +243,37 @@ impl<'a> SynthesisEngine<'a> {
             .copied()
             .filter(|&f| cfg.library.switch.max_size_for_frequency(f) >= 2)
             .collect();
-        if frequencies.is_empty() {
+        let Some(&first) = frequencies.first() else {
             return Err(SynthesisError::NoUsableFrequency);
-        }
+        };
         let graph = CommGraph::new(soc, comm);
-        Ok(Self {
-            soc,
-            graph,
-            cfg,
-            frequencies,
-            phase1_seeds: OnceLock::new(),
-        })
-    }
-
-    /// The warm-chained Phase-1 base partitions, computed once per engine.
-    fn phase1_seeds(&self) -> &Phase1Seeds {
-        self.phase1_seeds.get_or_init(|| {
-            let cfg = &self.cfg;
-            let mut cache = PartitionCache::new();
-            let mut seeds = Vec::new();
+        let transit_switches = (0..soc.layers)
+            .filter_map(|layer| {
+                let members = soc.cores_in_layer(layer);
+                if members.is_empty() {
+                    return None;
+                }
+                let (mut cx, mut cy) = (0.0, 0.0);
+                for &c in &members {
+                    let (x, y) = soc.cores[c].center();
+                    cx += x;
+                    cy += y;
+                }
+                Some((layer, (cx / members.len() as f64, cy / members.len() as f64)))
+            })
+            .collect();
+        // The seed chain: each switch count warm-started from the previous
+        // count's assignment, built serially so every sweep worker reads the
+        // same seeds. Switch counts do not depend on the frequency.
+        let mut cache = PartitionCache::new();
+        let mut seeds = Vec::new();
+        if cfg.mode != SynthesisMode::Phase2Only {
             let mut prev: Option<Vec<u32>> = None;
-            // Switch counts are frequency-independent; enumerate them from
-            // the first usable frequency's candidate list.
-            let counts = self
-                .frequencies
-                .first()
-                .map(|&f| phase1_candidates(cfg, self.soc, f))
-                .unwrap_or_default();
-            for candidate in counts {
-                let SweepParam::SwitchCount(count) = candidate.sweep else { continue };
-                let result = phase1::connectivity_cached(
-                    &self.graph,
-                    self.soc,
+            for candidate in phase1_candidates(&cfg, soc, first) {
+                let count = candidate.sweep.value();
+                let seed = phase1::connectivity_cached(
+                    &graph,
+                    soc,
                     count,
                     cfg.alpha,
                     None,
@@ -310,17 +282,21 @@ impl<'a> SynthesisEngine<'a> {
                     prev.as_deref(),
                     &mut cache,
                 );
-                match result {
-                    Ok(conn) => {
-                        let assignment: Vec<u32> =
-                            conn.core_attach.iter().map(|&a| a as u32).collect();
-                        prev = Some(assignment.clone());
-                        seeds.push((count, Ok(Phase1Seed { conn, assignment })));
-                    }
-                    Err(e) => seeds.push((count, Err(e))),
+                if let Ok(conn) = &seed {
+                    prev = Some(assignment(conn));
                 }
+                seeds.push((count, seed));
             }
-            Phase1Seeds { seeds, stats: cache.stats }
+        }
+        Ok(Self {
+            soc,
+            graph,
+            cfg,
+            frequencies,
+            core_layers: soc.cores.iter().map(|c| c.layer).collect(),
+            transit_switches,
+            seeds,
+            seed_stats: cache.stats,
         })
     }
 
@@ -387,14 +363,9 @@ impl<'a> SynthesisEngine<'a> {
     ) -> SynthesisOutcome {
         let started = Instant::now(); // sf-allow(nondet-source): the Deadline StopPolicy is wall-clock by design; results stay deterministic, only the cut-off point varies
         let mut outcome = SynthesisOutcome::default();
-        let chains = if self.cfg.mode == SynthesisMode::Phase2Only {
-            ThetaChains::default()
-        } else {
-            // The shared warm-chained base partitions (computed on first
-            // run) count towards this run's diagnostics.
-            outcome.partition_stats += self.phase1_seeds().stats;
-            ThetaChains::new(self.phase1_seeds())
-        };
+        // The seeds are built once per engine and count towards every run.
+        outcome.partition_stats += self.seed_stats;
+        let chains = self.chains();
         for &freq in &self.frequencies {
             let primary = self.primary_candidates(freq);
             let before = outcome.points.len();
@@ -411,6 +382,19 @@ impl<'a> SynthesisEngine<'a> {
             }
         }
         outcome
+    }
+
+    /// A run's chains: one per seed, with no θ step computed yet.
+    fn chains(&self) -> Vec<Chain<'_>> {
+        self.seeds
+            .iter()
+            .map(|(count, seed)| Chain {
+                count: *count,
+                seed,
+                steps: Mutex::default(),
+                committed: AtomicU64::new(0),
+            })
+            .collect()
     }
 
     /// Evaluates one candidate batch, committing results (and streaming
@@ -431,26 +415,19 @@ impl<'a> SynthesisEngine<'a> {
         observer: &mut Option<&mut dyn SweepObserver>,
         outcome: &mut SynthesisOutcome,
         started: Instant,
-        chains: &ThetaChains,
+        chains: &[Chain<'_>],
     ) -> bool {
         let jobs = self.cfg.parallelism.effective_jobs().min(candidates.len());
         if jobs <= 1 {
-            // One reusable routing workspace, partition cache and placement
-            // solver for the whole serial sweep.
+            // One reusable routing workspace and placement solver for the
+            // whole serial sweep.
             let mut alloc = PathAllocator::new();
-            let mut cache = PartitionCache::new();
             let mut placement = PlacementSolver::new();
             for &candidate in candidates {
                 if policy.met(outcome, started) {
                     return true;
                 }
-                let ev = self.evaluate_candidate(
-                    candidate,
-                    &mut alloc,
-                    &mut cache,
-                    &mut placement,
-                    chains,
-                );
+                let ev = self.evaluate_candidate(candidate, &mut alloc, &mut placement, chains);
                 self.commit(ev, observer, outcome, chains);
             }
             return false;
@@ -464,11 +441,9 @@ impl<'a> SynthesisEngine<'a> {
         thread::scope(|s| {
             for _ in 0..jobs {
                 s.spawn(|| {
-                    // Per-worker routing workspace, partition cache and
-                    // placement solver, reused across every candidate this
-                    // worker claims.
+                    // Per-worker routing workspace and placement solver,
+                    // reused across every candidate this worker claims.
                     let mut alloc = PathAllocator::new();
-                    let mut cache = PartitionCache::new();
                     let mut placement = PlacementSolver::new();
                     loop {
                         if stop.load(Ordering::Relaxed) {
@@ -479,7 +454,6 @@ impl<'a> SynthesisEngine<'a> {
                         let ev = self.evaluate_candidate(
                             candidate,
                             &mut alloc,
-                            &mut cache,
                             &mut placement,
                             chains,
                         );
@@ -526,7 +500,8 @@ impl<'a> SynthesisEngine<'a> {
     /// stream: `CandidateStarted`, any `ThetaEscalated`, then exactly one
     /// terminal `CandidateAccepted` / `CandidateRejected`.
     ///
-    /// A Phase-1 candidate's θ steps are counted here, in commit order: the
+    /// A Phase-1 candidate's partitions are counted here, in commit order:
+    /// one seed lookup when its count has a seed, and its θ steps. The
     /// steps beyond the longest θ list an earlier committed candidate of the
     /// same switch count had are new partitions (warm-started, each on its
     /// own SPG), and the rest were shared with it. That is exactly what a
@@ -537,7 +512,7 @@ impl<'a> SynthesisEngine<'a> {
         ev: CandidateEvaluation,
         observer: &mut Option<&mut dyn SweepObserver>,
         outcome: &mut SynthesisOutcome,
-        chains: &ThetaChains,
+        chains: &[Chain<'_>],
     ) {
         let emit = |observer: &mut Option<&mut dyn SweepObserver>, event: SweepEvent| {
             if let Some(obs) = observer.as_deref_mut() {
@@ -550,13 +525,11 @@ impl<'a> SynthesisEngine<'a> {
         }
         let terminal_reason =
             if ev.point.is_none() { ev.attempts.last().map(|a| a.reason.clone()) } else { None };
-        outcome.partition_stats += ev.stats;
         if let SweepParam::SwitchCount(count) = ev.candidate.sweep {
+            let chain = chain(chains, count);
+            outcome.partition_stats.base_cache_hits += u64::from(chain.seed.is_ok());
             let steps = ev.thetas.len() as u64;
-            let counted = chains.get(count).map_or(0, |chain| {
-                chain.committed.fetch_max(steps, Ordering::Relaxed)
-            });
-            let fresh = steps.saturating_sub(counted);
+            let fresh = steps.saturating_sub(chain.committed.fetch_max(steps, Ordering::Relaxed));
             outcome.partition_stats.warm_partitions += fresh;
             outcome.partition_stats.spg_derivations += fresh;
             outcome.shared_theta_steps += steps - fresh;
@@ -593,35 +566,32 @@ impl<'a> SynthesisEngine<'a> {
         &self,
         candidate: Candidate,
         alloc: &mut PathAllocator,
-        cache: &mut PartitionCache,
         placement: &mut PlacementSolver,
-        chains: &ThetaChains,
+        chains: &[Chain<'_>],
     ) -> CandidateEvaluation {
-        let before = cache.stats;
         let lp_before = placement.stats();
         let routing_before = alloc.stats();
         let mut ev = match candidate.sweep {
             SweepParam::SwitchCount(k) => {
-                self.evaluate_phase1(candidate, k, alloc, cache, placement, chains)
+                self.evaluate_phase1(candidate, chain(chains, k), alloc, placement)
             }
             SweepParam::Increment(inc) => self.evaluate_phase2(candidate, inc, alloc, placement),
         };
-        ev.stats += cache.stats - before;
         ev.lp_stats += placement.stats() - lp_before;
         ev.routing_stats += alloc.stats() - routing_before;
         ev
     }
 
-    /// Algorithm 1 for one candidate: the base attempt from the
-    /// precomputed seed partition, then the θ escalation loop — each step
+    /// Algorithm 1 for one candidate: the base attempt from the switch
+    /// count's seed partition, then the θ escalation loop — each step
     /// warm-started from the previous assignment on a freshly built SPG —
     /// until the constraints are met or θ runs out.
     ///
-    /// Every θ step's partition comes from the switch count's chain in
-    /// `chains`, computed by whichever candidate of the count reached it
-    /// first. This is exact: the partitioner reads neither the frequency nor
-    /// anything else that differs between those candidates, and its warm
-    /// start is the chain's previous step.
+    /// Every θ step's partition comes from `chain`, computed by whichever
+    /// candidate of the count reached it first. This is exact: the
+    /// partitioner reads neither the frequency nor anything else that
+    /// differs between those candidates, and its warm start is the chain's
+    /// previous step.
     ///
     /// A θ step whose partition repeats the last attempted one — the same
     /// core attachments, the same switch layers and bit-equal estimated
@@ -637,62 +607,32 @@ impl<'a> SynthesisEngine<'a> {
     fn evaluate_phase1(
         &self,
         candidate: Candidate,
-        count: usize,
+        chain: &Chain<'_>,
         alloc: &mut PathAllocator,
-        cache: &mut PartitionCache,
         placement: &mut PlacementSolver,
-        chains: &ThetaChains,
     ) -> CandidateEvaluation {
         let cfg = &self.cfg;
         let freq = candidate.frequency_mhz;
         let mut ev = CandidateEvaluation::new(candidate);
         let reject = |theta: Option<f64>, reason: RejectReason| RejectedPoint {
-            requested_switches: count,
+            requested_switches: chain.count,
             frequency_mhz: freq,
             phase: PhaseKind::Phase1,
             theta,
             reason,
         };
-
-        // Resolve the base seed: from the precomputed warm-chained set, or
-        // (defensively — cannot happen for counts the engine itself
-        // enumerates) computed here.
-        let mut computed: Option<Phase1Seed> = None;
-        let seed: &Phase1Seed = match self.phase1_seeds().get(count) {
-            Some(Ok(seed)) => {
-                cache.stats.base_cache_hits += 1;
-                seed
-            }
-            Some(Err(e)) => {
+        let seed = match chain.seed {
+            Ok(seed) => seed,
+            Err(e) => {
                 // The partitioner cannot produce this split at any θ:
                 // terminal, no escalation.
                 ev.attempts.push(reject(None, e.clone().into()));
                 return ev;
             }
-            None => match phase1::connectivity_cached(
-                &self.graph,
-                self.soc,
-                count,
-                cfg.alpha,
-                None,
-                cfg.theta_max,
-                cfg.rng_seed,
-                None,
-                cache,
-            ) {
-                Ok(conn) => {
-                    let assignment = conn.core_attach.iter().map(|&a| a as u32).collect();
-                    &*computed.insert(Phase1Seed { conn, assignment })
-                }
-                Err(e) => {
-                    ev.attempts.push(reject(None, e.into()));
-                    return ev;
-                }
-            },
         };
         let mut last_reason = match self.try_candidate(Attempt {
             freq,
-            conn: &seed.conn,
+            conn: seed,
             phase: PhaseKind::Phase1,
             adjacent_only: false,
             alloc,
@@ -706,19 +646,16 @@ impl<'a> SynthesisEngine<'a> {
             Err(reason) => reason,
         };
         ev.attempts.push(reject(None, last_reason.clone()));
-        // The partition `last_reason` rejected; `None` is the seed's.
-        let mut last: Option<Connectivity> = None;
-        // A count the seed set lacks gets a chain of its own.
-        let unshared = Mutex::new(Vec::new());
-        let steps = chains.get(count).map_or(&unshared, |chain| &chain.steps);
 
         // θ loop (Algorithm 1, steps 11–20).
         let mut theta = cfg.theta_min;
         while theta <= cfg.theta_max + 1e-9 {
             let step = ev.thetas.len();
             ev.thetas.push(theta);
-            if let Ok(conn) = self.theta_step(steps, step, theta, count, seed) {
-                let reason = if same_attempt(&conn, last.as_ref().unwrap_or(&seed.conn)) {
+            if let ThetaStep { partition: Ok(conn), repeats } =
+                self.theta_step(chain, step, theta, seed)
+            {
+                let reason = if repeats {
                     ev.repeated_attempts += 1;
                     last_reason
                 } else {
@@ -735,10 +672,7 @@ impl<'a> SynthesisEngine<'a> {
                             ev.point = Some(point);
                             return ev;
                         }
-                        Err(reason) => {
-                            last = Some(conn);
-                            reason
-                        }
+                        Err(reason) => reason,
                     }
                 };
                 ev.attempts.push(reject(Some(theta), reason.clone()));
@@ -749,46 +683,44 @@ impl<'a> SynthesisEngine<'a> {
         ev
     }
 
-    /// Step `step` of a switch count's θ chain: the partition at `theta`,
-    /// warm-started from the last `Ok` step before it, or from `seed`'s
-    /// assignment. Computed under the chain's lock on first request and
-    /// cloned after that. A candidate requests its steps in order, so every
-    /// step before `step` is already in the chain.
+    /// Step `step` of `chain`, whose seed is `seed`: the partition at
+    /// `theta`, warm-started from the last `Ok` step before it or from the
+    /// seed. Computed under the chain's lock on first request and cloned
+    /// after that. A candidate requests its steps in order, so every step
+    /// before `step` is already in the chain.
     fn theta_step(
         &self,
-        steps: &Mutex<Vec<ThetaStep>>,
+        chain: &Chain<'_>,
         step: usize,
         theta: f64,
-        count: usize,
-        seed: &Phase1Seed,
+        seed: &Connectivity,
     ) -> ThetaStep {
         // Poison recovery: the chain only ever holds whole steps, so it is
         // valid even if a worker panicked while holding the lock.
-        let mut steps = steps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut steps = chain.steps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(done) = steps.get(step) {
             return done.clone();
         }
         debug_assert_eq!(steps.len(), step, "θ steps are requested in order");
-        let warm: Vec<u32> = match steps.iter().rev().find_map(|s| s.as_ref().ok()) {
-            Some(conn) => conn.core_attach.iter().map(|&a| a as u32).collect(),
-            None => seed.assignment.clone(),
-        };
+        let prev = steps.iter().rev().find_map(|s| s.partition.as_ref().ok()).unwrap_or(seed);
         let cfg = &self.cfg;
         // The chain's steps are counted at commit, so this call's counters
         // are dropped.
-        let result = phase1::connectivity_cached(
+        let partition = phase1::connectivity_cached(
             &self.graph,
             self.soc,
-            count,
+            chain.count,
             cfg.alpha,
             Some(theta),
             cfg.theta_max,
             cfg.rng_seed,
-            Some(&warm),
+            Some(&assignment(prev)),
             &mut PartitionCache::new(),
         );
-        steps.push(result.clone());
-        result
+        let repeats = partition.as_ref().is_ok_and(|conn| same_attempt(conn, prev));
+        let done = ThetaStep { partition, repeats };
+        steps.push(done.clone());
+        done
     }
 
     /// Algorithm 2 for one candidate: a single layer-by-layer attempt at
@@ -840,13 +772,10 @@ impl<'a> SynthesisEngine<'a> {
     fn path_config(&self, freq: f64, adjacent_only: bool) -> PathConfig {
         let cfg = &self.cfg;
         PathConfig {
-            max_ill: cfg.max_ill,
             soft_ill_margin: cfg.soft_ill_margin,
-            max_switch_size: cfg.library.switch.max_size_for_frequency(freq),
             soft_switch_margin: cfg.soft_switch_margin,
             adjacent_layers_only: adjacent_only,
-            frequency_mhz: freq,
-            deadlock_retries: 24,
+            ..PathConfig::new(cfg.max_ill, cfg.library.switch.max_size_for_frequency(freq), freq)
         }
     }
 
@@ -858,12 +787,11 @@ impl<'a> SynthesisEngine<'a> {
         let Attempt { freq, conn, phase, adjacent_only, alloc, placement, anneal } = attempt;
         let cfg = &self.cfg;
         let soc = self.soc;
-        let core_layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
         let path_cfg = self.path_config(freq, adjacent_only);
 
         // Routing with the indirect-switch fallback (§VI): when no route
-        // exists, add one unattached switch per layer (a pure transit
-        // switch) and retry.
+        // exists, add the transit switches (one unattached switch per
+        // populated layer) and retry.
         let mut switch_layer = conn.switch_layer.clone();
         let mut est_pos = conn.est_positions.clone();
         let mut indirect: Vec<usize> = Vec::new();
@@ -876,7 +804,7 @@ impl<'a> SynthesisEngine<'a> {
                 &conn.core_attach,
                 &switch_layer,
                 &est_pos,
-                &core_layers,
+                &self.core_layers,
                 soc.layers,
                 &cfg.library,
                 &path_cfg,
@@ -891,23 +819,10 @@ impl<'a> SynthesisEngine<'a> {
                     if round < cfg.indirect_switch_rounds =>
                 {
                     last_err = Some(e);
-                    // Add one transit switch per populated layer at the
-                    // layer centroid.
-                    for layer in 0..soc.layers {
-                        let members = soc.cores_in_layer(layer);
-                        if members.is_empty() {
-                            continue;
-                        }
-                        let (mut cx, mut cy) = (0.0, 0.0);
-                        for &c in &members {
-                            let (x, y) = soc.cores[c].center();
-                            cx += x;
-                            cy += y;
-                        }
+                    for &(layer, pos) in &self.transit_switches {
                         indirect.push(switch_layer.len());
                         switch_layer.push(layer);
-                        est_pos
-                            .push((cx / members.len() as f64, cy / members.len() as f64));
+                        est_pos.push(pos);
                     }
                 }
                 Err(e) => return Err(e.into()),
@@ -1035,8 +950,7 @@ mod tests {
         let (soc, comm) = irregular_design();
         let engine = SynthesisEngine::new(&soc, &comm, SynthesisConfig::default()).unwrap();
         let cfg = engine.config();
-        let chains = ThetaChains::new(engine.phase1_seeds());
-        let direct = |count: usize, theta: f64, warm: &[u32]| {
+        let direct = |count: usize, theta: f64, warm: &Connectivity| {
             phase1::connectivity_cached(
                 &engine.graph,
                 &soc,
@@ -1045,29 +959,31 @@ mod tests {
                 Some(theta),
                 cfg.theta_max,
                 cfg.rng_seed,
-                Some(warm),
+                Some(&assignment(warm)),
                 &mut PartitionCache::new(),
             )
         };
         // Steps whose partition differs when warm-started from the seed
         // instead: without them this test could not tell the two apart.
         let mut warm_start_matters = 0;
-        for (count, seed) in &engine.phase1_seeds().seeds {
-            let seed = seed.as_ref().unwrap();
-            let chain = chains.get(*count).unwrap();
-            let mut warm = seed.assignment.clone();
+        for chain in engine.chains() {
+            let (count, seed) = (chain.count, chain.seed.as_ref().unwrap());
+            let mut warm = seed.clone();
             let mut theta = cfg.theta_min;
             let mut step = 0;
             while theta <= cfg.theta_max + 1e-9 {
-                let expected = direct(*count, theta, &warm);
-                let shared = engine.theta_step(&chain.steps, step, theta, *count, seed);
-                assert_eq!(shared, expected, "{count} switches, step {step}");
-                assert_eq!(engine.theta_step(&chain.steps, step, theta, *count, seed), expected);
-                if direct(*count, theta, &seed.assignment) != expected {
+                let expected = direct(count, theta, &warm);
+                let repeats = expected.as_ref().is_ok_and(|conn| same_attempt(conn, &warm));
+                for _ in 0..2 {
+                    let shared = engine.theta_step(&chain, step, theta, seed);
+                    assert_eq!(shared.partition, expected, "{count} switches, step {step}");
+                    assert_eq!(shared.repeats, repeats, "{count} switches, step {step}");
+                }
+                if direct(count, theta, seed) != expected {
                     warm_start_matters += 1;
                 }
                 if let Ok(conn) = expected {
-                    warm = conn.core_attach.iter().map(|&a| a as u32).collect();
+                    warm = conn;
                 }
                 theta += cfg.theta_step;
                 step += 1;

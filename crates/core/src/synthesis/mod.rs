@@ -246,6 +246,26 @@ mod tests {
         for (x, y) in a.points.iter().zip(&b.points) {
             assert_eq!(x.topology, y.topology);
         }
+        // The seeds are built once per engine and every run reports them:
+        // a second run of one engine repeats the first, counters included.
+        let engine = SynthesisEngine::new(&soc, &comm, quick_cfg()).unwrap();
+        let first = engine.run();
+        assert!(first.partition_stats.cold_partitions > 0, "the seed chain is reported");
+        assert_eq!(first, engine.run());
+        assert_eq!(first, a);
+        // Phase 2 builds no seeds and partitions nothing with Phase 1's
+        // partitioner.
+        let cfg = SynthesisConfig::builder()
+            .mode(SynthesisMode::Phase2Only)
+            .switch_count_range(1, 6)
+            .run_layout(false)
+            .build()
+            .unwrap();
+        let engine = SynthesisEngine::new(&soc, &comm, cfg).unwrap();
+        let first = engine.run();
+        assert!(!first.points.is_empty(), "rejected: {:?}", first.rejected);
+        assert_eq!(first.partition_stats, PartitionStats::default());
+        assert_eq!(first, engine.run());
     }
 
     #[test]

@@ -13,9 +13,14 @@ const FREQUENCIES: [f64; 3] = [300.0, 400.0, 500.0];
 /// most counts escalate through every θ step, and several of them already
 /// did at a lower frequency.
 fn cfg(freqs: &[f64], jobs: usize) -> SynthesisConfig {
+    counts_cfg(freqs, (4, 12), 1, jobs)
+}
+
+fn counts_cfg(freqs: &[f64], range: (usize, usize), step: usize, jobs: usize) -> SynthesisConfig {
     SynthesisConfig::builder()
         .frequencies_mhz(freqs.iter().copied())
-        .switch_count_range(4, 12)
+        .switch_count_range(range.0, range.1)
+        .switch_count_step(step)
         .run_layout(true)
         .jobs(jobs)
         .build()
@@ -31,21 +36,25 @@ fn run(bench: &Benchmark, cfg: SynthesisConfig, policy: StopPolicy) -> Synthesis
 #[test]
 fn multi_frequency_sweep_concatenates_its_single_frequency_sweeps() {
     let bench = distributed(8);
-    let all = run(&bench, cfg(&FREQUENCIES, 1), StopPolicy::Exhaustive);
-    let mut points = Vec::new();
-    let mut rejected = Vec::new();
-    for f in FREQUENCIES {
-        let single = run(&bench, cfg(&[f], 1), StopPolicy::Exhaustive);
-        assert_eq!(
-            single.shared_theta_steps, 0,
-            "one frequency has nothing to share"
-        );
-        points.extend(single.points);
-        rejected.extend(single.rejected);
+    // Counts 4..12, and 0..100 by 3: clamped to 1..=36, so the counts
+    // start at the clamped bound 1.
+    for (range, step) in [((4, 12), 1), ((0, 100), 3)] {
+        let all = run(&bench, counts_cfg(&FREQUENCIES, range, step, 1), StopPolicy::Exhaustive);
+        let mut points = Vec::new();
+        let mut rejected = Vec::new();
+        for f in FREQUENCIES {
+            let single = run(&bench, counts_cfg(&[f], range, step, 1), StopPolicy::Exhaustive);
+            assert_eq!(
+                single.shared_theta_steps, 0,
+                "one frequency has nothing to share"
+            );
+            points.extend(single.points);
+            rejected.extend(single.rejected);
+        }
+        assert!(all.shared_theta_steps > 0, "{range:?} by {step} must share θ steps");
+        assert_eq!(all.points, points, "{range:?} by {step}");
+        assert_eq!(all.rejected, rejected, "{range:?} by {step}");
     }
-    assert!(all.shared_theta_steps > 0, "the sweep must share θ steps");
-    assert_eq!(all.points, points);
-    assert_eq!(all.rejected, rejected);
 }
 
 #[test]
