@@ -264,9 +264,8 @@ fn bench_theta_sparse_vs_dense(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Tang/Wong O(n log n) LCS packer against the retained O(n²)
-/// longest-path reference oracle, at the annealer's bench scale (20) and
-/// the 65-core pipeline scale where the asymptotics dominate.
+/// The Tang/Wong O(n log n) LCS packer at the annealer's bench scale (20)
+/// and the 65-core pipeline scale where the asymptotics dominate.
 fn bench_pack_lcs(c: &mut Criterion) {
     let mut group = c.benchmark_group("pack_lcs_vs_longest_path");
     for n in [20usize, 65] {
@@ -284,9 +283,6 @@ fn bench_pack_lcs(c: &mut Criterion) {
         let mut scratch = PackScratch::default();
         group.bench_with_input(BenchmarkId::new("lcs", n), &n, |b, _| {
             b.iter(|| sp.pack_into(black_box(&blocks), &rotated, &mut scratch));
-        });
-        group.bench_with_input(BenchmarkId::new("longest_path", n), &n, |b, _| {
-            b.iter(|| sp.pack_into_longest_path(black_box(&blocks), &rotated, &mut scratch));
         });
     }
     group.finish();

@@ -1,6 +1,5 @@
 //! One module per paper artifact family; `run` dispatches by artifact id.
 
-mod bench_phase7;
 mod floorplans;
 mod ill_sweep;
 mod media;
@@ -14,7 +13,6 @@ mod yield_curve;
 
 use crate::{Artifact, Effort};
 
-pub use bench_phase7::{bench_phase7, BENCH_ARTIFACT_PATH, BENCH_BASELINE_PATH};
 pub use floorplans::{fig19_fig20, standard_floorplan};
 pub use ill_sweep::fig21_fig22;
 pub use media::{fig10_to_16, fig18};
@@ -30,11 +28,10 @@ use sunfloor_core::synthesis::{
     Parallelism, SynthesisConfig, SynthesisEngine, SynthesisMode, SynthesisOutcome,
 };
 
-/// All experiment ids, in paper order (plus the repo's own `bench`
-/// hot-path baseline).
+/// All experiment ids, in paper order.
 pub const ALL_IDS: &[&str] = &[
     "fig1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "tab1", "fig17",
-    "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "runtime", "bench",
+    "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "runtime",
 ];
 
 /// Runs the experiment(s) behind one artifact id (`"all"` runs everything).
@@ -65,7 +62,6 @@ pub fn run(id: &str, effort: Effort) -> Vec<Artifact> {
         }
         "fig23" => vec![fig23(effort)],
         "runtime" => vec![runtime_study(effort)],
-        "bench" => vec![bench_phase7(effort)],
         "all" => {
             let mut out = vec![fig1()];
             out.extend(fig10_to_16(effort));
@@ -76,7 +72,6 @@ pub fn run(id: &str, effort: Effort) -> Vec<Artifact> {
             out.extend(fig21_fig22(effort));
             out.push(fig23(effort));
             out.push(runtime_study(effort));
-            out.push(bench_phase7(effort));
             out
         }
         _ => Vec::new(),

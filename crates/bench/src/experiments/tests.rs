@@ -25,7 +25,6 @@ fn all_ids_are_dispatchable() {
                 || [
                     "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "tab1",
                     "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "runtime",
-                    "bench",
                 ]
                 .contains(id),
             "unknown id in ALL_IDS: {id}"

@@ -13,6 +13,5 @@
 
 pub mod experiments;
 mod artifact;
-pub mod gate;
 
 pub use artifact::{Artifact, Effort};

@@ -796,6 +796,26 @@ mod tests {
         assert!(err.to_string().contains("alpha"), "{err}");
     }
 
+    /// `--switches 5..9` on a 3-core spec leaves nothing to sweep: a run
+    /// error (exit 1), not a report of zero feasible points.
+    #[test]
+    fn switch_range_without_candidates_is_a_run_error() {
+        let (cores, comm) = write_specs("empty_sweep");
+        let opts = Options::parse(&args(&[
+            "--cores",
+            cores.to_str().unwrap(),
+            "--comm",
+            comm.to_str().unwrap(),
+            "--switches",
+            "5..9",
+        ]))
+        .unwrap();
+        let err = run(&opts).unwrap_err();
+        assert!(matches!(err, CliError::Run(_)), "{err}");
+        assert_eq!(err.exit_code(), 1);
+        assert!(err.to_string().contains("no candidate"), "{err}");
+    }
+
     #[test]
     fn usage_errors_exit_2_run_errors_exit_1() {
         let usage = Options::parse(&args(&["--bogus"])).unwrap_err();

@@ -304,6 +304,10 @@ pub struct PartitionStats {
     /// SPGs built for θ steps: one per θ step computed, so a shared step
     /// counts once, like in [`PartitionStats::warm_partitions`].
     pub spg_derivations: u64,
+    /// Moves and swaps the partitioner's FM, k-way and swap passes applied
+    /// in the partitions counted above, rolled-back ones included
+    /// ([`sunfloor_partition::Partitioning::fm_moves`]).
+    pub fm_moves: u64,
 }
 
 impl PartitionStats {
@@ -321,19 +325,7 @@ impl std::ops::AddAssign for PartitionStats {
         self.warm_partitions += rhs.warm_partitions;
         self.cold_partitions += rhs.cold_partitions;
         self.spg_derivations += rhs.spg_derivations;
-    }
-}
-
-impl std::ops::Sub for PartitionStats {
-    type Output = Self;
-
-    fn sub(self, rhs: Self) -> Self {
-        Self {
-            base_cache_hits: self.base_cache_hits - rhs.base_cache_hits,
-            warm_partitions: self.warm_partitions - rhs.warm_partitions,
-            cold_partitions: self.cold_partitions - rhs.cold_partitions,
-            spg_derivations: self.spg_derivations - rhs.spg_derivations,
-        }
+        self.fm_moves += rhs.fm_moves;
     }
 }
 

@@ -26,6 +26,9 @@ pub struct Layout {
     pub core_displacement_mm: f64,
     /// Total deviation of switches from their LP-ideal centers.
     pub switch_deviation_mm: f64,
+    /// [`sunfloor_floorplan::InsertionResult::probes`] summed over the
+    /// layers; 0 for [`layout_design_tempered`].
+    pub shove_probes: u64,
 }
 
 impl Layout {
@@ -158,6 +161,7 @@ pub fn layout_design(
     let mut areas = Vec::with_capacity(soc.layers as usize);
     let mut core_disp = 0.0;
     let mut sw_dev = 0.0;
+    let mut probes = 0;
 
     for layer in 0..soc.layers {
         let cores = layer_cores(soc, layer);
@@ -166,6 +170,7 @@ pub fn layout_design(
         let result = insert_components(&cores, &requests, search_radius_mm);
         core_disp += result.core_displacement;
         sw_dev += result.component_deviation;
+        probes += result.probes;
         for (k, &s) in switch_ids.iter().enumerate() {
             topo.switch_pos[s] = result.component_centers[k];
         }
@@ -178,6 +183,7 @@ pub fn layout_design(
         layer_area_mm2: areas,
         core_displacement_mm: core_disp,
         switch_deviation_mm: sw_dev,
+        shove_probes: probes,
     }
 }
 
@@ -266,6 +272,7 @@ pub fn layout_design_tempered(
             layer_area_mm2: areas,
             core_displacement_mm: core_disp,
             switch_deviation_mm: sw_dev,
+            shove_probes: 0,
         },
         stats,
     )

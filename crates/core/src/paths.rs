@@ -352,7 +352,7 @@ impl ClassCdg {
 /// scheduling), so the engine can accumulate a delta per candidate
 /// evaluation and sum the deltas in commit order, making serial and
 /// parallel sweeps report identical totals. Only successful routing calls
-/// are counted.
+/// are counted, except in [`Self::dijkstra_pops`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoutingStats {
     /// Flows successfully routed (single-hop same-switch flows included).
@@ -367,6 +367,9 @@ pub struct RoutingStats {
     pub class_merges: u64,
     /// Always 0, for the same reason as [`Self::class_merges`].
     pub merge_fallbacks: u64,
+    /// Entries popped from Dijkstra's heap, over every routing call,
+    /// failed ones included.
+    pub dijkstra_pops: u64,
 }
 
 impl std::ops::AddAssign for RoutingStats {
@@ -374,6 +377,7 @@ impl std::ops::AddAssign for RoutingStats {
         self.flows_routed += rhs.flows_routed;
         self.links_created += rhs.links_created;
         self.deadlock_rollbacks += rhs.deadlock_rollbacks;
+        self.dijkstra_pops += rhs.dijkstra_pops;
     }
 }
 
@@ -385,6 +389,7 @@ impl std::ops::Sub for RoutingStats {
             flows_routed: self.flows_routed - rhs.flows_routed,
             links_created: self.links_created - rhs.links_created,
             deadlock_rollbacks: self.deadlock_rollbacks - rhs.deadlock_rollbacks,
+            dijkstra_pops: self.dijkstra_pops - rhs.dijkstra_pops,
             ..Self::default()
         }
     }
@@ -849,6 +854,7 @@ impl<'a> Router<'a> {
         self.alloc.heap.push(HeapEntry(0.0, src));
 
         while let Some(HeapEntry(d, u)) = self.alloc.heap.pop() {
+            self.alloc.stats.dijkstra_pops += 1;
             if d > self.alloc.dist[u] {
                 continue;
             }

@@ -136,6 +136,7 @@ pub fn connectivity_cached(
         }
     };
     let parts = pg.partition(&cfg)?;
+    cache.stats.fm_moves += parts.fm_moves();
     Ok(build_connectivity(&parts, soc, theta))
 }
 

@@ -236,6 +236,9 @@ pub enum SynthesisError {
     Spec(SpecError),
     /// No frequency in the sweep admits any switch (size limit below 2).
     NoUsableFrequency,
+    /// The switch-count range leaves no candidate at any usable frequency,
+    /// in any phase the mode allows: the sweep would test no constraint.
+    NoCandidates,
 }
 
 impl fmt::Display for SynthesisError {
@@ -246,6 +249,9 @@ impl fmt::Display for SynthesisError {
             Self::NoUsableFrequency => {
                 write!(f, "no frequency in the sweep supports any switch size")
             }
+            Self::NoCandidates => {
+                write!(f, "the switch-count range leaves no candidate to sweep")
+            }
         }
     }
 }
@@ -255,7 +261,7 @@ impl Error for SynthesisError {
         match self {
             Self::Config(e) => Some(e),
             Self::Spec(e) => Some(e),
-            Self::NoUsableFrequency => None,
+            Self::NoUsableFrequency | Self::NoCandidates => None,
         }
     }
 }

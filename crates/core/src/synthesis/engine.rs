@@ -15,7 +15,7 @@ use crate::phase2;
 use crate::place::{LpStats, PlacementSolver};
 use crate::spec::{CommSpec, SocSpec};
 use crate::topology::Topology;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -83,6 +83,9 @@ struct CandidateEvaluation {
     /// θ steps whose partition repeated the previous attempt, so the
     /// previous rejection was reused instead of evaluating it again.
     repeated_attempts: u64,
+    /// Shove-layout probes this candidate accrued (same per-candidate
+    /// determinism contract as `lp_stats`).
+    shove_probes: u64,
 }
 
 impl CandidateEvaluation {
@@ -96,13 +99,14 @@ impl CandidateEvaluation {
             anneal_stats: AnnealStats::default(),
             routing_stats: RoutingStats::default(),
             repeated_attempts: 0,
+            shove_probes: 0,
         }
     }
 }
 
 /// One call of [`SynthesisEngine::try_candidate`]: the partition to try at
 /// `freq`, and the candidate's routing workspace, placement solver and
-/// tempered-layout counters it works in.
+/// layout counters it works in.
 struct Attempt<'a> {
     freq: f64,
     conn: &'a Connectivity,
@@ -112,6 +116,7 @@ struct Attempt<'a> {
     alloc: &'a mut PathAllocator,
     placement: &'a mut PlacementSolver,
     anneal: &'a mut AnnealStats,
+    shove_probes: &'a mut u64,
 }
 
 /// Whether two partitions make the same attempt: the same core
@@ -142,6 +147,8 @@ struct ThetaStep {
     /// candidate of the count attempted that one just before, so this
     /// does not depend on the candidate.
     repeats: bool,
+    /// The counters of computing `partition`.
+    stats: PartitionStats,
 }
 
 /// One Phase-1 switch count of a run: its seed partition on the PG and the
@@ -158,7 +165,7 @@ struct Chain<'s> {
     steps: Mutex<Vec<ThetaStep>>,
     /// The longest θ list a committed candidate of this count had: the
     /// steps the run has counted so far.
-    committed: AtomicU64,
+    committed: AtomicUsize,
 }
 
 /// The chain of switch count `count`.
@@ -226,9 +233,10 @@ impl<'a> SynthesisEngine<'a> {
     /// # Errors
     ///
     /// [`SynthesisError::Spec`] for inconsistent specifications,
-    /// [`SynthesisError::Config`] for an invalid configuration and
+    /// [`SynthesisError::Config`] for an invalid configuration,
     /// [`SynthesisError::NoUsableFrequency`] when no swept frequency admits
-    /// any switch.
+    /// any switch and [`SynthesisError::NoCandidates`] when the switch-count
+    /// range leaves no candidate at any of them.
     pub fn new(
         soc: &'a SocSpec,
         comm: &CommSpec,
@@ -246,6 +254,15 @@ impl<'a> SynthesisEngine<'a> {
         let Some(&first) = frequencies.first() else {
             return Err(SynthesisError::NoUsableFrequency);
         };
+        let phase1 = match cfg.mode {
+            SynthesisMode::Phase2Only => Vec::new(),
+            _ => phase1_candidates(&cfg, soc, first),
+        };
+        let phase2 = cfg.mode != SynthesisMode::Phase1Only
+            && frequencies.iter().any(|&f| !phase2_candidates(&cfg, soc, f).is_empty());
+        if phase1.is_empty() && !phase2 {
+            return Err(SynthesisError::NoCandidates);
+        }
         let graph = CommGraph::new(soc, comm);
         let transit_switches = (0..soc.layers)
             .filter_map(|layer| {
@@ -267,26 +284,24 @@ impl<'a> SynthesisEngine<'a> {
         // same seeds. Switch counts do not depend on the frequency.
         let mut cache = PartitionCache::new();
         let mut seeds = Vec::new();
-        if cfg.mode != SynthesisMode::Phase2Only {
-            let mut prev: Option<Vec<u32>> = None;
-            for candidate in phase1_candidates(&cfg, soc, first) {
-                let count = candidate.sweep.value();
-                let seed = phase1::connectivity_cached(
-                    &graph,
-                    soc,
-                    count,
-                    cfg.alpha,
-                    None,
-                    cfg.theta_max,
-                    cfg.rng_seed,
-                    prev.as_deref(),
-                    &mut cache,
-                );
-                if let Ok(conn) = &seed {
-                    prev = Some(assignment(conn));
-                }
-                seeds.push((count, seed));
+        let mut prev: Option<Vec<u32>> = None;
+        for candidate in phase1 {
+            let count = candidate.sweep.value();
+            let seed = phase1::connectivity_cached(
+                &graph,
+                soc,
+                count,
+                cfg.alpha,
+                None,
+                cfg.theta_max,
+                cfg.rng_seed,
+                prev.as_deref(),
+                &mut cache,
+            );
+            if let Ok(conn) = &seed {
+                prev = Some(assignment(conn));
             }
+            seeds.push((count, seed));
         }
         Ok(Self {
             soc,
@@ -392,7 +407,7 @@ impl<'a> SynthesisEngine<'a> {
                 count: *count,
                 seed,
                 steps: Mutex::default(),
-                committed: AtomicU64::new(0),
+                committed: AtomicUsize::new(0),
             })
             .collect()
     }
@@ -528,16 +543,20 @@ impl<'a> SynthesisEngine<'a> {
         if let SweepParam::SwitchCount(count) = ev.candidate.sweep {
             let chain = chain(chains, count);
             outcome.partition_stats.base_cache_hits += u64::from(chain.seed.is_ok());
-            let steps = ev.thetas.len() as u64;
-            let fresh = steps.saturating_sub(chain.committed.fetch_max(steps, Ordering::Relaxed));
-            outcome.partition_stats.warm_partitions += fresh;
-            outcome.partition_stats.spg_derivations += fresh;
-            outcome.shared_theta_steps += steps - fresh;
+            let steps = ev.thetas.len();
+            let counted = chain.committed.fetch_max(steps, Ordering::Relaxed);
+            // Poison recovery: see `theta_step`.
+            let computed = chain.steps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            for step in computed.get(counted..steps).unwrap_or_default() {
+                outcome.partition_stats += step.stats;
+            }
+            outcome.shared_theta_steps += steps.min(counted) as u64;
         }
         outcome.lp_stats += ev.lp_stats;
         outcome.anneal_stats += ev.anneal_stats;
         outcome.routing_stats += ev.routing_stats;
         outcome.repeated_attempts += ev.repeated_attempts;
+        outcome.shove_probes += ev.shove_probes;
         outcome.rejected.extend(ev.attempts);
         match ev.point {
             Some(point) => {
@@ -638,6 +657,7 @@ impl<'a> SynthesisEngine<'a> {
             alloc,
             placement,
             anneal: &mut ev.anneal_stats,
+            shove_probes: &mut ev.shove_probes,
         }) {
             Ok(point) => {
                 ev.point = Some(point);
@@ -652,7 +672,7 @@ impl<'a> SynthesisEngine<'a> {
         while theta <= cfg.theta_max + 1e-9 {
             let step = ev.thetas.len();
             ev.thetas.push(theta);
-            if let ThetaStep { partition: Ok(conn), repeats } =
+            if let ThetaStep { partition: Ok(conn), repeats, .. } =
                 self.theta_step(chain, step, theta, seed)
             {
                 let reason = if repeats {
@@ -667,6 +687,7 @@ impl<'a> SynthesisEngine<'a> {
                         alloc,
                         placement,
                         anneal: &mut ev.anneal_stats,
+                        shove_probes: &mut ev.shove_probes,
                     }) {
                         Ok(point) => {
                             ev.point = Some(point);
@@ -704,8 +725,8 @@ impl<'a> SynthesisEngine<'a> {
         debug_assert_eq!(steps.len(), step, "θ steps are requested in order");
         let prev = steps.iter().rev().find_map(|s| s.partition.as_ref().ok()).unwrap_or(seed);
         let cfg = &self.cfg;
-        // The chain's steps are counted at commit, so this call's counters
-        // are dropped.
+        // The chain's steps are counted at commit, from `stats`.
+        let mut cache = PartitionCache::new();
         let partition = phase1::connectivity_cached(
             &self.graph,
             self.soc,
@@ -715,10 +736,10 @@ impl<'a> SynthesisEngine<'a> {
             cfg.theta_max,
             cfg.rng_seed,
             Some(&assignment(prev)),
-            &mut PartitionCache::new(),
+            &mut cache,
         );
         let repeats = partition.as_ref().is_ok_and(|conn| same_attempt(conn, prev));
-        let done = ThetaStep { partition, repeats };
+        let done = ThetaStep { partition, repeats, stats: cache.stats };
         steps.push(done.clone());
         done
     }
@@ -746,6 +767,7 @@ impl<'a> SynthesisEngine<'a> {
                 alloc,
                 placement,
                 anneal: &mut ev.anneal_stats,
+                shove_probes: &mut ev.shove_probes,
             }) {
                 Ok(point) => ev.point = Some(point),
                 Err(reason) => ev.attempts.push(RejectedPoint {
@@ -780,11 +802,11 @@ impl<'a> SynthesisEngine<'a> {
     }
 
     /// Routes, places, lays out and evaluates one connectivity candidate,
-    /// applying the indirect-switch fallback on routing failure. Counters
-    /// from the tempered layout path (if configured) accrue into
-    /// `attempt.anneal`.
+    /// applying the indirect-switch fallback on routing failure. Layout
+    /// counters accrue into `attempt.anneal` and `attempt.shove_probes`.
     fn try_candidate(&self, attempt: Attempt<'_>) -> Result<DesignPoint, RejectReason> {
-        let Attempt { freq, conn, phase, adjacent_only, alloc, placement, anneal } = attempt;
+        let Attempt { freq, conn, phase, adjacent_only, alloc, placement, anneal, shove_probes } =
+            attempt;
         let cfg = &self.cfg;
         let soc = self.soc;
         let path_cfg = self.path_config(freq, adjacent_only);
@@ -856,7 +878,9 @@ impl<'a> SynthesisEngine<'a> {
                 *anneal += stats;
                 Some(l)
             } else {
-                Some(layout_design(&mut topo, soc, &cfg.library, cfg.layout_search_radius_mm))
+                let l = layout_design(&mut topo, soc, &cfg.library, cfg.layout_search_radius_mm);
+                *shove_probes += l.shove_probes;
+                Some(l)
             }
         } else {
             None

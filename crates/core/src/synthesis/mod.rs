@@ -225,6 +225,29 @@ mod tests {
         ));
     }
 
+    /// A switch-count range that leaves no candidate in any phase the
+    /// mode allows is an error, not an empty sweep that tests nothing.
+    #[test]
+    fn switch_range_without_candidates_errors() {
+        let (soc, comm) = small_soc();
+        let cfg = |lo, hi, mode| {
+            SynthesisConfig::builder().switch_count_range(lo, hi).mode(mode).build().unwrap()
+        };
+        for mode in [SynthesisMode::Auto, SynthesisMode::Phase1Only, SynthesisMode::Phase2Only] {
+            assert!(matches!(
+                SynthesisEngine::new(&soc, &comm, cfg(9, 12, mode)),
+                Err(SynthesisError::NoCandidates)
+            ));
+        }
+        // Eight cores admit four switches in Phase 1, but no layer of four
+        // cores takes an increment of four in Phase 2.
+        assert!(matches!(
+            SynthesisEngine::new(&soc, &comm, cfg(4, 8, SynthesisMode::Phase2Only)),
+            Err(SynthesisError::NoCandidates)
+        ));
+        assert!(SynthesisEngine::new(&soc, &comm, cfg(4, 8, SynthesisMode::Auto)).is_ok());
+    }
+
     #[test]
     fn invalid_config_is_rejected_before_exploration() {
         let (soc, comm) = small_soc();

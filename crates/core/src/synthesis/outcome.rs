@@ -104,6 +104,10 @@ pub struct SynthesisOutcome {
     /// scheduling-independent; these steps are not in
     /// [`SynthesisOutcome::partition_stats`].
     pub shared_theta_steps: u64,
+    /// [`Layout::shove_probes`] of every shove-insertion layout run,
+    /// rejected attempts included. Counted per candidate like the other
+    /// stats, so the totals are scheduling-independent.
+    pub shove_probes: u64,
 }
 
 impl SynthesisOutcome {

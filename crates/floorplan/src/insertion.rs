@@ -50,6 +50,9 @@ pub struct InsertionResult {
     pub core_displacement: f64,
     /// Total Manhattan deviation of components from their ideal centers.
     pub component_deviation: f64,
+    /// Candidate spots the free-space search tested plus `shove_open`
+    /// calls: an exact measure of the insertion's work.
+    pub probes: u64,
 }
 
 /// Inserts `requests` one at a time into the placement `cores`, returning a
@@ -80,6 +83,7 @@ pub fn insert_components(
 
         let spot = find_free_spot(&placed, w, h, ideal_ll, search_radius, &mut scratch)
             .unwrap_or_else(|| {
+                scratch.probes += 1;
                 shove_open(&mut placed, w, h, ideal_ll);
                 ideal_ll
             });
@@ -102,6 +106,7 @@ pub fn insert_components(
         component_centers: centers,
         core_displacement,
         component_deviation: deviation,
+        probes: scratch.probes,
     }
 }
 
@@ -114,6 +119,8 @@ struct SearchScratch {
     window: Vec<Rect>,
     /// The sample angles of every ring a request of the call has reached.
     units: RingTable,
+    /// [`InsertionResult::probes`] so far.
+    probes: u64,
 }
 
 /// `(cos t_i, sin t_i)`, `t_i = i / 4j · 2π`, of the `4j` sample angles of
@@ -201,7 +208,9 @@ fn find_free_spot(
     );
 
     let mut blocker = 0;
+    let probes = &mut scratch.probes;
     let mut free = |x: f64, y: f64| -> bool {
+        *probes += 1;
         let r = Rect::new(x, y, w, h);
         if window.get(blocker).is_some_and(|p| p.overlaps(&r)) {
             return false;
@@ -467,6 +476,7 @@ mod tests {
             component_centers: centers,
             core_displacement,
             component_deviation: deviation,
+            probes: 0,
         }
     }
 

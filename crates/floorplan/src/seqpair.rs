@@ -110,8 +110,8 @@ impl SequencePair {
     /// O(n) to O(log n) — O(n log n) per pack instead of the longest-path
     /// O(n²). The feasible-prefix scan of the longest-path form survives
     /// as the tree's exclusive prefix query, and because `max` is
-    /// order-insensitive the coordinates are bit-identical to
-    /// [`Self::pack_into_longest_path`] (the retained reference oracle).
+    /// order-insensitive the coordinates are bit-identical to the
+    /// longest-path packing (the reference oracle in this module's tests).
     ///
     /// All scratch vectors are resized in place, so a reused scratch makes
     /// the call allocation-free — this is what keeps the annealer's
@@ -203,73 +203,6 @@ impl SequencePair {
         pack_xy(&self.pos, &self.neg, pp, nn, x, y, fen, w, h)
     }
 
-    /// The retained O(n²) longest-path packing — the reference oracle the
-    /// LCS [`Self::pack_into`] is property-tested against (their outputs
-    /// are bit-identical; see `lcs_matches_longest_path_reference` in the
-    /// crate tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks.len()` or `rotated.len()` disagree with the
-    /// sequence length.
-    pub fn pack_into_longest_path(
-        &self,
-        blocks: &[Block],
-        rotated: &[bool],
-        scratch: &mut PackScratch,
-    ) {
-        let n = self.pos.len();
-        assert_eq!(blocks.len(), n, "block count mismatch");
-        assert_eq!(rotated.len(), n, "rotation flag count mismatch");
-        scratch.resize(n);
-        let PackScratch { pp, nn, x, y, w, h, .. } = scratch;
-
-        for (i, &b) in self.pos.iter().enumerate() {
-            pp[b] = i;
-        }
-        for (i, &b) in self.neg.iter().enumerate() {
-            nn[b] = i;
-        }
-        for b in 0..n {
-            if rotated[b] {
-                w[b] = blocks[b].height;
-                h[b] = blocks[b].width;
-            } else {
-                w[b] = blocks[b].width;
-                h[b] = blocks[b].height;
-            }
-        }
-
-        // x: longest path over the left-of relation; process in P order so
-        // predecessors (earlier in both sequences) are final. The blocks
-        // with `pp[a] < pp[b]` are exactly the prefix of P before `b`, so
-        // only that prefix is scanned (`max` is order-insensitive, so the
-        // result is unchanged).
-        for (i, &b) in self.pos.iter().enumerate() {
-            let nn_b = nn[b];
-            let mut best = 0.0f64;
-            for &a in &self.pos[..i] {
-                if nn[a] < nn_b {
-                    best = best.max(x[a] + w[a]);
-                }
-            }
-            x[b] = best;
-        }
-
-        // y: longest path over the below relation (after in P, before in N);
-        // process in N order so predecessors are final. `nn[a] < nn[b]` is
-        // exactly the prefix of N before `b`.
-        for (i, &b) in self.neg.iter().enumerate() {
-            let pp_b = pp[b];
-            let mut best = 0.0f64;
-            for &a in &self.neg[..i] {
-                if pp[a] > pp_b {
-                    best = best.max(y[a] + h[a]);
-                }
-            }
-            y[b] = best;
-        }
-    }
 }
 
 /// The two LCS coordinate passes shared by [`SequencePair::pack_into`] and
@@ -377,6 +310,108 @@ impl PackScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The O(n²) longest-path packing the LCS [`SequencePair::pack_into`]
+    /// must reproduce bit for bit.
+    fn pack_into_longest_path(
+        sp: &SequencePair,
+        blocks: &[Block],
+        rotated: &[bool],
+        scratch: &mut PackScratch,
+    ) {
+        let n = sp.pos.len();
+        assert_eq!(blocks.len(), n, "block count mismatch");
+        assert_eq!(rotated.len(), n, "rotation flag count mismatch");
+        scratch.resize(n);
+        let PackScratch { pp, nn, x, y, w, h, .. } = scratch;
+
+        for (i, &b) in sp.pos.iter().enumerate() {
+            pp[b] = i;
+        }
+        for (i, &b) in sp.neg.iter().enumerate() {
+            nn[b] = i;
+        }
+        for b in 0..n {
+            if rotated[b] {
+                w[b] = blocks[b].height;
+                h[b] = blocks[b].width;
+            } else {
+                w[b] = blocks[b].width;
+                h[b] = blocks[b].height;
+            }
+        }
+
+        // x: longest path over the left-of relation; process in P order so
+        // predecessors (earlier in both sequences) are final. The blocks
+        // with `pp[a] < pp[b]` are exactly the prefix of P before `b`, so
+        // only that prefix is scanned (`max` is order-insensitive, so the
+        // result is unchanged).
+        for (i, &b) in sp.pos.iter().enumerate() {
+            let nn_b = nn[b];
+            let mut best = 0.0f64;
+            for &a in &sp.pos[..i] {
+                if nn[a] < nn_b {
+                    best = best.max(x[a] + w[a]);
+                }
+            }
+            x[b] = best;
+        }
+
+        // y: longest path over the below relation (after in P, before in N);
+        // process in N order so predecessors are final. `nn[a] < nn[b]` is
+        // exactly the prefix of N before `b`.
+        for (i, &b) in sp.neg.iter().enumerate() {
+            let pp_b = pp[b];
+            let mut best = 0.0f64;
+            for &a in &sp.neg[..i] {
+                if pp[a] > pp_b {
+                    best = best.max(y[a] + h[a]);
+                }
+            }
+            y[b] = best;
+        }
+    }
+
+
+    /// 2–9 blocks together with two random permutations of their indices.
+    fn arb_packing_input() -> impl Strategy<Value = (Vec<Block>, Vec<usize>, Vec<usize>)> {
+        proptest::collection::vec((0.5f64..4.0, 0.5f64..4.0), 2..10).prop_flat_map(|dims| {
+            let n = dims.len();
+            let blocks: Vec<Block> =
+                dims.iter().enumerate().map(|(i, &(w, h))| Block::new(format!("b{i}"), w, h)).collect();
+            let perm = || Just((0..n).collect::<Vec<usize>>()).prop_shuffle();
+            (Just(blocks), perm(), perm())
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The O(n log n) LCS packing must produce the *bit-identical*
+        /// `(x, y, width, height)` results of the O(n²) longest-path
+        /// reference oracle, on arbitrary sequence pairs, block sets and
+        /// per-block rotation flags.
+        #[test]
+        fn lcs_packing_matches_longest_path_oracle(
+            (blocks, pos, neg) in arb_packing_input(),
+            rot_bits in proptest::collection::vec(proptest::bool::ANY, 10..11),
+        ) {
+            let n = blocks.len();
+            let rotated: Vec<bool> = (0..n).map(|i| rot_bits[i % rot_bits.len()]).collect();
+            let sp = SequencePair { pos, neg };
+            let mut lcs = PackScratch::default();
+            let mut reference = PackScratch::default();
+            sp.pack_into(&blocks, &rotated, &mut lcs);
+            pack_into_longest_path(&sp, &blocks, &rotated, &mut reference);
+            for b in 0..n {
+                prop_assert_eq!(lcs.x[b].to_bits(), reference.x[b].to_bits(), "x of block {}", b);
+                prop_assert_eq!(lcs.y[b].to_bits(), reference.y[b].to_bits(), "y of block {}", b);
+                prop_assert_eq!(lcs.w[b].to_bits(), reference.w[b].to_bits(), "w of block {}", b);
+                prop_assert_eq!(lcs.h[b].to_bits(), reference.h[b].to_bits(), "h of block {}", b);
+            }
+        }
+    }
 
     fn squares(n: usize) -> Vec<Block> {
         (0..n).map(|i| Block::new(format!("b{i}"), 1.0, 1.0)).collect()

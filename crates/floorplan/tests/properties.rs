@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sunfloor_floorplan::{
-    anneal, insert_components, AnnealConfig, Block, InsertRequest, PackScratch, PlacedBlock,
+    anneal, insert_components, AnnealConfig, Block, InsertRequest, PlacedBlock,
     SequencePair,
 };
 
@@ -43,30 +43,6 @@ proptest! {
         }
         // Area is at least the sum of cells.
         prop_assert!(plan.area() + 1e-9 >= plan.cell_area());
-    }
-
-    /// The O(n log n) LCS packing must produce the *bit-identical*
-    /// `(x, y, width, height)` results of the retained O(n²) longest-path
-    /// reference oracle, on arbitrary sequence pairs, block sets and
-    /// per-block rotation flags.
-    #[test]
-    fn lcs_packing_matches_longest_path_oracle(
-        (blocks, pos, neg) in arb_packing_input(),
-        rot_bits in proptest::collection::vec(proptest::bool::ANY, 10..11),
-    ) {
-        let n = blocks.len();
-        let rotated: Vec<bool> = (0..n).map(|i| rot_bits[i % rot_bits.len()]).collect();
-        let sp = SequencePair { pos, neg };
-        let mut lcs = PackScratch::default();
-        let mut reference = PackScratch::default();
-        sp.pack_into(&blocks, &rotated, &mut lcs);
-        sp.pack_into_longest_path(&blocks, &rotated, &mut reference);
-        for b in 0..n {
-            prop_assert_eq!(lcs.x[b].to_bits(), reference.x[b].to_bits(), "x of block {}", b);
-            prop_assert_eq!(lcs.y[b].to_bits(), reference.y[b].to_bits(), "y of block {}", b);
-            prop_assert_eq!(lcs.w[b].to_bits(), reference.w[b].to_bits(), "w of block {}", b);
-            prop_assert_eq!(lcs.h[b].to_bits(), reference.h[b].to_bits(), "h of block {}", b);
-        }
     }
 
     /// The annealer always returns a legal plan at least as large as its

@@ -88,6 +88,9 @@ pub(crate) struct Workspace {
     wmat_filled: bool,
     /// Flat `conn[v * parts + p]` for the k-way swap polish.
     connk: Vec<f64>,
+    /// Moves and swaps the FM, k-way and swap passes applied so far,
+    /// rolled-back ones included.
+    pub(crate) applied: u64,
 }
 
 impl Workspace {
@@ -107,6 +110,7 @@ impl Workspace {
             wmat: vec![0.0; node_count * node_count],
             wmat_filled: false,
             connk: Vec::new(),
+            applied: 0,
         }
     }
 
@@ -491,6 +495,7 @@ fn fm_pass(
         }
     }
 
+    ws.applied += ws.moves.len() as u64;
     // Roll back everything after the best balanced prefix. (`gcnt` is
     // rebuilt at the top of every pass, so only `side0`/`conn` need
     // restoring.)
@@ -1019,6 +1024,7 @@ fn kway_fm_refine(
             }
         }
 
+        ws.applied += log.len() as u64;
         // Roll the exploration tail back to the best prefix.
         for &action in log[best_prefix..].iter().rev() {
             match action {
@@ -1108,6 +1114,7 @@ pub(crate) fn kway_swap_refine(g: &WeightedGraph, assignment: &mut [u32], ws: &m
             }
         }
         let Some((u, v)) = best_pair else { break };
+        ws.applied += 1;
         let pu = assignment[u] as usize;
         let pv = assignment[v] as usize;
         assignment[u] = pv as u32;

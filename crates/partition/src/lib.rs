@@ -20,8 +20,11 @@
 //!   are reproducible run to run.
 //!
 //! Vertex counts in this domain are small (tens to a couple of hundred
-//! cores), so the implementation favours clarity over asymptotics: all passes
-//! are `O(n²)` per round.
+//! cores), so the implementation favours clarity over asymptotics. Greedy
+//! growth and a round of the pairwise-swap polish cost `O(n²)`. Warm k-way
+//! refinement does not: each action it takes rescans every pair of
+//! unlocked vertices, and a pass takes up to `n` actions, so one pass costs
+//! `O(n³)`.
 //!
 //! # Example
 //!
@@ -134,6 +137,7 @@ pub struct Partitioning {
     parts: usize,
     /// Total weight of edges whose endpoints land in different blocks.
     pub cut_weight: f64,
+    fm_moves: u64,
 }
 
 impl Partitioning {
@@ -157,6 +161,14 @@ impl Partitioning {
     #[must_use]
     pub fn part_count(&self) -> usize {
         self.parts
+    }
+
+    /// Moves and swaps the run's FM, k-way and swap passes applied,
+    /// rolled-back ones included: an exact measure of its refinement work,
+    /// the same on every run of the same configuration.
+    #[must_use]
+    pub fn fm_moves(&self) -> u64 {
+        self.fm_moves
     }
 
     /// Vertices belonging to block `p`.
@@ -238,12 +250,17 @@ impl WeightedGraph {
         }
 
         if cfg.parts == 1 {
-            return Ok(Partitioning { assignment: vec![0; n], parts: 1, cut_weight: 0.0 });
+            return Ok(Partitioning {
+                assignment: vec![0; n],
+                parts: 1,
+                cut_weight: 0.0,
+                fm_moves: 0,
+            });
         }
         if cfg.parts == n {
             let assignment: Vec<u32> = (0..n as u32).collect();
             let cut = self.cut_weight(&assignment);
-            return Ok(Partitioning { assignment, parts: n, cut_weight: cut });
+            return Ok(Partitioning { assignment, parts: n, cut_weight: cut, fm_moves: 0 });
         }
 
         let mut best: Option<Partitioning> = None;
@@ -253,13 +270,17 @@ impl WeightedGraph {
         // let it compete with the cold restarts. It is evaluated first, so
         // on a tie the warm result wins — warm-started sweeps stay stable
         // when the cold search merely matches them.
-        if let Some(initial) = cfg.initial.as_deref() {
-            if initial.len() == n {
-                let mut assignment = vec![0u32; n];
-                fm::warm_refine(self, initial, cfg.parts, cfg.max_passes, &mut assignment, &mut ws);
-                let cut = self.cut_weight(&assignment);
-                best = Some(Partitioning { assignment, parts: cfg.parts, cut_weight: cut });
-            }
+        let warm = cfg.initial.as_deref().filter(|initial| initial.len() == n);
+        if let Some(initial) = warm {
+            let mut assignment = vec![0u32; n];
+            fm::warm_refine(self, initial, cfg.parts, cfg.max_passes, &mut assignment, &mut ws);
+            let cut = self.cut_weight(&assignment);
+            best = Some(Partitioning {
+                assignment,
+                parts: cfg.parts,
+                cut_weight: cut,
+                fm_moves: 0,
+            });
         }
 
         // With a warm candidate in hand `restarts` may be zero (warm-only);
@@ -286,14 +307,19 @@ impl WeightedGraph {
             fm::kway_swap_refine(self, &mut assignment, &mut ws);
             let cut = self.cut_weight(&assignment);
             if best.as_ref().is_none_or(|b| cut < b.cut_weight) {
-                best = Some(Partitioning { assignment, parts: cfg.parts, cut_weight: cut });
+                best = Some(Partitioning {
+                    assignment,
+                    parts: cfg.parts,
+                    cut_weight: cut,
+                    fm_moves: 0,
+                });
             }
         }
 
         // Warm-started runs trade restart count for refinement depth
         // (hMetis-style V-cycling): the winning assignment gets one final
         // FM polish, which can only lower its cut.
-        if cfg.initial.is_some() {
+        if warm.is_some() {
             if let Some(b) = best.as_mut() {
                 let mut polished = Vec::new();
                 fm::warm_refine(self, &b.assignment, cfg.parts, cfg.max_passes, &mut polished, &mut ws);
@@ -307,7 +333,9 @@ impl WeightedGraph {
         // sf-allow(panic-in-lib): invariant — `cold_restarts` is forced to at
         // least 1 whenever no warm candidate seeded `best`, so one of the two
         // branches above always stores a partitioning before we get here
-        Ok(best.expect("a warm candidate or at least one cold restart ran"))
+        let mut best = best.expect("a warm candidate or at least one cold restart ran");
+        best.fm_moves = ws.applied;
+        Ok(best)
     }
 }
 

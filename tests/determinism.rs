@@ -2,11 +2,15 @@
 //! seeded from configuration, so identical inputs must produce identical
 //! outputs — bit-for-bit, run after run, whatever the thread count.
 
-use sunfloor_benchmarks::{distributed, media26, pipeline_seeded, tvopd_seeded};
+use sunfloor_benchmarks::{distributed, media26, pipeline_seeded, tvopd_seeded, Benchmark};
 use sunfloor_core::graph::PartitionStats;
+use sunfloor_core::layout::AnnealStats;
 use sunfloor_core::place::LpStats;
 use sunfloor_core::spec::MessageType;
-use sunfloor_core::synthesis::{PhaseKind, SynthesisConfig, SynthesisEngine, SynthesisOutcome};
+use sunfloor_core::synthesis::{
+    Parallelism, PhaseKind, SynthesisConfig, SynthesisConfigBuilder, SynthesisEngine,
+    SynthesisOutcome,
+};
 use sunfloor_core::RoutingStats;
 use sunfloor_floorplan::{
     anneal, anneal_tempered, anneal_tempered_with_stats, AnnealConfig, Block, Floorplan, Net,
@@ -134,31 +138,15 @@ fn assert_no_worse_than_cold(out: &SynthesisOutcome, power_mw: f64, hops: f64, n
     );
 }
 
-/// Pins the work counters a sweep reports (the benchmark's per-op counter
-/// lines read the same values), so a change that keeps the outcome but
-/// changes how many partitions, LP solves, routed flows or reused θ-step
-/// rejections produced it fails here.
-fn assert_counters(
-    out: &SynthesisOutcome,
-    partition: PartitionStats,
-    lp: LpStats,
-    routing: RoutingStats,
-    repeated_attempts: u64,
-    name: &str,
-) {
-    assert_eq!(
-        out.partition_stats, partition,
-        "{name}: partition counters drifted"
-    );
-    assert_eq!(out.lp_stats, lp, "{name}: placement-LP counters drifted");
-    assert_eq!(
-        out.routing_stats, routing,
-        "{name}: routing counters drifted"
-    );
-    assert_eq!(
-        out.repeated_attempts, repeated_attempts,
-        "{name}: repeated θ-step attempts drifted"
-    );
+/// Pins every work counter a sweep reports: all of the outcome but its
+/// points and rejections. Each is exact and a pure function of the
+/// configuration, so a change that keeps the outcome but does more or less
+/// work in some layer (partitioning, routing, placement, shove or tempered
+/// layout) or reuses fewer θ steps fails here. `expected` holds no points
+/// or rejections.
+fn assert_counters(out: &SynthesisOutcome, expected: SynthesisOutcome, name: &str) {
+    let counters = SynthesisOutcome { points: Vec::new(), rejected: Vec::new(), ..out.clone() };
+    assert_eq!(counters, expected, "{name}: work counters drifted");
 }
 
 fn mix(h: &mut u64, v: u64) {
@@ -290,21 +278,27 @@ fn golden_media26_full_flow_is_reproducible_and_no_worse_than_cold_start() {
     );
     assert_counters(
         &out,
-        PartitionStats {
-            base_cache_hits: 3,
-            warm_partitions: 7,
-            cold_partitions: 1,
-            spg_derivations: 5,
+        SynthesisOutcome {
+            partition_stats: PartitionStats {
+                base_cache_hits: 3,
+                warm_partitions: 7,
+                cold_partitions: 1,
+                spg_derivations: 5,
+                fm_moves: 1828,
+            },
+            lp_stats: LpStats { cold_solves: 4, ..LpStats::default() },
+            routing_stats: RoutingStats {
+                flows_routed: 76,
+                links_created: 10,
+                deadlock_rollbacks: 0,
+                class_merges: 0,
+                merge_fallbacks: 0,
+                dijkstra_pops: 41,
+            },
+            shove_probes: 844,
+            repeated_attempts: 2,
+            ..SynthesisOutcome::default()
         },
-        LpStats { cold_solves: 4, ..LpStats::default() },
-        RoutingStats {
-            flows_routed: 76,
-            links_created: 10,
-            deadlock_rollbacks: 0,
-            class_merges: 0,
-            merge_fallbacks: 0,
-        },
-        2,
         "media26",
     );
 }
@@ -437,21 +431,27 @@ fn golden_dense36_shove_layout_is_reproducible() {
     );
     assert_counters(
         &out,
-        PartitionStats {
-            base_cache_hits: 5,
-            warm_partitions: 19,
-            cold_partitions: 1,
-            spg_derivations: 15,
+        SynthesisOutcome {
+            partition_stats: PartitionStats {
+                base_cache_hits: 5,
+                warm_partitions: 19,
+                cold_partitions: 1,
+                spg_derivations: 15,
+                fm_moves: 7809,
+            },
+            lp_stats: LpStats { cold_solves: 16, ..LpStats::default() },
+            routing_stats: RoutingStats {
+                flows_routed: 1152,
+                links_created: 102,
+                deadlock_rollbacks: 1,
+                class_merges: 0,
+                merge_fallbacks: 0,
+                dijkstra_pops: 2984,
+            },
+            shove_probes: 16602,
+            repeated_attempts: 12,
+            ..SynthesisOutcome::default()
         },
-        LpStats { cold_solves: 16, ..LpStats::default() },
-        RoutingStats {
-            flows_routed: 1152,
-            links_created: 102,
-            deadlock_rollbacks: 1,
-            class_merges: 0,
-            merge_fallbacks: 0,
-        },
-        12,
         "D_36_8",
     );
 }
@@ -489,21 +489,27 @@ fn golden_dense36_router_tie_order_is_pinned() {
     );
     assert_counters(
         &out,
-        PartitionStats {
-            base_cache_hits: 31,
-            warm_partitions: 115,
-            cold_partitions: 1,
-            spg_derivations: 85,
+        SynthesisOutcome {
+            partition_stats: PartitionStats {
+                base_cache_hits: 31,
+                warm_partitions: 115,
+                cold_partitions: 1,
+                spg_derivations: 85,
+                fm_moves: 52807,
+            },
+            lp_stats: LpStats { cold_solves: 88, ..LpStats::default() },
+            routing_stats: RoutingStats {
+                flows_routed: 6336,
+                links_created: 1824,
+                deadlock_rollbacks: 5,
+                class_merges: 0,
+                merge_fallbacks: 0,
+                dijkstra_pops: 46878,
+            },
+            shove_probes: 368494,
+            repeated_attempts: 69,
+            ..SynthesisOutcome::default()
         },
-        LpStats { cold_solves: 88, ..LpStats::default() },
-        RoutingStats {
-            flows_routed: 6336,
-            links_created: 1824,
-            deadlock_rollbacks: 5,
-            class_merges: 0,
-            merge_fallbacks: 0,
-        },
-        69,
         "D_36_8 300 MHz",
     );
 }
@@ -541,24 +547,199 @@ fn golden_dense36_theta_chains_are_shared_across_frequencies() {
     );
     assert_counters(
         &out,
-        PartitionStats {
-            base_cache_hits: 27,
-            warm_partitions: 53,
-            cold_partitions: 1,
-            spg_derivations: 45,
+        SynthesisOutcome {
+            partition_stats: PartitionStats {
+                base_cache_hits: 27,
+                warm_partitions: 53,
+                cold_partitions: 1,
+                spg_derivations: 45,
+                fm_moves: 20017,
+            },
+            lp_stats: LpStats { cold_solves: 76, ..LpStats::default() },
+            routing_stats: RoutingStats {
+                flows_routed: 5472,
+                links_created: 719,
+                deadlock_rollbacks: 62,
+                class_merges: 0,
+                merge_fallbacks: 0,
+                dijkstra_pops: 20426,
+            },
+            shove_probes: 125408,
+            repeated_attempts: 64,
+            shared_theta_steps: 35,
+            ..SynthesisOutcome::default()
         },
-        LpStats { cold_solves: 76, ..LpStats::default() },
-        RoutingStats {
-            flows_routed: 5472,
-            links_created: 719,
-            deadlock_rollbacks: 62,
-            class_merges: 0,
-            merge_fallbacks: 0,
-        },
-        64,
         "D_36_8 three frequencies",
     );
-    assert_eq!(out.shared_theta_steps, 35, "shared θ steps drifted");
+}
+
+/// One row of [`golden_perfbench_panels_pin_outcomes_and_work_counters`].
+struct PanelRow {
+    name: &'static str,
+    bench: Benchmark,
+    cfg: SynthesisConfigBuilder,
+    points: usize,
+    rejected: usize,
+    outcome: u64,
+    rejections: u64,
+    counters: SynthesisOutcome,
+}
+
+/// Golden regression on the four perfbench workloads at member seed 1000.
+/// Each row runs the workload's design with the flags
+/// `perfbench/src/workload.rs` passes to `sunfloor3d`, built through the
+/// builder as the CLI builds them, and pins both fingerprints and every
+/// work counter. A change that does more work in one layer — Phase-1 seed
+/// chain or θ steps (FM moves), routing (Dijkstra pops), placement (axis
+/// solves), shove layout (probes) or tempered layout (anneals, replica
+/// swaps) — fails here even when the outcome holds, on any host. Time is
+/// perfbench's job. A parallel row is also run serially, which must change
+/// neither the outcome nor a counter.
+#[test]
+#[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences flip SA decisions elsewhere")]
+fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
+    const SEED: u64 = 1000;
+    let flags = || SynthesisConfig::builder().rng_seed(SEED).jobs(1);
+    let rows = [
+        PanelRow {
+            name: "media26",
+            bench: media26(),
+            cfg: flags(),
+            points: 24,
+            rejected: 12,
+            outcome: 0xe348_674c_6c24_87a4,
+            rejections: 0x4198_e064_529d_0583,
+            counters: SynthesisOutcome {
+                partition_stats: PartitionStats {
+                    base_cache_hits: 26,
+                    warm_partitions: 35,
+                    cold_partitions: 1,
+                    spg_derivations: 10,
+                    fm_moves: 15_564,
+                },
+                lp_stats: LpStats { cold_solves: 48, ..LpStats::default() },
+                routing_stats: RoutingStats {
+                    flows_routed: 912,
+                    links_created: 478,
+                    deadlock_rollbacks: 0,
+                    dijkstra_pops: 3503,
+                    ..RoutingStats::default()
+                },
+                shove_probes: 51_607,
+                repeated_attempts: 8,
+                ..SynthesisOutcome::default()
+            },
+        },
+        PanelRow {
+            name: "dense36",
+            bench: distributed(8),
+            cfg: flags().frequencies_mhz([300.0, 400.0, 500.0]),
+            points: 61,
+            rejected: 407,
+            outcome: 0x1b85_bf51_50a1_2e6c,
+            rejections: 0xd718_2367_35c6_0f35,
+            counters: SynthesisOutcome {
+                partition_stats: PartitionStats {
+                    base_cache_hits: 108,
+                    warm_partitions: 205,
+                    cold_partitions: 1,
+                    spg_derivations: 170,
+                    fm_moves: 88_008,
+                },
+                lp_stats: LpStats { cold_solves: 314, ..LpStats::default() },
+                routing_stats: RoutingStats {
+                    flows_routed: 22_608,
+                    links_created: 6657,
+                    deadlock_rollbacks: 97,
+                    dijkstra_pops: 197_406,
+                    ..RoutingStats::default()
+                },
+                shove_probes: 1_669_081,
+                repeated_attempts: 294,
+                shared_theta_steps: 190,
+                ..SynthesisOutcome::default()
+            },
+        },
+        PanelRow {
+            name: "pipe128",
+            bench: pipeline_seeded(128, SEED),
+            cfg: flags().frequency_mhz(200.0).switch_count_range(1, 32).switch_count_step(2),
+            points: 12,
+            rejected: 25,
+            outcome: 0x7f51_6d4d_3be8_6164,
+            rejections: 0xf38d_52bb_e35e_80dd,
+            counters: SynthesisOutcome {
+                partition_stats: PartitionStats {
+                    base_cache_hits: 16,
+                    warm_partitions: 36,
+                    cold_partitions: 1,
+                    spg_derivations: 21,
+                    fm_moves: 67_057,
+                },
+                lp_stats: LpStats { cold_solves: 30, ..LpStats::default() },
+                routing_stats: RoutingStats {
+                    flows_routed: 2385,
+                    links_created: 285,
+                    deadlock_rollbacks: 0,
+                    dijkstra_pops: 3707,
+                    ..RoutingStats::default()
+                },
+                shove_probes: 55_430,
+                repeated_attempts: 16,
+                ..SynthesisOutcome::default()
+            },
+        },
+        PanelRow {
+            name: "tempered",
+            bench: media26(),
+            cfg: flags().anneal_replicas(2).jobs(2),
+            points: 24,
+            rejected: 12,
+            outcome: 0x5281_0574_a50f_8a6b,
+            rejections: 0x4198_e064_529d_0583,
+            counters: SynthesisOutcome {
+                partition_stats: PartitionStats {
+                    base_cache_hits: 26,
+                    warm_partitions: 35,
+                    cold_partitions: 1,
+                    spg_derivations: 10,
+                    fm_moves: 15_564,
+                },
+                lp_stats: LpStats { cold_solves: 48, ..LpStats::default() },
+                routing_stats: RoutingStats {
+                    flows_routed: 912,
+                    links_created: 478,
+                    deadlock_rollbacks: 0,
+                    dijkstra_pops: 3503,
+                    ..RoutingStats::default()
+                },
+                anneal_stats: AnnealStats { runs: 72, swap_attempts: 576, swap_accepts: 330 },
+                shove_probes: 0,
+                repeated_attempts: 8,
+                ..SynthesisOutcome::default()
+            },
+        },
+    ];
+    for row in rows {
+        let name = row.name;
+        let cfg = row.cfg.build().unwrap();
+        let run = |cfg: SynthesisConfig| {
+            SynthesisEngine::new(&row.bench.soc, &row.bench.comm, cfg).unwrap().run()
+        };
+        let out = run(cfg.clone());
+        assert_eq!(
+            (out.points.len(), out.rejected.len()),
+            (row.points, row.rejected),
+            "{name}: feasible and rejected counts drifted"
+        );
+        assert_eq!(fingerprint_outcome(&out), row.outcome, "{name}: outcome drifted");
+        assert_eq!(fingerprint_rejections(&out), row.rejections, "{name}: rejections drifted");
+        assert_counters(&out, row.counters, name);
+        if cfg.parallelism.effective_jobs() > 1 {
+            let serial = SynthesisConfig { parallelism: Parallelism::Serial, ..cfg };
+            assert_eq!(run(serial), out, "{name}: --jobs 1 changed the outcome or a counter");
+        }
+    }
 }
 
 /// Golden regression for reused θ-step rejections: `tvopd_seeded(9)` at
