@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use sunfloor_baselines::{optimized_mesh, MeshConfig};
-use sunfloor_benchmarks::{distributed, media26, Benchmark};
+use sunfloor_benchmarks::{distributed, media26, pipeline_seeded, Benchmark};
 use sunfloor_core::graph::{CommGraph, PartitionCache};
 use sunfloor_core::paths::{PathAllocator, PathConfig};
 use sunfloor_core::phase1;
@@ -237,6 +237,39 @@ fn bench_partition_warm(c: &mut Criterion) {
     group.finish();
 }
 
+/// The warm chain step on a 128-core pipeline at k = 15, seeded by the
+/// k = 14 partition: blocks of about 8 cores, so the warm k-way
+/// refinement selects its actions by block-pair search (the media26 k = 8
+/// step's blocks of about 3 take the vertex-pair scan).
+fn bench_partition_warm_pipe128(c: &mut Criterion) {
+    let bench = pipeline_seeded(128, 1000);
+    let graph = CommGraph::new(&bench.soc, &bench.comm);
+    let mut cache = PartitionCache::new();
+    let prev = phase1::connectivity_cached(
+        &graph, &bench.soc, 14, 0.6, None, 15.0, 0xC0FFEE, None, &mut cache,
+    )
+    .unwrap();
+    let warm: Vec<u32> = prev.core_attach.iter().map(|&a| a as u32).collect();
+    let mut group = c.benchmark_group("partition_warm_pipe128");
+    group.bench_function("warm_chain_step_k15", |b| {
+        b.iter(|| {
+            phase1::connectivity_cached(
+                black_box(&graph),
+                &bench.soc,
+                15,
+                0.6,
+                None,
+                15.0,
+                0xC0FFEE,
+                Some(&warm),
+                &mut cache,
+            )
+            .unwrap()
+        });
+    });
+    group.finish();
+}
+
 /// The θ-escalation SPG builders at the media26 escalation point (k=8,
 /// θ=7): the sparse production path, which folds the same-layer weak
 /// clique into a group attraction and keeps the `O(|flows|)` edge set,
@@ -343,6 +376,7 @@ criterion_group!(
     benches,
     bench_partition,
     bench_partition_warm,
+    bench_partition_warm_pipe128,
     bench_placement,
     bench_insertion,
     bench_phase1_connectivity,

@@ -86,8 +86,8 @@ pub(crate) struct Workspace {
     wmat: Vec<f64>,
     /// Whether `wmat` has been filled for this graph yet.
     wmat_filled: bool,
-    /// Flat `conn[v * parts + p]` for the k-way swap polish.
-    connk: Vec<f64>,
+    /// Scratch of the warm k-way refinement's block-pair action search.
+    search: BlockSearch,
     /// Moves and swaps the FM, k-way and swap passes applied so far,
     /// rolled-back ones included.
     pub(crate) applied: u64,
@@ -109,7 +109,7 @@ impl Workspace {
             spill: Vec::new(),
             wmat: vec![0.0; node_count * node_count],
             wmat_filled: false,
-            connk: Vec::new(),
+            search: BlockSearch::default(),
             applied: 0,
         }
     }
@@ -134,6 +134,11 @@ impl Workspace {
 /// edge weights plus, when the graph carries a [`GroupAttraction`], the
 /// implicit same-group weight — the swap-gain correction term needs the
 /// *total* pair weight.
+///
+/// No total is negative, which the block search's swap bounds rely on:
+/// edges are stored positive, and a same-group edge compensated to
+/// `x − w` gets `w` back here (rounding is monotone, so `(x − w) + w ≥ 0`
+/// for `x > 0`).
 fn fill_wmat(g: &WeightedGraph, ws: &mut Workspace) {
     if ws.wmat_filled {
         return;
@@ -154,6 +159,7 @@ fn fill_wmat(g: &WeightedGraph, ws: &mut Workspace) {
             }
         }
     }
+    debug_assert!(ws.wmat.iter().all(|&w| w >= 0.0), "a pair weight is negative");
     ws.wmat_filled = true;
 }
 
@@ -761,14 +767,14 @@ fn bisect_members(
     (mask, cut)
 }
 
-/// Splits one block in two under the next free label. Every block is a
-/// candidate: each is FM-bisected and the block whose halves are most
-/// weakly coupled wins (ties prefer the larger block — better balance —
-/// then the lower label).
 /// The winning split candidate: `(cross weight, size, label, members,
 /// side-0 mask)`.
 type SplitChoice = (f64, usize, u32, Vec<usize>, Vec<bool>);
 
+/// Splits one block in two under the next free label. Every block is a
+/// candidate: each is FM-bisected and the block whose halves are most
+/// weakly coupled wins (ties prefer the larger block — better balance —
+/// then the lower label).
 fn split_best_block(
     g: &WeightedGraph,
     assignment: &mut [u32],
@@ -887,6 +893,30 @@ impl<'a> Connectivity<'a> {
         }
     }
 
+    /// Writes `gain(v, from, p)` for every block `p` into `out` (the entry
+    /// at `from` itself is meaningless) and raises `maxes[p]` to it — the
+    /// same bits as [`Self::gain`], in one loop the compiler can vectorize.
+    fn gains_from(&self, v: usize, from: usize, out: &mut [f64], maxes: &mut [f64]) {
+        let row = &self.conn[v * self.parts..(v + 1) * self.parts];
+        let own = row[from];
+        let entries = out.iter_mut().zip(row).zip(maxes.iter_mut());
+        match self.at {
+            Some(a) => {
+                let w = a.weight();
+                for ((g, &c), max) in entries {
+                    *g = c - own + w;
+                    *max = if *g > *max { *g } else { *max };
+                }
+            }
+            None => {
+                for ((g, &c), max) in entries {
+                    *g = c - own;
+                    *max = if *g > *max { *g } else { *max };
+                }
+            }
+        }
+    }
+
     fn apply_move(
         &mut self,
         g: &WeightedGraph,
@@ -917,12 +947,407 @@ impl<'a> Connectivity<'a> {
 
 /// One warm-refinement action, logged so the tail of an FM pass can be
 /// rolled back to the best prefix.
-#[derive(Clone, Copy)]
-enum Action {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Action {
     /// `(vertex, from-block, to-block)`.
     Move(usize, u32, u32),
-    /// `(u, u's old block, v, v's old block)` — the two swapped blocks.
+    /// `(v, v's old block, u, u's old block)` with `v < u` — the two
+    /// swapped blocks.
     Swap(usize, u32, usize, u32),
+}
+
+/// Per action, the block-pair search runs when the unlocked vertices
+/// number at least this many times the blocks holding one; below that its
+/// `O(m·k)` gain table and `O(k²)` pair bounds cost more than the `O(m²)`
+/// vertex-pair scan. Measured on the perfbench panels (engine runs on a
+/// 2-vCPU Xeon): pipe128 took the same time at 2 and 3 and 20% more at 4,
+/// and dense36's partitioning time did not move between 2, 3, 4 and the
+/// scan alone. pipe128 (128 cores, k ≤ 31) runs the block search; the
+/// k > n/2 calls of dense36 and media26 run the scan.
+const BLOCK_SEARCH_RATIO: usize = 3;
+
+/// The pass state one action selection of [`kway_fm_refine`] reads.
+pub(crate) struct PassState<'s> {
+    graph: &'s WeightedGraph,
+    assignment: &'s [u32],
+    sizes: &'s [usize],
+    conn: &'s Connectivity<'s>,
+    /// Unlocked vertices, ascending.
+    unlocked: &'s [u32],
+    /// How many blocks hold an unlocked vertex.
+    filled_blocks: usize,
+    /// Dense pair weights, attraction included; none is negative.
+    wmat: &'s [f64],
+    /// The small block size `⌊n/k⌋`.
+    base: usize,
+}
+
+/// The best action offered so far under the vertex-pair scan's order: the
+/// largest gain, ties going to the smallest scan key — `(v, 0, p)` for a
+/// move of `v` into `p`, `(v, 1, u)` for a swap of `v < u`.
+struct Best {
+    gain: f64,
+    key: (usize, usize, usize),
+    action: Option<Action>,
+}
+
+impl Best {
+    fn new() -> Self {
+        Self { gain: f64::NEG_INFINITY, key: (usize::MAX, 0, 0), action: None }
+    }
+
+    /// Ties compare with `==`, so `0.0` and `-0.0` tie exactly as the
+    /// scan's strict `>` lets them.
+    fn offer(&mut self, gain: f64, key: (usize, usize, usize), action: Action) {
+        if gain > self.gain || (gain == self.gain && self.action.is_some() && key < self.key) {
+            *self = Self { gain, key, action: Some(action) };
+        }
+    }
+
+    fn into_choice(self) -> Option<(Action, f64)> {
+        self.action.map(|a| (a, self.gain))
+    }
+}
+
+/// The unlocked vertices of each block, ascending.
+#[derive(Default)]
+struct BlockLists {
+    /// `members[start[p]..start[p + 1]]` lists block `p`'s vertices.
+    start: Vec<usize>,
+    members: Vec<u32>,
+    /// Per-block write cursor while the lists are built.
+    cursor: Vec<usize>,
+    /// The blocks holding an unlocked vertex, ascending.
+    filled: Vec<usize>,
+    /// A move goes from a `⌈n/k⌉` block (a donor holding an unlocked
+    /// vertex) into a `⌊n/k⌋` one (a receiver).
+    donors: Vec<usize>,
+    receivers: Vec<usize>,
+}
+
+impl BlockLists {
+    fn of(&self, p: usize) -> &[u32] {
+        &self.members[self.start[p]..self.start[p + 1]]
+    }
+}
+
+/// Gains of the unlocked vertices into every block, with per-(block,
+/// target) upper bounds.
+#[derive(Default)]
+struct GainTable {
+    /// Whether each vertex is unlocked.
+    live: Vec<bool>,
+    /// `gain[v * k + p]`: the gain of moving unlocked `v` into block `p`.
+    gain: Vec<f64>,
+    /// `gmax[a * k + b]`: an upper bound on the `gain` of every unlocked
+    /// block-`a` member into `b`. A row refresh only raises it and a lock
+    /// leaves it, so it can run high; a scan of `a`'s members against `b`
+    /// sets it to the exact maximum again.
+    gmax: Vec<f64>,
+}
+
+impl GainTable {
+    /// Recomputes every unlocked vertex's gains and the exact maxima.
+    fn sweep_all(&mut self, s: &PassState<'_>, lists: &BlockLists) {
+        let (n, parts) = (s.assignment.len(), s.sizes.len());
+        self.live.clear();
+        self.live.resize(n, false);
+        self.gain.resize(n * parts, 0.0);
+        self.gmax.resize(parts * parts, f64::NEG_INFINITY);
+        for &v in s.unlocked {
+            self.live[v as usize] = true;
+        }
+        for a in 0..parts {
+            let maxes = &mut self.gmax[a * parts..(a + 1) * parts];
+            maxes.fill(f64::NEG_INFINITY);
+            for &x in lists.of(a) {
+                let x = x as usize;
+                s.conn.gains_from(x, a, &mut self.gain[x * parts..(x + 1) * parts], maxes);
+            }
+        }
+    }
+
+    /// Locks the vertices `action` moved and recomputes the gain rows
+    /// whose connectivity it changed: the moved vertices' neighbors and,
+    /// with a [`GroupAttraction`], their groups.
+    fn refresh(&mut self, s: &PassState<'_>, action: Action) {
+        let (v, u) = match action {
+            Action::Move(v, _, _) => (v, None),
+            Action::Swap(v, _, u, _) => (v, Some(u)),
+        };
+        for moved in [Some(v), u].into_iter().flatten() {
+            self.live[moved] = false;
+        }
+        for moved in [Some(v), u].into_iter().flatten() {
+            for &(t, _) in s.graph.neighbors(moved) {
+                self.refresh_row(s, t as usize);
+            }
+        }
+        if let Some(at) = s.conn.at {
+            let gv = at.group_of()[v];
+            let gu = u.map(|u| at.group_of()[u]).filter(|&gu| gu != gv);
+            for grp in [Some(gv), gu].into_iter().flatten() {
+                for &x in &s.conn.members[grp as usize] {
+                    self.refresh_row(s, x as usize);
+                }
+            }
+        }
+    }
+
+    fn refresh_row(&mut self, s: &PassState<'_>, x: usize) {
+        if !self.live[x] {
+            return;
+        }
+        let parts = s.sizes.len();
+        let a = s.assignment[x] as usize;
+        s.conn.gains_from(
+            x,
+            a,
+            &mut self.gain[x * parts..(x + 1) * parts],
+            &mut self.gmax[a * parts..(a + 1) * parts],
+        );
+    }
+
+    /// Offers every move of a block-`a` member into block `b`, and sets
+    /// `gmax[a][b]` to the exact maximum.
+    fn scan_moves(
+        &mut self,
+        lists: &BlockLists,
+        s: &PassState<'_>,
+        a: usize,
+        b: usize,
+        best: &mut Best,
+    ) {
+        let parts = s.sizes.len();
+        let mut max = f64::NEG_INFINITY;
+        for &x in lists.of(a) {
+            let x = x as usize;
+            let gx = self.gain[x * parts + b];
+            max = if gx > max { gx } else { max };
+            best.offer(gx, (x, 0, b), Action::Move(x, a as u32, b as u32));
+        }
+        self.gmax[a * parts + b] = max;
+    }
+
+    /// Offers every swap between blocks `a` and `b` that can reach the
+    /// best gain, and sets `gmax[a][b]` and `gmax[b][a]` to the exact
+    /// maxima. A swap's gain `g(x) + g(y) − 2·w(x, y)` is at most `g(x) +
+    /// g(y)`, so a member `x` of `a` is skipped when `g(x) + max g(·, b→a)`
+    /// is below the best, and a partner `y` when `g(x) + g(y)` is.
+    fn scan_swaps(
+        &mut self,
+        lists: &BlockLists,
+        s: &PassState<'_>,
+        a: usize,
+        b: usize,
+        best: &mut Best,
+    ) {
+        let parts = s.sizes.len();
+        let n = s.assignment.len();
+        let mut top_b = f64::NEG_INFINITY;
+        for &y in lists.of(b) {
+            let gy = self.gain[y as usize * parts + a];
+            top_b = if gy > top_b { gy } else { top_b };
+        }
+        let mut top_a = f64::NEG_INFINITY;
+        for &x in lists.of(a) {
+            let x = x as usize;
+            let gx = self.gain[x * parts + b];
+            top_a = if gx > top_a { gx } else { top_a };
+            if gx + top_b < best.gain {
+                continue;
+            }
+            for &y in lists.of(b) {
+                let y = y as usize;
+                let gy = self.gain[y * parts + a];
+                if gx + gy < best.gain {
+                    continue;
+                }
+                let (lo, hi) = (x.min(y), x.max(y));
+                let (plo, phi) = if lo == x { (a, b) } else { (b, a) };
+                let gain = gx + gy - 2.0 * s.wmat[lo * n + hi];
+                best.offer(gain, (lo, 1, hi), Action::Swap(lo, plo as u32, hi, phi as u32));
+            }
+        }
+        self.gmax[a * parts + b] = top_a;
+        self.gmax[b * parts + a] = top_b;
+    }
+}
+
+/// Scratch and incremental state of the block-pair action search, kept in
+/// [`Workspace`] so that no action allocates.
+///
+/// Between two searches of one pass, the pass applies the returned action.
+/// That changes the connectivity of the moved vertices' neighbors (and,
+/// with a [`GroupAttraction`], of their groups) only, so the next search
+/// recomputes just those gain rows. A pass start or a scan-selected action
+/// in between invalidates the table, and the next search sweeps it whole.
+#[derive(Default)]
+pub(crate) struct BlockSearch {
+    lists: BlockLists,
+    table: GainTable,
+    /// The action the previous search returned, while `table` holds for
+    /// the unlocked vertices once the rows it touched are recomputed;
+    /// `None` makes the next search sweep.
+    last: Option<Action>,
+}
+
+impl BlockSearch {
+    /// Forgets the gain table: the next search sweeps it whole.
+    fn invalidate(&mut self) {
+        self.last = None;
+    }
+
+    /// Builds the per-block unlocked member lists.
+    fn collect_blocks(&mut self, s: &PassState<'_>) {
+        let parts = s.sizes.len();
+        let l = &mut self.lists;
+        l.start.clear();
+        l.start.resize(parts + 1, 0);
+        for &v in s.unlocked {
+            l.start[s.assignment[v as usize] as usize + 1] += 1;
+        }
+        l.filled.clear();
+        l.donors.clear();
+        l.receivers.clear();
+        for p in 0..parts {
+            if l.start[p + 1] > 0 {
+                l.filled.push(p);
+                if s.sizes[p] == s.base + 1 {
+                    l.donors.push(p);
+                }
+            }
+            if s.sizes[p] == s.base {
+                l.receivers.push(p);
+            }
+            l.start[p + 1] += l.start[p];
+        }
+        l.cursor.clear();
+        l.cursor.extend_from_slice(&l.start[..parts]);
+        l.members.clear();
+        l.members.resize(s.unlocked.len(), 0);
+        for &v in s.unlocked {
+            let c = &mut l.cursor[s.assignment[v as usize] as usize];
+            l.members[*c] = v;
+            *c += 1;
+        }
+    }
+
+    /// The exact best action; the pass must apply it before the next
+    /// search. The gain table bounds each block pair: the moves of `a`
+    /// into `b` by `gmax[a][b]`, the a–b swaps by `gmax[a][b] +
+    /// gmax[b][a]` (pair weights are not negative). The pair with the top
+    /// bound, of either kind, is scanned first; every other pair is
+    /// skipped only if its bound (re-read, as scans tighten `gmax`) is
+    /// below the best gain — strict `<`, so ties are still visited.
+    /// Rounding is monotone, so no gain exceeds its pair's bound.
+    pub(crate) fn best_action(&mut self, s: &PassState<'_>) -> Option<(Action, f64)> {
+        self.collect_blocks(s);
+        let (lists, table) = (&self.lists, &mut self.table);
+        match self.last {
+            Some(last) => table.refresh(s, last),
+            None => table.sweep_all(s, lists),
+        }
+        let parts = s.sizes.len();
+        let swap_bound =
+            |t: &GainTable, a: usize, b: usize| t.gmax[a * parts + b] + t.gmax[b * parts + a];
+        // The pair with the top bound: `(bound, swap?, a, b)`.
+        let mut top: Option<(f64, bool, usize, usize)> = None;
+        let mut consider = |bound: f64, swap: bool, a: usize, b: usize| {
+            if top.is_none_or(|(t, ..)| bound > t) {
+                top = Some((bound, swap, a, b));
+            }
+        };
+        for &a in &lists.donors {
+            for &b in &lists.receivers {
+                consider(table.gmax[a * parts + b], false, a, b);
+            }
+        }
+        for (i, &a) in lists.filled.iter().enumerate() {
+            for &b in &lists.filled[i + 1..] {
+                consider(swap_bound(table, a, b), true, a, b);
+            }
+        }
+
+        let mut best = Best::new();
+        if let Some((_, top_swap, ta, tb)) = top {
+            if top_swap {
+                table.scan_swaps(lists, s, ta, tb, &mut best);
+            } else {
+                table.scan_moves(lists, s, ta, tb, &mut best);
+            }
+            for &a in &lists.donors {
+                for &b in &lists.receivers {
+                    if (top_swap, a, b) != (false, ta, tb) && table.gmax[a * parts + b] >= best.gain
+                    {
+                        table.scan_moves(lists, s, a, b, &mut best);
+                    }
+                }
+            }
+            for (i, &a) in lists.filled.iter().enumerate() {
+                for &b in &lists.filled[i + 1..] {
+                    if (top_swap, a, b) != (true, ta, tb) && swap_bound(table, a, b) >= best.gain {
+                        table.scan_swaps(lists, s, a, b, &mut best);
+                    }
+                }
+            }
+        }
+        let choice = best.into_choice();
+        self.last = choice.map(|(action, _)| action);
+        choice
+    }
+}
+
+/// The vertex-pair scan: for each unlocked vertex in ascending order, its
+/// moves (ascending target block), then its swaps with every later
+/// unlocked vertex, keeping only strictly larger gains — so ties go to the
+/// first action in that order. `O(m²)` for `m` unlocked vertices.
+pub(crate) fn scan_best_action(s: &PassState<'_>) -> Option<(Action, f64)> {
+    let n = s.assignment.len();
+    let mut best_gain = f64::NEG_INFINITY;
+    let mut best_action: Option<Action> = None;
+    for (i, &v32) in s.unlocked.iter().enumerate() {
+        let v = v32 as usize;
+        let pv = s.assignment[v];
+        if s.sizes[pv as usize] == s.base + 1 {
+            for p in 0..s.sizes.len() as u32 {
+                if p != pv && s.sizes[p as usize] == s.base {
+                    let gain = s.conn.gain(v, pv, p);
+                    if gain > best_gain {
+                        best_gain = gain;
+                        best_action = Some(Action::Move(v, pv, p));
+                    }
+                }
+            }
+        }
+        for &u32v in &s.unlocked[i + 1..] {
+            let u = u32v as usize;
+            let pu = s.assignment[u];
+            if pu == pv {
+                continue;
+            }
+            let gain = s.conn.gain(v, pv, pu) + s.conn.gain(u, pu, pv) - 2.0 * s.wmat[v * n + u];
+            if gain > best_gain {
+                best_gain = gain;
+                best_action = Some(Action::Swap(v, pv, u, pu));
+            }
+        }
+    }
+    best_action.map(|a| (a, best_gain))
+}
+
+/// Selects a pass's next action: the block-pair search when the blocks
+/// holding an unlocked vertex hold [`BLOCK_SEARCH_RATIO`] each on average,
+/// the vertex-pair scan otherwise. Both return the same action with the
+/// same gain bits.
+// sf: hot-path
+pub(crate) fn select_action(s: &PassState<'_>, search: &mut BlockSearch) -> Option<(Action, f64)> {
+    if s.unlocked.len() >= BLOCK_SEARCH_RATIO * s.filled_blocks {
+        search.best_action(s)
+    } else {
+        search.invalidate();
+        scan_best_action(s)
+    }
 }
 
 /// Fiduccia–Mattheyses-style k-way refinement under the exact near-equal
@@ -931,12 +1356,34 @@ enum Action {
 /// only moves preserving the envelope) and pairwise swaps — *accepting
 /// negative gains* to climb out of local optima, then keeps the best
 /// prefix of the sequence. Passes repeat until one fails to improve.
+///
+/// Each action is the best over all unlocked vertices, ties going to the
+/// first in the vertex-pair scan's order ([`scan_best_action`]). With `m`
+/// unlocked vertices in `k` blocks, [`select_action`] finds it by the
+/// `O(m²)` scan when `m < 3k` and otherwise by the exact block-pair search
+/// ([`BlockSearch::best_action`]): a gain table swept in `O(m·k)` at the
+/// start of a run of searches and then updated on the rows each action
+/// touches, `O(k²)` pair bounds, and the members of the pairs whose bound
+/// reaches the best gain. The action sequence, every gain's bits and the
+/// kept prefix are the scan's.
 fn kway_fm_refine(
     g: &WeightedGraph,
     assignment: &mut [u32],
     parts: usize,
     max_passes: u32,
     ws: &mut Workspace,
+) {
+    kway_fm_refine_with(g, assignment, parts, max_passes, ws, select_action);
+}
+
+/// [`kway_fm_refine`] with the action selector as a parameter.
+pub(crate) fn kway_fm_refine_with(
+    g: &WeightedGraph,
+    assignment: &mut [u32],
+    parts: usize,
+    max_passes: u32,
+    ws: &mut Workspace,
+    mut select: impl FnMut(&PassState<'_>, &mut BlockSearch) -> Option<(Action, f64)>,
 ) {
     let n = assignment.len();
     if parts < 2 || n < 2 {
@@ -949,16 +1396,17 @@ fn kway_fm_refine(
     // Dense pair weights: the swap-gain correction term is looked up O(1)
     // instead of scanning adjacency lists in the inner loop.
     fill_wmat(g, ws);
-    let wmat = &ws.wmat;
+    let (wmat, search) = (&ws.wmat, &mut ws.search);
+    let mut unlocked_in = vec![0usize; parts];
 
     const EPS: f64 = 1e-12;
     for _ in 0..max_passes {
-        // Shrinking ascending roster of unlocked vertices: each action's
-        // O(|roster|²) rescan visits (v, u) pairs in the same ascending
-        // order the previous locked-flag scan did, so the selected action
-        // sequence is bit-identical while the scan cost drops from
-        // actions·n² to Σ m² as the pass locks vertices.
+        search.invalidate();
+        // Shrinking ascending roster of unlocked vertices, with their
+        // count per block and the number of blocks holding one.
         let mut unlocked: Vec<u32> = (0..n as u32).collect();
+        unlocked_in.copy_from_slice(&sizes);
+        let mut filled_blocks = sizes.iter().filter(|&&size| size > 0).count();
         let mut log: Vec<Action> = Vec::with_capacity(n);
         let mut running = 0.0f64;
         let mut best_total = 0.0f64;
@@ -967,57 +1415,39 @@ fn kway_fm_refine(
         loop {
             // Best action over unlocked vertices: gains may be negative —
             // the pass commits to exploration and the prefix cut decides.
-            let mut best_gain = f64::NEG_INFINITY;
-            let mut best_action: Option<Action> = None;
-            for (i, &v32) in unlocked.iter().enumerate() {
-                let v = v32 as usize;
-                let pv = assignment[v];
-                if sizes[pv as usize] == base + 1 {
-                    for p in 0..parts as u32 {
-                        if p != pv && sizes[p as usize] == base {
-                            let gain = conn.gain(v, pv, p);
-                            if gain > best_gain {
-                                best_gain = gain;
-                                best_action = Some(Action::Move(v, pv, p));
-                            }
-                        }
-                    }
-                }
-                for &u32v in &unlocked[i + 1..] {
-                    let u = u32v as usize;
-                    let pu = assignment[u];
-                    if pu == pv {
-                        continue;
-                    }
-                    let gain =
-                        conn.gain(v, pv, pu) + conn.gain(u, pu, pv) - 2.0 * wmat[v * n + u];
-                    if gain > best_gain {
-                        best_gain = gain;
-                        best_action = Some(Action::Swap(v, pv, u, pu));
-                    }
-                }
-            }
-            let Some(action) = best_action else { break };
-            let lock = |unlocked: &mut Vec<u32>, v: usize| {
+            let state = PassState {
+                graph: g,
+                assignment,
+                sizes: &sizes,
+                conn: &conn,
+                unlocked: &unlocked,
+                filled_blocks,
+                wmat,
+                base,
+            };
+            let Some((action, gain)) = select(&state, search) else { break };
+            let mut lock = |v: usize, from: u32| {
                 if let Ok(pos) = unlocked.binary_search(&(v as u32)) {
                     unlocked.remove(pos);
                 }
+                unlocked_in[from as usize] -= 1;
+                filled_blocks -= usize::from(unlocked_in[from as usize] == 0);
             };
             match action {
-                Action::Move(v, _, to) => {
+                Action::Move(v, from, to) => {
                     conn.apply_move(g, assignment, &mut sizes, v, to);
-                    lock(&mut unlocked, v);
+                    lock(v, from);
                     log.push(action);
                 }
                 Action::Swap(v, pv, u, pu) => {
                     conn.apply_move(g, assignment, &mut sizes, v, pu);
                     conn.apply_move(g, assignment, &mut sizes, u, pv);
-                    lock(&mut unlocked, v);
-                    lock(&mut unlocked, u);
+                    lock(v, pv);
+                    lock(u, pu);
                     log.push(action);
                 }
             }
-            running += best_gain;
+            running += gain;
             if running > best_total + EPS {
                 best_total = running;
                 best_prefix = log.len();
@@ -1047,8 +1477,8 @@ fn kway_fm_refine(
 /// every block size unchanged, so balance is preserved exactly. The
 /// dense pair-weight matrix (filled once per `partition` call, attraction
 /// included) replaces the adjacency-list `edge_weight` scan in the O(n²)
-/// inner loop; the attraction part of each one-sided gain comes from the
-/// per-(group, block) member counts.
+/// inner loop; the attraction part of each one-sided gain is folded into
+/// the [`Connectivity`] table.
 pub(crate) fn kway_swap_refine(g: &WeightedGraph, assignment: &mut [u32], ws: &mut Workspace) {
     let n = assignment.len();
     let parts = assignment.iter().copied().max().map_or(0, |p| p as usize + 1);
@@ -1056,37 +1486,7 @@ pub(crate) fn kway_swap_refine(g: &WeightedGraph, assignment: &mut [u32], ws: &m
         return;
     }
     fill_wmat(g, ws);
-    // conn[v * parts + p] = weight from v into block p — stored edges
-    // plus, with an attraction, the folded `weight · (group members in p)`
-    // term, exactly like `Connectivity`: the O(n²) pair scan then pays
-    // nothing per evaluation for the attraction.
-    ws.connk.clear();
-    ws.connk.resize(n * parts, 0.0);
-    let conn = &mut ws.connk;
-    for v in 0..n {
-        for &(u, w) in g.neighbors(v) {
-            conn[v * parts + assignment[u as usize] as usize] += w;
-        }
-    }
-    let at = g.attraction();
-    let mut members: Vec<Vec<u32>> = Vec::new();
-    if let Some(a) = at {
-        let ng = a.group_count().max(1);
-        members = vec![Vec::new(); ng];
-        for (v, &gv) in a.group_of().iter().enumerate() {
-            members[gv as usize].push(v as u32);
-        }
-        let mut cnt = vec![0u32; ng * parts];
-        for (v, &b) in assignment.iter().enumerate() {
-            cnt[a.group_of()[v] as usize * parts + b as usize] += 1;
-        }
-        for (v, row) in conn.chunks_mut(parts).enumerate() {
-            let base = a.group_of()[v] as usize * parts;
-            for (p, c) in row.iter_mut().enumerate() {
-                *c += a.weight() * f64::from(cnt[base + p]);
-            }
-        }
-    }
+    let Connectivity { mut conn, at, members, .. } = Connectivity::new(g, assignment, parts);
     // Both one-sided folded gains undercount by `weight` (each endpoint
     // counts itself in its source block), and `wmat` carries the pair's
     // attraction, so the swap delta gains a flat `2·weight` bonus. Adding
@@ -1119,6 +1519,9 @@ pub(crate) fn kway_swap_refine(g: &WeightedGraph, assignment: &mut [u32], ws: &m
         let pv = assignment[v] as usize;
         assignment[u] = pv as u32;
         assignment[v] = pu as u32;
+        // Not two `Connectivity::apply_move`s: this update order (both
+        // edge passes, then both groups, none for a same-group swap) is
+        // what the swap polish's sums have always been rounded in.
         for &(t, w) in g.neighbors(u) {
             let t = t as usize;
             conn[t * parts + pu] -= w;

@@ -219,6 +219,98 @@ fn wrong_length_initial_is_ignored_not_fatal() {
     assert_eq!(with_bad_initial, cold, "a wrong-length initial must fall back to cold");
 }
 
+/// Every action one warm k-way refinement applied, with its gain's bits,
+/// then the final assignment and the applied-action count.
+type RefineTrace = (Vec<(fm::Action, u64)>, Vec<u32>, u64);
+
+/// Runs the warm k-way refinement from `initial` with `select` choosing
+/// each action.
+fn refine_trace(
+    g: &WeightedGraph,
+    initial: &[u32],
+    parts: usize,
+    mut select: impl FnMut(&fm::PassState<'_>, &mut fm::BlockSearch) -> Option<(fm::Action, f64)>,
+) -> RefineTrace {
+    let mut assignment = initial.to_vec();
+    let mut ws = fm::Workspace::new(g.node_count());
+    let mut log = Vec::new();
+    fm::kway_fm_refine_with(g, &mut assignment, parts, 10, &mut ws, |s, search| {
+        let choice = select(s, search);
+        if let Some((action, gain)) = choice {
+            log.push((action, gain.to_bits()));
+        }
+        choice
+    });
+    (log, assignment, ws.applied)
+}
+
+/// A seeded random graph for the action-search oracle. Integer weights
+/// make equal gains common, so the tie order is exercised; an attraction
+/// of weight 3 over integer edges of weight 1..=4 leaves some compensated
+/// stored edges negative.
+fn oracle_graph(n: usize, seed: u64, integer: bool, attraction: bool) -> WeightedGraph {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let density = rng.gen_range(0.03..0.4);
+    let mut g = WeightedGraph::new(n);
+    for a in 0..n {
+        for b in (a + 1)..n {
+            if rng.gen_bool(density) {
+                let w = if integer {
+                    f64::from(rng.gen_range(1u32..5))
+                } else {
+                    rng.gen_range(0.5..20.0)
+                };
+                g.add_edge(a, b, w);
+            }
+        }
+    }
+    if attraction {
+        let groups = rng.gen_range(1u32..5);
+        let group_of = (0..n).map(|_| rng.gen_range(0..groups)).collect();
+        let weight = if integer { 3.0 } else { rng.gen_range(0.1..5.0) };
+        g.set_group_attraction(group_of, weight);
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+    /// The block-pair action search against the vertex-pair scan it
+    /// replaces: the same actions with the same gain bits, the same final
+    /// assignment and the same work count — forced onto every state, and
+    /// through the production path choice.
+    #[test]
+    fn block_search_matches_the_vertex_pair_scan(
+        n in 8usize..160,
+        k_pick in 0usize..10_000,
+        seed in 0u64..1_000_000,
+        integer in proptest::bool::ANY,
+        attraction in proptest::bool::ANY,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let parts = 2 + k_pick % (n - 2);
+        let g = oracle_graph(n, seed, integer, attraction);
+        // A random assignment inside the near-equal size envelope.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x5eed));
+        let mut initial = vec![0u32; n];
+        for (i, &v) in order.iter().enumerate() {
+            initial[v] = (i % parts) as u32;
+        }
+
+        let scan = refine_trace(&g, &initial, parts, |s, _| fm::scan_best_action(s));
+        let block = refine_trace(&g, &initial, parts, |s, search| search.best_action(s));
+        let production = refine_trace(&g, &initial, parts, fm::select_action);
+        prop_assert!(block == scan, "block search diverged from the scan (n {}, k {})", n, parts);
+        prop_assert!(production == scan, "production path diverged (n {}, k {})", n, parts);
+    }
+}
+
 proptest! {
     #[test]
     fn warm_start_from_arbitrary_labels_stays_balanced(

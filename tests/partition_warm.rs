@@ -8,7 +8,7 @@ use sunfloor_benchmarks::{media26, pipeline_seeded, tvopd_seeded, Benchmark};
 use sunfloor_core::graph::{CommGraph, PartitionCache};
 use sunfloor_core::phase1;
 use sunfloor_core::synthesis::{SweepEvent, SynthesisConfig, SynthesisEngine};
-use sunfloor_partition::PartitionConfig;
+use sunfloor_partition::{PartitionConfig, WeightedGraph};
 
 const SEED: u64 = 0x51B0_A7E5;
 const ALPHA: f64 = 1.0;
@@ -69,6 +69,46 @@ fn adjacent_count_warm_chain_is_deterministic_and_no_worse_than_cold() {
             );
         }
     }
+}
+
+/// Folds one warm-only partition of `g` into the FNV-1a hash `h`: its
+/// assignment, its cut's bits and its refinement work. Returns the
+/// assignment.
+fn fold_warm_partition(h: &mut u64, g: &WeightedGraph, k: usize, initial: &[u32]) -> Vec<u32> {
+    let mut cfg = PartitionConfig::k_way(k).with_seed(SEED).with_initial(initial.to_vec());
+    cfg.restarts = 0;
+    let p = g.partition(&cfg).unwrap();
+    let words = p.assignment().iter().map(|&a| u64::from(a));
+    for word in words.chain([p.cut_weight.to_bits(), p.fm_moves()]) {
+        for byte in word.to_le_bytes() {
+            *h = (*h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    p.assignment().to_vec()
+}
+
+/// The 128-core pipeline (generator seed 1000, as in the perfbench
+/// pipe128 panel) through a warm chain at k = 3..=31, each step followed
+/// by a θ step on the sparse SPG with its same-layer group attraction.
+/// Blocks of 4–40 cores send the warm k-way refinement through the
+/// block-pair action search, the group attraction through its group
+/// updates. The pinned fingerprint was taken from the vertex-pair scan the
+/// search replaced, so the partitions, cuts and `fm_moves` must be the
+/// scan's, bit for bit.
+#[test]
+fn pipe128_warm_partitions_match_the_vertex_pair_scan() {
+    let bench = pipeline_seeded(128, 1000);
+    let graph = CommGraph::new(&bench.soc, &bench.comm);
+    let pg = graph.partitioning_graph(ALPHA);
+    let spg = graph.scaled_partitioning_graph(&bench.soc, ALPHA, 7.0, THETA_MAX);
+    assert!(spg.attraction().is_some(), "the θ-step SPG must carry a group attraction");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut prev: Vec<u32> = (0..128u32).map(|v| v % 2).collect();
+    for k in 3..=31 {
+        prev = fold_warm_partition(&mut h, &pg, k, &prev);
+        fold_warm_partition(&mut h, &spg, k, &prev);
+    }
+    assert_eq!(h, 0xce73_f7b5_1014_92f5, "pipe128 warm partitions moved: {h:#018x}");
 }
 
 /// θ-escalation warm starts, along the escalation trajectories the engine
