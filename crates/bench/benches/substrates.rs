@@ -11,8 +11,9 @@ use sunfloor_core::graph::{CommGraph, PartitionCache};
 use sunfloor_core::paths::{PathAllocator, PathConfig};
 use sunfloor_core::phase1;
 use sunfloor_floorplan::{
-    anneal, anneal_tempered, insert_components, AnnealConfig, Block, InsertRequest, Net,
-    PackScratch, PlacedBlock, SequencePair, TemperConfig,
+    anneal, anneal_tempered, anneal_tempered_constrained_with_stats, insert_components,
+    AnnealConfig, Block, ConstrainedInput, InsertRequest, Net, PackScratch, PlacedBlock,
+    SequencePair, TemperConfig,
 };
 use sunfloor_lp::{PlacementProblem, PlacementWorkspace};
 use sunfloor_models::NocLibrary;
@@ -363,6 +364,46 @@ fn bench_anneal_tempering(c: &mut Criterion) {
     group.finish();
 }
 
+/// One layer of the tempered layout at its real shape: 10 order-frozen
+/// cores on a grid and 5 NoC components pulled toward ideal centers, no
+/// nets, 2 replicas × 8,000 moves multiplexed onto one thread (what a
+/// parallel sweep's worker runs per layer).
+fn bench_anneal_tempered_layer(c: &mut Criterion) {
+    let mut placed: Vec<PlacedBlock> = (0..10)
+        .map(|i| {
+            let (col, row) = (f64::from(i % 4), f64::from(i / 4));
+            let block = Block::new(format!("core{i}"), 1.5 + col * 0.2, 1.2 + row * 0.3);
+            PlacedBlock::new(block, col * 2.2, row * 2.0)
+        })
+        .collect();
+    let mut ideal = vec![None; placed.len()];
+    for k in 0..5 {
+        let side = 0.4 + f64::from(k % 3) * 0.1;
+        let (x, y) = (1.0 + f64::from(k) * 1.6, 0.9 + f64::from(k % 2) * 2.1);
+        let block = Block::new(format!("sw{k}"), side, side);
+        placed.push(PlacedBlock::new(block, x - side / 2.0, y - side / 2.0));
+        ideal.push(Some((x, y, 2.0)));
+    }
+    let input = ConstrainedInput {
+        seed: SequencePair::from_placement(&placed),
+        blocks: placed.iter().map(|p| p.block.clone()).collect(),
+        ideal,
+        fixed_order_count: 10,
+    };
+    let cfg = TemperConfig {
+        base: AnnealConfig::default().with_iterations(8_000).with_seed(1000),
+        replicas: 2,
+        threads: 1,
+        ..TemperConfig::default()
+    };
+    let mut group = c.benchmark_group("anneal_tempered_layer");
+    group.sample_size(10);
+    group.bench_function("15blocks_5movable", |b| {
+        b.iter(|| anneal_tempered_constrained_with_stats(black_box(&input), &[], &cfg));
+    });
+    group.finish();
+}
+
 fn bench_mesh_mapping(c: &mut Criterion) {
     let bench = distributed(4);
     let lib = NocLibrary::lp65();
@@ -384,6 +425,7 @@ criterion_group!(
     bench_theta_sparse_vs_dense,
     bench_annealer,
     bench_anneal_tempering,
+    bench_anneal_tempered_layer,
     bench_pack_lcs,
     bench_mesh_mapping
 );

@@ -25,7 +25,8 @@
 //! step through the parallel-tempering floorplanner with `n` replicas; the
 //! result depends only on `n` and the seed, never on thread scheduling, and
 //! replica threading automatically collapses to one thread per candidate
-//! when `--jobs` already saturates the machine.
+//! when `--jobs` already saturates the machine. More than 64 replicas is a
+//! usage error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -308,10 +309,11 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
     let anneal = outcome.anneal_stats;
     if anneal.runs > 0 {
         report.push_str(&format!(
-            "tempered layout: {} anneals, {} replica swaps attempted ({:.0}% accepted)\n",
+            "tempered layout: {} anneals, {} replica swaps attempted ({:.0}% accepted), {} reused\n",
             anneal.runs,
             anneal.swap_attempts,
-            anneal.swap_acceptance() * 100.0
+            anneal.swap_acceptance() * 100.0,
+            anneal.reused
         ));
     }
     if outcome.repeated_attempts > 0 {
@@ -720,11 +722,32 @@ mod tests {
             "2",
         ];
         let serial = run(&Options::parse(&args(&base)).unwrap()).unwrap();
-        assert!(serial.contains("tempered layout:"), "{serial}");
+        let line = serial.lines().find(|l| l.starts_with("tempered layout: ")).unwrap_or_default();
+        assert!(line.ends_with(" reused"), "{serial}");
         let mut with_jobs: Vec<&str> = base.to_vec();
         with_jobs.extend(["--jobs", "3"]);
         let parallel = run(&Options::parse(&args(&with_jobs)).unwrap()).unwrap();
         assert_eq!(serial, parallel, "--jobs must not change the tempered report");
+    }
+
+    #[test]
+    fn too_many_anneal_replicas_is_a_usage_error() {
+        // Rejected while building the configuration, before any engine or
+        // anneal (which would spawn a thread per replica) exists.
+        let (cores, comm) = write_specs("replicas");
+        let opts = Options::parse(&args(&[
+            "--cores",
+            cores.to_str().unwrap(),
+            "--comm",
+            comm.to_str().unwrap(),
+            "--anneal-replicas",
+            "100000",
+        ]))
+        .unwrap();
+        let err = run(&opts).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        let limit = "100000 annealer replicas exceed the limit of 64";
+        assert!(err.to_string().contains(limit), "{err}");
     }
 
     #[test]

@@ -8,7 +8,10 @@
 
 use crate::spec::SocSpec;
 use crate::topology::Topology;
+use std::collections::BTreeMap;
 use std::ops::AddAssign;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use sunfloor_floorplan::{
     anneal_tempered_constrained_with_stats, insert_components, Block, ConstrainedInput, Floorplan,
     IdealTarget, InsertRequest, PlacedBlock, SequencePair, TemperConfig,
@@ -40,17 +43,21 @@ impl Layout {
     }
 }
 
-/// Counters from the tempered-annealing layout path, accumulated per
-/// candidate like `PartitionStats`/`LpStats` so serial and parallel sweeps
-/// report identical totals.
+/// Counters from the tempered-annealing layout path. A sweep counts them
+/// at commit, in candidate order, so serial and parallel sweeps report
+/// identical totals: what a serial sweep performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnnealStats {
-    /// Tempered layer anneals executed.
+    /// Tempered layer anneals performed: layer layouts whose anneal input
+    /// no earlier layout of the run had.
     pub runs: u64,
-    /// Replica-exchange attempts across all runs.
+    /// Replica-exchange attempts across those runs.
     pub swap_attempts: u64,
-    /// Replica-exchange acceptances across all runs.
+    /// Replica-exchange acceptances across those runs.
     pub swap_accepts: u64,
+    /// Layer layouts that reused the anneal of an earlier layout of the
+    /// run with the same input.
+    pub reused: u64,
 }
 
 impl AnnealStats {
@@ -73,7 +80,86 @@ impl AddAssign for AnnealStats {
         self.runs += rhs.runs;
         self.swap_attempts += rhs.swap_attempts;
         self.swap_accepts += rhs.swap_accepts;
+        self.reused += rhs.reused;
     }
+}
+
+/// The exact bits of one layer anneal's varying input: the layer index and
+/// each NoC component's width, height and ideal center, in request order.
+/// Everything else the anneal reads is constant within a run: the layer's
+/// cores, the per-layer seed and the `TemperConfig`. Block names are not
+/// part of it, so `sw3` and `sw5` of the same geometry share an anneal.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct LayerKey {
+    layer: u32,
+    components: Vec<[u64; 4]>,
+}
+
+impl LayerKey {
+    fn new(layer: u32, requests: &[InsertRequest]) -> Self {
+        let components = requests
+            .iter()
+            .map(|r| {
+                let b = &r.block;
+                [b.width.to_bits(), b.height.to_bits(), r.ideal.0.to_bits(), r.ideal.1.to_bits()]
+            })
+            .collect();
+        Self { layer, components }
+    }
+}
+
+/// What one layer anneal produced: every block's `(x, y, rotated)` in
+/// input order (cores, then components), and its replica-exchange counts.
+#[derive(Debug)]
+struct Annealed {
+    positions: Vec<(f64, f64, bool)>,
+    swap_attempts: u64,
+    swap_accepts: u64,
+}
+
+/// One layer anneal of a run, shared by every layout with its key.
+#[derive(Debug, Default)]
+pub(crate) struct LayerAnneal {
+    /// Set by the first layout to ask; the others wait for it.
+    result: OnceLock<Annealed>,
+    /// Whether a committed layout has counted this anneal as a run. Only
+    /// the committing thread touches it, so `Relaxed` suffices; `result`
+    /// publishes the anneal itself.
+    counted: AtomicBool,
+}
+
+/// A run's tempered layer anneals, one per distinct [`LayerKey`]. Each key
+/// is annealed exactly once, by whichever worker asks first, even when
+/// several ask at the same time.
+#[derive(Debug, Default)]
+pub(crate) struct LayoutMemo {
+    layers: Mutex<BTreeMap<LayerKey, Arc<LayerAnneal>>>,
+}
+
+impl LayoutMemo {
+    /// The anneal of `key`, created empty on first request.
+    fn entry(&self, key: LayerKey) -> Arc<LayerAnneal> {
+        // Poison recovery: the map only ever holds whole entries.
+        let mut layers = self.layers.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        Arc::clone(layers.entry(key).or_default())
+    }
+}
+
+/// Counts `layouts`, in order: an anneal no earlier counted layout used is
+/// a run, with its swap counts; the others are reused. Called once per
+/// committed candidate, in candidate order.
+pub(crate) fn count_layouts(layouts: &[Arc<LayerAnneal>]) -> AnnealStats {
+    let mut stats = AnnealStats::default();
+    for layer in layouts {
+        if layer.counted.swap(true, Ordering::Relaxed) {
+            stats.reused += 1;
+        } else if let Some(a) = layer.result.get() {
+            stats.runs += 1;
+            stats.swap_attempts += a.swap_attempts;
+            stats.swap_accepts += a.swap_accepts;
+        }
+    }
+    stats
 }
 
 /// The cores of one layer as placed blocks, in `cores_in_layer` order.
@@ -198,7 +284,7 @@ const IDEAL_WEIGHT: f64 = 2.0;
 /// constrained-mode guarantee) but may shift; components are pulled toward
 /// their LP-ideal centers. Rewrites `topo.switch_pos` like
 /// [`layout_design`] and additionally returns the accumulated
-/// [`AnnealStats`].
+/// [`AnnealStats`]: one run per layer.
 ///
 /// The per-layer seed is derived from `temper.base.rng_seed` and the layer
 /// index, so the result is a pure function of `(topo, soc, lib, temper)` —
@@ -210,11 +296,33 @@ pub fn layout_design_tempered(
     lib: &NocLibrary,
     temper: &TemperConfig,
 ) -> (Layout, AnnealStats) {
+    let mut layouts = Vec::new();
+    let layout =
+        layout_design_tempered_memo(topo, soc, lib, temper, &LayoutMemo::default(), &mut layouts);
+    (layout, count_layouts(&layouts))
+}
+
+/// [`layout_design_tempered`] through a run's `memo`: a layer whose
+/// [`LayerKey`] an earlier layout of the run had takes that anneal's
+/// positions instead of annealing again. The floorplan is rebuilt from the
+/// current blocks either way, so names like `sw{s}` and `tsv_l{li}` stay
+/// those of `topo`. Each layer's anneal is appended to `layouts`, for
+/// [`count_layouts`].
+///
+/// `memo` must only ever see one `(soc, lib, temper)`: the key leaves out
+/// what a run holds constant.
+pub(crate) fn layout_design_tempered_memo(
+    topo: &mut Topology,
+    soc: &SocSpec,
+    lib: &NocLibrary,
+    temper: &TemperConfig,
+    memo: &LayoutMemo,
+    layouts: &mut Vec<Arc<LayerAnneal>>,
+) -> Layout {
     let mut plans = Vec::with_capacity(soc.layers as usize);
     let mut areas = Vec::with_capacity(soc.layers as usize);
     let mut core_disp = 0.0;
     let mut sw_dev = 0.0;
-    let mut stats = AnnealStats::default();
 
     for layer in 0..soc.layers {
         let cores = layer_cores(soc, layer);
@@ -241,15 +349,29 @@ pub fn layout_design_tempered(
             ideal,
             fixed_order_count: cores.len(),
         };
-        // Decorrelate layers without losing determinism: the layer index
-        // perturbs the seed through a fixed odd constant.
-        let cfg_layer = temper
-            .clone()
-            .with_seed(temper.base.rng_seed ^ u64::from(layer).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let (plan, tstats) = anneal_tempered_constrained_with_stats(&input, &[], &cfg_layer);
-        stats.runs += 1;
-        stats.swap_attempts += tstats.swap_attempts;
-        stats.swap_accepts += tstats.swap_accepts;
+        let anneal = memo.entry(LayerKey::new(layer, &requests));
+        let annealed = anneal.result.get_or_init(|| {
+            // Decorrelate layers without losing determinism: the layer
+            // index perturbs the seed through a fixed odd constant.
+            let cfg_layer = temper.clone().with_seed(
+                temper.base.rng_seed ^ u64::from(layer).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
+            let (plan, tstats) = anneal_tempered_constrained_with_stats(&input, &[], &cfg_layer);
+            Annealed {
+                positions: plan.blocks.iter().map(|b| (b.x, b.y, b.rotated)).collect(),
+                swap_attempts: tstats.swap_attempts,
+                swap_accepts: tstats.swap_accepts,
+            }
+        });
+        let plan = Floorplan {
+            blocks: input
+                .blocks
+                .into_iter()
+                .zip(&annealed.positions)
+                .map(|(block, &(x, y, rotated))| PlacedBlock { block, x, y, rotated })
+                .collect(),
+        };
+        layouts.push(anneal);
 
         for (i, core) in cores.iter().enumerate() {
             let moved = &plan.blocks[i];
@@ -266,16 +388,13 @@ pub fn layout_design_tempered(
         plans.push(plan);
     }
 
-    (
-        Layout {
-            layers: plans,
-            layer_area_mm2: areas,
-            core_displacement_mm: core_disp,
-            switch_deviation_mm: sw_dev,
-            shove_probes: 0,
-        },
-        stats,
-    )
+    Layout {
+        layers: plans,
+        layer_area_mm2: areas,
+        core_displacement_mm: core_disp,
+        switch_deviation_mm: sw_dev,
+        shove_probes: 0,
+    }
 }
 
 #[cfg(test)]
@@ -410,6 +529,73 @@ mod tests {
         assert_eq!(la, lb, "tempered layout must be a pure function of its inputs");
         assert_eq!(sa, sb);
         assert_eq!(topo_a.switch_pos, topo_b.switch_pos);
+    }
+
+    /// `topo` with its switch ids reversed: the same network, each switch
+    /// under another name.
+    fn reversed_switch_ids(topo: &Topology) -> Topology {
+        let n = topo.switch_count();
+        let id = |s: usize| n - 1 - s;
+        let mut t = topo.clone();
+        for s in 0..n {
+            t.switch_layer[id(s)] = topo.switch_layer[s];
+            t.switch_pos[id(s)] = topo.switch_pos[s];
+        }
+        for l in &mut t.links {
+            (l.from, l.to) = (id(l.from), id(l.to));
+        }
+        for a in &mut t.core_attach {
+            *a = id(*a);
+        }
+        t
+    }
+
+    #[test]
+    fn memo_reuses_same_input_anneals_and_keeps_the_current_names() {
+        let (soc, _, topo) = three_layer_design();
+        let lib = NocLibrary::lp65();
+        let temper = TemperConfig {
+            base: sunfloor_floorplan::AnnealConfig::default().with_iterations(2_000),
+            replicas: 2,
+            ..TemperConfig::default()
+        };
+        let fresh = |t: &Topology| {
+            let mut t = t.clone();
+            let (layout, stats) = layout_design_tempered(&mut t, &soc, &lib, &temper);
+            (layout, t.switch_pos, stats)
+        };
+        let memo = LayoutMemo::default();
+        let through_memo = |t: &Topology| {
+            let mut t = t.clone();
+            let mut used = Vec::new();
+            let layout = layout_design_tempered_memo(&mut t, &soc, &lib, &temper, &memo, &mut used);
+            (layout, t.switch_pos, used)
+        };
+
+        let (layout, pos, first) = through_memo(&topo);
+        let (fresh_layout, fresh_pos, fresh_stats) = fresh(&topo);
+        assert_eq!((&layout, &pos), (&fresh_layout, &fresh_pos));
+        assert_eq!(count_layouts(&first), fresh_stats, "a first layout anneals every layer");
+        assert_eq!(fresh_stats.runs, 3);
+
+        // Same geometry under other switch ids: every layer is reused, and
+        // the plans carry the relabeled names, as fresh anneals would.
+        let relabeled = reversed_switch_ids(&topo);
+        let (layout, pos, second) = through_memo(&relabeled);
+        let (fresh_layout, fresh_pos, _) = fresh(&relabeled);
+        assert_eq!((&layout, &pos), (&fresh_layout, &fresh_pos));
+        assert!(first.iter().zip(&second).all(|(a, b)| Arc::ptr_eq(a, b)));
+        let last = topo.switch_count() - 1;
+        assert!(layout.layers[0].blocks.iter().any(|b| b.block.name == format!("sw{last}")));
+        assert_eq!(count_layouts(&second), AnnealStats { reused: 3, ..AnnealStats::default() });
+
+        // A moved ideal center is another input: annealed afresh.
+        let mut moved = topo.clone();
+        moved.switch_pos[0].0 += 0.5;
+        let (layout, pos, third) = through_memo(&moved);
+        let (fresh_layout, fresh_pos, _) = fresh(&moved);
+        assert_eq!((&layout, &pos), (&fresh_layout, &fresh_pos));
+        assert!(!Arc::ptr_eq(&first[0], &third[0]), "layer 0's input changed");
     }
 
     #[test]

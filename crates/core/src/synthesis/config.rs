@@ -104,9 +104,15 @@ pub struct SynthesisConfig {
     /// at that many exchange-coupled chains. Replica worker threads are
     /// budgeted against [`SynthesisConfig::parallelism`]: a parallel sweep
     /// runs each candidate's anneal single-threaded so the two fan-outs
-    /// never oversubscribe.
+    /// never oversubscribe. At most [`MAX_ANNEAL_REPLICAS`].
     pub anneal_replicas: usize,
 }
+
+/// The most tempered-annealer replicas a configuration may ask for. A
+/// serial sweep runs each layer anneal on one OS thread per replica, so
+/// an unbounded count is an unbounded thread fan-out; 64 is far beyond
+/// where more replicas still improve a layer (the benchmarks use 2–4).
+pub const MAX_ANNEAL_REPLICAS: usize = 64;
 
 impl Default for SynthesisConfig {
     fn default() -> Self {
@@ -147,7 +153,8 @@ impl SynthesisConfig {
     /// Returns the first [`ConfigError`] found: empty or non-positive
     /// frequency sweep, `alpha` outside `[0, 1]`, an inverted or
     /// non-positive θ schedule, an inverted switch-count range, a zero
-    /// sweep stride, or a non-positive layout search radius.
+    /// sweep stride, a non-positive layout search radius, or more than
+    /// [`MAX_ANNEAL_REPLICAS`] annealer replicas.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.frequencies_mhz.is_empty() {
             return Err(ConfigError::NoFrequencies);
@@ -186,6 +193,12 @@ impl SynthesisConfig {
         if !self.layout_search_radius_mm.is_finite() || self.layout_search_radius_mm <= 0.0 {
             return Err(ConfigError::NonPositiveSearchRadius(self.layout_search_radius_mm));
         }
+        if self.anneal_replicas > MAX_ANNEAL_REPLICAS {
+            return Err(ConfigError::TooManyReplicas {
+                replicas: self.anneal_replicas,
+                max: MAX_ANNEAL_REPLICAS,
+            });
+        }
         Ok(())
     }
 }
@@ -223,6 +236,13 @@ pub enum ConfigError {
     ZeroSwitchStep,
     /// `layout_search_radius_mm` is zero, negative or non-finite.
     NonPositiveSearchRadius(f64),
+    /// `anneal_replicas` exceeds [`MAX_ANNEAL_REPLICAS`].
+    TooManyReplicas {
+        /// Configured replica count.
+        replicas: usize,
+        /// The limit, [`MAX_ANNEAL_REPLICAS`].
+        max: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -244,6 +264,9 @@ impl fmt::Display for ConfigError {
             Self::ZeroSwitchStep => write!(f, "switch_count_step must be at least 1"),
             Self::NonPositiveSearchRadius(r) => {
                 write!(f, "layout search radius {r} mm is not positive")
+            }
+            Self::TooManyReplicas { replicas, max } => {
+                write!(f, "{replicas} annealer replicas exceed the limit of {max}")
             }
         }
     }
@@ -491,6 +514,16 @@ mod tests {
         let err =
             SynthesisConfig::builder().layout_search_radius_mm(-1.0).build().unwrap_err();
         assert!(matches!(err, ConfigError::NonPositiveSearchRadius(_)));
+    }
+
+    #[test]
+    fn builder_rejects_more_replicas_than_the_limit() {
+        for replicas in [MAX_ANNEAL_REPLICAS + 1, 100_000, usize::MAX] {
+            let err = SynthesisConfig::builder().anneal_replicas(replicas).build().unwrap_err();
+            assert_eq!(err, ConfigError::TooManyReplicas { replicas, max: MAX_ANNEAL_REPLICAS });
+        }
+        let at_limit = SynthesisConfig::builder().anneal_replicas(MAX_ANNEAL_REPLICAS).build();
+        assert_eq!(at_limit.unwrap().anneal_replicas, MAX_ANNEAL_REPLICAS);
     }
 
     #[test]

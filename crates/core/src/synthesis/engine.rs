@@ -8,7 +8,9 @@ use super::diagnostics::{RejectReason, SweepEvent, SweepObserver, SynthesisError
 use super::outcome::{DesignPoint, PhaseKind, RejectedPoint, SynthesisOutcome};
 use crate::eval::evaluate;
 use crate::graph::{CommGraph, PartitionCache, PartitionStats};
-use crate::layout::{layout_design, layout_design_tempered, AnnealStats};
+use crate::layout::{
+    count_layouts, layout_design, layout_design_tempered_memo, LayerAnneal, LayoutMemo,
+};
 use crate::paths::{PathAllocator, PathConfig, PathError, RoutingStats};
 use crate::phase1::{self, Connectivity};
 use crate::phase2;
@@ -16,15 +18,16 @@ use crate::place::{LpStats, PlacementSolver};
 use crate::spec::{CommSpec, SocSpec};
 use crate::topology::Topology;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 use sunfloor_partition::PartitionError;
 
 /// Per-replica iteration budget of the tempered layout annealer. Modest on
-/// purpose: the sweep runs one anneal per layer per candidate attempt, and
-/// tempering recovers quality through the aggregate replica budget rather
-/// than a long single chain.
+/// purpose: a run anneals each distinct layer input once (a later attempt
+/// laying out the same layer reuses it), still about 55 anneals on a
+/// 26-core sweep, and tempering recovers quality through the aggregate
+/// replica budget rather than a long single chain.
 const TEMPERED_LAYOUT_ITERATIONS: u32 = 8_000;
 
 /// When the engine stops the sweep before exhausting every candidate.
@@ -74,9 +77,10 @@ struct CandidateEvaluation {
     /// Placement-LP counters this candidate accrued (deterministic per
     /// candidate, so the committed totals match serial and parallel).
     lp_stats: LpStats,
-    /// Tempered-layout counters this candidate accrued (same per-candidate
-    /// determinism contract as `lp_stats`).
-    anneal_stats: AnnealStats,
+    /// The tempered layer anneals this candidate's layouts used, in order.
+    /// They are counted at commit ([`count_layouts`]): only what no
+    /// earlier committed candidate used is a run.
+    layouts: Vec<Arc<LayerAnneal>>,
     /// Routing counters this candidate accrued (same per-candidate
     /// determinism contract as `lp_stats`).
     routing_stats: RoutingStats,
@@ -96,7 +100,7 @@ impl CandidateEvaluation {
             thetas: Vec::new(),
             point: None,
             lp_stats: LpStats::default(),
-            anneal_stats: AnnealStats::default(),
+            layouts: Vec::new(),
             routing_stats: RoutingStats::default(),
             repeated_attempts: 0,
             shove_probes: 0,
@@ -105,8 +109,8 @@ impl CandidateEvaluation {
 }
 
 /// One call of [`SynthesisEngine::try_candidate`]: the partition to try at
-/// `freq`, and the candidate's routing workspace, placement solver and
-/// layout counters it works in.
+/// `freq`, the candidate's routing workspace and placement solver, the
+/// run's layer anneals and the layout counters it works in.
 struct Attempt<'a> {
     freq: f64,
     conn: &'a Connectivity,
@@ -115,7 +119,8 @@ struct Attempt<'a> {
     adjacent_only: bool,
     alloc: &'a mut PathAllocator,
     placement: &'a mut PlacementSolver,
-    anneal: &'a mut AnnealStats,
+    memo: &'a LayoutMemo,
+    layouts: &'a mut Vec<Arc<LayerAnneal>>,
     shove_probes: &'a mut u64,
 }
 
@@ -166,6 +171,13 @@ struct Chain<'s> {
     /// The longest θ list a committed candidate of this count had: the
     /// steps the run has counted so far.
     committed: AtomicUsize,
+}
+
+/// What one run shares between its candidates: a [`Chain`] per Phase-1
+/// switch count and the tempered layer anneals.
+struct Run<'s> {
+    chains: Vec<Chain<'s>>,
+    layouts: LayoutMemo,
 }
 
 /// The chain of switch count `count`.
@@ -380,18 +392,18 @@ impl<'a> SynthesisEngine<'a> {
         let mut outcome = SynthesisOutcome::default();
         // The seeds are built once per engine and count towards every run.
         outcome.partition_stats += self.seed_stats;
-        let chains = self.chains();
+        let run = Run { chains: self.chains(), layouts: LayoutMemo::default() };
         for &freq in &self.frequencies {
             let primary = self.primary_candidates(freq);
             let before = outcome.points.len();
-            if self.sweep(&primary, policy, &mut observer, &mut outcome, started, &chains) {
+            if self.sweep(&primary, policy, &mut observer, &mut outcome, started, &run) {
                 return outcome;
             }
             // The two-phase method of §IV: when Phase 1 delivers nothing at
             // this frequency, retry layer-by-layer.
             if self.cfg.mode == SynthesisMode::Auto && outcome.points.len() == before {
                 let fallback = phase2_candidates(&self.cfg, self.soc, freq);
-                if self.sweep(&fallback, policy, &mut observer, &mut outcome, started, &chains) {
+                if self.sweep(&fallback, policy, &mut observer, &mut outcome, started, &run) {
                     return outcome;
                 }
             }
@@ -430,7 +442,7 @@ impl<'a> SynthesisEngine<'a> {
         observer: &mut Option<&mut dyn SweepObserver>,
         outcome: &mut SynthesisOutcome,
         started: Instant,
-        chains: &[Chain<'_>],
+        run: &Run<'_>,
     ) -> bool {
         let jobs = self.cfg.parallelism.effective_jobs().min(candidates.len());
         if jobs <= 1 {
@@ -442,8 +454,8 @@ impl<'a> SynthesisEngine<'a> {
                 if policy.met(outcome, started) {
                     return true;
                 }
-                let ev = self.evaluate_candidate(candidate, &mut alloc, &mut placement, chains);
-                self.commit(ev, observer, outcome, chains);
+                let ev = self.evaluate_candidate(candidate, &mut alloc, &mut placement, run);
+                self.commit(ev, observer, outcome, run);
             }
             return false;
         }
@@ -466,12 +478,8 @@ impl<'a> SynthesisEngine<'a> {
                         }
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&candidate) = candidates.get(i) else { break };
-                        let ev = self.evaluate_candidate(
-                            candidate,
-                            &mut alloc,
-                            &mut placement,
-                            chains,
-                        );
+                        let ev =
+                            self.evaluate_candidate(candidate, &mut alloc, &mut placement, run);
                         let (lock, cvar) = &slots[i];
                         // Poison recovery: a slot holds a plain Option, so
                         // the value is valid even if another worker
@@ -505,7 +513,7 @@ impl<'a> SynthesisEngine<'a> {
                 };
                 drop(guard);
                 debug_assert_eq!(ev.candidate, candidates[i]);
-                self.commit(ev, observer, outcome, chains);
+                self.commit(ev, observer, outcome, run);
             }
         });
         stopped
@@ -521,13 +529,14 @@ impl<'a> SynthesisEngine<'a> {
     /// same switch count had are new partitions (warm-started, each on its
     /// own SPG), and the rest were shared with it. That is exactly what a
     /// serial sweep computes, whichever worker reached a step first, and a
-    /// candidate an early stop leaves uncommitted is never counted.
+    /// candidate an early stop leaves uncommitted is never counted. Its
+    /// tempered layer anneals are counted the same way ([`count_layouts`]).
     fn commit(
         &self,
         ev: CandidateEvaluation,
         observer: &mut Option<&mut dyn SweepObserver>,
         outcome: &mut SynthesisOutcome,
-        chains: &[Chain<'_>],
+        run: &Run<'_>,
     ) {
         let emit = |observer: &mut Option<&mut dyn SweepObserver>, event: SweepEvent| {
             if let Some(obs) = observer.as_deref_mut() {
@@ -541,7 +550,7 @@ impl<'a> SynthesisEngine<'a> {
         let terminal_reason =
             if ev.point.is_none() { ev.attempts.last().map(|a| a.reason.clone()) } else { None };
         if let SweepParam::SwitchCount(count) = ev.candidate.sweep {
-            let chain = chain(chains, count);
+            let chain = chain(&run.chains, count);
             outcome.partition_stats.base_cache_hits += u64::from(chain.seed.is_ok());
             let steps = ev.thetas.len();
             let counted = chain.committed.fetch_max(steps, Ordering::Relaxed);
@@ -553,7 +562,7 @@ impl<'a> SynthesisEngine<'a> {
             outcome.shared_theta_steps += steps.min(counted) as u64;
         }
         outcome.lp_stats += ev.lp_stats;
-        outcome.anneal_stats += ev.anneal_stats;
+        outcome.anneal_stats += count_layouts(&ev.layouts);
         outcome.routing_stats += ev.routing_stats;
         outcome.repeated_attempts += ev.repeated_attempts;
         outcome.shove_probes += ev.shove_probes;
@@ -586,15 +595,18 @@ impl<'a> SynthesisEngine<'a> {
         candidate: Candidate,
         alloc: &mut PathAllocator,
         placement: &mut PlacementSolver,
-        chains: &[Chain<'_>],
+        run: &Run<'_>,
     ) -> CandidateEvaluation {
         let lp_before = placement.stats();
         let routing_before = alloc.stats();
+        let memo = &run.layouts;
         let mut ev = match candidate.sweep {
             SweepParam::SwitchCount(k) => {
-                self.evaluate_phase1(candidate, chain(chains, k), alloc, placement)
+                self.evaluate_phase1(candidate, chain(&run.chains, k), memo, alloc, placement)
             }
-            SweepParam::Increment(inc) => self.evaluate_phase2(candidate, inc, alloc, placement),
+            SweepParam::Increment(inc) => {
+                self.evaluate_phase2(candidate, inc, memo, alloc, placement)
+            }
         };
         ev.lp_stats += placement.stats() - lp_before;
         ev.routing_stats += alloc.stats() - routing_before;
@@ -627,6 +639,7 @@ impl<'a> SynthesisEngine<'a> {
         &self,
         candidate: Candidate,
         chain: &Chain<'_>,
+        memo: &LayoutMemo,
         alloc: &mut PathAllocator,
         placement: &mut PlacementSolver,
     ) -> CandidateEvaluation {
@@ -656,7 +669,8 @@ impl<'a> SynthesisEngine<'a> {
             adjacent_only: false,
             alloc,
             placement,
-            anneal: &mut ev.anneal_stats,
+            memo,
+            layouts: &mut ev.layouts,
             shove_probes: &mut ev.shove_probes,
         }) {
             Ok(point) => {
@@ -686,7 +700,8 @@ impl<'a> SynthesisEngine<'a> {
                         adjacent_only: false,
                         alloc,
                         placement,
-                        anneal: &mut ev.anneal_stats,
+                        memo,
+                        layouts: &mut ev.layouts,
                         shove_probes: &mut ev.shove_probes,
                     }) {
                         Ok(point) => {
@@ -750,6 +765,7 @@ impl<'a> SynthesisEngine<'a> {
         &self,
         candidate: Candidate,
         increment: usize,
+        memo: &LayoutMemo,
         alloc: &mut PathAllocator,
         placement: &mut PlacementSolver,
     ) -> CandidateEvaluation {
@@ -766,7 +782,8 @@ impl<'a> SynthesisEngine<'a> {
                 adjacent_only: true,
                 alloc,
                 placement,
-                anneal: &mut ev.anneal_stats,
+                memo,
+                layouts: &mut ev.layouts,
                 shove_probes: &mut ev.shove_probes,
             }) {
                 Ok(point) => ev.point = Some(point),
@@ -802,11 +819,22 @@ impl<'a> SynthesisEngine<'a> {
     }
 
     /// Routes, places, lays out and evaluates one connectivity candidate,
-    /// applying the indirect-switch fallback on routing failure. Layout
-    /// counters accrue into `attempt.anneal` and `attempt.shove_probes`.
+    /// applying the indirect-switch fallback on routing failure. The
+    /// tempered layout's layer anneals come from `attempt.memo` and are
+    /// appended to `attempt.layouts`; shove probes accrue into
+    /// `attempt.shove_probes`.
     fn try_candidate(&self, attempt: Attempt<'_>) -> Result<DesignPoint, RejectReason> {
-        let Attempt { freq, conn, phase, adjacent_only, alloc, placement, anneal, shove_probes } =
-            attempt;
+        let Attempt {
+            freq,
+            conn,
+            phase,
+            adjacent_only,
+            alloc,
+            placement,
+            memo,
+            layouts,
+            shove_probes,
+        } = attempt;
         let cfg = &self.cfg;
         let soc = self.soc;
         let path_cfg = self.path_config(freq, adjacent_only);
@@ -874,9 +902,14 @@ impl<'a> SynthesisEngine<'a> {
                     threads: if cfg.parallelism.effective_jobs() > 1 { 1 } else { 0 },
                     ..sunfloor_floorplan::TemperConfig::default()
                 };
-                let (l, stats) = layout_design_tempered(&mut topo, soc, &cfg.library, &temper);
-                *anneal += stats;
-                Some(l)
+                Some(layout_design_tempered_memo(
+                    &mut topo,
+                    soc,
+                    &cfg.library,
+                    &temper,
+                    memo,
+                    layouts,
+                ))
             } else {
                 let l = layout_design(&mut topo, soc, &cfg.library, cfg.layout_search_radius_mm);
                 *shove_probes += l.shove_probes;

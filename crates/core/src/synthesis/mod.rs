@@ -39,7 +39,10 @@ pub mod engine;
 pub mod outcome;
 
 pub use candidates::{Candidate, SweepParam};
-pub use config::{ConfigError, Parallelism, SynthesisConfig, SynthesisConfigBuilder, SynthesisMode};
+pub use config::{
+    ConfigError, Parallelism, SynthesisConfig, SynthesisConfigBuilder, SynthesisMode,
+    MAX_ANNEAL_REPLICAS,
+};
 pub use diagnostics::{RejectReason, SweepEvent, SweepObserver, SynthesisError};
 pub use engine::{StopPolicy, SynthesisEngine};
 pub use outcome::{DesignPoint, PhaseKind, RejectedPoint, SynthesisOutcome};

@@ -201,15 +201,19 @@ impl NetCache {
         if net.pins.len() < 2 {
             return 0.0;
         }
+        // Compare-select instead of `f64::min`/`max`, with the same bits:
+        // centers are sums of non-negative packed coordinates and halves of
+        // positive dimensions, so no operand is NaN or −0.0 (see the
+        // packer's `fen_prefix_max`).
         let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
         for &p in &net.pins {
             let cx = x[p] + w[p] / 2.0;
             let cy = y[p] + h[p] / 2.0;
-            min_x = min_x.min(cx);
-            max_x = max_x.max(cx);
-            min_y = min_y.min(cy);
-            max_y = max_y.max(cy);
+            min_x = if cx < min_x { cx } else { min_x };
+            max_x = if cx > max_x { cx } else { max_x };
+            min_y = if cy < min_y { cy } else { min_y };
+            max_y = if cy > max_y { cy } else { max_y };
         }
         net.weight * ((max_x - min_x) + (max_y - min_y))
     }
@@ -474,12 +478,16 @@ impl<'a> ReplicaState<'a> {
             let bb =
                 self.sp.pack_coords_ranked(&self.pp, &self.nn, &self.w, &self.h, &mut self.scratch);
             // Only nets touching a block whose position or footprint
-            // changed need re-measuring.
-            let (scratch, cur_x, cur_y) = (&self.scratch, &self.cur_x, &self.cur_y);
-            let moved = (0..n).filter(|&b| {
-                scratch.x[b] != cur_x[b] || scratch.y[b] != cur_y[b] || rotated_block == Some(b)
-            });
-            self.cache.update_for_move(moved, self.nets, &scratch.x, &scratch.y, &self.w, &self.h);
+            // changed need re-measuring. Without nets (the constrained
+            // layout) the wirelength total is 0.0 and nothing is scanned.
+            if !self.nets.is_empty() {
+                let (scratch, cur_x, cur_y) = (&self.scratch, &self.cur_x, &self.cur_y);
+                let moved = (0..n).filter(|&b| {
+                    scratch.x[b] != cur_x[b] || scratch.y[b] != cur_y[b] || rotated_block == Some(b)
+                });
+                let (w, h) = (&self.w, &self.h);
+                self.cache.update_for_move(moved, self.nets, &scratch.x, &scratch.y, w, h);
+            }
             let cand_cost = cost_of(
                 &self.scratch.x,
                 &self.scratch.y,
@@ -602,39 +610,54 @@ fn cost_of(
 /// which is what keeps the cores' arrangement intact in constrained mode.
 /// Returns `(from, to)` so the move can be undone without cloning. `ranks`
 /// is the permutation's inverse: it locates `b` without a scan and is
-/// patched up for the shifted range afterwards.
+/// rewritten for the shifted range by the same pass.
+///
+/// The target is drawn as `0..=n-1`, the insertion slots left once `b` is
+/// removed, so the random stream is the one of `Vec::remove` + `insert`.
 // sf: hot-path
-fn reinsert(
-    perm: &mut Vec<usize>,
-    ranks: &mut [usize],
-    b: usize,
-    rng: &mut StdRng,
-) -> (usize, usize) {
+fn reinsert(perm: &mut [usize], ranks: &mut [usize], b: usize, rng: &mut StdRng) -> (usize, usize) {
     let from = ranks[b];
     debug_assert_eq!(perm[from], b, "stale rank for block {b}");
-    perm.remove(from);
-    let to = rng.gen_range(0..=perm.len());
-    perm.insert(to, b);
-    for i in from.min(to)..=from.max(to) {
-        ranks[perm[i]] = i;
-    }
+    let to = rng.gen_range(0..=perm.len() - 1);
+    shift(perm, ranks, from, to);
     (from, to)
 }
 
 /// Inverse of [`reinsert`]: the block sits at `to`; put it back at `from`.
 // sf: hot-path
-fn undo_reinsert(perm: &mut Vec<usize>, ranks: &mut [usize], from: usize, to: usize) {
-    let b = perm.remove(to);
-    perm.insert(from, b);
-    for i in from.min(to)..=from.max(to) {
-        ranks[perm[i]] = i;
+fn undo_reinsert(perm: &mut [usize], ranks: &mut [usize], from: usize, to: usize) {
+    shift(perm, ranks, to, from);
+}
+
+/// Moves the entry at `from` to `to`, shifting the entries between them by
+/// one slot towards `from`, and writes the new rank of every entry it
+/// touches: one in-place pass equal to `remove(from)` then
+/// `insert(to, _)` followed by a rank fix-up over the range.
+// sf: hot-path
+fn shift(perm: &mut [usize], ranks: &mut [usize], from: usize, to: usize) {
+    let b = perm[from];
+    if from < to {
+        for i in from..to {
+            let v = perm[i + 1];
+            perm[i] = v;
+            ranks[v] = i;
+        }
+    } else {
+        for i in (to + 1..=from).rev() {
+            let v = perm[i - 1];
+            perm[i] = v;
+            ranks[v] = i;
+        }
     }
+    perm[to] = b;
+    ranks[b] = to;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::PlacedBlock;
+    use proptest::prelude::*;
 
     fn blocks_mixed() -> Vec<Block> {
         vec![
@@ -645,6 +668,44 @@ mod tests {
             Block::new("e", 1.0, 2.0),
             Block::new("f", 2.0, 1.0),
         ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A reinsert's in-place shift and its undo equal `Vec::remove` +
+        /// `insert`, and leave `ranks` the inverse permutation.
+        #[test]
+        fn shift_and_undo_match_remove_and_insert(
+            perm in Just((0..12usize).collect::<Vec<usize>>()).prop_shuffle(),
+            len in 1..13usize,
+            picks in proptest::collection::vec((0..12usize, 0..12usize), 1..8),
+        ) {
+            // A random permutation of 0..len, with its inverse.
+            let mut perm: Vec<usize> = perm.into_iter().filter(|&b| b < len).collect();
+            let mut ranks = vec![0; len];
+            for (i, &b) in perm.iter().enumerate() {
+                ranks[b] = i;
+            }
+            for (from, to) in picks {
+                let (from, to) = (from % len, to % len);
+                let before = perm.clone();
+                let mut expected = perm.clone();
+                let b = expected.remove(from);
+                expected.insert(to, b);
+                shift(&mut perm, &mut ranks, from, to);
+                prop_assert_eq!(&perm, &expected);
+                for (i, &b) in perm.iter().enumerate() {
+                    prop_assert_eq!(ranks[b], i, "rank of block {}", b);
+                }
+                undo_reinsert(&mut perm, &mut ranks, from, to);
+                prop_assert_eq!(&perm, &before);
+                for (i, &b) in perm.iter().enumerate() {
+                    prop_assert_eq!(ranks[b], i, "rank of block {} after undo", b);
+                }
+                shift(&mut perm, &mut ranks, from, to);
+            }
+        }
     }
 
     #[test]

@@ -227,46 +227,72 @@ fn pack_xy(
     h: &[f64],
 ) -> (f64, f64) {
     let n = pos.len();
+    let steps = fen_steps(n);
     fen_clear(fen, n);
     for &b in pos {
         let r = nn[b];
-        x[b] = fen_prefix_max(fen, r);
-        fen_update(fen, n, r, x[b] + w[b]);
+        x[b] = fen_prefix_max(fen, r, steps);
+        fen_update(fen, n, r, x[b] + w[b], steps);
     }
-    let bw = fen_prefix_max(fen, n);
+    let bw = fen_prefix_max(fen, n, steps);
     fen_clear(fen, n);
     for &b in neg {
         let r = n - 1 - pp[b];
-        y[b] = fen_prefix_max(fen, r);
-        fen_update(fen, n, r, y[b] + h[b]);
+        y[b] = fen_prefix_max(fen, r, steps);
+        fen_update(fen, n, r, y[b] + h[b], steps);
     }
-    let bh = fen_prefix_max(fen, n);
+    let bh = fen_prefix_max(fen, n, steps);
     (bw, bh)
 }
 
-/// Resets the 1-based Fenwick prefix-max tree for `n` ranks.
+/// The bit length of `n`: enough steps for any prefix query (one per set
+/// bit of `r ≤ n`) and any update (each step at least doubles the index's
+/// low bit, so the index passes `n` within this many steps).
+///
+/// Both tree walks run exactly this many steps, so their loop exits do not
+/// depend on the rank, which a branch predictor cannot guess. A finished
+/// query keeps re-reading slot 0, which holds 0.0 and never raises the
+/// max; a finished update keeps writing the sink slot `n + 1`, which no
+/// query reads.
+fn fen_steps(n: usize) -> u32 {
+    usize::BITS - n.leading_zeros()
+}
+
+/// Resets the 1-based Fenwick prefix-max tree for `n` ranks, its slot 0 and
+/// its sink slot `n + 1`.
 fn fen_clear(fen: &mut [f64], n: usize) {
-    fen[..=n].fill(0.0);
+    fen[..=n + 1].fill(0.0);
 }
 
 /// Max over ranks `< r` (exclusive prefix); 0.0 when the prefix is empty —
 /// the same neutral element the longest-path scan starts from.
-fn fen_prefix_max(fen: &[f64], r: usize) -> f64 {
+///
+/// Both tree operations take the max by compare-select rather than
+/// `f64::max`, whose NaN handling sits on the loop-carried chain. The
+/// result bits are the same: no stored value is NaN or −0.0, because the
+/// tree starts at +0.0 and only ever stores `coordinate + extent` sums of
+/// a coordinate read from the tree (≥ +0.0) and a block dimension
+/// (`Block::new` asserts positive dimensions). Equal values are then equal
+/// bits, and a NaN operand loses under both forms.
+fn fen_prefix_max(fen: &[f64], r: usize, steps: u32) -> f64 {
     let mut i = r; // 1-based index of the last included rank (r-1).
     let mut best = 0.0f64;
-    while i > 0 {
-        best = best.max(fen[i]);
-        i &= i - 1;
+    for _ in 0..steps {
+        let v = fen[i];
+        best = if v > best { v } else { best };
+        i &= i.wrapping_sub(1);
     }
     best
 }
 
 /// Raises the tree's value at rank `r` (each rank is written once per
 /// pack, so stored maxima only grow).
-fn fen_update(fen: &mut [f64], n: usize, r: usize, v: f64) {
+fn fen_update(fen: &mut [f64], n: usize, r: usize, v: f64, steps: u32) {
     let mut i = r + 1; // 1-based.
-    while i <= n {
-        fen[i] = fen[i].max(v);
+    for _ in 0..steps {
+        let slot = if i <= n { i } else { n + 1 };
+        let f = fen[slot];
+        fen[slot] = if v > f { v } else { f };
         i += i & i.wrapping_neg();
     }
 }
@@ -291,7 +317,8 @@ pub struct PackScratch {
     pub w: Vec<f64>,
     /// Effective height per block (rotation applied).
     pub h: Vec<f64>,
-    /// Fenwick prefix-max tree of the LCS packing (1-based, `n + 1` slots).
+    /// Fenwick prefix-max tree of the LCS packing (1-based ranks in slots
+    /// `1..=n`, slot 0 and a sink slot `n + 1`).
     fen: Vec<f64>,
 }
 
@@ -303,7 +330,7 @@ impl PackScratch {
         self.y.resize(n, 0.0);
         self.w.resize(n, 0.0);
         self.h.resize(n, 0.0);
-        self.fen.resize(n + 1, 0.0);
+        self.fen.resize(n + 2, 0.0);
     }
 }
 
@@ -391,7 +418,9 @@ mod tests {
         /// The O(n log n) LCS packing must produce the *bit-identical*
         /// `(x, y, width, height)` results of the O(n²) longest-path
         /// reference oracle, on arbitrary sequence pairs, block sets and
-        /// per-block rotation flags.
+        /// per-block rotation flags — through both `pack_into` and the
+        /// annealer's entry point `pack_coords_ranked`, whose bounding box
+        /// must also equal the max-fold over the oracle's extents.
         #[test]
         fn lcs_packing_matches_longest_path_oracle(
             (blocks, pos, neg) in arb_packing_input(),
@@ -410,6 +439,18 @@ mod tests {
                 prop_assert_eq!(lcs.w[b].to_bits(), reference.w[b].to_bits(), "w of block {}", b);
                 prop_assert_eq!(lcs.h[b].to_bits(), reference.h[b].to_bits(), "h of block {}", b);
             }
+            let mut ranked = PackScratch::default();
+            let (pp, nn) = (reference.pp.clone(), reference.nn.clone());
+            let (bw, bh) = sp.pack_coords_ranked(&pp, &nn, &reference.w, &reference.h, &mut ranked);
+            let (mut ew, mut eh) = (0.0f64, 0.0f64);
+            for b in 0..n {
+                prop_assert_eq!(ranked.x[b].to_bits(), reference.x[b].to_bits(), "ranked x {}", b);
+                prop_assert_eq!(ranked.y[b].to_bits(), reference.y[b].to_bits(), "ranked y {}", b);
+                ew = ew.max(reference.x[b] + reference.w[b]);
+                eh = eh.max(reference.y[b] + reference.h[b]);
+            }
+            prop_assert_eq!(bw.to_bits(), ew.to_bits(), "bounding-box width");
+            prop_assert_eq!(bh.to_bits(), eh.to_bits(), "bounding-box height");
         }
     }
 

@@ -713,7 +713,15 @@ fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
                     dijkstra_pops: 3503,
                     ..RoutingStats::default()
                 },
-                anneal_stats: AnnealStats { runs: 72, swap_attempts: 576, swap_accepts: 330 },
+                // 72 layer layouts (24 candidate attempts × 3 layers), of
+                // which 18 repeat an earlier layout's anneal input and
+                // reuse its anneal; swaps count the 54 anneals run.
+                anneal_stats: AnnealStats {
+                    runs: 54,
+                    swap_attempts: 432,
+                    swap_accepts: 257,
+                    reused: 18,
+                },
                 shove_probes: 0,
                 repeated_attempts: 8,
                 ..SynthesisOutcome::default()
