@@ -271,27 +271,35 @@ fn bench_partition_warm_pipe128(c: &mut Criterion) {
     group.finish();
 }
 
-/// The θ-escalation SPG builders at the media26 escalation point (k=8,
-/// θ=7): the sparse production path, which folds the same-layer weak
-/// clique into a group attraction and keeps the `O(|flows|)` edge set,
-/// against the dense Definition-4 reference that materializes every weak
-/// edge. Each iteration builds the graph and runs the k-way partition —
-/// the whole cost a θ-retry pays.
-fn bench_theta_sparse_vs_dense(c: &mut Criterion) {
+/// Cold k-way partitions of a 256-core pipeline's PG with the default
+/// restarts: recursive bisection (greedy growth, FM passes) and the swap
+/// polish, on blocks of about 16 and 8 cores — both counts run the
+/// polish's block-pair swap search.
+fn bench_partition_cold_pipe256(c: &mut Criterion) {
+    let bench = pipeline_seeded(256, 5000);
+    let pg = CommGraph::new(&bench.soc, &bench.comm).partitioning_graph(0.6);
+    let mut group = c.benchmark_group("partition_cold_pipe256");
+    for parts in [16usize, 31] {
+        group.bench_with_input(BenchmarkId::from_parameter(parts), &parts, |b, &parts| {
+            b.iter(|| pg.partition(black_box(&PartitionConfig::k_way(parts))).unwrap());
+        });
+    }
+    group.finish();
+}
+
+/// The θ-escalation SPG at the media26 escalation point (k=8, θ=7): the
+/// sparse production path, which folds the same-layer weak clique into a
+/// group attraction and keeps the `O(|flows|)` edge set. Each iteration
+/// builds the graph and runs the k-way partition — the whole cost a
+/// θ-retry pays.
+fn bench_theta_sparse(c: &mut Criterion) {
     let bench = media26();
     let graph = CommGraph::new(&bench.soc, &bench.comm);
-    let mut group = c.benchmark_group("theta_sparse_vs_dense");
+    let mut group = c.benchmark_group("theta_sparse");
     group.bench_function("sparse_fold", |b| {
         b.iter(|| {
             let spg =
                 black_box(&graph).scaled_partitioning_graph(&bench.soc, 0.6, 7.0, 15.0);
-            spg.partition(&PartitionConfig::k_way(8)).unwrap()
-        });
-    });
-    group.bench_function("dense_reference", |b| {
-        b.iter(|| {
-            let spg =
-                black_box(&graph).scaled_partitioning_graph_dense(&bench.soc, 0.6, 7.0, 15.0);
             spg.partition(&PartitionConfig::k_way(8)).unwrap()
         });
     });
@@ -418,11 +426,12 @@ criterion_group!(
     bench_partition,
     bench_partition_warm,
     bench_partition_warm_pipe128,
+    bench_partition_cold_pipe256,
     bench_placement,
     bench_insertion,
     bench_phase1_connectivity,
     bench_router,
-    bench_theta_sparse_vs_dense,
+    bench_theta_sparse,
     bench_annealer,
     bench_anneal_tempering,
     bench_anneal_tempered_layer,

@@ -125,9 +125,9 @@ impl CommGraph {
     /// zero-weight flow on a same-layer pair: the literal dense builder
     /// suppresses that pair's weak edge, the fold still attracts it — a
     /// weightless flow carries no Definition-3 signal either way.
-    /// `tests/partition_warm.rs` pins the folded cut against the dense
-    /// reference ([`Self::scaled_partitioning_graph_dense`]) on every
-    /// in-tree benchmark.
+    /// `tests/partition_warm.rs` pins the folded cut against a dense
+    /// reference that materializes every weak edge, on every in-tree
+    /// benchmark.
     #[must_use]
     pub fn scaled_partitioning_graph(
         &self,
@@ -156,48 +156,6 @@ impl CommGraph {
                 soc.cores.iter().map(|c| c.layer).collect(),
                 intra_extra,
             );
-        }
-        g
-    }
-
-    /// The dense Definition-4 SPG exactly as the paper states it: weak edges
-    /// between **all** non-communicating same-layer pairs. Retained as the
-    /// reference oracle for the sparse production path
-    /// ([`Self::scaled_partitioning_graph`]) — the quality-anchor tests and
-    /// the `theta_sparse_vs_dense` criterion group measure against it.
-    #[must_use]
-    pub fn scaled_partitioning_graph_dense(
-        &self,
-        soc: &SocSpec,
-        alpha: f64,
-        theta: f64,
-        theta_max: f64,
-    ) -> WeightedGraph {
-        let mut g = WeightedGraph::new(self.n);
-        let max_wt = self.max_weight(alpha);
-        let intra_extra = theta * max_wt / (10.0 * theta_max);
-
-        // Track which PG edges exist so added edges do not double up.
-        let mut has_edge = vec![false; self.n * self.n];
-        for e in &self.edges {
-            let h = self.edge_weight(e.bandwidth_mbs, e.latency_cycles, alpha);
-            let (ls, ld) = (soc.cores[e.src].layer, soc.cores[e.dst].layer);
-            let w = if ls == ld {
-                h
-            } else {
-                let dist = f64::from(ls.abs_diff(ld));
-                h / (theta * dist)
-            };
-            g.add_edge(e.src, e.dst, w);
-            has_edge[e.src * self.n + e.dst] = true;
-            has_edge[e.dst * self.n + e.src] = true;
-        }
-        for a in 0..self.n {
-            for b in (a + 1)..self.n {
-                if !has_edge[a * self.n + b] && soc.cores[a].layer == soc.cores[b].layer {
-                    g.add_edge(a, b, intra_extra);
-                }
-            }
         }
         g
     }
@@ -353,6 +311,39 @@ mod tests {
     use super::*;
     use crate::spec::{Core, Flow, MessageType};
 
+    /// The dense Definition-4 SPG exactly as the paper states it: weak
+    /// edges between **all** non-communicating same-layer pairs. The
+    /// reference the folded [`CommGraph::scaled_partitioning_graph`] is
+    /// checked against.
+    fn scaled_partitioning_graph_dense(
+        g: &CommGraph,
+        soc: &SocSpec,
+        alpha: f64,
+        theta: f64,
+        theta_max: f64,
+    ) -> WeightedGraph {
+        let mut dense = WeightedGraph::new(g.n);
+        let intra_extra = theta * g.max_weight(alpha) / (10.0 * theta_max);
+        // Track which PG edges exist so added edges do not double up.
+        let mut has_edge = vec![false; g.n * g.n];
+        for e in &g.edges {
+            let h = g.edge_weight(e.bandwidth_mbs, e.latency_cycles, alpha);
+            let (ls, ld) = (soc.cores[e.src].layer, soc.cores[e.dst].layer);
+            let w = if ls == ld { h } else { h / (theta * f64::from(ls.abs_diff(ld))) };
+            dense.add_edge(e.src, e.dst, w);
+            has_edge[e.src * g.n + e.dst] = true;
+            has_edge[e.dst * g.n + e.src] = true;
+        }
+        for a in 0..g.n {
+            for b in (a + 1)..g.n {
+                if !has_edge[a * g.n + b] && soc.cores[a].layer == soc.cores[b].layer {
+                    dense.add_edge(a, b, intra_extra);
+                }
+            }
+        }
+        dense
+    }
+
     fn soc_2x2() -> SocSpec {
         // Four cores, two layers: 0,1 on layer 0; 2,3 on layer 1.
         SocSpec::new(
@@ -507,7 +498,7 @@ mod tests {
         let (soc, g) = graph();
         for theta in [1.0, 7.0, 15.0] {
             let folded = g.scaled_partitioning_graph(&soc, 1.0, theta, 15.0);
-            let dense = g.scaled_partitioning_graph_dense(&soc, 1.0, theta, 15.0);
+            let dense = scaled_partitioning_graph_dense(&g, &soc, 1.0, theta, 15.0);
             let at = folded.attraction().expect("SPG carries the layer attraction");
             assert_eq!(at.group_of(), &[0, 0, 1, 1]);
             for a in 0..4usize {
@@ -567,7 +558,7 @@ mod tests {
         .unwrap();
         let g = CommGraph::new(&soc, &comm);
         let folded = g.scaled_partitioning_graph(&soc, 1.0, 7.0, 15.0);
-        let dense = g.scaled_partitioning_graph_dense(&soc, 1.0, 7.0, 15.0);
+        let dense = scaled_partitioning_graph_dense(&g, &soc, 1.0, 7.0, 15.0);
         let edge_count = |wg: &WeightedGraph| {
             (0..12).map(|v| wg.neighbors(v).len()).sum::<usize>() / 2
         };

@@ -10,6 +10,18 @@
 //! and every float operation match the original allocating implementation
 //! bit for bit.
 //!
+//! Large vertex sets are not rescanned to pick one vertex, swap or action.
+//! Greedy growth takes each vertex from per-group max tournaments
+//! ([`Tournament`], `O(log m)` per changed pull) once the subset is large
+//! and sparse enough for them to pay ([`tournaments_pay`]), and rescans
+//! its `O(m)` order otherwise. The swap polish and the warm k-way
+//! refinement pick each swap or action by a block-pair search
+//! ([`BlockSearch`]) over block lists and a per-(vertex, block) gain table
+//! kept between picks, with block pairs skipped by bounds; each falls back
+//! to the `O(m²)` vertex-pair scan while blocks average fewer than three
+//! vertices. Every path picks what the full rescan picked, ties included,
+//! with the same float bits.
+//!
 //! Graphs may carry a [`GroupAttraction`] — an implicit complete graph per
 //! vertex group with one uniform weight. Every pass accounts for it
 //! analytically from per-(group, side/block) member counts: a move's
@@ -63,6 +75,8 @@ pub(crate) struct Workspace {
     attraction: Vec<f64>,
     /// Shuffled tie-break order of the greedy growth.
     order: Vec<usize>,
+    /// The greedy growth's per-group tournaments.
+    tour: Tournament,
     /// `conn[i][s]` = weight from subset vertex `i` to side `s`.
     conn: Vec<[f64; 2]>,
     /// Cached FM gains (`conn[i][other] - conn[i][own]`), edge part only.
@@ -76,7 +90,8 @@ pub(crate) struct Workspace {
     /// it is added at selection time and never invalidates entries.
     heaps: Vec<std::collections::BinaryHeap<GainEntry>>,
     /// Subset member counts per (group, side): `gcnt[g * 2 + s]`, with the
-    /// `conn` side indexing (`side0 == true` → index 0).
+    /// `conn` side indexing (`side0 == true` → index 0). The greedy growth
+    /// uses it for its side-0 counts per group, `gcnt[g]`.
     gcnt: Vec<u32>,
     /// FM move log (subset indices, in order).
     moves: Vec<usize>,
@@ -86,7 +101,8 @@ pub(crate) struct Workspace {
     wmat: Vec<f64>,
     /// Whether `wmat` has been filled for this graph yet.
     wmat_filled: bool,
-    /// Scratch of the warm k-way refinement's block-pair action search.
+    /// Scratch of the block-pair search of the warm k-way refinement and
+    /// of the swap polish.
     search: BlockSearch,
     /// Moves and swaps the FM, k-way and swap passes applied so far,
     /// rolled-back ones included.
@@ -100,6 +116,7 @@ impl Workspace {
             side0: Vec::new(),
             attraction: Vec::new(),
             order: Vec::new(),
+            tour: Tournament::default(),
             conn: Vec::new(),
             gain: Vec::new(),
             locked: Vec::new(),
@@ -281,9 +298,11 @@ fn bisect(
 }
 
 /// Grows side 0 greedily: start from a random seed, repeatedly absorb the
-/// unassigned vertex with the strongest connection to side 0 (edge pull
-/// plus, with a [`GroupAttraction`], the implicit pull of its group's
-/// side-0 members).
+/// unassigned vertex with the strongest pull to side 0 (edge pull plus,
+/// with a [`GroupAttraction`], the implicit pull `weight · cnt0[group]` of
+/// its group's side-0 members), ties going to the vertex earliest in the
+/// shuffled `order`. Each next vertex comes from tournaments or a rescan of
+/// `order`, whichever [`tournaments_pay`]; both pick the same vertices.
 fn greedy_grow(
     g: &WeightedGraph,
     vertices: &[usize],
@@ -291,66 +310,279 @@ fn greedy_grow(
     rng: &mut StdRng,
     ws: &mut Workspace,
 ) {
+    grow_by(g, vertices, n1, rng, ws, tournaments_pay(g, vertices));
+}
+
+/// Whether greedy growth over `vertices` keeps its candidates in
+/// tournaments rather than rescanning `order`: when the `m` vertices number
+/// at least twice `(1 + average degree) · levels`, `levels` being the bit
+/// length of `m`.
+///
+/// A rescan costs `O(m)` per absorbed vertex; the tournaments cost an
+/// `O(m)` layout, then `O(log m)` per changed pull — the absorbed vertex
+/// and each of its neighbors. Measured on 2 vCPUs over the cold and warm
+/// partitions of a Phase-1-like sweep, against the same partitioner with
+/// rescans only (alternating call by call in one process): with the
+/// factor 2, partitioning takes 0.93× the time on a 128-core pipeline
+/// (average degree about 2.5) and the same time, within 1%, on media26 and
+/// `D_36_8` (average degree 4–8); with the factor 1, media26 takes 1.02×,
+/// its 13- to 18-vertex subsets being too small for the layout to pay.
+fn tournaments_pay(g: &WeightedGraph, vertices: &[usize]) -> bool {
+    let m = vertices.len();
+    let links: usize = vertices.iter().map(|&v| g.neighbors(v).len()).sum();
+    let levels = (usize::BITS - m.leading_zeros()) as usize;
+    m * m >= 2 * (m + links) * levels
+}
+
+/// [`greedy_grow`] with the candidate structure as a parameter: one
+/// [`Tournament`] per group (one without an attraction) over the group's
+/// vertices in `order`, or a rescan of `order` per absorbed vertex.
+fn grow_by(
+    g: &WeightedGraph,
+    vertices: &[usize],
+    n1: usize,
+    rng: &mut StdRng,
+    ws: &mut Workspace,
+    tournaments: bool,
+) {
     let m = vertices.len();
     ws.order.clear();
     ws.order.extend(0..m);
     ws.order.shuffle(rng);
 
     let at = g.attraction();
-    let mut cnt0: Vec<u32> = match at {
-        Some(a) => vec![0; a.group_count().max(1)],
-        None => Vec::new(),
-    };
+    let grp = |i: usize| at.map_or(0, |a| a.group_of()[vertices[i]] as usize);
+    // Side-0 members per group.
+    ws.gcnt.clear();
+    ws.gcnt.resize(at.map_or(1, |a| a.group_count().max(1)), 0);
 
     let seed = rng.gen_range(0..m);
     ws.side0[seed] = true;
-    if let Some(a) = at {
-        cnt0[a.group_of()[vertices[seed]] as usize] += 1;
+    ws.gcnt[grp(seed)] += 1;
+    for &(u, w) in g.neighbors(vertices[seed]) {
+        let lu = ws.local[u as usize];
+        if lu != usize::MAX {
+            ws.attraction[lu] += w;
+        }
     }
-    let mut grown = 1;
-    update_attraction(g, vertices, &ws.local, seed, &mut ws.attraction);
+    if tournaments {
+        grow_from_tournaments(g, vertices, n1, ws);
+    } else {
+        grow_from_rescans(g, vertices, n1, ws);
+    }
+}
 
-    while grown < n1 {
+/// Greedy growth from a seed on, each next vertex the first in `order`
+/// with the strictly largest pull.
+fn grow_from_rescans(g: &WeightedGraph, vertices: &[usize], n1: usize, ws: &mut Workspace) {
+    let at = g.attraction();
+    for _ in 1..n1 {
         let mut best = usize::MAX;
-        let mut best_w = f64::NEG_INFINITY;
+        let mut best_pull = f64::NEG_INFINITY;
         for &i in &ws.order {
             if ws.side0[i] {
                 continue;
             }
-            let w = match at {
+            let pull = match at {
                 Some(a) => {
                     ws.attraction[i]
-                        + a.weight() * f64::from(cnt0[a.group_of()[vertices[i]] as usize])
+                        + a.weight() * f64::from(ws.gcnt[a.group_of()[vertices[i]] as usize])
                 }
                 None => ws.attraction[i],
             };
-            if w > best_w {
-                best_w = w;
+            if pull > best_pull {
+                best_pull = pull;
                 best = i;
             }
         }
         ws.side0[best] = true;
         if let Some(a) = at {
-            cnt0[a.group_of()[vertices[best]] as usize] += 1;
+            ws.gcnt[a.group_of()[vertices[best]] as usize] += 1;
         }
-        grown += 1;
-        update_attraction(g, vertices, &ws.local, best, &mut ws.attraction);
+        for &(u, w) in g.neighbors(vertices[best]) {
+            let lu = ws.local[u as usize];
+            if lu != usize::MAX {
+                ws.attraction[lu] += w;
+            }
+        }
     }
 }
 
-// sf: hot-path
-fn update_attraction(
+/// Greedy growth from a seed on, each next vertex the best of the group
+/// tournaments' (see [`Tournament::best`]).
+fn grow_from_tournaments(g: &WeightedGraph, vertices: &[usize], n1: usize, ws: &mut Workspace) {
+    let at = g.attraction();
+    let ng = ws.gcnt.len();
+    let grp = |i: usize| at.map_or(0, |a| a.group_of()[vertices[i]] as usize);
+    let (side0, attraction) = (&ws.side0, &ws.attraction);
+    ws.tour.lay_out(&ws.order, ng, grp, |i| {
+        if side0[i] {
+            f64::NEG_INFINITY
+        } else {
+            attraction[i]
+        }
+    });
+    for _ in 1..n1 {
+        // The best pull with its position in `order`.
+        let mut best: Option<(f64, usize)> = None;
+        for gi in 0..ng {
+            let offset = at.map(|a| a.weight() * f64::from(ws.gcnt[gi]));
+            if let Some(top) = ws.tour.best(gi, offset) {
+                if best.is_none_or(|(pull, p)| top.0 > pull || (top.0 == pull && top.1 < p)) {
+                    best = Some(top);
+                }
+            }
+        }
+        let Some((_, p)) = best else { break }; // n1 < m: never empty
+        let i = ws.order[p];
+        ws.side0[i] = true;
+        let gi = grp(i);
+        ws.gcnt[gi] += 1;
+        ws.tour.set(i, gi, f64::NEG_INFINITY);
+        for &(u, w) in g.neighbors(vertices[i]) {
+            let lu = ws.local[u as usize];
+            if lu != usize::MAX {
+                ws.attraction[lu] += w;
+                if !ws.side0[lu] {
+                    ws.tour.set(lu, grp(lu), ws.attraction[lu]);
+                }
+            }
+        }
+    }
+}
+
+/// The side-0 mask one greedy growth of `vertices` (a subset of `g`'s)
+/// leaves, with `n1` vertices grown: by tournaments or by rescans when
+/// `tournaments` says so, by the production choice otherwise.
+#[cfg(test)]
+pub(crate) fn grow_side0(
     g: &WeightedGraph,
     vertices: &[usize],
-    local: &[usize],
-    newly_added: usize,
-    attraction: &mut [f64],
-) {
-    for &(u, w) in g.neighbors(vertices[newly_added]) {
-        let lu = local[u as usize];
-        if lu != usize::MAX {
-            attraction[lu] += w;
+    n1: usize,
+    rng: &mut StdRng,
+    tournaments: Option<bool>,
+) -> Vec<bool> {
+    let mut ws = Workspace::new(g.node_count());
+    ws.size_subset(vertices.len());
+    for (i, &v) in vertices.iter().enumerate() {
+        ws.local[v] = i;
+    }
+    let tournaments = tournaments.unwrap_or_else(|| tournaments_pay(g, vertices));
+    grow_by(g, vertices, n1, rng, &mut ws, tournaments);
+    ws.side0
+}
+
+/// The greedy growth's candidates: per group, a max tournament over the
+/// group's subset vertices in `order`. Leaves hold pulls (−∞ once a
+/// vertex is absorbed, and on padding) and every inner node the larger of
+/// its two children, the left one on a tie, with that leaf's `order`
+/// position — so the root holds the group's largest edge pull and the
+/// earliest vertex with it.
+///
+/// A group's pulls add one offset to its edge pulls, and rounding is
+/// monotone, so the root plus the offset is the group's best pull. A lower
+/// edge pull can round to the same sum and tie with it, but only if the
+/// float just below the root's does; then descending to the left child
+/// whenever its maximum plus the offset still reaches the sum finds the
+/// earliest vertex that ties, in `O(log m)`.
+#[derive(Default)]
+struct Tournament {
+    /// Per group, the start of its nodes in `node` and its leaf count (a
+    /// power of two): node `j` of group `g` is `node[start[g] + j]`, the
+    /// root is `j = 1` and the leaves are `width[g]..2·width[g]`.
+    start: Vec<usize>,
+    width: Vec<usize>,
+    /// Each node's pull and the `order` position it came from.
+    node: Vec<(f64, usize)>,
+    /// Per subset vertex, its leaf `j` within its group.
+    leaf: Vec<usize>,
+    /// Per group, the next leaf to place while the tournaments are built.
+    cursor: Vec<usize>,
+}
+
+impl Tournament {
+    /// Lays out the tournaments of `ng` groups over `order`, with `grp`
+    /// giving a subset vertex's group and `pull` its leaf value.
+    fn lay_out(
+        &mut self,
+        order: &[usize],
+        ng: usize,
+        grp: impl Fn(usize) -> usize,
+        pull: impl Fn(usize) -> f64,
+    ) {
+        self.width.clear();
+        self.width.resize(ng, 0);
+        for &i in order {
+            self.width[grp(i)] += 1;
         }
+        self.start.clear();
+        let mut total = 0;
+        for w in &mut self.width {
+            *w = w.next_power_of_two();
+            self.start.push(total);
+            total += 2 * *w;
+        }
+        self.node.clear();
+        self.node.resize(total, (f64::NEG_INFINITY, usize::MAX));
+        self.leaf.resize(order.len(), 0);
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.width);
+        for (p, &i) in order.iter().enumerate() {
+            let g = grp(i);
+            let j = self.cursor[g];
+            self.cursor[g] += 1;
+            self.leaf[i] = j;
+            self.node[self.start[g] + j] = (pull(i), p);
+        }
+        for (&s, &w) in self.start.iter().zip(&self.width) {
+            for j in (1..w).rev() {
+                self.node[s + j] = Self::winner(self.node[s + 2 * j], self.node[s + 2 * j + 1]);
+            }
+        }
+    }
+
+    fn winner(l: (f64, usize), r: (f64, usize)) -> (f64, usize) {
+        if r.0 > l.0 {
+            r
+        } else {
+            l
+        }
+    }
+
+    /// Sets subset vertex `i`'s leaf (in group `g`) to `pull`.
+    fn set(&mut self, i: usize, g: usize, pull: f64) {
+        let tree = &mut self.node[self.start[g]..self.start[g] + 2 * self.width[g]];
+        let mut j = self.leaf[i];
+        tree[j].0 = pull;
+        while j > 1 {
+            j /= 2;
+            let w = Self::winner(tree[2 * j], tree[2 * j + 1]);
+            if w.0.to_bits() == tree[j].0.to_bits() && w.1 == tree[j].1 {
+                break; // the ancestors hold already
+            }
+            tree[j] = w;
+        }
+    }
+
+    /// Group `g`'s best pull — its largest edge pull plus `offset`, the
+    /// group's attraction part — and the earliest `order` position that
+    /// reaches it; `None` once every vertex of the group is absorbed.
+    fn best(&self, g: usize, offset: Option<f64>) -> Option<(f64, usize)> {
+        let s = self.start[g];
+        let (root, first) = self.node[s + 1];
+        if root == f64::NEG_INFINITY {
+            return None;
+        }
+        let Some(offset) = offset else { return Some((root, first)) };
+        let pull = root + offset;
+        if root.next_down() + offset != pull {
+            return Some((pull, first));
+        }
+        let mut j = 1;
+        while j < self.width[g] {
+            j = 2 * j + usize::from(self.node[s + 2 * j].0 + offset != pull);
+        }
+        Some((pull, self.node[s + j].1))
     }
 }
 
@@ -1009,57 +1241,136 @@ impl Best {
     }
 }
 
-/// The unlocked vertices of each block, ascending.
+/// Vertices of each block, ascending: the unlocked ones for the warm
+/// refinement's block search, every vertex for the swap polish.
 #[derive(Default)]
 struct BlockLists {
-    /// `members[start[p]..start[p + 1]]` lists block `p`'s vertices.
+    /// `members[start[p]..end[p]]` lists block `p`'s vertices. A block's
+    /// slots are laid out when the lists are built; a removal shortens
+    /// the list from the end, a replacement keeps its length.
     start: Vec<usize>,
+    end: Vec<usize>,
     members: Vec<u32>,
-    /// Per-block write cursor while the lists are built.
-    cursor: Vec<usize>,
-    /// The blocks holding an unlocked vertex, ascending.
+    /// The blocks holding a listed vertex, ascending.
     filled: Vec<usize>,
-    /// A move goes from a `⌈n/k⌉` block (a donor holding an unlocked
-    /// vertex) into a `⌊n/k⌋` one (a receiver).
+    /// A move goes from a `⌈n/k⌉` block (a donor holding a listed vertex)
+    /// into a `⌊n/k⌋` one (a receiver).
     donors: Vec<usize>,
     receivers: Vec<usize>,
 }
 
 impl BlockLists {
     fn of(&self, p: usize) -> &[u32] {
-        &self.members[self.start[p]..self.start[p + 1]]
+        &self.members[self.start[p]..self.end[p]]
+    }
+
+    /// Lists `vertices` (ascending) under their blocks in `assignment`.
+    fn list(&mut self, vertices: &[u32], assignment: &[u32], parts: usize) {
+        self.start.clear();
+        self.start.resize(parts + 1, 0);
+        for &v in vertices {
+            self.start[assignment[v as usize] as usize + 1] += 1;
+        }
+        for p in 0..parts {
+            self.start[p + 1] += self.start[p];
+        }
+        // `end` is the write cursor until every vertex is placed.
+        self.end.clear();
+        self.end.extend_from_slice(&self.start[..parts]);
+        self.members.clear();
+        self.members.resize(vertices.len(), 0);
+        for &v in vertices {
+            let c = &mut self.end[assignment[v as usize] as usize];
+            self.members[*c] = v;
+            *c += 1;
+        }
+    }
+
+    /// Takes `v` off block `p`'s list.
+    fn remove(&mut self, p: usize, v: usize) {
+        let list = &mut self.members[self.start[p]..self.end[p]];
+        if let Ok(i) = list.binary_search(&(v as u32)) {
+            list.copy_within(i + 1.., i);
+            self.end[p] -= 1;
+        }
+    }
+
+    /// Puts `new` in `old`'s place on block `p`'s list, moved to keep the
+    /// list ascending.
+    fn replace(&mut self, p: usize, old: usize, new: usize) {
+        let list = &mut self.members[self.start[p]..self.end[p]];
+        let new = new as u32;
+        let Ok(mut i) = list.binary_search(&(old as u32)) else { return };
+        while i + 1 < list.len() && list[i + 1] < new {
+            list[i] = list[i + 1];
+            i += 1;
+        }
+        while i > 0 && list[i - 1] > new {
+            list[i] = list[i - 1];
+            i -= 1;
+        }
+        list[i] = new;
+    }
+
+    /// Recomputes the filled, donor and receiver blocks for block sizes
+    /// `sizes` around the small size `base`.
+    fn classify(&mut self, sizes: &[usize], base: usize) {
+        self.filled.clear();
+        self.donors.clear();
+        self.receivers.clear();
+        for (p, &size) in sizes.iter().enumerate() {
+            if self.end[p] > self.start[p] {
+                self.filled.push(p);
+                if size == base + 1 {
+                    self.donors.push(p);
+                }
+            }
+            if size == base {
+                self.receivers.push(p);
+            }
+        }
     }
 }
 
-/// Gains of the unlocked vertices into every block, with per-(block,
+/// Gains of the listed vertices into every block, with per-(block,
 /// target) upper bounds.
 #[derive(Default)]
 struct GainTable {
-    /// Whether each vertex is unlocked.
+    /// The block count `k`.
+    parts: usize,
+    /// Whether [`Self::refresh`] keeps each vertex's row (the warm pass's
+    /// unlocked vertices).
     live: Vec<bool>,
-    /// `gain[v * k + p]`: the gain of moving unlocked `v` into block `p`.
+    /// `gain[v * k + p]`: the gain of moving `v` into block `p`.
     gain: Vec<f64>,
-    /// `gmax[a * k + b]`: an upper bound on the `gain` of every unlocked
+    /// `gmax[a * k + b]`: an upper bound on the `gain` of every listed
     /// block-`a` member into `b`. A row refresh only raises it and a lock
-    /// leaves it, so it can run high; a scan of `a`'s members against `b`
-    /// sets it to the exact maximum again.
+    /// or a departure leaves it, so it can run high; a scan of `a`'s
+    /// members against `b` sets it to the exact maximum again.
     gmax: Vec<f64>,
 }
 
 impl GainTable {
-    /// Recomputes every unlocked vertex's gains and the exact maxima.
-    fn sweep_all(&mut self, s: &PassState<'_>, lists: &BlockLists) {
-        let (n, parts) = (s.assignment.len(), s.sizes.len());
+    /// Sizes the table for `n` vertices in `parts` blocks, every row dead
+    /// and every bound at −∞.
+    fn reset(&mut self, n: usize, parts: usize) {
+        self.parts = parts;
         self.live.clear();
         self.live.resize(n, false);
         self.gain.resize(n * parts, 0.0);
+        self.gmax.clear();
         self.gmax.resize(parts * parts, f64::NEG_INFINITY);
+    }
+
+    /// Recomputes every unlocked vertex's gains and the exact maxima.
+    fn sweep_all(&mut self, s: &PassState<'_>, lists: &BlockLists) {
+        let parts = s.sizes.len();
+        self.reset(s.assignment.len(), parts);
         for &v in s.unlocked {
             self.live[v as usize] = true;
         }
         for a in 0..parts {
             let maxes = &mut self.gmax[a * parts..(a + 1) * parts];
-            maxes.fill(f64::NEG_INFINITY);
             for &x in lists.of(a) {
                 let x = x as usize;
                 s.conn.gains_from(x, a, &mut self.gain[x * parts..(x + 1) * parts], maxes);
@@ -1098,7 +1409,7 @@ impl GainTable {
         if !self.live[x] {
             return;
         }
-        let parts = s.sizes.len();
+        let parts = self.parts;
         let a = s.assignment[x] as usize;
         s.conn.gains_from(
             x,
@@ -1108,17 +1419,25 @@ impl GainTable {
         );
     }
 
+    /// Sets vertex `x`'s row to the swap polish's one-sided gains,
+    /// `conn[x][p] − conn[x][own]` (`conn` laid out as in
+    /// [`Connectivity`]), and raises `gmax[own][·]` to it.
+    fn polish_row(&mut self, conn: &[f64], x: usize, own: usize) {
+        let parts = self.parts;
+        let row = &conn[x * parts..(x + 1) * parts];
+        let from = row[own];
+        let gains = self.gain[x * parts..(x + 1) * parts].iter_mut();
+        let maxes = self.gmax[own * parts..(own + 1) * parts].iter_mut();
+        for ((g, &c), max) in gains.zip(row).zip(maxes) {
+            *g = c - from;
+            *max = if *g > *max { *g } else { *max };
+        }
+    }
+
     /// Offers every move of a block-`a` member into block `b`, and sets
     /// `gmax[a][b]` to the exact maximum.
-    fn scan_moves(
-        &mut self,
-        lists: &BlockLists,
-        s: &PassState<'_>,
-        a: usize,
-        b: usize,
-        best: &mut Best,
-    ) {
-        let parts = s.sizes.len();
+    fn scan_moves(&mut self, lists: &BlockLists, a: usize, b: usize, best: &mut Best) {
+        let parts = self.parts;
         let mut max = f64::NEG_INFINITY;
         for &x in lists.of(a) {
             let x = x as usize;
@@ -1131,19 +1450,23 @@ impl GainTable {
 
     /// Offers every swap between blocks `a` and `b` that can reach the
     /// best gain, and sets `gmax[a][b]` and `gmax[b][a]` to the exact
-    /// maxima. A swap's gain `g(x) + g(y) − 2·w(x, y)` is at most `g(x) +
-    /// g(y)`, so a member `x` of `a` is skipped when `g(x) + max g(·, b→a)`
-    /// is below the best, and a partner `y` when `g(x) + g(y)` is.
+    /// maxima. A swap's gain is `g(x) + g(y) − 2·w(x, y)`, plus `bonus`
+    /// when there is one (the swap polish's), and `w` is not negative, so
+    /// a member `x` of `a` is skipped when `g(x) + max g(·, b→a)` (plus
+    /// the bonus) is below the best, and a partner `y` when `g(x) + g(y)`
+    /// (plus the bonus) is.
     fn scan_swaps(
         &mut self,
         lists: &BlockLists,
-        s: &PassState<'_>,
+        wmat: &[f64],
+        bonus: Option<f64>,
         a: usize,
         b: usize,
         best: &mut Best,
     ) {
-        let parts = s.sizes.len();
-        let n = s.assignment.len();
+        let parts = self.parts;
+        let n = self.live.len();
+        let lift = |x: f64| bonus.map_or(x, |bonus| x + bonus);
         let mut top_b = f64::NEG_INFINITY;
         for &y in lists.of(b) {
             let gy = self.gain[y as usize * parts + a];
@@ -1154,18 +1477,18 @@ impl GainTable {
             let x = x as usize;
             let gx = self.gain[x * parts + b];
             top_a = if gx > top_a { gx } else { top_a };
-            if gx + top_b < best.gain {
+            if lift(gx + top_b) < best.gain {
                 continue;
             }
             for &y in lists.of(b) {
                 let y = y as usize;
                 let gy = self.gain[y * parts + a];
-                if gx + gy < best.gain {
+                if lift(gx + gy) < best.gain {
                     continue;
                 }
                 let (lo, hi) = (x.min(y), x.max(y));
                 let (plo, phi) = if lo == x { (a, b) } else { (b, a) };
-                let gain = gx + gy - 2.0 * s.wmat[lo * n + hi];
+                let gain = lift(gx + gy - 2.0 * wmat[lo * n + hi]);
                 best.offer(gain, (lo, 1, hi), Action::Swap(lo, plo as u32, hi, phi as u32));
             }
         }
@@ -1174,63 +1497,35 @@ impl GainTable {
     }
 }
 
-/// Scratch and incremental state of the block-pair action search, kept in
-/// [`Workspace`] so that no action allocates.
+/// Scratch and incremental state of the block-pair search, kept in
+/// [`Workspace`] so that no pick allocates. It serves two runs of picks,
+/// never interleaved, each of which starts by invalidating it: a pass of
+/// the warm k-way refinement ([`Self::best_action`]) and a swap polish
+/// ([`Self::best_swap`]).
 ///
 /// Between two searches of one pass, the pass applies the returned action.
-/// That changes the connectivity of the moved vertices' neighbors (and,
+/// That locks the moved vertices, so the next search takes them off their
+/// block lists, and it changes the connectivity of their neighbors (and,
 /// with a [`GroupAttraction`], of their groups) only, so the next search
-/// recomputes just those gain rows. A pass start or a scan-selected action
-/// in between invalidates the table, and the next search sweeps it whole.
+/// recomputes just those gain rows. A scan-selected action in between
+/// invalidates both, and the next search rebuilds the lists from the
+/// unlocked roster and sweeps the table whole.
 #[derive(Default)]
 pub(crate) struct BlockSearch {
     lists: BlockLists,
     table: GainTable,
-    /// The action the previous search returned, while `table` holds for
-    /// the unlocked vertices once the rows it touched are recomputed;
-    /// `None` makes the next search sweep.
+    /// Every vertex, ascending: what the polish lists.
+    everyone: Vec<u32>,
+    /// The pick the previous search returned, while `lists` and `table`
+    /// hold once it is taken into account; `None` makes the next search
+    /// rebuild them.
     last: Option<Action>,
 }
 
 impl BlockSearch {
-    /// Forgets the gain table: the next search sweeps it whole.
+    /// Forgets the lists and the gain table: the next search rebuilds them.
     fn invalidate(&mut self) {
         self.last = None;
-    }
-
-    /// Builds the per-block unlocked member lists.
-    fn collect_blocks(&mut self, s: &PassState<'_>) {
-        let parts = s.sizes.len();
-        let l = &mut self.lists;
-        l.start.clear();
-        l.start.resize(parts + 1, 0);
-        for &v in s.unlocked {
-            l.start[s.assignment[v as usize] as usize + 1] += 1;
-        }
-        l.filled.clear();
-        l.donors.clear();
-        l.receivers.clear();
-        for p in 0..parts {
-            if l.start[p + 1] > 0 {
-                l.filled.push(p);
-                if s.sizes[p] == s.base + 1 {
-                    l.donors.push(p);
-                }
-            }
-            if s.sizes[p] == s.base {
-                l.receivers.push(p);
-            }
-            l.start[p + 1] += l.start[p];
-        }
-        l.cursor.clear();
-        l.cursor.extend_from_slice(&l.start[..parts]);
-        l.members.clear();
-        l.members.resize(s.unlocked.len(), 0);
-        for &v in s.unlocked {
-            let c = &mut l.cursor[s.assignment[v as usize] as usize];
-            l.members[*c] = v;
-            *c += 1;
-        }
     }
 
     /// The exact best action; the pass must apply it before the next
@@ -1242,12 +1537,25 @@ impl BlockSearch {
     /// below the best gain — strict `<`, so ties are still visited.
     /// Rounding is monotone, so no gain exceeds its pair's bound.
     pub(crate) fn best_action(&mut self, s: &PassState<'_>) -> Option<(Action, f64)> {
-        self.collect_blocks(s);
-        let (lists, table) = (&self.lists, &mut self.table);
+        let (lists, table) = (&mut self.lists, &mut self.table);
         match self.last {
-            Some(last) => table.refresh(s, last),
-            None => table.sweep_all(s, lists),
+            Some(last) => {
+                match last {
+                    Action::Move(v, from, _) => lists.remove(from as usize, v),
+                    Action::Swap(v, pv, u, pu) => {
+                        lists.remove(pv as usize, v);
+                        lists.remove(pu as usize, u);
+                    }
+                }
+                table.refresh(s, last);
+            }
+            None => {
+                lists.list(s.unlocked, s.assignment, s.sizes.len());
+                table.sweep_all(s, lists);
+            }
         }
+        lists.classify(s.sizes, s.base);
+        let lists = &*lists;
         let parts = s.sizes.len();
         let swap_bound =
             |t: &GainTable, a: usize, b: usize| t.gmax[a * parts + b] + t.gmax[b * parts + a];
@@ -1272,22 +1580,22 @@ impl BlockSearch {
         let mut best = Best::new();
         if let Some((_, top_swap, ta, tb)) = top {
             if top_swap {
-                table.scan_swaps(lists, s, ta, tb, &mut best);
+                table.scan_swaps(lists, s.wmat, None, ta, tb, &mut best);
             } else {
-                table.scan_moves(lists, s, ta, tb, &mut best);
+                table.scan_moves(lists, ta, tb, &mut best);
             }
             for &a in &lists.donors {
                 for &b in &lists.receivers {
                     if (top_swap, a, b) != (false, ta, tb) && table.gmax[a * parts + b] >= best.gain
                     {
-                        table.scan_moves(lists, s, a, b, &mut best);
+                        table.scan_moves(lists, a, b, &mut best);
                     }
                 }
             }
             for (i, &a) in lists.filled.iter().enumerate() {
                 for &b in &lists.filled[i + 1..] {
                     if (top_swap, a, b) != (true, ta, tb) && swap_bound(table, a, b) >= best.gain {
-                        table.scan_swaps(lists, s, a, b, &mut best);
+                        table.scan_swaps(lists, s.wmat, None, a, b, &mut best);
                     }
                 }
             }
@@ -1473,14 +1781,175 @@ pub(crate) fn kway_fm_refine_with(
     }
 }
 
-/// Greedy pairwise-swap refinement across all block pairs. Swapping keeps
-/// every block size unchanged, so balance is preserved exactly. The
-/// dense pair-weight matrix (filled once per `partition` call, attraction
-/// included) replaces the adjacency-list `edge_weight` scan in the O(n²)
-/// inner loop; the attraction part of each one-sided gain is folded into
-/// the [`Connectivity`] table.
+/// The polish state one swap selection of [`kway_swap_refine`] reads.
+pub(crate) struct PolishState<'s> {
+    graph: &'s WeightedGraph,
+    assignment: &'s [u32],
+    parts: usize,
+    /// One-sided folded connectivity, laid out as in [`Connectivity`].
+    conn: &'s [f64],
+    /// Vertices of each group (only with an attraction).
+    members: &'s [Vec<u32>],
+    /// Dense pair weights, attraction included; none is negative.
+    wmat: &'s [f64],
+    /// The flat swap-delta bonus: `2 · weight` with an attraction.
+    bonus: f64,
+}
+
+/// The polish's pair scan: every vertex pair `u < v` in different blocks,
+/// ascending, keeping only deltas strictly above the best so far and
+/// `1e-12` — so ties go to the first pair. Returns `(u, v, delta)`.
+/// `O(n²)` per round.
+pub(crate) fn scan_best_swap(s: &PolishState<'_>) -> Option<(usize, usize, f64)> {
+    let (n, parts, conn) = (s.assignment.len(), s.parts, s.conn);
+    let mut best_delta = 1e-12;
+    let mut best_pair = None;
+    for u in 0..n {
+        let pu = s.assignment[u] as usize;
+        for v in (u + 1)..n {
+            let pv = s.assignment[v] as usize;
+            if pu == pv {
+                continue;
+            }
+            let du = conn[u * parts + pv] - conn[u * parts + pu];
+            let dv = conn[v * parts + pu] - conn[v * parts + pv];
+            let delta = du + dv - 2.0 * s.wmat[u * n + v] + s.bonus;
+            if delta > best_delta {
+                best_delta = delta;
+                best_pair = Some((u, v));
+            }
+        }
+    }
+    best_pair.map(|(u, v)| (u, v, best_delta))
+}
+
+impl BlockSearch {
+    /// The exact best swap, as [`scan_best_swap`] picks it; the polish
+    /// must apply it before the next search. For the polish the lists hold
+    /// every vertex and the table the one-sided gains `conn[x][p] −
+    /// conn[x][own]`. An applied swap trades one list entry in each of its
+    /// two blocks and changes the gain rows of its two vertices, their
+    /// neighbors and, with a [`GroupAttraction`] across two groups, those
+    /// groups only, so the next search recomputes just those rows.
+    ///
+    /// The a–b swaps are bounded by `(gmax[a][b] + gmax[b][a]) + bonus`: a
+    /// delta is `((g(u) + g(v)) − 2·w) + bonus` with `w ≥ 0`, and rounding
+    /// is monotone. The pair with the top bound is scanned first; every
+    /// other pair is skipped only if its bound (re-read, as scans tighten
+    /// `gmax`) is below the best delta so far, which starts at the `1e-12`
+    /// threshold.
+    pub(crate) fn best_swap(&mut self, s: &PolishState<'_>) -> Option<(usize, usize, f64)> {
+        let (lists, table) = (&mut self.lists, &mut self.table);
+        let parts = s.parts;
+        match self.last {
+            // The previous swap of this polish: `u` and `v` traded blocks.
+            Some(Action::Swap(u, _, v, _)) => {
+                let (pu, pv) = (s.assignment[u] as usize, s.assignment[v] as usize);
+                lists.replace(pv, u, v);
+                lists.replace(pu, v, u);
+                let mut refresh = |x: usize| table.polish_row(s.conn, x, s.assignment[x] as usize);
+                for moved in [u, v] {
+                    refresh(moved);
+                    for &(t, _) in s.graph.neighbors(moved) {
+                        refresh(t as usize);
+                    }
+                }
+                if let Some(at) = s.graph.attraction() {
+                    let (gu, gv) = (at.group_of()[u], at.group_of()[v]);
+                    if gu != gv {
+                        for &x in s.members[gu as usize].iter().chain(&s.members[gv as usize]) {
+                            refresh(x as usize);
+                        }
+                    }
+                }
+            }
+            // A polish start (which invalidates): list every vertex.
+            _ => {
+                let n = s.assignment.len();
+                self.everyone.clear();
+                self.everyone.extend(0..n as u32);
+                lists.list(&self.everyone, s.assignment, parts);
+                table.reset(n, parts);
+                for x in 0..n {
+                    table.polish_row(s.conn, x, s.assignment[x] as usize);
+                }
+            }
+        }
+        let lists = &*lists;
+        let bound = |t: &GainTable, a: usize, b: usize| {
+            (t.gmax[a * parts + b] + t.gmax[b * parts + a]) + s.bonus
+        };
+        let mut top: Option<(f64, usize, usize)> = None;
+        for a in 0..parts {
+            for b in a + 1..parts {
+                let bound = bound(table, a, b);
+                if top.is_none_or(|(t, ..)| bound > t) {
+                    top = Some((bound, a, b));
+                }
+            }
+        }
+        // Only deltas above the scan's threshold are offered.
+        let mut best = Best { gain: 1e-12, ..Best::new() };
+        if let Some((_, ta, tb)) = top {
+            table.scan_swaps(lists, s.wmat, Some(s.bonus), ta, tb, &mut best);
+            for a in 0..parts {
+                for b in a + 1..parts {
+                    if (a, b) != (ta, tb) && bound(table, a, b) >= best.gain {
+                        table.scan_swaps(lists, s.wmat, Some(s.bonus), a, b, &mut best);
+                    }
+                }
+            }
+        }
+        let choice = best.into_choice();
+        self.last = choice.map(|(action, _)| action);
+        match choice {
+            Some((Action::Swap(u, _, v, _), delta)) => Some((u, v, delta)),
+            _ => None,
+        }
+    }
+}
+
+/// Selects the polish's next swap: the block-pair search when the vertices
+/// number [`BLOCK_SEARCH_RATIO`] per block, the pair scan otherwise. Both
+/// return the same swap with the same delta bits.
+// sf: hot-path
+pub(crate) fn select_swap(
+    s: &PolishState<'_>,
+    search: &mut BlockSearch,
+) -> Option<(usize, usize, f64)> {
+    if s.assignment.len() >= BLOCK_SEARCH_RATIO * s.parts {
+        search.best_swap(s)
+    } else {
+        scan_best_swap(s)
+    }
+}
+
+/// Greedy pairwise-swap refinement across all block pairs: each round
+/// applies the swap with the largest delta above `1e-12` (ties to the
+/// first pair `u < v`), up to 64 rounds. Swapping keeps every block size
+/// unchanged, so balance is preserved exactly. The dense pair-weight
+/// matrix (filled once per `partition` call, attraction included) gives
+/// each pair's weight in `O(1)`; the attraction part of each one-sided
+/// gain is folded into the [`Connectivity`] table.
+///
+/// With `n` vertices in `k` blocks, [`select_swap`] finds a round's swap by
+/// the `O(n²)` pair scan when `n < 3k` and otherwise by the exact
+/// block-pair search ([`BlockSearch::best_swap`]): a gain table swept in
+/// `O(n·k)` once per polish and then updated on the rows each swap
+/// touches, `O(k²)` pair bounds, and the members of the pairs whose bound
+/// reaches the best delta. The swap sequence and every delta's bits are
+/// the scan's.
 pub(crate) fn kway_swap_refine(g: &WeightedGraph, assignment: &mut [u32], ws: &mut Workspace) {
-    let n = assignment.len();
+    kway_swap_refine_with(g, assignment, ws, select_swap);
+}
+
+/// [`kway_swap_refine`] with the swap selector as a parameter.
+pub(crate) fn kway_swap_refine_with(
+    g: &WeightedGraph,
+    assignment: &mut [u32],
+    ws: &mut Workspace,
+    mut select: impl FnMut(&PolishState<'_>, &mut BlockSearch) -> Option<(usize, usize, f64)>,
+) {
     let parts = assignment.iter().copied().max().map_or(0, |p| p as usize + 1);
     if parts < 2 {
         return;
@@ -1492,28 +1961,20 @@ pub(crate) fn kway_swap_refine(g: &WeightedGraph, assignment: &mut [u32], ws: &m
     // attraction, so the swap delta gains a flat `2·weight` bonus. Adding
     // 0.0 on attraction-free graphs changes no comparison.
     let swap_bonus = at.map_or(0.0, |a| 2.0 * a.weight());
+    ws.search.invalidate();
 
     const MAX_ROUNDS: usize = 64;
     for _ in 0..MAX_ROUNDS {
-        let mut best_delta = 1e-12;
-        let mut best_pair = None;
-        for u in 0..n {
-            let pu = assignment[u] as usize;
-            for v in (u + 1)..n {
-                let pv = assignment[v] as usize;
-                if pu == pv {
-                    continue;
-                }
-                let du = conn[u * parts + pv] - conn[u * parts + pu];
-                let dv = conn[v * parts + pu] - conn[v * parts + pv];
-                let delta = du + dv - 2.0 * ws.wmat[u * n + v] + swap_bonus;
-                if delta > best_delta {
-                    best_delta = delta;
-                    best_pair = Some((u, v));
-                }
-            }
-        }
-        let Some((u, v)) = best_pair else { break };
+        let state = PolishState {
+            graph: g,
+            assignment,
+            parts,
+            conn: &conn,
+            members: &members,
+            wmat: &ws.wmat,
+            bonus: swap_bonus,
+        };
+        let Some((u, v, _)) = select(&state, &mut ws.search) else { break };
         ws.applied += 1;
         let pu = assignment[u] as usize;
         let pv = assignment[v] as usize;

@@ -19,19 +19,29 @@
 //!   best is returned; the RNG seed is part of the configuration, so results
 //!   are reproducible run to run.
 //!
-//! Vertex counts in this domain are small (tens to a couple of hundred
-//! cores), so the implementation favours clarity over asymptotics. Greedy
-//! growth and a round of the pairwise-swap polish cost `O(n²)`. Warm k-way
-//! refinement takes up to `n` actions per pass, each the exact best move or
-//! swap over the `m` unlocked vertices. While the `k` blocks hold at least
-//! three unlocked vertices each on average, it finds that action by a
-//! block-pair search: a per-(vertex, block) gain table, updated on the rows
-//! each action touches, bounds every block pair, and only the pairs whose
-//! bound reaches the best gain are scanned — `O(m·k)` to sweep the table,
-//! then `O(k²)` plus the scanned pairs per action. Below that (`k > m/3`)
-//! it rescans every pair of unlocked vertices, `O(m²)` per action. Both
-//! pick the same actions; on 128-core pipelines (k ≤ 31, 2-vCPU Xeon) the
-//! search made a whole `sunfloor3d` run about 65% faster.
+//! Vertex counts in this domain are small (tens to a few hundred cores).
+//! Every step below picks exactly what a full rescan would, ties and float
+//! bits included, and rescans only where that is the cheaper way:
+//!
+//! * Greedy growth absorbs `n₁` of `m` vertices. While `m` is at least
+//!   `2 · (1 + average degree) · log₂ m`, each is taken from per-group max
+//!   tournaments over the shuffled order: `O(m)` to lay them out, then
+//!   `O(deg · log m)` per absorbed vertex. Smaller or denser subsets keep
+//!   the `O(m)` rescan per vertex, which is cheaper there.
+//! * Warm k-way refinement takes up to `n` actions per pass, each the exact
+//!   best move or swap over the `m` unlocked vertices; a pairwise-swap
+//!   polish round takes the best swap over all `n` vertices. While the `k`
+//!   blocks hold at least three vertices each on average, both find it by
+//!   a block-pair search: a per-(vertex, block) gain table and per-block
+//!   vertex lists, updated on the rows and entries each pick touches,
+//!   bound every block pair, and only the pairs whose bound reaches the
+//!   best gain are scanned — `O(m·k)` to sweep the table once, then
+//!   `O(k²)` plus the scanned pairs per pick. Below that (`k > m/3`) they
+//!   rescan every vertex pair, `O(m²)` per pick.
+//!
+//! On 128-core pipelines (k ≤ 31, 2-vCPU Xeon) the warm block search made a
+//! whole `sunfloor3d` run about 65% faster, and the growth tournaments,
+//! the polish's swap search and the kept block lists about a further 15%.
 //!
 //! # Example
 //!

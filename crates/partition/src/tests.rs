@@ -311,6 +311,246 @@ proptest! {
     }
 }
 
+/// The greedy growth the tournaments replaced: for every absorbed vertex, a scan
+/// of the whole shuffled `order` for the first vertex with the strictly
+/// largest pull. Returns the side-0 mask and how many steps a lower edge
+/// pull won a rounding tie (its pull plus the group offset equal to a
+/// larger edge pull's, but earlier in `order`).
+fn scan_grow(
+    g: &WeightedGraph,
+    vertices: &[usize],
+    n1: usize,
+    rng: &mut rand::rngs::StdRng,
+) -> (Vec<bool>, usize) {
+    use rand::seq::SliceRandom;
+    let m = vertices.len();
+    let mut local = vec![usize::MAX; g.node_count()];
+    for (i, &v) in vertices.iter().enumerate() {
+        local[v] = i;
+    }
+    let mut order: Vec<usize> = (0..m).collect();
+    order.shuffle(rng);
+    let at = g.attraction();
+    let mut cnt0 = vec![0u32; at.map_or(1, |a| a.group_count().max(1))];
+    let mut side0 = vec![false; m];
+    let mut attraction = vec![0.0f64; m];
+    let absorb = |i: usize, side0: &mut [bool], attraction: &mut [f64], cnt0: &mut [u32]| {
+        side0[i] = true;
+        if let Some(a) = at {
+            cnt0[a.group_of()[vertices[i]] as usize] += 1;
+        }
+        for &(u, w) in g.neighbors(vertices[i]) {
+            let lu = local[u as usize];
+            if lu != usize::MAX {
+                attraction[lu] += w;
+            }
+        }
+    };
+    absorb(rng.gen_range(0..m), &mut side0, &mut attraction, &mut cnt0);
+    let mut rounding_ties = 0;
+    for _ in 1..n1 {
+        let pull = |i: usize| match at {
+            Some(a) => {
+                let c = cnt0[a.group_of()[vertices[i]] as usize];
+                attraction[i] + a.weight() * f64::from(c)
+            }
+            None => attraction[i],
+        };
+        let mut best = usize::MAX;
+        let mut best_w = f64::NEG_INFINITY;
+        for &i in &order {
+            if !side0[i] && pull(i) > best_w {
+                best_w = pull(i);
+                best = i;
+            }
+        }
+        let group = |i: usize| at.map(|a| a.group_of()[vertices[i]]);
+        let same_group = |i: usize| at.is_some() && group(i) == group(best);
+        if order.iter().any(|&i| {
+            !side0[i] && same_group(i) && pull(i) == best_w && attraction[i] > attraction[best]
+        }) {
+            rounding_ties += 1;
+        }
+        absorb(best, &mut side0, &mut attraction, &mut cnt0);
+    }
+    (side0, rounding_ties)
+}
+
+/// A seeded graph for the growth oracle. With `near_ties`, edge weights
+/// come in adjacent-float pairs (`x` and the next float above it), whose
+/// sums differ by an ulp that a group offset of 1 or more rounds away, so
+/// lower edge pulls tie on the sum; a group attraction of 1 or 3 leaves
+/// compensated same-group edges negative, so pulls also fall.
+fn growth_graph(n: usize, seed: u64, near_ties: bool, attraction: bool) -> WeightedGraph {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let density = rng.gen_range(0.05..0.5);
+    let mut g = WeightedGraph::new(n);
+    for a in 0..n {
+        for b in (a + 1)..n {
+            if rng.gen_bool(density) {
+                let w = if near_ties {
+                    let x = [0.25, 0.5, 0.75, 1.25][rng.gen_range(0..4usize)];
+                    if rng.gen_bool(0.5) { x } else { f64::next_up(x) }
+                } else {
+                    rng.gen_range(0.5..20.0)
+                };
+                g.add_edge(a, b, w);
+            }
+        }
+    }
+    if attraction {
+        let groups = rng.gen_range(1u32..4);
+        let group_of = (0..n).map(|_| rng.gen_range(0..groups)).collect();
+        let weight =
+            if near_ties { [1.0, 3.0][rng.gen_range(0..2usize)] } else { rng.gen_range(0.1..5.0) };
+        g.set_group_attraction(group_of, weight);
+    }
+    g
+}
+
+/// One growth case: a random vertex subset of `g` in random order, grown
+/// to a random `n1` from one RNG state by the rescan oracle and by the
+/// production growth through tournaments, through rescans and through its
+/// own choice between them. Returns the paths whose side-0 mask or final
+/// RNG state differ from the oracle's, and the oracle's rounding-tie count.
+fn growth_case(g: &WeightedGraph, seed: u64) -> (Vec<&'static str>, usize) {
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{RngCore, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut vertices: Vec<usize> = (0..g.node_count()).collect();
+    vertices.shuffle(&mut rng);
+    let m = rng.gen_range(2..=vertices.len());
+    vertices.truncate(m);
+    let n1 = rng.gen_range(1..m);
+    let start = StdRng::seed_from_u64(seed ^ 0x9e0);
+    let mut oracle_rng = start.clone();
+    let (oracle, ties) = scan_grow(g, &vertices, n1, &mut oracle_rng);
+    let after = oracle_rng.next_u64();
+    let mut diverged = Vec::new();
+    let paths = [("tournaments", Some(true)), ("rescans", Some(false)), ("production", None)];
+    for (path, tournaments) in paths {
+        let mut rng = start.clone();
+        let mask = fm::grow_side0(g, &vertices, n1, &mut rng, tournaments);
+        if mask != oracle || rng.next_u64() != after {
+            diverged.push(path);
+        }
+    }
+    (diverged, ties)
+}
+
+/// The near-tie graphs do reach the rounding ties the tournaments must
+/// break like the scan — so the proptest below is not vacuous — and every
+/// growth path breaks them the same way.
+#[test]
+fn growth_oracle_graphs_reach_rounding_ties() {
+    let mut ties = 0;
+    for seed in 0..40u64 {
+        let g = growth_graph(60, seed, true, true);
+        let (diverged, t) = growth_case(&g, seed);
+        assert!(diverged.is_empty(), "seed {seed}: {diverged:?} diverged from the scan");
+        ties += t;
+    }
+    assert!(ties > 0, "no rounding tie reached");
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+    /// Tournament growth against the full-rescan growth it replaces: the
+    /// same side-0 mask and the same RNG state after, with and without a
+    /// group attraction, on weights that make pulls tie exactly, tie after
+    /// rounding, and fall — through tournaments, through rescans and
+    /// through the production choice.
+    #[test]
+    fn tournament_growth_matches_the_rescan(
+        n in 2usize..120,
+        seed in 0u64..1_000_000,
+        near_ties in proptest::bool::ANY,
+        attraction in proptest::bool::ANY,
+    ) {
+        let g = growth_graph(n, seed, near_ties, attraction);
+        let (diverged, _) = growth_case(&g, seed);
+        prop_assert!(diverged.is_empty(), "{:?} diverged from the scan (n {})", diverged, n);
+    }
+}
+
+/// Every swap one swap polish applied, with its delta's bits, then the
+/// final assignment and the applied-swap count.
+type PolishTrace = (Vec<(usize, usize, u64)>, Vec<u32>, u64);
+
+/// Runs the swap polish from `initial` with `select` choosing each swap.
+fn polish_trace(
+    g: &WeightedGraph,
+    initial: &[u32],
+    mut select: impl FnMut(
+        &fm::PolishState<'_>,
+        &mut fm::BlockSearch,
+    ) -> Option<(usize, usize, f64)>,
+) -> PolishTrace {
+    let mut assignment = initial.to_vec();
+    let mut ws = fm::Workspace::new(g.node_count());
+    let mut log = Vec::new();
+    fm::kway_swap_refine_with(g, &mut assignment, &mut ws, |s, search| {
+        let choice = select(s, search);
+        if let Some((u, v, delta)) = choice {
+            log.push((u, v, delta.to_bits()));
+        }
+        choice
+    });
+    (log, assignment, ws.applied)
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+    /// The polish's block-pair swap search against the pair scan it
+    /// replaces: the same swaps with the same delta bits, the same final
+    /// assignment and the same applied count — forced onto every polish,
+    /// and through the production path choice. The polish starts from a
+    /// random balanced assignment (many improving swaps) or from a cold
+    /// partition's recursive bisection (few, as in production).
+    #[test]
+    fn swap_search_matches_the_pair_scan(
+        n in 6usize..160,
+        k_pick in 0usize..10_000,
+        seed in 0u64..1_000_000,
+        integer in proptest::bool::ANY,
+        attraction in proptest::bool::ANY,
+        bisected in proptest::bool::ANY,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let parts = 2 + k_pick % (n - 2);
+        let g = oracle_graph(n, seed, integer, attraction);
+        let initial = if bisected {
+            let mut out = vec![0u32; n];
+            let mut vertices: Vec<usize> = (0..n).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ws = fm::Workspace::new(n);
+            fm::recursive_bisect(&g, &mut vertices, parts, 0, 10, &mut rng, &mut out, &mut ws);
+            out
+        } else {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x5eed));
+            let mut initial = vec![0u32; n];
+            for (i, &v) in order.iter().enumerate() {
+                initial[v] = (i % parts) as u32;
+            }
+            initial
+        };
+
+        let scan = polish_trace(&g, &initial, |s, _| fm::scan_best_swap(s));
+        let block = polish_trace(&g, &initial, |s, search| search.best_swap(s));
+        let production = polish_trace(&g, &initial, fm::select_swap);
+        prop_assert!(block == scan, "swap search diverged from the scan (n {}, k {})", n, parts);
+        prop_assert!(production == scan, "production path diverged (n {}, k {})", n, parts);
+    }
+}
+
 proptest! {
     #[test]
     fn warm_start_from_arbitrary_labels_stays_balanced(

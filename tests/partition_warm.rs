@@ -8,7 +8,7 @@ use sunfloor_benchmarks::{media26, pipeline_seeded, tvopd_seeded, Benchmark};
 use sunfloor_core::graph::{CommGraph, PartitionCache};
 use sunfloor_core::phase1;
 use sunfloor_core::synthesis::{SweepEvent, SynthesisConfig, SynthesisEngine};
-use sunfloor_partition::{PartitionConfig, WeightedGraph};
+use sunfloor_partition::{PartitionConfig, Partitioning, WeightedGraph};
 
 const SEED: u64 = 0x51B0_A7E5;
 const ALPHA: f64 = 1.0;
@@ -71,19 +71,24 @@ fn adjacent_count_warm_chain_is_deterministic_and_no_worse_than_cold() {
     }
 }
 
-/// Folds one warm-only partition of `g` into the FNV-1a hash `h`: its
-/// assignment, its cut's bits and its refinement work. Returns the
-/// assignment.
-fn fold_warm_partition(h: &mut u64, g: &WeightedGraph, k: usize, initial: &[u32]) -> Vec<u32> {
-    let mut cfg = PartitionConfig::k_way(k).with_seed(SEED).with_initial(initial.to_vec());
-    cfg.restarts = 0;
-    let p = g.partition(&cfg).unwrap();
+/// Folds a partition into the FNV-1a hash `h`: its assignment, its cut's
+/// bits and its refinement work.
+fn fold_partition(h: &mut u64, p: &Partitioning) {
     let words = p.assignment().iter().map(|&a| u64::from(a));
     for word in words.chain([p.cut_weight.to_bits(), p.fm_moves()]) {
         for byte in word.to_le_bytes() {
             *h = (*h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
         }
     }
+}
+
+/// Folds one warm-only partition of `g` into the hash `h` (see
+/// [`fold_partition`]). Returns the assignment.
+fn fold_warm_partition(h: &mut u64, g: &WeightedGraph, k: usize, initial: &[u32]) -> Vec<u32> {
+    let mut cfg = PartitionConfig::k_way(k).with_seed(SEED).with_initial(initial.to_vec());
+    cfg.restarts = 0;
+    let p = g.partition(&cfg).unwrap();
+    fold_partition(h, &p);
     p.assignment().to_vec()
 }
 
@@ -109,6 +114,31 @@ fn pipe128_warm_partitions_match_the_vertex_pair_scan() {
         fold_warm_partition(&mut h, &spg, k, &prev);
     }
     assert_eq!(h, 0xce73_f7b5_1014_92f5, "pipe128 warm partitions moved: {h:#018x}");
+}
+
+/// A 256-core pipeline (generator seed 5000) through cold k-way partitions
+/// at k = 15 and 31 with the default restarts, on the PG and on the θ = 7
+/// SPG with its same-layer group attraction: recursive bisection's greedy
+/// growth and FM passes, then the swap polish, on blocks of 8–18 cores.
+/// The pinned fingerprint (assignments, cut bits, `fm_moves`) was taken
+/// from the full-rescan growth and the all-pairs swap scan, so the
+/// tournament growth and the bounded swap search must pick the same
+/// vertices and swaps, bit for bit.
+#[test]
+fn pipe256_cold_partitions_match_the_full_scans() {
+    let bench = pipeline_seeded(256, 5000);
+    let graph = CommGraph::new(&bench.soc, &bench.comm);
+    let pg = graph.partitioning_graph(ALPHA);
+    let spg = graph.scaled_partitioning_graph(&bench.soc, ALPHA, 7.0, THETA_MAX);
+    assert!(spg.attraction().is_some(), "the θ-step SPG must carry a group attraction");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for g in [&pg, &spg] {
+        for k in [15, 31] {
+            let p = g.partition(&PartitionConfig::k_way(k).with_seed(SEED)).unwrap();
+            fold_partition(&mut h, &p);
+        }
+    }
+    assert_eq!(h, 0xe825_de04_91b8_f400, "pipe256 cold partitions moved: {h:#018x}");
 }
 
 /// θ-escalation warm starts, along the escalation trajectories the engine
@@ -211,6 +241,35 @@ fn theta_escalation_warm_starts_are_deterministic_and_no_worse_than_cold() {
     }
 }
 
+/// The dense Definition-4 SPG exactly as the paper states it (α = `ALPHA`,
+/// θ_max = `THETA_MAX`): inter-layer flow weights scaled down by
+/// `θ·|Δlayer|`, and a weak edge of weight `θ·max_wt/(10·θ_max)` between
+/// **every** non-communicating same-layer pair — the `O(n²)` edges the
+/// production SPG folds into a group attraction.
+fn dense_spg(graph: &CommGraph, bench: &Benchmark, theta: f64) -> WeightedGraph {
+    let n = graph.core_count();
+    let layer = |c: usize| bench.soc.cores[c].layer;
+    let mut dense = WeightedGraph::new(n);
+    let intra_extra = theta * graph.max_weight(ALPHA) / (10.0 * THETA_MAX);
+    let mut has_edge = vec![false; n * n];
+    for e in graph.edge_list() {
+        let h = graph.edge_weight(e.bandwidth_mbs, e.latency_cycles, ALPHA);
+        let (ls, ld) = (layer(e.src), layer(e.dst));
+        let w = if ls == ld { h } else { h / (theta * f64::from(ls.abs_diff(ld))) };
+        dense.add_edge(e.src, e.dst, w);
+        has_edge[e.src * n + e.dst] = true;
+        has_edge[e.dst * n + e.src] = true;
+    }
+    for a in 0..n {
+        for b in (a + 1)..n {
+            if !has_edge[a * n + b] && layer(a) == layer(b) {
+                dense.add_edge(a, b, intra_extra);
+            }
+        }
+    }
+    dense
+}
+
 /// Sparse-θ quality anchor (PR 10): the production θ-step — a warm-started
 /// partition of the sparse SPG, whose same-layer weak clique is folded into
 /// a uniform group attraction instead of materialized as `O(n²)` edges,
@@ -237,8 +296,7 @@ fn sparse_theta_partition_cut_is_no_worse_than_dense_on_the_dense_objective() {
                         .with_initial(initial.to_vec())
                 };
                 let sparse = graph.scaled_partitioning_graph(&bench.soc, ALPHA, theta, THETA_MAX);
-                let dense =
-                    graph.scaled_partitioning_graph_dense(&bench.soc, ALPHA, theta, THETA_MAX);
+                let dense = dense_spg(&graph, &bench, theta);
                 let sparse_parts = sparse.partition(&warm(&sparse_prev)).unwrap();
                 let dense_parts = dense.partition(&warm(&dense_prev)).unwrap();
                 let sparse_cut_on_dense = dense.cut_weight(sparse_parts.assignment());
