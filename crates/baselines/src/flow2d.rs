@@ -1,4 +1,4 @@
-//! The 2-D synthesis flow (paper reference [16]) used for the 2-D vs 3-D
+//! The 2-D synthesis flow (paper reference \[16\]) used for the 2-D vs 3-D
 //! comparison of §VIII-C / Table I.
 
 use sunfloor_benchmarks::Benchmark;

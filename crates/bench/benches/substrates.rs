@@ -11,9 +11,8 @@ use sunfloor_core::graph::{CommGraph, PartitionCache};
 use sunfloor_core::paths::{PathAllocator, PathConfig};
 use sunfloor_core::phase1;
 use sunfloor_floorplan::{
-    anneal, anneal_tempered, anneal_tempered_constrained_with_stats, insert_components,
-    AnnealConfig, Block, ConstrainedInput, InsertRequest, Net, PackScratch, PlacedBlock,
-    SequencePair, TemperConfig,
+    anneal, anneal_tempered, insert_components, AnnealConfig, AnnealInput, Block, InsertRequest,
+    Net, PackScratch, PlacedBlock, SequencePair, TemperConfig,
 };
 use sunfloor_lp::{PlacementProblem, PlacementWorkspace};
 use sunfloor_models::NocLibrary;
@@ -147,7 +146,6 @@ fn bench_router(c: &mut Criterion) {
 fn route_flows(c: &mut Criterion, name: &str, bench: &Benchmark, switches: &[usize]) {
     let graph = CommGraph::new(&bench.soc, &bench.comm);
     let lib = NocLibrary::lp65();
-    let core_layers: Vec<u32> = bench.soc.cores.iter().map(|c| c.layer).collect();
     let mut group = c.benchmark_group(name);
     for &k in switches {
         let conn =
@@ -155,21 +153,7 @@ fn route_flows(c: &mut Criterion, name: &str, bench: &Benchmark, switches: &[usi
         let cfg = PathConfig::new(25, lib.switch.max_size_for_frequency(400.0), 400.0);
         let mut alloc = PathAllocator::new();
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-            b.iter(|| {
-                alloc
-                    .compute_paths(
-                        black_box(&graph),
-                        &conn.core_attach,
-                        &conn.switch_layer,
-                        &conn.est_positions,
-                        &core_layers,
-                        bench.soc.layers,
-                        &lib,
-                        &cfg,
-                        0.6,
-                    )
-                    .unwrap()
-            });
+            b.iter(|| alloc.compute_paths(black_box(&graph), &conn, &lib, &cfg, 0.6).unwrap());
         });
     }
     group.finish();
@@ -299,7 +283,7 @@ fn bench_theta_sparse(c: &mut Criterion) {
     group.bench_function("sparse_fold", |b| {
         b.iter(|| {
             let spg =
-                black_box(&graph).scaled_partitioning_graph(&bench.soc, 0.6, 7.0, 15.0);
+                black_box(&graph).scaled_partitioning_graph(0.6, 7.0, 15.0);
             spg.partition(&PartitionConfig::k_way(8)).unwrap()
         });
     });
@@ -331,21 +315,23 @@ fn bench_pack_lcs(c: &mut Criterion) {
 }
 
 /// The parallel-tempering annealer at the 65-block pipeline scale: the
-/// serial chain (one replica is bit-identical to `anneal`) against 2 and 4
+/// serial chain (one replica is what `anneal` runs) against 2 and 4
 /// exchange-coupled replicas at the same per-replica budget. Wall-clock
 /// stays near the serial chain while the aggregate move budget scales with
 /// the replica count.
 fn bench_anneal_tempering(c: &mut Criterion) {
-    let blocks: Vec<Block> = (0..65)
-        .map(|i| {
-            Block::new(
-                format!("stage{i}"),
-                1.2 + f64::from(i % 5) * 0.3,
-                1.1 + f64::from(i % 7) * 0.2,
-            )
-            .rotatable()
-        })
-        .collect();
+    let input = AnnealInput::new(
+        (0..65)
+            .map(|i| {
+                Block::new(
+                    format!("stage{i}"),
+                    1.2 + f64::from(i % 5) * 0.3,
+                    1.1 + f64::from(i % 7) * 0.2,
+                )
+                .rotatable()
+            })
+            .collect(),
+    );
     let mut nets = Vec::new();
     for i in 0..64usize {
         nets.push(Net::two_pin(i, i + 1, 1.0 + f64::from(i as u32 % 3) * 0.5));
@@ -365,7 +351,7 @@ fn bench_anneal_tempering(c: &mut Criterion) {
                     replicas,
                     ..TemperConfig::default()
                 };
-                b.iter(|| anneal_tempered(black_box(&blocks), &nets, &cfg));
+                b.iter(|| anneal_tempered(black_box(&input), &nets, &cfg));
             },
         );
     }
@@ -392,7 +378,7 @@ fn bench_anneal_tempered_layer(c: &mut Criterion) {
         placed.push(PlacedBlock::new(block, x - side / 2.0, y - side / 2.0));
         ideal.push(Some((x, y, 2.0)));
     }
-    let input = ConstrainedInput {
+    let input = AnnealInput {
         seed: SequencePair::from_placement(&placed),
         blocks: placed.iter().map(|p| p.block.clone()).collect(),
         ideal,
@@ -407,7 +393,7 @@ fn bench_anneal_tempered_layer(c: &mut Criterion) {
     let mut group = c.benchmark_group("anneal_tempered_layer");
     group.sample_size(10);
     group.bench_function("15blocks_5movable", |b| {
-        b.iter(|| anneal_tempered_constrained_with_stats(black_box(&input), &[], &cfg));
+        b.iter(|| anneal_tempered(black_box(&input), &[], &cfg));
     });
     group.finish();
 }

@@ -9,7 +9,7 @@ use sunfloor_core::eval::evaluate;
 use sunfloor_core::graph::CommGraph;
 use sunfloor_core::synthesis::{DesignPoint, SynthesisMode};
 use sunfloor_floorplan::{
-    anneal_constrained, AnnealConfig, Block, ConstrainedInput, PlacedBlock, SequencePair,
+    anneal_tempered, AnnealInput, Block, PlacedBlock, SequencePair, TemperConfig,
 };
 use sunfloor_models::NocLibrary;
 
@@ -61,17 +61,15 @@ pub fn standard_floorplan(point: &DesignPoint, bench: &Benchmark, effort: Effort
         ideal.extend(
             switch_ids.iter().map(|&s| Some((topo.switch_pos[s].0, topo.switch_pos[s].1, 2.0))),
         );
-        let input = ConstrainedInput {
+        let input = AnnealInput {
             seed: SequencePair::from_placement(&placed),
             blocks,
             ideal,
             fixed_order_count: core_ids.len(),
         };
-        let plan = anneal_constrained(
-            &input,
-            &[],
-            &AnnealConfig::default().with_iterations(iterations).with_seed(0xF1A7),
-        );
+        let cfg =
+            TemperConfig::default().with_iterations(iterations).with_seed(0xF1A7).with_replicas(1);
+        let (plan, _) = anneal_tempered(&input, &[], &cfg);
         area = area.max(plan.area());
         for (k, &s) in switch_ids.iter().enumerate() {
             topo.switch_pos[s] = plan.blocks[core_ids.len() + k].center();

@@ -7,7 +7,9 @@
 
 use crate::catalog::Benchmark;
 use sunfloor_core::spec::{CommSpec, SocSpec};
-use sunfloor_floorplan::{anneal, anneal_toward, AnnealConfig, Block, Net};
+use sunfloor_floorplan::{
+    anneal, anneal_tempered, AnnealConfig, AnnealInput, Block, Net, TemperConfig,
+};
 
 /// Annealer effort for benchmark generation: enough iterations to produce
 /// tight plans, small enough to keep generation fast and deterministic.
@@ -78,18 +80,18 @@ pub fn floorplan_layers(soc: &mut SocSpec, comm: &CommSpec, seed: u64) {
                 }
             }
         }
-        let targets: Vec<Option<(f64, f64, f64)>> = pull
-            .iter()
-            .map(|&(wx, wy, w)| {
-                (w > 0.0).then(|| (wx / w, wy / w, ALIGN_WEIGHT_PER_MBS * w))
-            })
-            .collect();
-        let layer_cfg = cfg(seed.wrapping_add(u64::from(layer)));
-        let plan = if targets.iter().all(Option::is_none) {
-            anneal(&blocks, &nets, &layer_cfg)
-        } else {
-            anneal_toward(&blocks, &nets, &targets, &layer_cfg)
+        let input = AnnealInput {
+            ideal: pull
+                .iter()
+                .map(|&(wx, wy, w)| {
+                    (w > 0.0).then(|| (wx / w, wy / w, ALIGN_WEIGHT_PER_MBS * w))
+                })
+                .collect(),
+            ..AnnealInput::new(blocks)
         };
+        let layer_cfg = cfg(seed.wrapping_add(u64::from(layer)));
+        let temper = TemperConfig { base: layer_cfg, ..TemperConfig::default() }.with_replicas(1);
+        let (plan, _) = anneal_tempered(&input, &nets, &temper);
         for (local, &core) in members.iter().enumerate() {
             soc.cores[core].x = plan.blocks[local].x;
             soc.cores[core].y = plan.blocks[local].y;

@@ -112,7 +112,6 @@ pub fn evaluate(
     frequency_mhz: f64,
 ) -> DesignMetrics {
     let nsw = topo.switch_count();
-    let core_layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
 
     // --- per-core traffic (for NI + core link power) ----------------------
     let mut core_out_gbps = vec![0.0f64; soc.core_count()];
@@ -159,7 +158,7 @@ pub fn evaluate(
     let mut ni_mw = 0.0;
     for (c, &sw) in topo.core_attach.iter().enumerate() {
         let len = manhattan(soc.cores[c].center(), topo.switch_pos[sw]);
-        let hops = core_layers[c].abs_diff(topo.switch_layer[sw]);
+        let hops = graph.core_layers()[c].abs_diff(topo.switch_layer[sw]);
         // Two directed links: core->switch carries the core's egress, and
         // switch->core its ingress.
         core_link_mw += lib.link.power_mw(len, core_out_gbps[c], frequency_mhz)
@@ -203,7 +202,7 @@ pub fn evaluate(
         power: PowerBreakdown { switch_mw, switch_link_mw, core_link_mw, ni_mw },
         avg_latency_cycles: lat_sum / flows,
         worst_latency_violation: worst_violation,
-        inter_layer_links: topo.inter_layer_link_census(&core_layers, soc.layers),
+        inter_layer_links: topo.inter_layer_link_census(graph.core_layers(), graph.layers()),
         wire_lengths_mm: wire_lengths,
         switch_count: nsw,
         frequency_mhz,
@@ -227,7 +226,8 @@ pub fn wire_length_histogram(lengths_mm: &[f64], bucket_mm: f64) -> Vec<(f64, us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paths::{compute_paths, PathConfig};
+    use crate::paths::{PathAllocator, PathConfig};
+    use crate::phase1::Connectivity;
     use crate::spec::{CommSpec, Core, Flow, MessageType};
 
     fn setup(flow_lat: f64) -> (SocSpec, CommGraph, Topology) {
@@ -250,18 +250,14 @@ mod tests {
         let comm = CommSpec::new(vec![f(0, 1, 200.0), f(0, 2, 400.0)], &soc).unwrap();
         let graph = CommGraph::new(&soc, &comm);
         let cfg = PathConfig::new(25, 11, 400.0);
-        let topo = compute_paths(
-            &graph,
-            &[0, 1, 1],
-            &[0, 1],
-            &[(1.0, 1.0), (3.0, 1.0)],
-            &[0, 0, 1],
-            2,
-            &NocLibrary::lp65(),
-            &cfg,
-            1.0,
-        )
-        .unwrap();
+        let conn = Connectivity {
+            core_attach: vec![0, 1, 1],
+            switch_layer: vec![0, 1],
+            est_positions: vec![(1.0, 1.0), (3.0, 1.0)],
+            theta: None,
+        };
+        let lib = NocLibrary::lp65();
+        let topo = PathAllocator::new().compute_paths(&graph, &conn, &lib, &cfg, 1.0).unwrap();
         (soc, graph, topo)
     }
 

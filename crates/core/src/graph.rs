@@ -32,6 +32,10 @@ pub struct CommGraph {
     edges: Vec<CommEdge>,
     max_bw: f64,
     min_lat: f64,
+    /// Each core's layer, in core order.
+    core_layers: Vec<u32>,
+    /// The stack height.
+    layers: u32,
 }
 
 impl CommGraph {
@@ -53,7 +57,14 @@ impl CommGraph {
             .collect();
         let max_bw = edges.iter().map(|e| e.bandwidth_mbs).fold(0.0, f64::max);
         let min_lat = edges.iter().map(|e| e.latency_cycles).fold(f64::INFINITY, f64::min);
-        Self { n: soc.core_count(), edges, max_bw, min_lat }
+        Self {
+            n: soc.core_count(),
+            edges,
+            max_bw,
+            min_lat,
+            core_layers: soc.cores.iter().map(|c| c.layer).collect(),
+            layers: soc.layers,
+        }
     }
 
     /// Number of cores (vertices).
@@ -68,10 +79,16 @@ impl CommGraph {
         self.max_bw
     }
 
-    /// Tightest latency constraint over all flows (`min_lat`).
+    /// Each core's layer, in core order.
     #[must_use]
-    pub fn min_latency_cycles(&self) -> f64 {
-        self.min_lat
+    pub fn core_layers(&self) -> &[u32] {
+        &self.core_layers
+    }
+
+    /// Number of layers in the stack.
+    #[must_use]
+    pub fn layers(&self) -> u32 {
+        self.layers
     }
 
     /// Definition 3 edge weight: `h = α·bw/max_bw + (1−α)·min_lat/lat`.
@@ -131,7 +148,6 @@ impl CommGraph {
     #[must_use]
     pub fn scaled_partitioning_graph(
         &self,
-        soc: &SocSpec,
         alpha: f64,
         theta: f64,
         theta_max: f64,
@@ -142,7 +158,7 @@ impl CommGraph {
         let intra_extra = theta * max_wt / (10.0 * theta_max);
         for e in &self.edges {
             let h = self.edge_weight(e.bandwidth_mbs, e.latency_cycles, alpha);
-            let (ls, ld) = (soc.cores[e.src].layer, soc.cores[e.dst].layer);
+            let (ls, ld) = (self.core_layers[e.src], self.core_layers[e.dst]);
             let w = if ls == ld {
                 h
             } else {
@@ -152,10 +168,7 @@ impl CommGraph {
             g.add_edge(e.src, e.dst, w);
         }
         if intra_extra > 0.0 && self.n > 0 {
-            g.set_group_attraction(
-                soc.cores.iter().map(|c| c.layer).collect(),
-                intra_extra,
-            );
+            g.set_group_attraction(self.core_layers.clone(), intra_extra);
         }
         g
     }
@@ -166,13 +179,8 @@ impl CommGraph {
     /// vertices get near-zero edges to every other vertex so the partitioner
     /// still has freedom to place them.
     #[must_use]
-    pub fn layer_partitioning_graph(
-        &self,
-        soc: &SocSpec,
-        layer: u32,
-        alpha: f64,
-    ) -> (WeightedGraph, Vec<usize>) {
-        let members = soc.cores_in_layer(layer);
+    pub fn layer_partitioning_graph(&self, layer: u32, alpha: f64) -> (WeightedGraph, Vec<usize>) {
+        let members: Vec<usize> = (0..self.n).filter(|&c| self.core_layers[c] == layer).collect();
         let mut local_of = vec![usize::MAX; self.n];
         for (l, &g) in members.iter().enumerate() {
             local_of[g] = l;
@@ -317,7 +325,6 @@ mod tests {
     /// checked against.
     fn scaled_partitioning_graph_dense(
         g: &CommGraph,
-        soc: &SocSpec,
         alpha: f64,
         theta: f64,
         theta_max: f64,
@@ -328,7 +335,7 @@ mod tests {
         let mut has_edge = vec![false; g.n * g.n];
         for e in &g.edges {
             let h = g.edge_weight(e.bandwidth_mbs, e.latency_cycles, alpha);
-            let (ls, ld) = (soc.cores[e.src].layer, soc.cores[e.dst].layer);
+            let (ls, ld) = (g.core_layers[e.src], g.core_layers[e.dst]);
             let w = if ls == ld { h } else { h / (theta * f64::from(ls.abs_diff(ld))) };
             dense.add_edge(e.src, e.dst, w);
             has_edge[e.src * g.n + e.dst] = true;
@@ -336,7 +343,7 @@ mod tests {
         }
         for a in 0..g.n {
             for b in (a + 1)..g.n {
-                if !has_edge[a * g.n + b] && soc.cores[a].layer == soc.cores[b].layer {
+                if !has_edge[a * g.n + b] && g.core_layers[a] == g.core_layers[b] {
                     dense.add_edge(a, b, intra_extra);
                 }
             }
@@ -405,7 +412,7 @@ mod tests {
     fn spg_scales_down_interlayer_and_adds_intralayer_edges() {
         let (soc, g) = graph();
         let theta = 10.0;
-        let spg = g.scaled_partitioning_graph(&soc, 1.0, theta, 15.0);
+        let spg = g.scaled_partitioning_graph(1.0, theta, 15.0);
         // Inter-layer edge scaled by 1/theta.
         let pg = g.partitioning_graph(1.0);
         assert!(
@@ -432,7 +439,7 @@ mod tests {
         )
         .unwrap();
         let g2 = CommGraph::new(&soc2, &comm2);
-        let spg2 = g2.scaled_partitioning_graph(&soc2, 1.0, theta, 15.0);
+        let spg2 = g2.scaled_partitioning_graph(1.0, theta, 15.0);
         let expected = theta * g2.max_weight(1.0) / (10.0 * 15.0);
         let at = spg2.attraction().expect("SPG carries the layer attraction");
         assert!((at.weight() - expected).abs() < 1e-12);
@@ -446,8 +453,8 @@ mod tests {
     fn added_edges_are_weaker_than_any_pg_edge() {
         // eq. (1): extra edges have at most one tenth the max PG weight even
         // at theta = theta_max.
-        let (soc, g) = graph();
-        let spg = g.scaled_partitioning_graph(&soc, 1.0, 15.0, 15.0);
+        let (_, g) = graph();
+        let spg = g.scaled_partitioning_graph(1.0, 15.0, 15.0);
         let max_wt = g.max_weight(1.0);
         // 0 and 1 share a layer; their PG edge is 0.25*max; extra edges are
         // only for non-PG pairs, so check on a non-communicating same-layer
@@ -458,11 +465,11 @@ mod tests {
 
     #[test]
     fn lpg_is_per_layer_and_reindexes() {
-        let (soc, g) = graph();
-        let (lpg0, members0) = g.layer_partitioning_graph(&soc, 0, 1.0);
+        let (_, g) = graph();
+        let (lpg0, members0) = g.layer_partitioning_graph(0, 1.0);
         assert_eq!(members0, vec![0, 1]);
         assert!(lpg0.edge_weight(0, 1) > 0.0, "intra-layer flow kept");
-        let (lpg1, members1) = g.layer_partitioning_graph(&soc, 1, 1.0);
+        let (lpg1, members1) = g.layer_partitioning_graph(1, 1.0);
         assert_eq!(members1, vec![2, 3]);
         assert!(lpg1.edge_weight(0, 1) > 0.0);
     }
@@ -484,7 +491,7 @@ mod tests {
         )
         .unwrap();
         let g = CommGraph::new(&soc, &comm);
-        let (lpg1, _) = g.layer_partitioning_graph(&soc, 1, 1.0);
+        let (lpg1, _) = g.layer_partitioning_graph(1, 1.0);
         let w = lpg1.edge_weight(0, 1);
         assert!(w > 0.0 && w < 1e-3, "isolated cores should get tiny edges, got {w}");
     }
@@ -497,8 +504,8 @@ mod tests {
     fn folded_spg_matches_dense_objective() {
         let (soc, g) = graph();
         for theta in [1.0, 7.0, 15.0] {
-            let folded = g.scaled_partitioning_graph(&soc, 1.0, theta, 15.0);
-            let dense = scaled_partitioning_graph_dense(&g, &soc, 1.0, theta, 15.0);
+            let folded = g.scaled_partitioning_graph(1.0, theta, 15.0);
+            let dense = scaled_partitioning_graph_dense(&g, 1.0, theta, 15.0);
             let at = folded.attraction().expect("SPG carries the layer attraction");
             assert_eq!(at.group_of(), &[0, 0, 1, 1]);
             for a in 0..4usize {
@@ -557,8 +564,8 @@ mod tests {
         )
         .unwrap();
         let g = CommGraph::new(&soc, &comm);
-        let folded = g.scaled_partitioning_graph(&soc, 1.0, 7.0, 15.0);
-        let dense = scaled_partitioning_graph_dense(&g, &soc, 1.0, 7.0, 15.0);
+        let folded = g.scaled_partitioning_graph(1.0, 7.0, 15.0);
+        let dense = scaled_partitioning_graph_dense(&g, 1.0, 7.0, 15.0);
         let edge_count = |wg: &WeightedGraph| {
             (0..12).map(|v| wg.neighbors(v).len()).sum::<usize>() / 2
         };

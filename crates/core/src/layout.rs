@@ -13,8 +13,8 @@ use std::ops::AddAssign;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use sunfloor_floorplan::{
-    anneal_tempered_constrained_with_stats, insert_components, Block, ConstrainedInput, Floorplan,
-    IdealTarget, InsertRequest, PlacedBlock, SequencePair, TemperConfig,
+    anneal_tempered, insert_components, AnnealInput, Block, Floorplan, IdealTarget, InsertRequest,
+    PlacedBlock, SequencePair, TemperConfig,
 };
 use sunfloor_models::NocLibrary;
 
@@ -343,7 +343,7 @@ pub(crate) fn layout_design_tempered_memo(
             ));
             ideal.push(Some((req.ideal.0, req.ideal.1, IDEAL_WEIGHT)));
         }
-        let input = ConstrainedInput {
+        let input = AnnealInput {
             seed: SequencePair::from_placement(&placed),
             blocks,
             ideal,
@@ -356,7 +356,7 @@ pub(crate) fn layout_design_tempered_memo(
             let cfg_layer = temper.clone().with_seed(
                 temper.base.rng_seed ^ u64::from(layer).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
-            let (plan, tstats) = anneal_tempered_constrained_with_stats(&input, &[], &cfg_layer);
+            let (plan, tstats) = anneal_tempered(&input, &[], &cfg_layer);
             Annealed {
                 positions: plan.blocks.iter().map(|b| (b.x, b.y, b.rotated)).collect(),
                 swap_attempts: tstats.swap_attempts,
@@ -401,7 +401,8 @@ pub(crate) fn layout_design_tempered_memo(
 mod tests {
     use super::*;
     use crate::graph::CommGraph;
-    use crate::paths::{compute_paths, PathConfig};
+    use crate::paths::{PathAllocator, PathConfig};
+    use crate::phase1::Connectivity;
     use crate::spec::{CommSpec, Core, Flow, MessageType};
 
     fn three_layer_design() -> (SocSpec, CommGraph, Topology) {
@@ -429,18 +430,14 @@ mod tests {
         let comm = CommSpec::new(vec![f(0, 4), f(1, 3), f(2, 5)], &soc).unwrap();
         let graph = CommGraph::new(&soc, &comm);
         let cfg = PathConfig::new(25, 11, 400.0);
-        let topo = compute_paths(
-            &graph,
-            &[0, 0, 1, 1, 2, 2],
-            &[0, 1, 2],
-            &[(1.0, 1.0), (2.0, 1.0), (1.5, 1.0)],
-            &[0, 0, 1, 1, 2, 2],
-            3,
-            &NocLibrary::lp65(),
-            &cfg,
-            1.0,
-        )
-        .unwrap();
+        let conn = Connectivity {
+            core_attach: vec![0, 0, 1, 1, 2, 2],
+            switch_layer: vec![0, 1, 2],
+            est_positions: vec![(1.0, 1.0), (2.0, 1.0), (1.5, 1.0)],
+            theta: None,
+        };
+        let lib = NocLibrary::lp65();
+        let topo = PathAllocator::new().compute_paths(&graph, &conn, &lib, &cfg, 1.0).unwrap();
         (soc, graph, topo)
     }
 

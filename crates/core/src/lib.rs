@@ -91,7 +91,7 @@ pub mod topology;
 pub use eval::{evaluate, DesignMetrics, PowerBreakdown};
 pub use graph::{CommEdge, CommGraph};
 pub use layout::{layout_design, Layout};
-pub use paths::{compute_paths, PathAllocator, PathConfig, PathError, RoutingStats};
+pub use paths::{PathAllocator, PathConfig, PathError, RoutingStats};
 pub use spec::{CommSpec, Core, Flow, MessageType, SocSpec, SpecError};
 pub use synthesis::{
     Candidate, ConfigError, DesignPoint, Parallelism, PhaseKind, RejectReason, RejectedPoint,

@@ -61,6 +61,7 @@
 //! time.
 
 use crate::graph::CommGraph;
+use crate::phase1::Connectivity;
 use crate::spec::MessageType;
 use crate::topology::{FlowPath, Link, Topology};
 use std::collections::BinaryHeap;
@@ -400,8 +401,7 @@ impl std::ops::Sub for RoutingStats {
 /// performs no allocation beyond the returned [`Topology`] itself.
 ///
 /// One allocator per thread; the synthesis engine hands each sweep worker
-/// its own. The convenience free function [`compute_paths`] creates a
-/// throwaway allocator for one-off calls.
+/// its own. A one-off call routes on a fresh [`PathAllocator::new`].
 #[derive(Debug, Default)]
 pub struct PathAllocator {
     // Dijkstra scratch (generation-stamped: resetting is O(1)).
@@ -472,43 +472,34 @@ impl PathAllocator {
         self.stats
     }
 
-    /// Routes all flows over the switches, producing a complete
-    /// [`Topology`] — the reusable-workspace form of [`compute_paths`].
+    /// Routes every flow of `graph` over the switches of `conn`, producing
+    /// a complete [`Topology`].
+    ///
+    /// `conn` comes from Phase 1 / Phase 2 partitioning: its switch
+    /// positions are centroid estimates, used for link-power costs before
+    /// the placement LP runs. Each core's layer and the stack height come
+    /// from `graph`.
     ///
     /// # Errors
     ///
     /// Returns [`PathError`] when any flow cannot be routed within the hard
     /// constraints or without deadlock.
-    #[allow(clippy::too_many_arguments)]
     pub fn compute_paths(
         &mut self,
         graph: &CommGraph,
-        core_attach: &[usize],
-        switch_layer: &[u32],
-        est_switch_pos: &[(f64, f64)],
-        core_layers: &[u32],
-        layers: u32,
+        conn: &Connectivity,
         lib: &NocLibrary,
         cfg: &PathConfig,
         alpha: f64,
     ) -> Result<Topology, PathError> {
-        let mut router = Router::new(
-            self,
-            graph,
-            core_attach,
-            switch_layer,
-            est_switch_pos,
-            core_layers,
-            layers,
-            lib,
-            cfg,
-        )?;
+        let mut router = Router::new(self, graph, conn, lib, cfg)?;
         router.route_all(alpha)?;
         Ok(router.finish())
     }
 
-    /// Forwards to [`Self::compute_paths`]; `threaded` is ignored. Kept only
-    /// because the `perfbench/` harness still calls it.
+    /// Forwards to [`Self::compute_paths`]. `core_layers` and `layers` must
+    /// match `graph`, and `threaded` is ignored. Kept only because the
+    /// `perfbench/` harness still calls it.
     ///
     /// # Errors
     ///
@@ -528,59 +519,16 @@ impl PathAllocator {
         alpha: f64,
         _threaded: bool,
     ) -> Result<Topology, PathError> {
-        self.compute_paths(
-            graph,
-            core_attach,
-            switch_layer,
-            est_switch_pos,
-            core_layers,
-            layers,
-            lib,
-            cfg,
-            alpha,
-        )
+        debug_assert_eq!(core_layers, graph.core_layers(), "core layers differ from the graph's");
+        debug_assert_eq!(layers, graph.layers(), "stack height differs from the graph's");
+        let conn = Connectivity {
+            core_attach: core_attach.to_vec(),
+            switch_layer: switch_layer.to_vec(),
+            est_positions: est_switch_pos.to_vec(),
+            theta: None,
+        };
+        self.compute_paths(graph, &conn, lib, cfg, alpha)
     }
-}
-
-/// Routes all flows over the switches, producing a complete [`Topology`].
-///
-/// `switch_layer` and `core_attach` come from Phase 1 / Phase 2
-/// partitioning; `est_switch_pos` are position estimates (core-centroid
-/// based) used for link-power costs before the placement LP runs;
-/// `core_layers` gives each core's 3-D layer and `layers` the stack height.
-///
-/// Creates a throwaway [`PathAllocator`]; callers routing many candidates
-/// (the synthesis engine's sweep workers) keep one allocator per thread and
-/// call [`PathAllocator::compute_paths`] instead so scratch memory is
-/// reused.
-///
-/// # Errors
-///
-/// Returns [`PathError`] when any flow cannot be routed within the hard
-/// constraints or without deadlock.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_paths(
-    graph: &CommGraph,
-    core_attach: &[usize],
-    switch_layer: &[u32],
-    est_switch_pos: &[(f64, f64)],
-    core_layers: &[u32],
-    layers: u32,
-    lib: &NocLibrary,
-    cfg: &PathConfig,
-    alpha: f64,
-) -> Result<Topology, PathError> {
-    PathAllocator::new().compute_paths(
-        graph,
-        core_attach,
-        switch_layer,
-        est_switch_pos,
-        core_layers,
-        layers,
-        lib,
-        cfg,
-        alpha,
-    )
 }
 
 /// The bandwidth-independent terms of a switch-to-switch edge's wire cost,
@@ -640,20 +588,16 @@ struct Router<'a> {
 }
 
 impl<'a> Router<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         alloc: &'a mut PathAllocator,
         graph: &'a CommGraph,
-        core_attach: &[usize],
-        switch_layer: &[u32],
-        est_switch_pos: &[(f64, f64)],
-        core_layers: &[u32],
-        layers: u32,
+        conn: &Connectivity,
         lib: &'a NocLibrary,
         cfg: &'a PathConfig,
     ) -> Result<Self, PathError> {
+        let Connectivity { core_attach, switch_layer, est_positions: est_switch_pos, .. } = conn;
         let nsw = switch_layer.len();
-        let boundaries = layers.saturating_sub(1) as usize;
+        let boundaries = graph.layers().saturating_sub(1) as usize;
         alloc.reset(nsw, boundaries);
         let topo = Topology {
             switch_layer: switch_layer.to_vec(),
@@ -667,7 +611,7 @@ impl<'a> Router<'a> {
         // Vertical budget consumed by core attachments, counted up front
         // (pruning rule 3 of §V-C).
         for (core, &sw) in core_attach.iter().enumerate() {
-            let (cl, sl) = (core_layers[core], switch_layer[sw]);
+            let (cl, sl) = (graph.core_layers()[core], switch_layer[sw]);
             let (lo, hi) = if cl <= sl { (cl, sl) } else { (sl, cl) };
             for b in lo..hi {
                 // One TSV macro per boundary: the NI bundles both
@@ -1083,22 +1027,30 @@ mod tests {
         NocLibrary::lp65()
     }
 
+    fn conn(core_attach: &[usize], switch_layer: &[u32], est: &[(f64, f64)]) -> Connectivity {
+        Connectivity {
+            core_attach: core_attach.to_vec(),
+            switch_layer: switch_layer.to_vec(),
+            est_positions: est.to_vec(),
+            theta: None,
+        }
+    }
+
+    /// [`setup`]'s cores on one switch per layer.
+    fn two_switches() -> Connectivity {
+        conn(&[0, 0, 1, 1], &[0, 1], &[(1.0, 1.0), (2.0, 1.0)])
+    }
+
+    /// Routes `conn` on a fresh allocator at α = 1.
+    fn route(g: &CommGraph, conn: &Connectivity, cfg: &PathConfig) -> Result<Topology, PathError> {
+        PathAllocator::new().compute_paths(g, conn, &lib(), cfg, 1.0)
+    }
+
     #[test]
     fn routes_all_flows_and_respects_structure() {
-        let (soc, _, g) = setup();
+        let (_, _, g) = setup();
         let cfg = PathConfig::new(25, 11, 400.0);
-        let topo = compute_paths(
-            &g,
-            &[0, 0, 1, 1],
-            &[0, 1],
-            &[(1.0, 1.0), (2.0, 1.0)],
-            &soc.cores.iter().map(|c| c.layer).collect::<Vec<_>>(),
-            2,
-            &lib(),
-            &cfg,
-            1.0,
-        )
-        .unwrap();
+        let topo = route(&g, &two_switches(), &cfg).unwrap();
         // All flows have a path; same-switch flow 3 is single-hop.
         assert_eq!(topo.flow_paths.len(), 4);
         assert_eq!(topo.flow_paths[3].switches, vec![0]);
@@ -1115,36 +1067,12 @@ mod tests {
 
     #[test]
     fn reused_allocator_matches_fresh_allocator() {
-        let (soc, _, g) = setup();
+        let (_, _, g) = setup();
         let cfg = PathConfig::new(25, 11, 400.0);
-        let layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
-        let fresh = compute_paths(
-            &g,
-            &[0, 0, 1, 1],
-            &[0, 1],
-            &[(1.0, 1.0), (2.0, 1.0)],
-            &layers,
-            2,
-            &lib(),
-            &cfg,
-            1.0,
-        )
-        .unwrap();
+        let fresh = route(&g, &two_switches(), &cfg).unwrap();
         let mut alloc = PathAllocator::new();
         for _ in 0..3 {
-            let again = alloc
-                .compute_paths(
-                    &g,
-                    &[0, 0, 1, 1],
-                    &[0, 1],
-                    &[(1.0, 1.0), (2.0, 1.0)],
-                    &layers,
-                    2,
-                    &lib(),
-                    &cfg,
-                    1.0,
-                )
-                .unwrap();
+            let again = alloc.compute_paths(&g, &two_switches(), &lib(), &cfg, 1.0).unwrap();
             assert_eq!(fresh, again, "allocator reuse must not change the topology");
         }
     }
@@ -1157,18 +1085,13 @@ mod tests {
     /// θ-step partition within one candidate.
     #[test]
     fn routing_does_not_depend_on_the_allocators_history() {
-        let (soc, _, g) = setup();
+        let (_, _, g) = setup();
         let cfg = PathConfig::new(25, 11, 400.0);
-        let layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
-        type Partition = (Vec<usize>, Vec<u32>, Vec<(f64, f64)>);
-        let a: Partition = (vec![0, 0, 1, 1], vec![0, 1], vec![(1.0, 1.0), (2.0, 1.0)]);
-        let b: Partition =
-            (vec![0, 1, 2, 2], vec![0, 0, 1], vec![(0.5, 0.5), (3.5, 0.5), (2.0, 0.5)]);
-        let route = |alloc: &mut PathAllocator, (attach, sw_layer, pos): &Partition| {
+        let a = two_switches();
+        let b = conn(&[0, 1, 2, 2], &[0, 0, 1], &[(0.5, 0.5), (3.5, 0.5), (2.0, 0.5)]);
+        let route = |alloc: &mut PathAllocator, conn: &Connectivity| {
             let before = alloc.stats();
-            let topo = alloc
-                .compute_paths(&g, attach, sw_layer, pos, &layers, 2, &lib(), &cfg, 1.0)
-                .unwrap();
+            let topo = alloc.compute_paths(&g, conn, &lib(), &cfg, 1.0).unwrap();
             (topo, alloc.stats() - before)
         };
         let fresh = route(&mut PathAllocator::new(), &a);
@@ -1180,27 +1103,47 @@ mod tests {
         assert_eq!(route(&mut alloc, &a), fresh, "routing B must not change A's result");
     }
 
+    /// perfbench's hidden forwarder routes exactly as the entry point it
+    /// forwards to: the same topology and the same counters.
+    #[test]
+    fn classed_forwarder_matches_compute_paths() {
+        let (soc, _, g) = setup();
+        let cfg = PathConfig::new(25, 11, 400.0);
+        let core_layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
+        let partition = two_switches();
+        let mut direct = PathAllocator::new();
+        let expected = direct.compute_paths(&g, &partition, &lib(), &cfg, 1.0).unwrap();
+        assert_eq!(direct.stats().flows_routed, 4);
+        for threaded in [false, true] {
+            let mut forwarded = PathAllocator::new();
+            let topo = forwarded
+                .compute_paths_classed(
+                    &g,
+                    &partition.core_attach,
+                    &partition.switch_layer,
+                    &partition.est_positions,
+                    &core_layers,
+                    soc.layers,
+                    &lib(),
+                    &cfg,
+                    1.0,
+                    threaded,
+                )
+                .unwrap();
+            assert_eq!(topo, expected);
+            assert_eq!(forwarded.stats(), direct.stats());
+        }
+    }
+
     /// Both classes draw on one vertical budget, and the soft/hard checks
     /// of every flow see the usage of both: here the request flows claim
     /// the one vertical link, and the response flow then finds every edge
     /// hard-walled.
     #[test]
     fn shared_vertical_budget_blocks_response_flow() {
-        let (soc, _, g) = setup();
+        let (_, _, g) = setup();
         let cfg = PathConfig::new(1, 11, 400.0);
-        let layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
-        let err = compute_paths(
-            &g,
-            &[0, 0, 1, 1],
-            &[0, 1],
-            &[(1.0, 1.0), (2.0, 1.0)],
-            &layers,
-            2,
-            &lib(),
-            &cfg,
-            1.0,
-        )
-        .unwrap_err();
+        let err = route(&g, &two_switches(), &cfg).unwrap_err();
         assert!(matches!(err, PathError::NoRoute { flow: 1 }), "{err:?}");
     }
 
@@ -1222,41 +1165,17 @@ mod tests {
         .unwrap();
         let g = CommGraph::new(&soc, &comm);
         let cfg = PathConfig::new(25, 11, 400.0);
-        let layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
         let mut alloc = PathAllocator::new();
-        alloc
-            .compute_paths(
-                &g,
-                &[0, 0, 1, 1],
-                &[0, 1],
-                &[(1.0, 1.0), (2.0, 1.0)],
-                &layers,
-                2,
-                &lib(),
-                &cfg,
-                1.0,
-            )
-            .unwrap();
+        alloc.compute_paths(&g, &two_switches(), &lib(), &cfg, 1.0).unwrap();
         assert_eq!(alloc.stats().flows_routed, 1);
         assert_eq!(alloc.stats().links_created, 1);
     }
 
     #[test]
     fn link_bandwidth_accumulates() {
-        let (soc, _, g) = setup();
+        let (_, _, g) = setup();
         let cfg = PathConfig::new(25, 11, 400.0);
-        let topo = compute_paths(
-            &g,
-            &[0, 0, 1, 1],
-            &[0, 1],
-            &[(1.0, 1.0), (2.0, 1.0)],
-            &soc.cores.iter().map(|c| c.layer).collect::<Vec<_>>(),
-            2,
-            &lib(),
-            &cfg,
-            1.0,
-        )
-        .unwrap();
+        let topo = route(&g, &two_switches(), &cfg).unwrap();
         // Flows 0 (400 MB/s) and 2 (300 MB/s) both go 0 -> 1 on the request
         // link: 700 MB/s = 5.6 Gbps.
         let req01 = topo
@@ -1270,22 +1189,11 @@ mod tests {
 
     #[test]
     fn ill_budget_exhausted_by_attachments_detected() {
-        let (soc, _, g) = setup();
+        let (_, _, g) = setup();
         let cfg = PathConfig::new(1, 11, 400.0);
         // Attach all cores to a single switch on layer 0: cores 2,3 (layer 1)
         // need one vertical attachment each = 2 > 1.
-        let err = compute_paths(
-            &g,
-            &[0, 0, 0, 0],
-            &[0],
-            &[(1.5, 1.0)],
-            &soc.cores.iter().map(|c| c.layer).collect::<Vec<_>>(),
-            2,
-            &lib(),
-            &cfg,
-            1.0,
-        )
-        .unwrap_err();
+        let err = route(&g, &conn(&[0, 0, 0, 0], &[0], &[(1.5, 1.0)]), &cfg).unwrap_err();
         assert!(matches!(err, PathError::IllBudgetExhausted { used: 2, .. }), "{err:?}");
     }
 
@@ -1320,55 +1228,23 @@ mod tests {
         let g = CommGraph::new(&soc, &comm);
         let mut cfg = PathConfig::new(25, 11, 400.0);
         cfg.adjacent_layers_only = true;
-        let topo = compute_paths(
-            &g,
-            &[0, 1, 2],
-            &[0, 1, 2],
-            &[(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
-            &[0, 1, 2],
-            3,
-            &lib(),
-            &cfg,
-            1.0,
-        )
-        .unwrap();
+        let stack = conn(&[0, 1, 2], &[0, 1, 2], &[(0.0, 0.0); 3]);
+        let topo = route(&g, &stack, &cfg).unwrap();
         assert_eq!(topo.flow_paths[0].switches, vec![0, 1, 2], "must hop through layer 1");
 
         // Without the restriction, the direct 0 -> 2 link wins (it is one
         // switch cheaper).
         cfg.adjacent_layers_only = false;
-        let topo2 = compute_paths(
-            &g,
-            &[0, 1, 2],
-            &[0, 1, 2],
-            &[(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
-            &[0, 1, 2],
-            3,
-            &lib(),
-            &cfg,
-            1.0,
-        )
-        .unwrap();
+        let topo2 = route(&g, &stack, &cfg).unwrap();
         assert_eq!(topo2.flow_paths[0].switches, vec![0, 2]);
     }
 
     #[test]
     fn switch_size_limit_rejects_oversubscribed_attachment() {
-        let (soc, _, g) = setup();
+        let (_, _, g) = setup();
         let cfg = PathConfig::new(25, 3, 400.0);
         // One switch with 4 cores: needs 4 ports for cores alone > 3.
-        let err = compute_paths(
-            &g,
-            &[0, 0, 0, 0],
-            &[0],
-            &[(1.5, 1.0)],
-            &soc.cores.iter().map(|c| c.layer).collect::<Vec<_>>(),
-            2,
-            &lib(),
-            &cfg,
-            1.0,
-        )
-        .unwrap_err();
+        let err = route(&g, &conn(&[0, 0, 0, 0], &[0], &[(1.5, 1.0)]), &cfg).unwrap_err();
         assert!(matches!(err, PathError::SwitchTooSmall { needed: 4, .. }), "{err:?}");
     }
 
@@ -1398,18 +1274,7 @@ mod tests {
         .unwrap();
         let g = CommGraph::new(&soc, &comm);
         let cfg = PathConfig::new(25, 11, 400.0); // capacity 12.8 Gbps
-        let topo = compute_paths(
-            &g,
-            &[0, 0, 1, 1],
-            &[0, 1],
-            &[(1.0, 1.0), (2.0, 1.0)],
-            &soc.cores.iter().map(|c| c.layer).collect::<Vec<_>>(),
-            2,
-            &lib(),
-            &cfg,
-            1.0,
-        )
-        .unwrap();
+        let topo = route(&g, &two_switches(), &cfg).unwrap();
         let req_links: Vec<_> = topo
             .links
             .iter()
@@ -1423,20 +1288,9 @@ mod tests {
 
     #[test]
     fn cdg_stays_acyclic_per_class() {
-        let (soc, _, g) = setup();
+        let (_, _, g) = setup();
         let cfg = PathConfig::new(25, 11, 400.0);
-        let topo = compute_paths(
-            &g,
-            &[0, 0, 1, 1],
-            &[0, 1],
-            &[(1.0, 1.0), (2.0, 1.0)],
-            &soc.cores.iter().map(|c| c.layer).collect::<Vec<_>>(),
-            2,
-            &lib(),
-            &cfg,
-            1.0,
-        )
-        .unwrap();
+        let topo = route(&g, &two_switches(), &cfg).unwrap();
         // Rebuild the CDG from the final paths and assert acyclicity.
         for class in [MessageType::Request, MessageType::Response] {
             let mut adj: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -1549,23 +1403,35 @@ mod tests {
                 switch_layer.push((unit() * f64::from(layers)) as u32 % layers);
             }
             // Core `i` attaches to switch `i`, on its layer. The graph only
-            // sets SOFT_INF, which no edge here reaches.
-            let (_, _, g) = setup();
+            // sets SOFT_INF, which no edge here reaches. A literal spec: a
+            // case may have more layers than cores, which `SocSpec::new`
+            // rejects.
+            let soc = SocSpec {
+                cores: (0..nsw)
+                    .map(|i| Core {
+                        name: format!("c{i}"),
+                        width: 1.0,
+                        height: 1.0,
+                        x: 0.0,
+                        y: 0.0,
+                        layer: switch_layer[i],
+                    })
+                    .collect(),
+                layers,
+            };
+            let flow = Flow {
+                src: 0,
+                dst: 1,
+                bandwidth_mbs: 400.0,
+                max_latency_cycles: 10.0,
+                message_type: MessageType::Request,
+            };
+            let g = CommGraph::new(&soc, &CommSpec { flows: vec![flow] });
             let frequency_mhz = 100.0 + 1400.0 * unit();
             let cfg = PathConfig::new(1000, 1000, frequency_mhz);
             let attach: Vec<usize> = (0..nsw).collect();
-            let router = Router::new(
-                &mut alloc,
-                &g,
-                &attach,
-                &switch_layer,
-                &pos,
-                &switch_layer,
-                layers,
-                &lib,
-                &cfg,
-            )
-            .unwrap();
+            let partition = conn(&attach, &switch_layer, &pos);
+            let router = Router::new(&mut alloc, &g, &partition, &lib, &cfg).unwrap();
             for bw_gbps in bandwidths(unit()) {
                 let energy = FlowEnergy::new(&lib, bw_gbps);
                 for u in 0..nsw {

@@ -132,7 +132,7 @@ pub fn connectivity_cached(
         None => graph.partitioning_graph(alpha),
         Some(t) => {
             cache.stats.spg_derivations += 1;
-            graph.scaled_partitioning_graph(soc, alpha, t, theta_max)
+            graph.scaled_partitioning_graph(alpha, t, theta_max)
         }
     };
     let parts = pg.partition(&cfg)?;

@@ -68,7 +68,7 @@ pub fn connectivity(
     let mut block_local: Vec<usize> = Vec::new();
 
     for layer in 0..soc.layers {
-        let (lpg, members) = graph.layer_partitioning_graph(soc, layer, alpha);
+        let (lpg, members) = graph.layer_partitioning_graph(layer, alpha);
         if members.is_empty() {
             continue;
         }

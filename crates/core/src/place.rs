@@ -228,7 +228,8 @@ impl PlacementSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paths::{compute_paths, PathConfig};
+    use crate::paths::{PathAllocator, PathConfig};
+    use crate::phase1::Connectivity;
     use crate::spec::{CommSpec, Core, Flow, MessageType};
     use sunfloor_models::NocLibrary;
 
@@ -254,18 +255,14 @@ mod tests {
             CommSpec::new(vec![f(0, 1, 100.0), f(2, 3, 100.0), f(0, 3, 50.0)], &soc).unwrap();
         let graph = CommGraph::new(&soc, &comm);
         let cfg = PathConfig::new(25, 11, 400.0);
-        let topo = compute_paths(
-            &graph,
-            &[0, 0, 1, 1],
-            &[0, 0],
-            &[(3.0, 1.0), (3.0, 7.0)],
-            &[0, 0, 0, 0],
-            1,
-            &NocLibrary::lp65(),
-            &cfg,
-            1.0,
-        )
-        .unwrap();
+        let conn = Connectivity {
+            core_attach: vec![0, 0, 1, 1],
+            switch_layer: vec![0, 0],
+            est_positions: vec![(3.0, 1.0), (3.0, 7.0)],
+            theta: None,
+        };
+        let lib = NocLibrary::lp65();
+        let topo = PathAllocator::new().compute_paths(&graph, &conn, &lib, &cfg, 1.0).unwrap();
         (soc, graph, topo)
     }
 

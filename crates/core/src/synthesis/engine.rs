@@ -226,8 +226,6 @@ pub struct SynthesisEngine<'a> {
     cfg: SynthesisConfig,
     /// Frequencies of the sweep that admit at least a 2-port switch.
     frequencies: Vec<f64>,
-    /// Each core's layer, in core order.
-    core_layers: Vec<u32>,
     /// The indirect-switch fallback's transit switches (§VI): one per
     /// populated layer, `(layer, position)` at its cores' centroid.
     transit_switches: Vec<(u32, (f64, f64))>,
@@ -315,16 +313,7 @@ impl<'a> SynthesisEngine<'a> {
             }
             seeds.push((count, seed));
         }
-        Ok(Self {
-            soc,
-            graph,
-            cfg,
-            frequencies,
-            core_layers: soc.cores.iter().map(|c| c.layer).collect(),
-            transit_switches,
-            seeds,
-            seed_stats: cache.stats,
-        })
+        Ok(Self { soc, graph, cfg, frequencies, transit_switches, seeds, seed_stats: cache.stats })
     }
 
     /// The configuration the engine runs with.
@@ -841,27 +830,20 @@ impl<'a> SynthesisEngine<'a> {
 
         // Routing with the indirect-switch fallback (§VI): when no route
         // exists, add the transit switches (one unattached switch per
-        // populated layer) and retry.
-        let mut switch_layer = conn.switch_layer.clone();
-        let mut est_pos = conn.est_positions.clone();
-        let mut indirect: Vec<usize> = Vec::new();
+        // populated layer) to a copy of the partition and retry.
+        let mut extended: Option<Connectivity> = None;
         let mut topo: Option<Topology> = None;
         let mut last_err: Option<PathError> = None;
-
         for round in 0..=cfg.indirect_switch_rounds {
             match alloc.compute_paths(
                 &self.graph,
-                &conn.core_attach,
-                &switch_layer,
-                &est_pos,
-                &self.core_layers,
-                soc.layers,
+                extended.as_ref().unwrap_or(conn),
                 &cfg.library,
                 &path_cfg,
                 cfg.alpha,
             ) {
                 Ok(mut t) => {
-                    t.indirect_switches = indirect.clone();
+                    t.indirect_switches = (conn.switch_count()..t.switch_count()).collect();
                     topo = Some(t);
                     break;
                 }
@@ -869,10 +851,10 @@ impl<'a> SynthesisEngine<'a> {
                     if round < cfg.indirect_switch_rounds =>
                 {
                     last_err = Some(e);
+                    let ext = extended.get_or_insert_with(|| conn.clone());
                     for &(layer, pos) in &self.transit_switches {
-                        indirect.push(switch_layer.len());
-                        switch_layer.push(layer);
-                        est_pos.push(pos);
+                        ext.switch_layer.push(layer);
+                        ext.est_positions.push(pos);
                     }
                 }
                 Err(e) => return Err(e.into()),
@@ -1074,6 +1056,78 @@ mod tests {
         let mut ulp = conn();
         ulp.est_positions[1].1 = f64::from_bits(3.0f64.to_bits() + 1);
         assert!(!same_attempt(&conn(), &ulp), "a one-ulp move is a different attempt");
+    }
+
+    /// §VI's indirect-switch fallback: with vertical links restricted to
+    /// adjacent layers, a switch on layer 0 cannot reach one on layer 2
+    /// until the transit switches (one per populated layer, no cores)
+    /// supply a hop on layer 1.
+    #[test]
+    fn transit_switches_rescue_an_unroutable_attempt() {
+        let core = |name: &str, layer| Core {
+            name: name.into(),
+            width: 1.0,
+            height: 1.0,
+            x: 0.0,
+            y: 0.0,
+            layer,
+        };
+        let soc = SocSpec::new(vec![core("a", 0), core("b", 1), core("c", 2)], 3).unwrap();
+        let flow = |src, dst, message_type| Flow {
+            src,
+            dst,
+            bandwidth_mbs: 200.0,
+            max_latency_cycles: 50.0,
+            message_type,
+        };
+        let comm = CommSpec::new(
+            vec![flow(0, 2, MessageType::Request), flow(2, 0, MessageType::Response)],
+            &soc,
+        )
+        .unwrap();
+        let engine = SynthesisEngine::new(&soc, &comm, SynthesisConfig::default()).unwrap();
+        let (cfg, freq) = (engine.config(), engine.frequencies[0]);
+        let path_cfg = engine.path_config(freq, true);
+        let conn = Connectivity {
+            core_attach: vec![0, 0, 1],
+            switch_layer: vec![0, 2],
+            est_positions: vec![(0.5, 0.5), (0.5, 0.5)],
+            theta: None,
+        };
+        let route = |c: &Connectivity| {
+            PathAllocator::new().compute_paths(&engine.graph, c, &cfg.library, &path_cfg, cfg.alpha)
+        };
+        assert!(matches!(route(&conn), Err(PathError::NoRoute { .. })));
+
+        let mut layouts = Vec::new();
+        let point = engine
+            .try_candidate(Attempt {
+                freq,
+                conn: &conn,
+                phase: PhaseKind::Phase2,
+                adjacent_only: true,
+                alloc: &mut PathAllocator::new(),
+                placement: &mut PlacementSolver::new(),
+                memo: &LayoutMemo::default(),
+                layouts: &mut layouts,
+                shove_probes: &mut 0,
+            })
+            .expect("the transit switches make the attempt routable");
+        let topo = &point.topology;
+        assert_eq!(topo.indirect_switches, vec![2, 3, 4]);
+        assert!(topo.indirect_switches.iter().all(|s| !topo.core_attach.contains(s)));
+
+        let mut extended = conn.clone();
+        for &(layer, pos) in &engine.transit_switches {
+            extended.switch_layer.push(layer);
+            extended.est_positions.push(pos);
+        }
+        let direct = route(&extended).expect("the extended connectivity routes");
+        assert_eq!(topo.switch_layer, direct.switch_layer);
+        assert_eq!(topo.core_attach, direct.core_attach);
+        assert_eq!(topo.links, direct.links);
+        assert_eq!(topo.flow_paths, direct.flow_paths);
+        assert!(topo.flow_paths[0].switches.contains(&3), "the layer-1 transit switch relays");
     }
 
     #[test]

@@ -26,14 +26,6 @@ pub struct FlowPath {
     pub switches: Vec<usize>,
 }
 
-impl FlowPath {
-    /// Number of switch traversals.
-    #[must_use]
-    pub fn hop_count(&self) -> usize {
-        self.switches.len()
-    }
-}
-
 /// A complete synthesized topology for one design point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {

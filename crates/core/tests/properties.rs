@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sunfloor_core::graph::CommGraph;
-use sunfloor_core::paths::{compute_paths, PathConfig};
+use sunfloor_core::paths::{PathAllocator, PathConfig};
+use sunfloor_core::phase1::Connectivity;
 use sunfloor_core::spec::{CommSpec, Core, Flow, MessageType, SocSpec};
 use sunfloor_core::synthesis::{SynthesisConfig, SynthesisEngine};
 use sunfloor_core::topology::Topology;
@@ -100,7 +101,7 @@ proptest! {
     fn spg_extra_edges_bounded((soc, comm) in arb_design(), theta in 1.0f64..15.0) {
         let g = CommGraph::new(&soc, &comm);
         let max_wt = g.max_weight(1.0);
-        let spg = g.scaled_partitioning_graph(&soc, 1.0, theta, 15.0);
+        let spg = g.scaled_partitioning_graph(1.0, theta, 15.0);
         let pg = g.partitioning_graph(1.0);
         let n = soc.core_count();
         for a in 0..n {
@@ -136,28 +137,29 @@ proptest! {
         }
         let core_attach: Vec<usize> =
             soc.cores.iter().map(|c| switch_of_layer[c.layer as usize]).collect();
-        let est: Vec<(f64, f64)> = switch_layer.iter().map(|_| (2.0, 2.0)).collect();
-        let core_layers: Vec<u32> = soc.cores.iter().map(|c| c.layer).collect();
+        let conn = Connectivity {
+            est_positions: vec![(2.0, 2.0); switch_layer.len()],
+            core_attach,
+            switch_layer,
+            theta: None,
+        };
         let route = |cfg: &PathConfig| {
-            compute_paths(
-                &g, &core_attach, &switch_layer, &est, &core_layers, layers,
-                &NocLibrary::lp65(), cfg, 1.0,
-            )
+            PathAllocator::new().compute_paths(&g, &conn, &NocLibrary::lp65(), cfg, 1.0)
         };
 
         let topo = route(&PathConfig::new(200, 64, 400.0)).unwrap();
-        check_routed(&g, &core_attach, &topo)?;
+        check_routed(&g, &conn.core_attach, &topo)?;
 
         // A port limit just above the busiest switch's core count, so the
         // links routing adds run into it.
-        let most_cores = (0..switch_layer.len())
-            .map(|s| core_attach.iter().filter(|&&a| a == s).count() as u32)
+        let most_cores = (0..conn.switch_count())
+            .map(|s| conn.core_attach.iter().filter(|&&a| a == s).count() as u32)
             .max()
             .unwrap_or(0);
         let cfg = PathConfig::new(tight.0, most_cores + tight.1, 400.0);
         if let Ok(topo) = route(&cfg) {
-            check_routed(&g, &core_attach, &topo)?;
-            prop_assert!(topo.max_inter_layer_links(&core_layers, layers) <= cfg.max_ill);
+            check_routed(&g, &conn.core_attach, &topo)?;
+            prop_assert!(topo.max_inter_layer_links(g.core_layers(), layers) <= cfg.max_ill);
             for s in 0..topo.switch_count() {
                 prop_assert!(topo.switch_size(s) <= cfg.max_switch_size, "switch {s}");
             }

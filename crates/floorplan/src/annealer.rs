@@ -2,6 +2,7 @@
 
 use crate::geometry::{Block, Floorplan, Net};
 use crate::seqpair::{PackScratch, SequencePair};
+use crate::tempering::{anneal_tempered, TemperConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,7 +57,9 @@ impl AnnealConfig {
     }
 }
 
-/// Floorplans `blocks` minimizing `area + λ·HPWL(nets)`.
+/// Floorplans `blocks` minimizing `area + λ·HPWL(nets)` with one annealing
+/// chain: [`anneal_tempered`] with a single replica, from the identity
+/// sequence pair, every block movable and no targets.
 ///
 /// This is the "standard floorplanner" role of the flow: generating the
 /// initial core placement per layer (paper §VIII-A obtains them "using
@@ -68,97 +71,44 @@ impl AnnealConfig {
 /// Panics if any net references a block index out of range.
 #[must_use]
 pub fn anneal(blocks: &[Block], nets: &[Net], cfg: &AnnealConfig) -> Floorplan {
-    if blocks.is_empty() {
-        return Floorplan::default();
-    }
-    for net in nets {
-        for &p in &net.pins {
-            assert!(p < blocks.len(), "net references block {p} out of range");
-        }
-    }
-    let movable: Vec<bool> = vec![true; blocks.len()];
-    run_sa(blocks, nets, &movable, None, cfg)
+    let temper = TemperConfig { base: cfg.clone(), ..TemperConfig::default() }.with_replicas(1);
+    anneal_tempered(&AnnealInput::new(blocks.to_vec()), nets, &temper).0
 }
 
-/// Like [`anneal`], but additionally pulls selected blocks towards target
-/// positions: `targets[i] = Some((x, y, weight))` charges `weight` per
-/// millimetre of Manhattan deviation of block `i`'s center from `(x, y)`.
-///
-/// Used to align a layer's floorplan under the cores it communicates with
-/// in already-placed layers — the paper's "highly communicating cores are
-/// placed one above the other" policy.
-///
-/// # Panics
-///
-/// Panics if `targets.len() != blocks.len()` or a net references a block
-/// out of range.
-#[must_use]
-pub fn anneal_toward(
-    blocks: &[Block],
-    nets: &[Net],
-    targets: &[IdealTarget],
-    cfg: &AnnealConfig,
-) -> Floorplan {
-    assert_eq!(targets.len(), blocks.len(), "one target slot per block");
-    if blocks.is_empty() {
-        return Floorplan::default();
-    }
-    for net in nets {
-        for &p in &net.pins {
-            assert!(p < blocks.len(), "net references block {p} out of range");
-        }
-    }
-    let movable: Vec<bool> = vec![true; blocks.len()];
-    run_sa(blocks, nets, &movable, Some(targets), cfg)
-}
-
-/// Input to [`anneal_constrained`]: an existing placement plus component
-/// ideal positions.
+/// What an anneal starts from: the blocks, the seed sequence pair, each
+/// block's attraction target and how many leading blocks keep their
+/// relative order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ConstrainedInput {
+pub struct AnnealInput {
     /// All blocks; indices `0..fixed_order_count` are cores whose relative
-    /// order must be preserved, the rest are NoC components free to move.
+    /// order must be preserved, the rest are free to move.
     pub blocks: Vec<Block>,
-    /// Seed sequence pair (typically [`SequencePair::from_placement`] of the
-    /// input floorplan with components appended).
+    /// Seed sequence pair (for a constrained layout, typically
+    /// [`SequencePair::from_placement`] of the input floorplan with the
+    /// components appended).
     pub seed: SequencePair,
-    /// `ideal[i]` is the LP-computed target center for block `i` with a
-    /// penalty weight (cost per mm of Manhattan deviation), if any.
+    /// One slot per block: `Some((x, y, weight))` charges `weight` per
+    /// millimetre of Manhattan deviation of the block's center from
+    /// `(x, y)` (an LP-computed ideal spot, or the centroid of partners in
+    /// layers already placed); `None` leaves the block free to land
+    /// anywhere.
     pub ideal: Vec<IdealTarget>,
     /// Number of leading blocks that are order-frozen cores.
     pub fixed_order_count: usize,
 }
 
-/// The §VIII-D baseline: a standard annealer constrained to keep the cores'
-/// relative order intact while inserting NoC components, minimizing area and
-/// the components' displacement from their ideal positions.
-///
-/// # Panics
-///
-/// Panics if the seed sequence pair length disagrees with `blocks`.
-#[must_use]
-pub fn anneal_constrained(input: &ConstrainedInput, nets: &[Net], cfg: &AnnealConfig) -> Floorplan {
-    assert_eq!(input.seed.len(), input.blocks.len(), "seed/blocks length mismatch");
-    let movable: Vec<bool> =
-        (0..input.blocks.len()).map(|i| i >= input.fixed_order_count).collect();
-    run_sa_seeded(
-        &input.blocks,
-        nets,
-        &movable,
-        Some(&input.ideal),
-        input.seed.clone(),
-        cfg,
-    )
-}
-
-fn run_sa(
-    blocks: &[Block],
-    nets: &[Net],
-    movable: &[bool],
-    ideal: Option<&[IdealTarget]>,
-    cfg: &AnnealConfig,
-) -> Floorplan {
-    run_sa_seeded(blocks, nets, movable, ideal, SequencePair::identity(blocks.len()), cfg)
+impl AnnealInput {
+    /// The unconstrained input: the identity sequence pair, no targets and
+    /// every block movable.
+    #[must_use]
+    pub fn new(blocks: Vec<Block>) -> Self {
+        Self {
+            seed: SequencePair::identity(blocks.len()),
+            ideal: vec![None; blocks.len()],
+            blocks,
+            fixed_order_count: 0,
+        }
+    }
 }
 
 /// Cached per-net weighted-HPWL contributions with delta updates.
@@ -284,29 +234,15 @@ enum Move {
     Rot(usize),
 }
 
-fn run_sa_seeded(
-    blocks: &[Block],
-    nets: &[Net],
-    movable: &[bool],
-    ideal: Option<&[IdealTarget]>,
-    seed_sp: SequencePair,
-    cfg: &AnnealConfig,
-) -> Floorplan {
-    let mut replica = ReplicaState::new(blocks, nets, movable, ideal, seed_sp, cfg, cfg.rng_seed, 1.0);
-    replica.step(cfg.iterations);
-    replica.build_best()
-}
-
 /// One complete annealing chain: the sequence pair, its incremental
 /// rank/pack/net-cache machinery, the accepted and best states, the RNG
 /// and the temperature schedule.
 ///
-/// The serial annealer builds exactly one of these and steps it for the
-/// whole budget; [`crate::tempering`] builds N (one per replica, with a
-/// per-replica RNG seed and a ladder temperature multiplier) and steps
-/// them in barrier-synchronized chunks. Chunked stepping is bit-identical
-/// to one big `step` call — the state carries everything across calls —
-/// which is what makes single-replica tempering equal the serial annealer.
+/// [`crate::tempering`] builds one per replica, with a per-replica RNG
+/// seed and a ladder temperature multiplier. A single replica is stepped
+/// for the whole budget at once; more are stepped in barrier-synchronized
+/// chunks. Chunked stepping is bit-identical to one big `step` call — the
+/// state carries everything across calls.
 pub(crate) struct ReplicaState<'a> {
     blocks: &'a [Block],
     nets: &'a [Net],
@@ -344,31 +280,31 @@ pub(crate) struct ReplicaState<'a> {
     temp: f64,
     alpha: f64,
     /// Temperature-ladder multiplier: moves are accepted against
-    /// `temp * ladder`. The serial annealer uses `1.0` (multiplying by
-    /// `1.0` is exact in IEEE arithmetic, so the serial path is untouched);
-    /// tempering swap rounds exchange these values between replicas.
+    /// `temp * ladder`. Rung 0, the only one of a single replica, is `1.0`
+    /// (multiplying by `1.0` is exact in IEEE arithmetic, so a single
+    /// chain anneals at the base schedule); swap rounds exchange these
+    /// values between replicas.
     ladder: f64,
 }
 
 impl<'a> ReplicaState<'a> {
-    /// Sets up a chain at `seed_sp` with its own RNG stream and ladder
+    /// Sets up a chain at `input.seed` with its own RNG stream and ladder
     /// slot. The temperature schedule starts where ~an average move is
     /// accepted with p≈0.8 and decays geometrically to near-greedy over
-    /// `cfg.iterations` steps.
-    #[allow(clippy::too_many_arguments)]
+    /// `cfg.iterations` steps. Without any target, no step measures a
+    /// deviation.
     pub(crate) fn new(
-        blocks: &'a [Block],
+        input: &'a AnnealInput,
         nets: &'a [Net],
-        movable: &[bool],
-        ideal: Option<&'a [IdealTarget]>,
-        seed_sp: SequencePair,
         cfg: &'a AnnealConfig,
         rng_seed: u64,
         ladder: f64,
     ) -> Self {
+        let blocks = &input.blocks[..];
+        let ideal = input.ideal.iter().any(Option::is_some).then_some(&input.ideal[..]);
         let n = blocks.len();
         let rng = StdRng::seed_from_u64(rng_seed);
-        let sp = seed_sp;
+        let sp = input.seed.clone();
         let rotated = vec![false; n];
         let mut pp = vec![0usize; n];
         let mut nn = vec![0usize; n];
@@ -393,7 +329,7 @@ impl<'a> ReplicaState<'a> {
         let cur_x = scratch.x.clone();
         let cur_y = scratch.y.clone();
 
-        let movable_idx: Vec<usize> = (0..n).filter(|&i| movable[i]).collect();
+        let movable_idx: Vec<usize> = (input.fixed_order_count..n).collect();
         let temp = (cur_cost * 0.1).max(1e-6);
         let t_final = temp * 1e-4;
         let alpha = (t_final / temp).powf(1.0 / f64::from(cfg.iterations.max(2)));
@@ -779,14 +715,14 @@ mod tests {
         let mut placed = cores.clone();
         placed.push(PlacedBlock::new(blocks[3].clone(), 1.0, 2.5));
         placed.push(PlacedBlock::new(blocks[4].clone(), 4.0, 2.5));
-        let input = ConstrainedInput {
+        let input = AnnealInput {
             seed: SequencePair::from_placement(&placed),
             blocks,
             ideal: vec![None, None, None, Some((1.2, 2.2, 2.0)), Some((4.2, 2.2, 2.0))],
             fixed_order_count: 3,
         };
-        let plan =
-            anneal_constrained(&input, &[], &AnnealConfig::default().with_iterations(5000));
+        let cfg = TemperConfig::default().with_iterations(5000).with_replicas(1);
+        let (plan, _) = anneal_tempered(&input, &[], &cfg);
         assert!(plan.overlapping_pair().is_none());
         // Core x-order must be preserved: c0 left of c1 left of c2.
         let x0 = plan.blocks[0].center().0;

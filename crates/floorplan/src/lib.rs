@@ -19,24 +19,27 @@
 //!
 //! # `anneal` vs `anneal_tempered`
 //!
-//! [`anneal`] runs one simulated-annealing chain; it is cheap and fully
-//! deterministic per seed, and remains the right tool for small block
-//! sets. [`anneal_tempered`] runs N exchange-coupled chains ("replicas")
-//! at staggered temperatures on scoped threads — the standard SA scale-up
-//! for large floorplans, spending an `N×` aggregate move budget in
-//! roughly the wall-clock of one chain. Each replica owns its RNG
-//! (seeded `rng_seed + replica_index`) and its own incremental
-//! pack/net-cache state; every `swap_interval` iterations the replicas
-//! meet at a barrier and adjacent temperature rungs attempt to swap.
+//! [`anneal_tempered`] is the one annealing driver. It takes an
+//! [`AnnealInput`] — the blocks, the seed sequence pair, an optional
+//! attraction target per block and how many leading blocks keep their
+//! relative order — and runs N exchange-coupled chains ("replicas") at
+//! staggered temperatures on scoped threads: the standard SA scale-up for
+//! large floorplans, spending an `N×` aggregate move budget in roughly the
+//! wall-clock of one chain. Each replica owns its RNG (seeded
+//! `rng_seed + replica_index`) and its own incremental pack/net-cache
+//! state; every `swap_interval` iterations the replicas meet at a barrier
+//! and adjacent temperature rungs attempt to swap. [`anneal`] is the
+//! one-replica shorthand for [`AnnealInput::new`]'s unconstrained input:
+//! cheap, fully deterministic per seed, and the right tool for small block
+//! sets.
 //!
 //! The determinism contract for swap rounds: swaps are a
 //! barrier-synchronized reduction over the replicas' published energies,
 //! evaluated by a single coordinator in ladder order with its own
 //! seed-derived RNG. The final floorplan is therefore a pure function of
-//! the [`TemperConfig`] (which includes the replica count) — bit-for-bit
-//! independent of thread count and OS scheduling, and with one replica it
-//! equals the serial [`anneal`] result exactly. See [`tempering`](anneal_tempered)
-//! for details.
+//! the input and the [`TemperConfig`] (which includes the replica count) —
+//! bit-for-bit independent of thread count and OS scheduling. See
+//! [`tempering`](anneal_tempered) for details.
 //!
 //! # Example
 //!
@@ -63,13 +66,8 @@ mod insertion;
 mod seqpair;
 mod tempering;
 
-pub use annealer::{
-    anneal, anneal_constrained, anneal_toward, AnnealConfig, ConstrainedInput, IdealTarget,
-};
+pub use annealer::{anneal, AnnealConfig, AnnealInput, IdealTarget};
 pub use geometry::{Block, Floorplan, Net, PlacedBlock, Rect};
 pub use insertion::{insert_components, InsertRequest, InsertionResult};
 pub use seqpair::{PackScratch, SequencePair};
-pub use tempering::{
-    anneal_tempered, anneal_tempered_constrained_with_stats, anneal_tempered_with_stats,
-    TemperConfig, TemperStats,
-};
+pub use tempering::{anneal_tempered, TemperConfig, TemperStats};

@@ -146,38 +146,17 @@ impl SequencePair {
     }
 
     /// The LCS packing of [`Self::pack_into`] with caller-provided
-    /// rotation-effective dimensions: only the `x`/`y` coordinates land in
-    /// `scratch`. The annealer maintains `w`/`h` incrementally (a rotation
-    /// move swaps one block's pair) instead of rebuilding them from the
-    /// block list on every pack.
+    /// rotation-effective dimensions and sequence ranks: only the `x`/`y`
+    /// coordinates land in `scratch`. `pp`/`nn` must be the inverse
+    /// permutations of `pos`/`neg`. The annealer maintains `w`/`h`
+    /// incrementally (a rotation move swaps one block's pair) and keeps the
+    /// ranks current across reinsertion moves (an O(|from − to|) range
+    /// touch-up) instead of rebuilding them on every pack.
     ///
     /// Returns the packed bounding box `(width, height)` — read off the
     /// Fenwick roots for free, and bit-identical to a max-fold over the
     /// packed extents (a packed placement always has a block at x = 0 and
     /// one at y = 0, so the box is just the two maxima).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w.len()` or `h.len()` disagree with the sequence length.
-    pub fn pack_coords_into(&self, w: &[f64], h: &[f64], scratch: &mut PackScratch) -> (f64, f64) {
-        let n = self.pos.len();
-        assert_eq!(w.len(), n, "width count mismatch");
-        assert_eq!(h.len(), n, "height count mismatch");
-        scratch.resize(n);
-        let PackScratch { pp, nn, x, y, fen, .. } = scratch;
-        for (i, &b) in self.pos.iter().enumerate() {
-            pp[b] = i;
-        }
-        for (i, &b) in self.neg.iter().enumerate() {
-            nn[b] = i;
-        }
-        pack_xy(&self.pos, &self.neg, pp, nn, x, y, fen, w, h)
-    }
-
-    /// [`Self::pack_coords_into`] with caller-maintained sequence ranks:
-    /// `pp`/`nn` must be the inverse permutations of `pos`/`neg`. The
-    /// annealer keeps them current across reinsertion moves (an O(|from −
-    /// to|) range touch-up) instead of rebuilding both arrays per pack.
     ///
     /// # Panics
     ///
@@ -202,11 +181,10 @@ impl SequencePair {
         let PackScratch { x, y, fen, .. } = scratch;
         pack_xy(&self.pos, &self.neg, pp, nn, x, y, fen, w, h)
     }
-
 }
 
 /// The two LCS coordinate passes shared by [`SequencePair::pack_into`] and
-/// [`SequencePair::pack_coords_into`].
+/// [`SequencePair::pack_coords_ranked`].
 ///
 /// x: blocks left of `b` are exactly those earlier in *both* sequences;
 /// walking P, the tree holds `x + w` of every placed block keyed by

@@ -29,12 +29,11 @@
 //!   replica index — a strict-less scan in index order.
 //!
 //! `threads` therefore only chooses how replicas are multiplexed onto
-//! workers; `TemperConfig::with_replicas(1)` degenerates to exactly the
-//! serial [`anneal`](crate::anneal) result for the same `AnnealConfig`.
+//! workers; `TemperConfig::with_replicas(1)` degenerates to one serial
+//! chain, which is what [`anneal`](crate::anneal) runs.
 
-use crate::annealer::{AnnealConfig, ConstrainedInput, IdealTarget, ReplicaState};
-use crate::geometry::{Block, Floorplan, Net};
-use crate::seqpair::SequencePair;
+use crate::annealer::{AnnealConfig, AnnealInput, ReplicaState};
+use crate::geometry::{Floorplan, Net};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,8 +45,8 @@ pub struct TemperConfig {
     /// The per-replica annealing configuration (iterations are *per
     /// replica*; the aggregate move budget is `iterations · replicas`).
     pub base: AnnealConfig,
-    /// Number of replicas (ladder rungs). `1` degenerates to the serial
-    /// annealer; values are clamped to at least 1.
+    /// Number of replicas (ladder rungs). `1` degenerates to one serial
+    /// chain; values are clamped to at least 1.
     pub replicas: usize,
     /// Iterations each replica runs between swap rounds (clamped to at
     /// least 1).
@@ -135,65 +134,6 @@ impl TemperStats {
     }
 }
 
-/// Tempered counterpart of [`anneal`](crate::anneal): floorplans `blocks`
-/// minimizing `area + λ·HPWL(nets)` with `cfg.replicas` exchange-coupled
-/// chains. The crate-level docs spell out the determinism contract.
-///
-/// # Panics
-///
-/// Panics if any net references a block index out of range.
-#[must_use]
-pub fn anneal_tempered(blocks: &[Block], nets: &[Net], cfg: &TemperConfig) -> Floorplan {
-    anneal_tempered_with_stats(blocks, nets, cfg).0
-}
-
-/// Like [`anneal_tempered`], additionally returning the run's
-/// [`TemperStats`].
-///
-/// # Panics
-///
-/// Panics if any net references a block index out of range.
-#[must_use]
-pub fn anneal_tempered_with_stats(
-    blocks: &[Block],
-    nets: &[Net],
-    cfg: &TemperConfig,
-) -> (Floorplan, TemperStats) {
-    if blocks.is_empty() {
-        return (Floorplan::default(), TemperStats::default());
-    }
-    for net in nets {
-        for &p in &net.pins {
-            assert!(p < blocks.len(), "net references block {p} out of range");
-        }
-    }
-    let movable: Vec<bool> = vec![true; blocks.len()];
-    run_tempered(blocks, nets, &movable, None, SequencePair::identity(blocks.len()), cfg)
-}
-
-/// Tempered counterpart of [`anneal_constrained`](crate::anneal_constrained):
-/// keeps the cores' relative order intact while inserting NoC components,
-/// with `cfg.replicas` exchange-coupled chains. Returns the floorplan and
-/// the run's [`TemperStats`].
-///
-/// # Panics
-///
-/// Panics if the seed sequence pair length disagrees with `blocks`.
-#[must_use]
-pub fn anneal_tempered_constrained_with_stats(
-    input: &ConstrainedInput,
-    nets: &[Net],
-    cfg: &TemperConfig,
-) -> (Floorplan, TemperStats) {
-    assert_eq!(input.seed.len(), input.blocks.len(), "seed/blocks length mismatch");
-    if input.blocks.is_empty() {
-        return (Floorplan::default(), TemperStats::default());
-    }
-    let movable: Vec<bool> =
-        (0..input.blocks.len()).map(|i| i >= input.fixed_order_count).collect();
-    run_tempered(&input.blocks, nets, &movable, Some(&input.ideal), input.seed.clone(), cfg)
-}
-
 /// Ladder multiplier of rung `k`.
 fn rung(stagger: f64, k: usize) -> f64 {
     #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
@@ -213,24 +153,40 @@ fn round_schedule(iterations: u32, swap_interval: u32) -> Vec<u32> {
     schedule
 }
 
-fn run_tempered(
-    blocks: &[Block],
+/// Anneals `input` with `cfg.replicas` exchange-coupled chains,
+/// minimizing `area + λ·HPWL(nets)` plus each target's weighted
+/// deviation, and moving only the blocks from `input.fixed_order_count`
+/// on. Returns the floorplan and the run's [`TemperStats`]. The
+/// crate-level docs spell out the determinism contract.
+///
+/// # Panics
+///
+/// Panics if the seed sequence pair or the target list does not have one
+/// entry per block, or if a net references a block out of range.
+#[must_use]
+pub fn anneal_tempered(
+    input: &AnnealInput,
     nets: &[Net],
-    movable: &[bool],
-    ideal: Option<&[IdealTarget]>,
-    seed_sp: SequencePair,
     cfg: &TemperConfig,
 ) -> (Floorplan, TemperStats) {
+    let n = input.blocks.len();
+    assert_eq!(input.seed.len(), n, "seed/blocks length mismatch");
+    assert_eq!(input.ideal.len(), n, "one target slot per block");
+    if n == 0 {
+        return (Floorplan::default(), TemperStats::default());
+    }
+    for net in nets {
+        for &p in &net.pins {
+            assert!(p < n, "net references block {p} out of range");
+        }
+    }
     let r = cfg.replicas.max(1);
     let stagger = if cfg.stagger > 1.0 { cfg.stagger } else { TemperConfig::default().stagger };
     let mut replicas: Vec<ReplicaState<'_>> = (0..r)
         .map(|i| {
             ReplicaState::new(
-                blocks,
+                input,
                 nets,
-                movable,
-                ideal,
-                seed_sp.clone(),
                 &cfg.base,
                 cfg.base.rng_seed.wrapping_add(i as u64),
                 rung(stagger, i),
@@ -245,8 +201,7 @@ fn run_tempered(
     };
 
     if r == 1 {
-        // Degenerate ladder: exactly the serial annealer (same seed, same
-        // schedule, ladder 1.0, no swap rounds).
+        // Degenerate ladder: one serial chain (ladder 1.0, no swap rounds).
         replicas[0].step(cfg.base.iterations);
     } else {
         let threads = if cfg.threads == 0 { r } else { cfg.threads.clamp(1, r) };
@@ -371,7 +326,8 @@ fn swap_round(
 mod tests {
     use super::*;
     use crate::anneal;
-    use crate::geometry::PlacedBlock;
+    use crate::geometry::{Block, PlacedBlock};
+    use crate::seqpair::SequencePair;
 
     fn blocks(n: usize) -> Vec<Block> {
         (0..n)
@@ -387,39 +343,44 @@ mod tests {
         (0..n).map(|i| Net::two_pin(i, (i + 7) % n, 1.0)).collect()
     }
 
+    /// One replica is one serial chain: the driver's result equals a chain
+    /// stepped by hand in swap-interval chunks (what every replica of a
+    /// larger ladder does), and [`anneal`]'s.
     #[test]
     fn single_replica_matches_serial_annealer_bit_for_bit() {
-        let blocks = blocks(12);
+        let input = AnnealInput::new(blocks(12));
         let nets = ring_nets(12);
         let base = AnnealConfig::default().with_iterations(4000).with_seed(42);
-        let serial = anneal(&blocks, &nets, &base);
-        let tempered = anneal_tempered(
-            &blocks,
-            &nets,
-            &TemperConfig { base, ..TemperConfig::default() }.with_replicas(1),
-        );
-        assert_eq!(serial, tempered);
+        let cfg = TemperConfig { base: base.clone(), ..TemperConfig::default() }.with_replicas(1);
+        let (tempered, stats) = anneal_tempered(&input, &nets, &cfg);
+        let mut chain = ReplicaState::new(&input, &nets, &base, base.rng_seed, 1.0);
+        for chunk in round_schedule(base.iterations, cfg.swap_interval) {
+            chain.step(chunk);
+        }
+        assert_eq!(chain.build_best(), tempered);
+        assert_eq!(chain.best_cost().to_bits(), stats.best_cost.to_bits());
+        assert_eq!(anneal(&input.blocks, &nets, &base), tempered);
     }
 
     #[test]
     fn result_is_invariant_under_thread_count() {
-        let blocks = blocks(14);
+        let input = AnnealInput::new(blocks(14));
         let nets = ring_nets(14);
         let cfg = TemperConfig::default().with_iterations(3000).with_seed(7).with_replicas(4);
-        let reference = anneal_tempered(&blocks, &nets, &cfg);
+        let reference = anneal_tempered(&input, &nets, &cfg).0;
         for threads in [1, 2, 3, 4] {
-            let plan = anneal_tempered(&blocks, &nets, &cfg.clone().with_threads(threads));
+            let plan = anneal_tempered(&input, &nets, &cfg.clone().with_threads(threads)).0;
             assert_eq!(reference, plan, "thread count {threads} changed the floorplan");
         }
     }
 
     #[test]
     fn stats_are_deterministic_and_swaps_happen() {
-        let blocks = blocks(14);
+        let input = AnnealInput::new(blocks(14));
         let nets = ring_nets(14);
         let cfg = TemperConfig::default().with_iterations(4000).with_seed(11).with_replicas(4);
-        let (_, a) = anneal_tempered_with_stats(&blocks, &nets, &cfg);
-        let (_, b) = anneal_tempered_with_stats(&blocks, &nets, &cfg.clone().with_threads(2));
+        let (_, a) = anneal_tempered(&input, &nets, &cfg);
+        let (_, b) = anneal_tempered(&input, &nets, &cfg.clone().with_threads(2));
         assert_eq!(a, b, "stats must be scheduling-independent");
         assert!(a.swap_attempts > 0, "no exchanges attempted");
         assert!(a.swap_accepts <= a.swap_attempts);
@@ -429,24 +390,51 @@ mod tests {
 
     #[test]
     fn tempered_result_is_legal() {
-        let blocks = blocks(10);
         let nets = ring_nets(10);
         let cfg = TemperConfig::default().with_iterations(3000).with_replicas(3);
-        let plan = anneal_tempered(&blocks, &nets, &cfg);
+        let (plan, _) = anneal_tempered(&AnnealInput::new(blocks(10)), &nets, &cfg);
         assert!(plan.overlapping_pair().is_none());
         assert_eq!(plan.blocks.len(), 10);
     }
 
     #[test]
     fn empty_input_and_degenerate_configs() {
-        assert_eq!(anneal_tempered(&[], &[], &TemperConfig::default()).blocks.len(), 0);
+        let cfg = TemperConfig::default();
+        let (empty, stats) = anneal_tempered(&AnnealInput::new(vec![]), &[], &cfg);
+        assert_eq!(empty.blocks.len(), 0);
+        assert_eq!(stats, TemperStats::default());
         // replicas = 0 clamps to 1.
-        let one = anneal_tempered(
-            &[Block::new("solo", 2.0, 2.0)],
+        let (one, stats) = anneal_tempered(
+            &AnnealInput::new(vec![Block::new("solo", 2.0, 2.0)]),
             &[],
             &TemperConfig { replicas: 0, ..TemperConfig::default() },
         );
         assert_eq!(one.blocks.len(), 1);
+        assert_eq!(stats.replicas, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "seed/blocks length mismatch")]
+    fn rejects_a_seed_of_the_wrong_length() {
+        let input = AnnealInput { seed: SequencePair::identity(3), ..AnnealInput::new(blocks(4)) };
+        let _ = anneal_tempered(&input, &[], &TemperConfig::default().with_iterations(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "one target slot per block")]
+    fn rejects_a_target_list_of_the_wrong_length() {
+        let input = AnnealInput { ideal: vec![None; 5], ..AnnealInput::new(blocks(4)) };
+        let _ = anneal_tempered(&input, &[], &TemperConfig::default().with_iterations(10));
+    }
+
+    /// Order-frozen cores and targets do not skip the pin check.
+    #[test]
+    #[should_panic(expected = "net references block 4 out of range")]
+    fn rejects_an_out_of_range_net_pin() {
+        let mut input = AnnealInput { fixed_order_count: 2, ..AnnealInput::new(blocks(4)) };
+        input.ideal[3] = Some((1.0, 1.0, 2.0));
+        let nets = [Net::two_pin(0, 4, 1.0)];
+        let _ = anneal_tempered(&input, &nets, &TemperConfig::default().with_iterations(10));
     }
 
     #[test]
@@ -462,14 +450,14 @@ mod tests {
         let mut placed = cores.clone();
         placed.push(PlacedBlock::new(all[3].clone(), 1.0, 2.5));
         placed.push(PlacedBlock::new(all[4].clone(), 4.0, 2.5));
-        let input = ConstrainedInput {
+        let input = AnnealInput {
             seed: SequencePair::from_placement(&placed),
             blocks: all,
             ideal: vec![None, None, None, Some((1.2, 2.2, 2.0)), Some((4.2, 2.2, 2.0))],
             fixed_order_count: 3,
         };
         let cfg = TemperConfig::default().with_iterations(3000).with_replicas(3);
-        let (plan, stats) = anneal_tempered_constrained_with_stats(&input, &[], &cfg);
+        let (plan, stats) = anneal_tempered(&input, &[], &cfg);
         assert!(plan.overlapping_pair().is_none());
         let x0 = plan.blocks[0].center().0;
         let x1 = plan.blocks[1].center().0;
@@ -477,8 +465,7 @@ mod tests {
         assert!(x0 < x1 && x1 < x2, "core order broken: {x0} {x1} {x2}");
         assert_eq!(stats.replicas, 3);
         // Thread-count invariance holds for the constrained variant too.
-        let (serial_sched, _) =
-            anneal_tempered_constrained_with_stats(&input, &[], &cfg.clone().with_threads(1));
+        let (serial_sched, _) = anneal_tempered(&input, &[], &cfg.clone().with_threads(1));
         assert_eq!(plan, serial_sched);
     }
 

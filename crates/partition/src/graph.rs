@@ -95,7 +95,7 @@ impl GroupAttraction {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WeightedGraph {
-    /// adjacency[v] = list of (neighbor, accumulated weight)
+    /// `adjacency[v]` = list of (neighbor, accumulated weight)
     adj: Vec<Vec<(u32, f64)>>,
     attraction: Option<GroupAttraction>,
 }

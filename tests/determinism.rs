@@ -13,8 +13,7 @@ use sunfloor_core::synthesis::{
 };
 use sunfloor_core::RoutingStats;
 use sunfloor_floorplan::{
-    anneal, anneal_tempered, anneal_tempered_with_stats, AnnealConfig, Block, Floorplan, Net,
-    TemperConfig,
+    anneal, anneal_tempered, AnnealConfig, AnnealInput, Block, Floorplan, Net, TemperConfig,
 };
 
 fn run(cfg: SynthesisConfig) -> SynthesisOutcome {
@@ -835,6 +834,7 @@ fn golden_blocks_and_nets() -> (Vec<Block>, Vec<Net>) {
 #[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences flip SA decisions elsewhere")]
 fn golden_tempered_annealer_is_pinned_and_thread_count_free() {
     let (blocks, nets) = golden_blocks_and_nets();
+    let input = AnnealInput::new(blocks);
     for threads in [0usize, 1, 3] {
         let cfg = TemperConfig {
             base: AnnealConfig::default().with_iterations(5000).with_seed(42),
@@ -842,7 +842,7 @@ fn golden_tempered_annealer_is_pinned_and_thread_count_free() {
             threads,
             ..TemperConfig::default()
         };
-        let plan = anneal_tempered(&blocks, &nets, &cfg);
+        let (plan, _) = anneal_tempered(&input, &nets, &cfg);
         let mut h = 0xCBF2_9CE4_8422_2325u64;
         fingerprint_floorplan(&mut h, &plan);
         assert_eq!(
@@ -859,16 +859,18 @@ fn golden_tempered_annealer_is_pinned_and_thread_count_free() {
 /// since the exchange moves only ever adopt the coldest rung's best state.
 #[test]
 fn tempered_cost_no_worse_than_serial_on_65_block_design() {
-    let blocks: Vec<Block> = (0..65)
-        .map(|i| {
-            Block::new(
-                format!("stage{i}"),
-                1.2 + f64::from(i % 5) * 0.3,
-                1.1 + f64::from(i % 7) * 0.2,
-            )
-            .rotatable()
-        })
-        .collect();
+    let input = AnnealInput::new(
+        (0..65)
+            .map(|i| {
+                Block::new(
+                    format!("stage{i}"),
+                    1.2 + f64::from(i % 5) * 0.3,
+                    1.1 + f64::from(i % 7) * 0.2,
+                )
+                .rotatable()
+            })
+            .collect(),
+    );
     let mut nets = Vec::new();
     for i in 0..64usize {
         nets.push(Net::two_pin(i, i + 1, 1.0 + f64::from(i as u32 % 3) * 0.5));
@@ -881,8 +883,8 @@ fn tempered_cost_no_worse_than_serial_on_65_block_design() {
         replicas,
         ..TemperConfig::default()
     };
-    let (_, serial) = anneal_tempered_with_stats(&blocks, &nets, &cfg(1));
-    let (_, tempered) = anneal_tempered_with_stats(&blocks, &nets, &cfg(4));
+    let (_, serial) = anneal_tempered(&input, &nets, &cfg(1));
+    let (_, tempered) = anneal_tempered(&input, &nets, &cfg(4));
     assert!(
         tempered.best_cost <= serial.best_cost + 1e-9,
         "tempered best cost {} must not lose to the serial chain {} at equal per-replica budget",

@@ -105,7 +105,7 @@ fn pipe128_warm_partitions_match_the_vertex_pair_scan() {
     let bench = pipeline_seeded(128, 1000);
     let graph = CommGraph::new(&bench.soc, &bench.comm);
     let pg = graph.partitioning_graph(ALPHA);
-    let spg = graph.scaled_partitioning_graph(&bench.soc, ALPHA, 7.0, THETA_MAX);
+    let spg = graph.scaled_partitioning_graph(ALPHA, 7.0, THETA_MAX);
     assert!(spg.attraction().is_some(), "the θ-step SPG must carry a group attraction");
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut prev: Vec<u32> = (0..128u32).map(|v| v % 2).collect();
@@ -129,7 +129,7 @@ fn pipe256_cold_partitions_match_the_full_scans() {
     let bench = pipeline_seeded(256, 5000);
     let graph = CommGraph::new(&bench.soc, &bench.comm);
     let pg = graph.partitioning_graph(ALPHA);
-    let spg = graph.scaled_partitioning_graph(&bench.soc, ALPHA, 7.0, THETA_MAX);
+    let spg = graph.scaled_partitioning_graph(ALPHA, 7.0, THETA_MAX);
     assert!(spg.attraction().is_some(), "the θ-step SPG must carry a group attraction");
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for g in [&pg, &spg] {
@@ -205,12 +205,8 @@ fn theta_escalation_warm_starts_are_deterministic_and_no_worse_than_cold() {
                 .unwrap();
                 let assignment: Vec<u32> =
                     conn.core_attach.iter().map(|&a| a as u32).collect();
-                let spg = graph.scaled_partitioning_graph(
-                    &bench.soc,
-                    engine_cfg.alpha,
-                    theta,
-                    engine_cfg.theta_max,
-                );
+                let spg =
+                    graph.scaled_partitioning_graph(engine_cfg.alpha, theta, engine_cfg.theta_max);
                 let cut = spg.cut_weight(&assignment);
                 prev = Some((k, assignment.clone()));
                 steps.push((k, theta, assignment, cut));
@@ -224,12 +220,8 @@ fn theta_escalation_warm_starts_are_deterministic_and_no_worse_than_cold() {
             "{name}: θ-escalation warm starts not deterministic for a fixed seed"
         );
         for (k, theta, _, warm_cut) in &first {
-            let spg = graph.scaled_partitioning_graph(
-                &bench.soc,
-                engine_cfg.alpha,
-                *theta,
-                engine_cfg.theta_max,
-            );
+            let spg =
+                graph.scaled_partitioning_graph(engine_cfg.alpha, *theta, engine_cfg.theta_max);
             let cold =
                 spg.partition(&PartitionConfig::k_way(*k).with_seed(engine_cfg.rng_seed)).unwrap();
             assert!(
@@ -295,7 +287,7 @@ fn sparse_theta_partition_cut_is_no_worse_than_dense_on_the_dense_objective() {
                         .with_seed(SEED)
                         .with_initial(initial.to_vec())
                 };
-                let sparse = graph.scaled_partitioning_graph(&bench.soc, ALPHA, theta, THETA_MAX);
+                let sparse = graph.scaled_partitioning_graph(ALPHA, theta, THETA_MAX);
                 let dense = dense_spg(&graph, &bench, theta);
                 let sparse_parts = sparse.partition(&warm(&sparse_prev)).unwrap();
                 let dense_parts = dense.partition(&warm(&dense_prev)).unwrap();
