@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use sunfloor_baselines::{optimized_mesh, MeshConfig};
-use sunfloor_benchmarks::{distributed, media26, pipeline_seeded, Benchmark};
+use sunfloor_benchmarks::{distributed, media26, pipeline_roster, Benchmark};
 use sunfloor_core::graph::{CommGraph, PartitionCache};
 use sunfloor_core::paths::{PathAllocator, PathConfig};
 use sunfloor_core::phase1;
@@ -227,7 +227,7 @@ fn bench_partition_warm(c: &mut Criterion) {
 /// refinement selects its actions by block-pair search (the media26 k = 8
 /// step's blocks of about 3 take the vertex-pair scan).
 fn bench_partition_warm_pipe128(c: &mut Criterion) {
-    let bench = pipeline_seeded(128, 1000);
+    let bench = pipeline_roster(128, 1000);
     let graph = CommGraph::new(&bench.soc, &bench.comm);
     let mut cache = PartitionCache::new();
     let prev = phase1::connectivity_cached(
@@ -260,7 +260,7 @@ fn bench_partition_warm_pipe128(c: &mut Criterion) {
 /// polish, on blocks of about 16 and 8 cores — both counts run the
 /// polish's block-pair swap search.
 fn bench_partition_cold_pipe256(c: &mut Criterion) {
-    let bench = pipeline_seeded(256, 5000);
+    let bench = pipeline_roster(256, 5000);
     let pg = CommGraph::new(&bench.soc, &bench.comm).partitioning_graph(0.6);
     let mut group = c.benchmark_group("partition_cold_pipe256");
     for parts in [16usize, 31] {

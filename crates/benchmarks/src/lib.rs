@@ -46,6 +46,6 @@ pub use catalog::{all_table1_benchmarks, Benchmark};
 pub use layout2d::flatten_to_2d;
 pub use media::media26;
 pub use synthetic::{
-    bottleneck, distributed, pipeline, pipeline_seeded, tvopd, tvopd_seeded, PIPELINE_SEED_BASE,
-    TVOPD_SEED,
+    bottleneck, distributed, pipeline, pipeline_roster, pipeline_seeded, tvopd, tvopd_seeded,
+    PIPELINE_SEED_BASE, TVOPD_SEED,
 };

@@ -21,9 +21,7 @@ pub const TVOPD_SEED: u64 = 0x38;
 
 /// Builds the validated `(SocSpec, CommSpec)` pair, runs the per-layer 2-D
 /// floorplanner and wraps the result. Every generator in this module
-/// funnels through here: the rosters are valid by construction (distinct
-/// names, layers in range, flow endpoints in bounds), so the spec
-/// constructors cannot fail on generator output.
+/// funnels through here.
 fn assemble(
     name: String,
     cores: Vec<Core>,
@@ -31,11 +29,20 @@ fn assemble(
     flows: Vec<Flow>,
     seed: u64,
 ) -> Benchmark {
+    let mut bench = roster(name, cores, layers, flows);
+    floorplan_layers(&mut bench.soc, &bench.comm, seed);
+    bench
+}
+
+/// Validates a generated roster and wraps it, every core still where the
+/// generator put it. The rosters are valid by construction (distinct
+/// names, layers in range, flow endpoints in bounds), so the spec
+/// constructors cannot fail on generator output.
+fn roster(name: String, cores: Vec<Core>, layers: u32, flows: Vec<Flow>) -> Benchmark {
     // sf-allow(panic-in-lib): generator rosters are valid by construction
-    let mut soc = SocSpec::new(cores, layers).expect("generator roster is valid");
+    let soc = SocSpec::new(cores, layers).expect("generator roster is valid");
     // sf-allow(panic-in-lib): generator flows reference in-bounds cores only
     let comm = CommSpec::new(flows, &soc).expect("generator flows are valid");
-    floorplan_layers(&mut soc, &comm, seed);
     Benchmark::new(name, soc, comm)
 }
 
@@ -194,6 +201,21 @@ pub fn pipeline(n: usize) -> Benchmark {
 /// Panics if `n < 4`.
 #[must_use]
 pub fn pipeline_seeded(n: usize, seed_base: u64) -> Benchmark {
+    let mut bench = pipeline_roster(n, seed_base);
+    floorplan_layers(&mut bench.soc, &bench.comm, seed_base.wrapping_add(n as u64));
+    bench
+}
+
+/// The roster of [`pipeline_seeded`] — the same name, cores, layers and
+/// flows — with every core at the origin: the per-layer floorplan, by far
+/// the generator's largest cost, is not run. For callers that read only
+/// the flows and the layers, such as partitioning graphs.
+///
+/// # Panics
+///
+/// Panics if `n < 4`.
+#[must_use]
+pub fn pipeline_roster(n: usize, seed_base: u64) -> Benchmark {
     assert!(n >= 4, "pipeline benchmark needs at least 4 cores");
     let layers: u32 = if n > 40 { 3 } else { 2 };
     let per_layer = n.div_ceil(layers as usize);
@@ -235,7 +257,7 @@ pub fn pipeline_seeded(n: usize, seed_base: u64) -> Benchmark {
     } else {
         format!("D_{n}_pipe_s{seed_base}")
     };
-    assemble(name, cores, layers, flows, seed_base.wrapping_add(n as u64))
+    roster(name, cores, layers, flows)
 }
 
 /// `D_38_tvopd`: a TV object-plane-decoder-style design — three parallel
@@ -439,6 +461,18 @@ mod tests {
         assert_eq!(bottleneck(), bottleneck());
         assert_eq!(pipeline(65), pipeline(65));
         assert_eq!(tvopd(), tvopd());
+    }
+
+    #[test]
+    fn pipeline_roster_is_the_pipeline_before_its_floorplan() {
+        let roster = pipeline_roster(50, 9);
+        let placed = pipeline_seeded(50, 9);
+        assert_eq!((&roster.name, &roster.comm), (&placed.name, &placed.comm));
+        assert_eq!(roster.soc.layers, placed.soc.layers);
+        for (r, p) in roster.soc.cores.iter().zip(&placed.soc.cores) {
+            assert_eq!((&r.name, r.width, r.height, r.layer), (&p.name, p.width, p.height, p.layer));
+            assert_eq!((r.x, r.y), (0.0, 0.0), "{}: the roster places no core", r.name);
+        }
     }
 
     #[test]

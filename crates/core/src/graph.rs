@@ -218,18 +218,9 @@ impl CommGraph {
 
     /// Flow indices in decreasing Definition-3 criticality (ties broken by
     /// flow index, so the order is deterministic) — the routing order of
-    /// §VI.
-    #[must_use]
-    pub fn flows_by_criticality(&self, alpha: f64) -> Vec<usize> {
-        let mut order = Vec::new();
-        let mut weights = Vec::new();
-        self.flows_by_criticality_into(alpha, &mut order, &mut weights);
-        order
-    }
-
-    /// [`Self::flows_by_criticality`] into caller-provided buffers (`order`
-    /// receives the result; `weights` is pure scratch), so hot loops — the
-    /// per-candidate router — reuse both allocations.
+    /// §VI — into caller-provided buffers: `order` receives the result and
+    /// `weights` is pure scratch, so the per-candidate router reuses both
+    /// allocations.
     pub fn flows_by_criticality_into(
         &self,
         alpha: f64,

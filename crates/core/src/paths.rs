@@ -33,11 +33,11 @@
 //! the router is written to be allocation-free across candidate
 //! evaluations: a reusable [`PathAllocator`] owns every scratch structure —
 //! generation-stamped Dijkstra state, the dense per-class link index, the
-//! per-pair cost table, the banned-turn matrix and the incremental
-//! cycle-detection state — and only grows them monotonically. Cycle checks
-//! use Pearce–Kelly incremental topological-order maintenance, so inserting
-//! one dependency edge costs near-constant amortized time instead of a
-//! from-scratch DFS over the whole CDG.
+//! per-pair cost table, the banned-turn matrix and the CDGs with their
+//! search scratch — and only grows them monotonically. A new dependency
+//! edge `a → b` is checked by a depth-first search from `b` over the class
+//! CDG, with generation-stamped marks: it closes a cycle exactly when the
+//! search reaches `a`.
 //!
 //! Dijkstra prices every switch pair for every flow, so the edge cost does
 //! no work that the flow does not change. A switch pair's estimated length
@@ -194,33 +194,25 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Per-message-class channel-dependency graph with incremental cycle
-/// detection (Pearce–Kelly topological-order maintenance).
+/// Per-message-class channel-dependency graph with an exact cycle check.
 ///
 /// Nodes are *stable link indices* (tombstoned links keep their slot).
-/// Inserting the edge `a → b` either confirms the graph stays acyclic —
-/// restoring the topological-order invariant by re-ranking only the
-/// affected region — or reports the cycle without modifying the graph.
+/// Inserting the edge `a → b` either keeps the graph acyclic or reports
+/// the cycle without modifying the graph: the edge closes a cycle exactly
+/// when `b` already reaches `a`, which one depth-first search from `b`
+/// decides.
 #[derive(Debug, Default)]
 struct ClassCdg {
     /// Out-edges per node.
     adj: Vec<Vec<usize>>,
-    /// In-edges per node (needed for the backward half of the re-rank).
-    radj: Vec<Vec<usize>>,
-    /// Topological rank of each node: `ord[u] < ord[v]` for every edge
-    /// `u → v`.
-    ord: Vec<usize>,
-    /// Live node count this routing run (`adj`/`radj`/`ord` beyond it are
-    /// stale capacity from earlier runs).
+    /// Live node count this routing run (`adj` beyond it is stale capacity
+    /// from earlier runs).
     nodes: usize,
     /// DFS visit stamps (generation-tagged so clearing is O(1)).
     mark: Vec<u32>,
     mark_gen: u32,
-    /// Scratch: forward/backward affected sets and the DFS stack.
-    fwd: Vec<usize>,
-    back: Vec<usize>,
+    /// The DFS stack.
     stack: Vec<usize>,
-    pool: Vec<usize>,
 }
 
 impl ClassCdg {
@@ -229,25 +221,17 @@ impl ClassCdg {
         for list in &mut self.adj[..self.nodes] {
             list.clear();
         }
-        for list in &mut self.radj[..self.nodes] {
-            list.clear();
-        }
         self.nodes = 0;
     }
 
-    /// Makes sure node `v` exists; new nodes are appended at the end of the
-    /// topological order (they have no edges yet, so any rank is valid).
+    /// Makes sure node `v` exists; new nodes have no edges.
     fn ensure_node(&mut self, v: usize) {
         while self.nodes <= v {
             if self.adj.len() <= self.nodes {
-                self.adj.push(Vec::new());
-                self.radj.push(Vec::new());
-                self.ord.push(0);
+                self.adj.push(Vec::new()); // sf-allow(hot-path-alloc): grows once per new link slot; later routing runs reuse it
                 self.mark.push(0);
             }
             self.adj[self.nodes].clear();
-            self.radj[self.nodes].clear();
-            self.ord[self.nodes] = self.nodes;
             self.nodes += 1;
         }
     }
@@ -255,6 +239,7 @@ impl ClassCdg {
     /// Inserts `a → b`. Returns `Ok(true)` when the edge was added,
     /// `Ok(false)` when it was already present, and `Err(())` (leaving the
     /// graph untouched) when the insertion would close a cycle.
+    // sf: hot-path
     fn insert(&mut self, a: usize, b: usize) -> Result<bool, ()> {
         self.ensure_node(a.max(b));
         if a == b {
@@ -263,85 +248,32 @@ impl ClassCdg {
         if self.adj[a].contains(&b) {
             return Ok(false);
         }
-        if self.ord[a] < self.ord[b] {
-            self.adj[a].push(b);
-            self.radj[b].push(a);
-            return Ok(true);
-        }
-
-        // ord[b] < ord[a]: the affected region is every node ranked in
-        // [ord[b], ord[a]]. Forward-reachable nodes from `b` inside it must
-        // move after backward-reaching nodes of `a`.
-        let lb = self.ord[b];
-        let ub = self.ord[a];
-
-        // Forward DFS from b, restricted to ord <= ub. Reaching `a` means
-        // b →* a exists, so a → b closes a cycle.
         self.mark_gen += 1;
-        let fwd_gen = self.mark_gen;
-        self.fwd.clear();
+        let gen = self.mark_gen;
         self.stack.clear();
         self.stack.push(b);
-        self.mark[b] = fwd_gen;
+        self.mark[b] = gen;
         while let Some(u) = self.stack.pop() {
             if u == a {
                 return Err(());
             }
-            self.fwd.push(u);
             for i in 0..self.adj[u].len() {
                 let w = self.adj[u][i];
-                if self.mark[w] != fwd_gen && self.ord[w] <= ub {
-                    self.mark[w] = fwd_gen;
+                if self.mark[w] != gen {
+                    self.mark[w] = gen;
                     self.stack.push(w);
                 }
             }
         }
-
-        // Backward DFS from a, restricted to ord >= lb.
-        self.mark_gen += 1;
-        let back_gen = self.mark_gen;
-        self.back.clear();
-        self.stack.clear();
-        self.stack.push(a);
-        self.mark[a] = back_gen;
-        while let Some(u) = self.stack.pop() {
-            self.back.push(u);
-            for i in 0..self.radj[u].len() {
-                let w = self.radj[u][i];
-                if self.mark[w] != back_gen && self.ord[w] >= lb {
-                    self.mark[w] = back_gen;
-                    self.stack.push(w);
-                }
-            }
-        }
-
-        // Re-rank: the union of ranks held by both sets, redistributed so
-        // every backward node precedes every forward node, preserving the
-        // relative order inside each set.
-        self.back.sort_unstable_by_key(|&v| self.ord[v]);
-        self.fwd.sort_unstable_by_key(|&v| self.ord[v]);
-        self.pool.clear();
-        self.pool.extend(self.back.iter().map(|&v| self.ord[v]));
-        self.pool.extend(self.fwd.iter().map(|&v| self.ord[v]));
-        self.pool.sort_unstable();
-        for (slot, &v) in self.back.iter().chain(self.fwd.iter()).enumerate() {
-            self.ord[v] = self.pool[slot];
-        }
-
         self.adj[a].push(b);
-        self.radj[b].push(a);
         Ok(true)
     }
 
     /// Removes the edge `a → b` (used to roll back a rejected path's
-    /// dependencies). The topological order stays valid: deleting edges
-    /// never invalidates it.
+    /// dependencies).
     fn remove(&mut self, a: usize, b: usize) {
         if let Some(p) = self.adj[a].iter().rposition(|&w| w == b) {
             self.adj[a].swap_remove(p);
-        }
-        if let Some(p) = self.radj[b].iter().rposition(|&w| w == a) {
-            self.radj[b].swap_remove(p);
         }
     }
 }
@@ -418,7 +350,7 @@ pub struct PathAllocator {
     // Banned turns for the current flow attempt (generation-stamped).
     banned: Vec<u32>,
     banned_gen: u32,
-    // Per-class CDGs with incremental cycle detection.
+    // Per-class CDGs with their cycle-check scratch.
     cdg: [ClassCdg; 2],
     // Per-run budgets.
     ill: Vec<u32>,
@@ -1463,8 +1395,9 @@ mod tests {
         assert!(non_finite > 0, "the sample must reach inf/NaN costs");
     }
 
-    /// The incremental Pearce–Kelly CDG agrees with a from-scratch
-    /// reachability check on randomized edge streams.
+    /// The CDG's cycle check agrees with a from-scratch reachability check
+    /// on randomized edge streams, also after accepted batches are rolled
+    /// back through `remove`, as a rejected path's dependencies are.
     #[test]
     fn incremental_cdg_matches_dfs_oracle() {
         fn reaches(adj: &[Vec<usize>], from: usize, to: usize) -> bool {
@@ -1497,34 +1430,51 @@ mod tests {
         let mut cdg = ClassCdg::default();
         cdg.ensure_node(N - 1);
         let mut oracle: Vec<Vec<usize>> = vec![Vec::new(); N];
-        let mut accepted = 0;
-        for _ in 0..600 {
-            let a = (next() % N as u64) as usize;
-            let b = (next() % N as u64) as usize;
-            if a == b {
-                continue;
-            }
-            let closes_cycle = reaches(&oracle, b, a);
-            match cdg.insert(a, b) {
-                Ok(_) => {
-                    assert!(!closes_cycle, "accepted {a}->{b} but oracle sees a cycle");
-                    if !oracle[a].contains(&b) {
-                        oracle[a].push(b);
-                    }
-                    accepted += 1;
-                    // Topological-order invariant holds for every edge.
-                    for (u, outs) in oracle.iter().enumerate() {
-                        for &v in outs {
-                            assert!(cdg.ord[u] < cdg.ord[v], "order violated on {u}->{v}");
+        let (mut accepted, mut rejected, mut rolled_back) = (0, 0, 0);
+        for _ in 0..300 {
+            // A batch of up to four dependencies, as one path's turns.
+            let mut batch = Vec::new();
+            for _ in 0..1 + next() % 4 {
+                let a = (next() % N as u64) as usize;
+                let b = (next() % N as u64) as usize;
+                if a == b {
+                    continue;
+                }
+                let closes_cycle = reaches(&oracle, b, a);
+                match cdg.insert(a, b) {
+                    Ok(added) => {
+                        assert!(!closes_cycle, "accepted {a}->{b} but oracle sees a cycle");
+                        assert_eq!(added, !oracle[a].contains(&b), "{a}->{b}: wrong `added`");
+                        if added {
+                            oracle[a].push(b);
+                            batch.push((a, b));
                         }
+                        accepted += 1;
+                    }
+                    Err(()) => {
+                        assert!(closes_cycle, "rejected {a}->{b} but oracle sees no cycle");
+                        rejected += 1;
                     }
                 }
-                Err(()) => {
-                    assert!(closes_cycle, "rejected {a}->{b} but oracle sees no cycle");
+            }
+            if next() % 3 == 0 {
+                for &(a, b) in batch.iter().rev() {
+                    cdg.remove(a, b);
+                    oracle[a].retain(|&w| w != b);
+                    rolled_back += 1;
                 }
+            }
+            for (v, outs) in oracle.iter().enumerate() {
+                let mut edges = cdg.adj[v].clone();
+                let mut expected = outs.clone();
+                edges.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(edges, expected, "out-edges of {v} differ from the oracle's");
             }
         }
         assert!(accepted > 50, "stream should accept a healthy number of edges");
+        assert!(rejected > 50, "stream should reject a healthy number of edges");
+        assert!(rolled_back > 20, "stream should roll back a healthy number of edges");
     }
 
     /// Rolling an edge batch back restores the graph exactly.

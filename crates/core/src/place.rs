@@ -45,14 +45,6 @@ impl PartialEq for PlacementWeights {
 }
 
 impl PlacementWeights {
-    /// Extracts the placement weights from a routed topology.
-    #[must_use]
-    pub fn from_topology(topo: &Topology, graph: &CommGraph) -> Self {
-        let mut weights = Self::default();
-        weights.rebuild(topo, graph);
-        weights
-    }
-
     /// Refills the weights from a routed topology, reusing the buffers —
     /// no allocation once the vectors have grown to the design's size.
     pub fn rebuild(&mut self, topo: &Topology, graph: &CommGraph) {
@@ -269,7 +261,8 @@ mod tests {
     #[test]
     fn weights_capture_all_traffic() {
         let (_, graph, topo) = setup();
-        let w = PlacementWeights::from_topology(&topo, &graph);
+        let mut w = PlacementWeights::default();
+        w.rebuild(&topo, &graph);
         // Every core sends or receives, so all 4 appear.
         assert_eq!(w.core_switch.len(), 4);
         // One switch pair with the 50 MB/s inter-cluster flow (0.4 Gbps).
@@ -294,7 +287,8 @@ mod tests {
     #[test]
     fn lp_objective_beats_centroid_heuristic() {
         let (soc, graph, mut topo) = setup();
-        let weights = PlacementWeights::from_topology(&topo, &graph);
+        let mut weights = PlacementWeights::default();
+        weights.rebuild(&topo, &graph);
         let mut problem = PlacementProblem::new(topo.switch_count());
         for &(core, sw, bw) in &weights.core_switch {
             problem.attract_to_fixed(sw, soc.cores[core].center(), bw);

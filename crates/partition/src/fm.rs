@@ -1,6 +1,10 @@
 //! Recursive bisection with Fiduccia–Mattheyses refinement and a k-way
 //! swap polish.
 //!
+//! One routine, [`bisect`], splits a vertex subset for both the cold
+//! restarts' recursive bisection and the warm refinement's block splits;
+//! [`GrowthStart`] sets where its greedy growth begins and how ties break.
+//!
 //! The cold path is written allocation-light: one [`Workspace`] per
 //! [`crate::WeightedGraph::partition`] call carries every scratch buffer
 //! through all restarts and recursion levels, vertex subsets are split in
@@ -193,16 +197,18 @@ fn subset_split_attraction(g: &WeightedGraph, vertices: &[usize], side0: &[bool]
     at.weight() * split as f64
 }
 
+/// FM passes per bisection and per warm k-way refinement, at most: each
+/// stops early at the first pass that does not improve its cut.
+const MAX_PASSES: u32 = 10;
+
 /// Recursively splits `vertices` into `parts` blocks, writing block labels
 /// `first_label..first_label + parts` into `assignment`. The slice is
 /// reordered in place (stable within each side) as subsets split.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn recursive_bisect(
     g: &WeightedGraph,
     vertices: &mut [usize],
     parts: usize,
     first_label: u32,
-    max_passes: u32,
     rng: &mut StdRng,
     assignment: &mut [u32],
     ws: &mut Workspace,
@@ -221,7 +227,7 @@ pub(crate) fn recursive_bisect(
     let ideal = (vertices.len() * k1 + parts / 2) / parts;
     let n1 = ideal.clamp(k1, vertices.len() - k2);
 
-    bisect(g, vertices, n1, max_passes, rng, ws);
+    bisect(g, vertices, n1, GrowthStart::Random(rng), ws);
 
     // Stable in-place split: side-0 vertices compact forward (the write
     // cursor never passes the read cursor), side-1 vertices spill and come
@@ -242,20 +248,33 @@ pub(crate) fn recursive_bisect(
     vertices[n1..].copy_from_slice(&ws.spill);
 
     let (left, right) = vertices.split_at_mut(n1);
-    recursive_bisect(g, left, k1, first_label, max_passes, rng, assignment, ws);
-    recursive_bisect(g, right, k2, first_label + k1 as u32, max_passes, rng, assignment, ws);
+    recursive_bisect(g, left, k1, first_label, rng, assignment, ws);
+    recursive_bisect(g, right, k2, first_label + k1 as u32, rng, assignment, ws);
 }
 
-/// Bisects `vertices` into sides of exactly (`n1`, `len - n1`) vertices,
-/// leaving the side-0 mask in `ws.side0` (indexed like `vertices`).
-fn bisect(
+/// Where a bisection's greedy growth starts, and the order its ties break
+/// in.
+pub(crate) enum GrowthStart<'r> {
+    /// A cold restart: ties go to the vertex earliest in a shuffled order,
+    /// and the seed is a random vertex (the shuffle, then one draw).
+    Random(&'r mut StdRng),
+    /// A warm split: ties go to the lowest subset index, and the seed is
+    /// the most weakly attached vertex — the least weight to the rest of
+    /// the subset, attraction included — the lowest index on ties.
+    Periphery,
+}
+
+/// Bisects `vertices` into sides of exactly (`n1`, `len - n1`) vertices by
+/// greedy growth from `start` and FM passes, leaving the side-0 mask in
+/// `ws.side0` (indexed like `vertices`). Returns the weight crossing the
+/// split.
+pub(crate) fn bisect(
     g: &WeightedGraph,
     vertices: &[usize],
     n1: usize,
-    max_passes: u32,
-    rng: &mut StdRng,
+    start: GrowthStart<'_>,
     ws: &mut Workspace,
-) {
+) -> f64 {
     let m = vertices.len();
     debug_assert!(n1 >= 1 && n1 < m);
     ws.size_subset(m);
@@ -263,8 +282,7 @@ fn bisect(
         ws.local[v] = i;
     }
 
-    // --- initial solution: greedy growth from a random seed -------------
-    greedy_grow(g, vertices, n1, rng, ws);
+    grow(g, vertices, n1, start, ws, tournaments_pay(g, vertices));
 
     // conn[i][s] = weight from local vertex i to side s (within the subset)
     let mut cut = 0.0;
@@ -282,10 +300,8 @@ fn bisect(
         }
     }
     cut += subset_split_attraction(g, vertices, &ws.side0[..m]);
-    // --- FM passes -------------------------------------------------------
-    for _ in 0..max_passes {
-        let improved = fm_pass(vertices, &mut cut, n1, g, ws);
-        if !improved {
+    for _ in 0..MAX_PASSES {
+        if !fm_pass(vertices, &mut cut, n1, g, ws) {
             break;
         }
     }
@@ -295,22 +311,7 @@ fn bisect(
     for &v in vertices {
         ws.local[v] = usize::MAX;
     }
-}
-
-/// Grows side 0 greedily: start from a random seed, repeatedly absorb the
-/// unassigned vertex with the strongest pull to side 0 (edge pull plus,
-/// with a [`GroupAttraction`], the implicit pull `weight · cnt0[group]` of
-/// its group's side-0 members), ties going to the vertex earliest in the
-/// shuffled `order`. Each next vertex comes from tournaments or a rescan of
-/// `order`, whichever [`tournaments_pay`]; both pick the same vertices.
-fn greedy_grow(
-    g: &WeightedGraph,
-    vertices: &[usize],
-    n1: usize,
-    rng: &mut StdRng,
-    ws: &mut Workspace,
-) {
-    grow_by(g, vertices, n1, rng, ws, tournaments_pay(g, vertices));
+    cut
 }
 
 /// Whether greedy growth over `vertices` keeps its candidates in
@@ -327,36 +328,45 @@ fn greedy_grow(
 /// (average degree about 2.5) and the same time, within 1%, on media26 and
 /// `D_36_8` (average degree 4–8); with the factor 1, media26 takes 1.02×,
 /// its 13- to 18-vertex subsets being too small for the layout to pay.
-fn tournaments_pay(g: &WeightedGraph, vertices: &[usize]) -> bool {
+pub(crate) fn tournaments_pay(g: &WeightedGraph, vertices: &[usize]) -> bool {
     let m = vertices.len();
     let links: usize = vertices.iter().map(|&v| g.neighbors(v).len()).sum();
     let levels = (usize::BITS - m.leading_zeros()) as usize;
     m * m >= 2 * (m + links) * levels
 }
 
-/// [`greedy_grow`] with the candidate structure as a parameter: one
-/// [`Tournament`] per group (one without an attraction) over the group's
-/// vertices in `order`, or a rescan of `order` per absorbed vertex.
-fn grow_by(
+/// Grows side 0 greedily to `n1` vertices: from the seed that `start` picks,
+/// repeatedly absorb the unassigned vertex with the strongest pull to
+/// side 0 (edge pull plus, with a [`GroupAttraction`], the implicit pull
+/// `weight · cnt0[group]` of its group's side-0 members), ties going to
+/// the vertex earliest in `order` — shuffled for a random start, the
+/// subset order for the periphery. Each next vertex comes from one
+/// [`Tournament`] per group (one without an attraction) when `tournaments`
+/// is set, from a rescan of `order` otherwise; both pick the same vertices.
+fn grow(
     g: &WeightedGraph,
     vertices: &[usize],
     n1: usize,
-    rng: &mut StdRng,
+    start: GrowthStart<'_>,
     ws: &mut Workspace,
     tournaments: bool,
 ) {
     let m = vertices.len();
     ws.order.clear();
     ws.order.extend(0..m);
-    ws.order.shuffle(rng);
+    let seed = match start {
+        GrowthStart::Random(rng) => {
+            ws.order.shuffle(rng);
+            rng.gen_range(0..m)
+        }
+        GrowthStart::Periphery => periphery_seed(g, vertices, ws),
+    };
 
     let at = g.attraction();
     let grp = |i: usize| at.map_or(0, |a| a.group_of()[vertices[i]] as usize);
     // Side-0 members per group.
     ws.gcnt.clear();
     ws.gcnt.resize(at.map_or(1, |a| a.group_count().max(1)), 0);
-
-    let seed = rng.gen_range(0..m);
     ws.side0[seed] = true;
     ws.gcnt[grp(seed)] += 1;
     for &(u, w) in g.neighbors(vertices[seed]) {
@@ -451,9 +461,44 @@ fn grow_from_tournaments(g: &WeightedGraph, vertices: &[usize], n1: usize, ws: &
     }
 }
 
+/// The subset vertex with the least weight to the rest of `vertices`,
+/// attraction included, the lowest index on ties (`total_cmp` order).
+fn periphery_seed(g: &WeightedGraph, vertices: &[usize], ws: &mut Workspace) -> usize {
+    let at = g.attraction();
+    let grp = |i: usize| at.map_or(0, |a| a.group_of()[vertices[i]] as usize);
+    // The subset's members per group, for the attraction part.
+    ws.gcnt.clear();
+    ws.gcnt.resize(at.map_or(1, |a| a.group_count().max(1)), 0);
+    for i in 0..vertices.len() {
+        ws.gcnt[grp(i)] += 1;
+    }
+    let internal = |i: usize| -> f64 {
+        let edge: f64 = g
+            .neighbors(vertices[i])
+            .iter()
+            .filter(|&&(u, _)| ws.local[u as usize] != usize::MAX)
+            .map(|&(_, w)| w)
+            .sum();
+        match at {
+            Some(a) => edge + a.weight() * f64::from(ws.gcnt[grp(i)] - 1),
+            None => edge,
+        }
+    };
+    let mut seed = 0;
+    let mut weakest = internal(0);
+    for i in 1..vertices.len() {
+        let weight = internal(i);
+        if weight.total_cmp(&weakest).is_lt() {
+            (seed, weakest) = (i, weight);
+        }
+    }
+    seed
+}
+
 /// The side-0 mask one greedy growth of `vertices` (a subset of `g`'s)
-/// leaves, with `n1` vertices grown: by tournaments or by rescans when
-/// `tournaments` says so, by the production choice otherwise.
+/// from a random start leaves, with `n1` vertices grown: by tournaments or
+/// by rescans when `tournaments` says so, by the production choice
+/// otherwise.
 #[cfg(test)]
 pub(crate) fn grow_side0(
     g: &WeightedGraph,
@@ -468,7 +513,7 @@ pub(crate) fn grow_side0(
         ws.local[v] = i;
     }
     let tournaments = tournaments.unwrap_or_else(|| tournaments_pay(g, vertices));
-    grow_by(g, vertices, n1, rng, &mut ws, tournaments);
+    grow(g, vertices, n1, GrowthStart::Random(rng), &mut ws, tournaments);
     ws.side0
 }
 
@@ -766,7 +811,6 @@ pub(crate) fn warm_refine(
     g: &WeightedGraph,
     initial: &[u32],
     parts: usize,
-    max_passes: u32,
     out: &mut Vec<u32>,
     ws: &mut Workspace,
 ) {
@@ -778,11 +822,11 @@ pub(crate) fn warm_refine(
         used -= 1;
     }
     while used < parts {
-        split_best_block(g, out, used, max_passes, ws);
+        split_best_block(g, out, used, ws);
         used += 1;
     }
     rebalance(g, out, parts);
-    kway_fm_refine(g, out, parts, max_passes, ws);
+    kway_fm_refine(g, out, parts, ws);
 }
 
 
@@ -879,141 +923,16 @@ fn merge_smallest_block(g: &WeightedGraph, assignment: &mut [u32], used: usize) 
     }
 }
 
-/// Deterministically bisects the subgraph induced by `members` into halves
-/// of `⌊m/2⌋` and `⌈m/2⌉` vertices — the cold path's bisection machinery
-/// (greedy growth + FM passes) minus the randomized restarts: growth is
-/// seeded from the block's most weakly attached member, ties break towards
-/// the lowest index. Returns the side-0 mask and the weight crossing the
-/// split.
-fn bisect_members(
-    g: &WeightedGraph,
-    members: &[usize],
-    max_passes: u32,
-    ws: &mut Workspace,
-) -> (Vec<bool>, f64) {
-    let m = members.len();
-    debug_assert!(m >= 2);
-    let n1 = m / 2;
-    ws.size_subset(m);
-    for (i, &v) in members.iter().enumerate() {
-        ws.local[v] = i;
-    }
-
-    let at = g.attraction();
-    // Same-group member count within the block, for the attraction part of
-    // internal connectivity.
-    let cntg: Vec<u32> = match at {
-        Some(a) => {
-            let mut cntg = vec![0u32; a.group_count().max(1)];
-            for &v in members {
-                cntg[a.group_of()[v] as usize] += 1;
-            }
-            cntg
-        }
-        None => Vec::new(),
-    };
-
-    // Periphery seed: weakest internal connectivity, lowest index on ties.
-    let internal = |i: usize, local: &[usize]| -> f64 {
-        let edge: f64 = g
-            .neighbors(members[i])
-            .iter()
-            .filter(|&&(u, _)| local[u as usize] != usize::MAX)
-            .map(|&(_, w)| w)
-            .sum();
-        match at {
-            Some(a) => {
-                edge + a.weight() * f64::from(cntg[a.group_of()[members[i]] as usize] - 1)
-            }
-            None => edge,
-        }
-    };
-    let Some(seed) = (0..m).min_by(|&a, &b| {
-        internal(a, &ws.local).total_cmp(&internal(b, &ws.local)).then(a.cmp(&b))
-    }) else {
-        return (Vec::new(), 0.0); // empty block: nothing to bisect
-    };
-
-    let absorb = |i: usize, local: &[usize], side0: &mut [bool], attraction: &mut [f64]| {
-        side0[i] = true;
-        for &(u, w) in g.neighbors(members[i]) {
-            let lu = local[u as usize];
-            if lu != usize::MAX {
-                attraction[lu] += w;
-            }
-        }
-    };
-    let mut cnt0: Vec<u32> = match at {
-        Some(a) => vec![0; a.group_count().max(1)],
-        None => Vec::new(),
-    };
-    absorb(seed, &ws.local, &mut ws.side0, &mut ws.attraction);
-    if let Some(a) = at {
-        cnt0[a.group_of()[members[seed]] as usize] += 1;
-    }
-    for _ in 1..n1 {
-        let eff = |i: usize| match at {
-            Some(a) => {
-                ws.attraction[i] + a.weight() * f64::from(cnt0[a.group_of()[members[i]] as usize])
-            }
-            None => ws.attraction[i],
-        };
-        let Some(next) = (0..m).filter(|&i| !ws.side0[i]).max_by(|&a, &b| {
-            eff(a).total_cmp(&eff(b)).then(b.cmp(&a))
-        }) else {
-            break; // every member already absorbed: growth is complete
-        };
-        absorb(next, &ws.local, &mut ws.side0, &mut ws.attraction);
-        if let Some(a) = at {
-            cnt0[a.group_of()[members[next]] as usize] += 1;
-        }
-    }
-
-    // Polish with the exact-balance FM passes of the cold path.
-    let mut cut = 0.0;
-    for (i, &v) in members.iter().enumerate() {
-        for &(u, w) in g.neighbors(v) {
-            let lu = ws.local[u as usize];
-            if lu == usize::MAX {
-                continue;
-            }
-            let s = usize::from(!ws.side0[lu]);
-            ws.conn[i][s] += w;
-            if ws.side0[i] != ws.side0[lu] && i < lu {
-                cut += w;
-            }
-        }
-    }
-    cut += subset_split_attraction(g, members, &ws.side0[..m]);
-    if n1 >= 1 && n1 < m {
-        for _ in 0..max_passes {
-            if !fm_pass(members, &mut cut, n1, g, ws) {
-                break;
-            }
-        }
-    }
-    let mask = ws.side0[..m].to_vec();
-    for &v in members {
-        ws.local[v] = usize::MAX;
-    }
-    (mask, cut)
-}
-
 /// The winning split candidate: `(cross weight, size, label, members,
 /// side-0 mask)`.
 type SplitChoice = (f64, usize, u32, Vec<usize>, Vec<bool>);
 
 /// Splits one block in two under the next free label. Every block is a
-/// candidate: each is FM-bisected and the block whose halves are most
-/// weakly coupled wins (ties prefer the larger block — better balance —
-/// then the lower label).
-fn split_best_block(
-    g: &WeightedGraph,
-    assignment: &mut [u32],
-    used: usize,
-    max_passes: u32,
-    ws: &mut Workspace,
-) {
+/// candidate: each is bisected into halves of `⌊m/2⌋` and `⌈m/2⌉` vertices
+/// from its periphery ([`GrowthStart::Periphery`]), and the block whose
+/// halves are most weakly coupled wins (ties prefer the larger block —
+/// better balance — then the lower label).
+fn split_best_block(g: &WeightedGraph, assignment: &mut [u32], used: usize, ws: &mut Workspace) {
     let sizes = block_sizes(assignment, used);
     let mut best: Option<SplitChoice> = None;
     for block in 0..used as u32 {
@@ -1023,7 +942,7 @@ fn split_best_block(
         }
         let members: Vec<usize> =
             (0..assignment.len()).filter(|&v| assignment[v] == block).collect();
-        let (mask, cross) = bisect_members(g, &members, max_passes, ws);
+        let cross = bisect(g, &members, size / 2, GrowthStart::Periphery, ws);
         let better = match &best {
             None => true,
             Some((bc, bs, bl, _, _)) => {
@@ -1032,7 +951,7 @@ fn split_best_block(
             }
         };
         if better {
-            best = Some((cross, size, block, members, mask));
+            best = Some((cross, size, block, members, ws.side0[..size].to_vec()));
         }
     }
     let Some((_, _, _, members, mask)) = best else {
@@ -1674,14 +1593,8 @@ pub(crate) fn select_action(s: &PassState<'_>, search: &mut BlockSearch) -> Opti
 /// touches, `O(k²)` pair bounds, and the members of the pairs whose bound
 /// reaches the best gain. The action sequence, every gain's bits and the
 /// kept prefix are the scan's.
-fn kway_fm_refine(
-    g: &WeightedGraph,
-    assignment: &mut [u32],
-    parts: usize,
-    max_passes: u32,
-    ws: &mut Workspace,
-) {
-    kway_fm_refine_with(g, assignment, parts, max_passes, ws, select_action);
+fn kway_fm_refine(g: &WeightedGraph, assignment: &mut [u32], parts: usize, ws: &mut Workspace) {
+    kway_fm_refine_with(g, assignment, parts, ws, select_action);
 }
 
 /// [`kway_fm_refine`] with the action selector as a parameter.
@@ -1689,7 +1602,6 @@ pub(crate) fn kway_fm_refine_with(
     g: &WeightedGraph,
     assignment: &mut [u32],
     parts: usize,
-    max_passes: u32,
     ws: &mut Workspace,
     mut select: impl FnMut(&PassState<'_>, &mut BlockSearch) -> Option<(Action, f64)>,
 ) {
@@ -1708,7 +1620,7 @@ pub(crate) fn kway_fm_refine_with(
     let mut unlocked_in = vec![0usize; parts];
 
     const EPS: f64 = 1e-12;
-    for _ in 0..max_passes {
+    for _ in 0..MAX_PASSES {
         search.invalidate();
         // Shrinking ascending roster of unlocked vertices, with their
         // count per block and the number of blocks holding one.
@@ -2011,4 +1923,138 @@ pub(crate) fn kway_swap_refine_with(
             }
         }
     }
+}
+
+/// The warm split's own bisection before it ran [`bisect`] from
+/// [`GrowthStart::Periphery`], kept as the oracle of
+/// `periphery_bisection_matches_the_old_split`: halves of `⌊m/2⌋` and
+/// `⌈m/2⌉` vertices, growth seeded from the most weakly attached member
+/// and each next vertex the strongest pull by a rescan in `total_cmp`
+/// order, lowest index on ties, then the FM passes. Returns the side-0
+/// mask and the weight crossing the split.
+#[cfg(test)]
+pub(crate) fn old_bisect_members(
+    g: &WeightedGraph,
+    members: &[usize],
+    ws: &mut Workspace,
+) -> (Vec<bool>, f64) {
+    let m = members.len();
+    debug_assert!(m >= 2);
+    let n1 = m / 2;
+    ws.size_subset(m);
+    for (i, &v) in members.iter().enumerate() {
+        ws.local[v] = i;
+    }
+
+    let at = g.attraction();
+    // Same-group member count within the block, for the attraction part of
+    // internal connectivity.
+    let cntg: Vec<u32> = match at {
+        Some(a) => {
+            let mut cntg = vec![0u32; a.group_count().max(1)];
+            for &v in members {
+                cntg[a.group_of()[v] as usize] += 1;
+            }
+            cntg
+        }
+        None => Vec::new(),
+    };
+
+    // Periphery seed: weakest internal connectivity, lowest index on ties.
+    let internal = |i: usize, local: &[usize]| -> f64 {
+        let edge: f64 = g
+            .neighbors(members[i])
+            .iter()
+            .filter(|&&(u, _)| local[u as usize] != usize::MAX)
+            .map(|&(_, w)| w)
+            .sum();
+        match at {
+            Some(a) => {
+                edge + a.weight() * f64::from(cntg[a.group_of()[members[i]] as usize] - 1)
+            }
+            None => edge,
+        }
+    };
+    let Some(seed) = (0..m).min_by(|&a, &b| {
+        internal(a, &ws.local).total_cmp(&internal(b, &ws.local)).then(a.cmp(&b))
+    }) else {
+        return (Vec::new(), 0.0); // empty block: nothing to bisect
+    };
+
+    let absorb = |i: usize, local: &[usize], side0: &mut [bool], attraction: &mut [f64]| {
+        side0[i] = true;
+        for &(u, w) in g.neighbors(members[i]) {
+            let lu = local[u as usize];
+            if lu != usize::MAX {
+                attraction[lu] += w;
+            }
+        }
+    };
+    let mut cnt0: Vec<u32> = match at {
+        Some(a) => vec![0; a.group_count().max(1)],
+        None => Vec::new(),
+    };
+    absorb(seed, &ws.local, &mut ws.side0, &mut ws.attraction);
+    if let Some(a) = at {
+        cnt0[a.group_of()[members[seed]] as usize] += 1;
+    }
+    for _ in 1..n1 {
+        let eff = |i: usize| match at {
+            Some(a) => {
+                ws.attraction[i] + a.weight() * f64::from(cnt0[a.group_of()[members[i]] as usize])
+            }
+            None => ws.attraction[i],
+        };
+        let Some(next) = (0..m).filter(|&i| !ws.side0[i]).max_by(|&a, &b| {
+            eff(a).total_cmp(&eff(b)).then(b.cmp(&a))
+        }) else {
+            break; // every member already absorbed: growth is complete
+        };
+        absorb(next, &ws.local, &mut ws.side0, &mut ws.attraction);
+        if let Some(a) = at {
+            cnt0[a.group_of()[members[next]] as usize] += 1;
+        }
+    }
+
+    // Polish with the exact-balance FM passes of the cold path.
+    let mut cut = 0.0;
+    for (i, &v) in members.iter().enumerate() {
+        for &(u, w) in g.neighbors(v) {
+            let lu = ws.local[u as usize];
+            if lu == usize::MAX {
+                continue;
+            }
+            let s = usize::from(!ws.side0[lu]);
+            ws.conn[i][s] += w;
+            if ws.side0[i] != ws.side0[lu] && i < lu {
+                cut += w;
+            }
+        }
+    }
+    cut += subset_split_attraction(g, members, &ws.side0[..m]);
+    if n1 >= 1 && n1 < m {
+        for _ in 0..MAX_PASSES {
+            if !fm_pass(members, &mut cut, n1, g, ws) {
+                break;
+            }
+        }
+    }
+    let mask = ws.side0[..m].to_vec();
+    for &v in members {
+        ws.local[v] = usize::MAX;
+    }
+    (mask, cut)
+}
+
+/// The warm split's bisection of `members`: [`bisect`] into halves of
+/// `⌊m/2⌋` and `⌈m/2⌉` vertices from the periphery. Returns the side-0
+/// mask and the weight crossing the split.
+#[cfg(test)]
+pub(crate) fn periphery_split(
+    g: &WeightedGraph,
+    members: &[usize],
+    ws: &mut Workspace,
+) -> (Vec<bool>, f64) {
+    let cut = bisect(g, members, members.len() / 2, GrowthStart::Periphery, ws);
+    (ws.side0[..members.len()].to_vec(), cut)
 }

@@ -9,9 +9,12 @@
 //! * **Recursive bisection**: a k-way partition is obtained by recursively
 //!   splitting the vertex set with per-side target counts, so the final block
 //!   sizes differ by at most one vertex.
-//! * **Fiduccia–Mattheyses (FM) refinement**: each bisection starts from a
-//!   randomized balanced seed and is improved with locked-move FM passes,
-//!   keeping the best prefix of every pass.
+//! * **Fiduccia–Mattheyses (FM) refinement**: each bisection grows a
+//!   balanced seed greedily and improves it with locked-move FM passes (at
+//!   most ten), keeping the best prefix of every pass. Cold restarts grow
+//!   from a random vertex; a warm start that must split a block grows it
+//!   from the block's most weakly attached vertex, through the same
+//!   routine.
 //! * **Pairwise-swap k-way polish**: after recursion, a greedy swap pass
 //!   removes cut weight that straddles sibling blocks without disturbing the
 //!   block sizes.
@@ -25,7 +28,8 @@
 //!
 //! * Greedy growth absorbs `n₁` of `m` vertices. While `m` is at least
 //!   `2 · (1 + average degree) · log₂ m`, each is taken from per-group max
-//!   tournaments over the shuffled order: `O(m)` to lay them out, then
+//!   tournaments over the tie-break order (shuffled for a cold restart,
+//!   the subset order for a warm split): `O(m)` to lay them out, then
 //!   `O(deg · log m)` per absorbed vertex. Smaller or denser subsets keep
 //!   the `O(m)` rescan per vertex, which is cheaper there.
 //! * Warm k-way refinement takes up to `n` actions per pass, each the exact
@@ -75,7 +79,11 @@ use rand::SeedableRng;
 use std::error::Error;
 use std::fmt;
 
-/// Configuration of a k-way partitioning run.
+/// Configuration of a k-way partitioning run: the block count, the
+/// restart budget and seeds, and an optional warm start. The refinement
+/// depth is fixed: every bisection and every warm k-way refinement stops
+/// after ten FM passes, or at the first pass that does not improve its
+/// cut.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionConfig {
     /// Number of blocks to produce.
@@ -84,8 +92,6 @@ pub struct PartitionConfig {
     /// [`Self::initial`] is set this counts the *additional* cold restarts
     /// run alongside the warm-started candidate, and may be zero.
     pub restarts: u32,
-    /// Maximum FM refinement passes per bisection.
-    pub max_passes: u32,
     /// RNG seed — the same seed always yields the same partition.
     pub rng_seed: u64,
     /// Optional warm-start assignment (one block label per vertex).
@@ -115,7 +121,6 @@ impl PartitionConfig {
         Self {
             parts,
             restarts: 8,
-            max_passes: 10,
             rng_seed: 0xC0FF_EE00,
             initial: None,
             seed_stride: 1,
@@ -126,13 +131,6 @@ impl PartitionConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.rng_seed = seed;
-        self
-    }
-
-    /// Overrides the restart count (builder style).
-    #[must_use]
-    pub fn with_restarts(mut self, restarts: u32) -> Self {
-        self.restarts = restarts.max(1);
         self
     }
 
@@ -290,7 +288,7 @@ impl WeightedGraph {
         let warm = cfg.initial.as_deref().filter(|initial| initial.len() == n);
         if let Some(initial) = warm {
             let mut assignment = vec![0u32; n];
-            fm::warm_refine(self, initial, cfg.parts, cfg.max_passes, &mut assignment, &mut ws);
+            fm::warm_refine(self, initial, cfg.parts, &mut assignment, &mut ws);
             let cut = self.cut_weight(&assignment);
             best = Some(Partitioning {
                 assignment,
@@ -316,7 +314,6 @@ impl WeightedGraph {
                 &mut vertices,
                 cfg.parts,
                 0,
-                cfg.max_passes,
                 &mut rng,
                 &mut assignment,
                 &mut ws,
@@ -339,7 +336,7 @@ impl WeightedGraph {
         if warm.is_some() {
             if let Some(b) = best.as_mut() {
                 let mut polished = Vec::new();
-                fm::warm_refine(self, &b.assignment, cfg.parts, cfg.max_passes, &mut polished, &mut ws);
+                fm::warm_refine(self, &b.assignment, cfg.parts, &mut polished, &mut ws);
                 let cut = self.cut_weight(&polished);
                 if cut < b.cut_weight {
                     b.assignment = polished;

@@ -69,7 +69,7 @@ fn finds_optimal_bisection_on_small_graphs() {
     for seed in 0..12u64 {
         for n in [6usize, 8, 10] {
             let g = random_graph(n, 0.55, seed * 31 + n as u64);
-            let cfg = PartitionConfig::k_way(2).with_restarts(24);
+            let cfg = PartitionConfig { restarts: 24, ..PartitionConfig::k_way(2) };
             let p = g.partition(&cfg).unwrap();
             let opt = brute_force_bisection(&g);
             assert!(
@@ -234,7 +234,7 @@ fn refine_trace(
     let mut assignment = initial.to_vec();
     let mut ws = fm::Workspace::new(g.node_count());
     let mut log = Vec::new();
-    fm::kway_fm_refine_with(g, &mut assignment, parts, 10, &mut ws, |s, search| {
+    fm::kway_fm_refine_with(g, &mut assignment, parts, &mut ws, |s, search| {
         let choice = select(s, search);
         if let Some((action, gain)) = choice {
             log.push((action, gain.to_bits()));
@@ -477,6 +477,104 @@ proptest! {
     }
 }
 
+/// A seeded graph of average degree about four, sparse enough for greedy
+/// growth to run on tournaments once a block holds some 50 vertices:
+/// every vertex adds two edges of integer weight 1..=4 to random others,
+/// and an attraction of weight 3 leaves some compensated stored edges
+/// negative.
+fn sparse_graph(n: usize, seed: u64, attraction: bool) -> WeightedGraph {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = WeightedGraph::new(n);
+    for a in 0..n {
+        for _ in 0..2 {
+            g.add_edge(a, rng.gen_range(0..n), f64::from(rng.gen_range(1u32..5)));
+        }
+    }
+    if attraction {
+        let groups = rng.gen_range(1u32..5);
+        g.set_group_attraction((0..n).map(|_| rng.gen_range(0..groups)).collect(), 3.0);
+    }
+    g
+}
+
+/// One warm-split case: a random block of `g` (ascending, at least two
+/// vertices), bisected from its periphery by [`fm::bisect`] and by the
+/// warm split's old bisection. Returns whether the two agree on the side-0
+/// mask, the cut's bits and the applied-move count, and whether the block
+/// grows by tournaments.
+fn periphery_case(g: &WeightedGraph, seed: u64) -> (bool, bool) {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = g.node_count();
+    let keep = rng.gen_range(0.2..1.0);
+    let mut members: Vec<usize> = (0..n).filter(|_| rng.gen_bool(keep)).collect();
+    if members.len() < 2 {
+        members = (0..n).collect();
+    }
+    let mut old_ws = fm::Workspace::new(n);
+    let (old_mask, old_cut) = fm::old_bisect_members(g, &members, &mut old_ws);
+    let mut ws = fm::Workspace::new(n);
+    let (mask, cut) = fm::periphery_split(g, &members, &mut ws);
+    let same = mask == old_mask
+        && cut.to_bits() == old_cut.to_bits()
+        && ws.applied == old_ws.applied;
+    (same, fm::tournaments_pay(g, &members))
+}
+
+/// The warm-split cases below reach blocks on both sides of
+/// [`fm::tournaments_pay`] — so the proptest covers both growth paths —
+/// and agree with the old bisection on all of them.
+#[test]
+fn periphery_oracle_cases_reach_both_growth_paths() {
+    let (mut tournaments, mut rescans) = (0, 0);
+    for seed in 0..40u64 {
+        let n = 20 + 3 * seed as usize;
+        let g = if seed % 2 == 0 {
+            sparse_graph(n, seed, seed % 4 == 0)
+        } else {
+            oracle_graph(n, seed, true, seed % 4 == 1)
+        };
+        let (same, pays) = periphery_case(&g, seed);
+        assert!(same, "seed {seed}: the periphery bisection diverged from the old split");
+        if pays {
+            tournaments += 1;
+        } else {
+            rescans += 1;
+        }
+    }
+    assert!(tournaments > 0 && rescans > 0, "{tournaments} tournament and {rescans} rescan cases");
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+    /// The warm split's bisection from the periphery against the old
+    /// bisection it replaces: the same side-0 mask, cut bits and
+    /// applied-move count, with and without a group attraction (some
+    /// compensated same-group edges negative), on integer, near-tie and
+    /// random weights and on sparse graphs, on blocks grown by rescans and
+    /// by tournaments.
+    #[test]
+    fn periphery_bisection_matches_the_old_split(
+        n in 2usize..160,
+        seed in 0u64..1_000_000,
+        weights in 0u8..4,
+        attraction in proptest::bool::ANY,
+    ) {
+        let g = match weights {
+            0 => oracle_graph(n, seed, true, attraction),
+            1 => growth_graph(n, seed, true, attraction),
+            2 => oracle_graph(n, seed, false, attraction),
+            _ => sparse_graph(n, seed, attraction),
+        };
+        let (same, _) = periphery_case(&g, seed);
+        prop_assert!(same, "the periphery bisection diverged from the old split (n {})", n);
+    }
+}
+
 /// Every swap one swap polish applied, with its delta's bits, then the
 /// final assignment and the applied-swap count.
 type PolishTrace = (Vec<(usize, usize, u64)>, Vec<u32>, u64);
@@ -531,7 +629,7 @@ proptest! {
             let mut vertices: Vec<usize> = (0..n).collect();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ws = fm::Workspace::new(n);
-            fm::recursive_bisect(&g, &mut vertices, parts, 0, 10, &mut rng, &mut out, &mut ws);
+            fm::recursive_bisect(&g, &mut vertices, parts, 0, &mut rng, &mut out, &mut ws);
             out
         } else {
             let mut order: Vec<usize> = (0..n).collect();

@@ -4,7 +4,7 @@
 //! the cold-start cuts — on `media26` and both seeded synthetic
 //! generators.
 
-use sunfloor_benchmarks::{media26, pipeline_seeded, tvopd_seeded, Benchmark};
+use sunfloor_benchmarks::{media26, pipeline_roster, pipeline_seeded, tvopd_seeded, Benchmark};
 use sunfloor_core::graph::{CommGraph, PartitionCache};
 use sunfloor_core::phase1;
 use sunfloor_core::synthesis::{SweepEvent, SynthesisConfig, SynthesisEngine};
@@ -102,7 +102,7 @@ fn fold_warm_partition(h: &mut u64, g: &WeightedGraph, k: usize, initial: &[u32]
 /// scan's, bit for bit.
 #[test]
 fn pipe128_warm_partitions_match_the_vertex_pair_scan() {
-    let bench = pipeline_seeded(128, 1000);
+    let bench = pipeline_roster(128, 1000);
     let graph = CommGraph::new(&bench.soc, &bench.comm);
     let pg = graph.partitioning_graph(ALPHA);
     let spg = graph.scaled_partitioning_graph(ALPHA, 7.0, THETA_MAX);
@@ -126,7 +126,7 @@ fn pipe128_warm_partitions_match_the_vertex_pair_scan() {
 /// vertices and swaps, bit for bit.
 #[test]
 fn pipe256_cold_partitions_match_the_full_scans() {
-    let bench = pipeline_seeded(256, 5000);
+    let bench = pipeline_roster(256, 5000);
     let graph = CommGraph::new(&bench.soc, &bench.comm);
     let pg = graph.partitioning_graph(ALPHA);
     let spg = graph.scaled_partitioning_graph(ALPHA, 7.0, THETA_MAX);
