@@ -16,7 +16,7 @@ use sunfloor_floorplan::{
 };
 use sunfloor_lp::{PlacementProblem, PlacementWorkspace};
 use sunfloor_models::NocLibrary;
-use sunfloor_partition::PartitionConfig;
+use sunfloor_partition::{MemoGraph, PartitionConfig};
 
 fn bench_partition(c: &mut Criterion) {
     let bench = media26();
@@ -255,6 +255,37 @@ fn bench_partition_warm_pipe128(c: &mut Criterion) {
     group.finish();
 }
 
+/// One θ step at every switch count of `D_36_8` (θ = 7, each count
+/// warm-started from its seed-chain partition), all on one SPG as a run's
+/// steps at one θ are: the counts' cold restarts share their bisections
+/// through the SPG's memo. Each iteration builds the SPG, so it pays what
+/// a run pays per θ.
+fn bench_partition_theta_d36(c: &mut Criterion) {
+    const SEED: u64 = 1000;
+    let bench = distributed(8);
+    let graph = CommGraph::new(&bench.soc, &bench.comm);
+    let pg = MemoGraph::new(graph.partitioning_graph(1.0));
+    let mut cache = PartitionCache::new();
+    let mut seeds: Vec<(usize, Vec<u32>)> = Vec::new();
+    for k in 1..=bench.soc.core_count() {
+        let prev = seeds.last().map(|(_, a)| a.as_slice());
+        let conn = phase1::connectivity_on(&pg, &bench.soc, k, None, SEED, prev, &mut cache)
+            .unwrap();
+        seeds.push((k, conn.core_attach.iter().map(|&a| a as u32).collect()));
+    }
+    let mut group = c.benchmark_group("partition_theta_d36");
+    group.bench_function("every_count_theta7", |b| {
+        b.iter(|| {
+            let spg = MemoGraph::new(black_box(&graph).scaled_partitioning_graph(1.0, 7.0, 15.0));
+            for (k, seed) in &seeds {
+                phase1::connectivity_on(&spg, &bench.soc, *k, Some(7.0), SEED, Some(seed), &mut cache)
+                    .unwrap();
+            }
+        });
+    });
+    group.finish();
+}
+
 /// Cold k-way partitions of a 256-core pipeline's PG with the default
 /// restarts: recursive bisection (greedy growth, FM passes) and the swap
 /// polish, on blocks of about 16 and 8 cores — both counts run the
@@ -413,6 +444,7 @@ criterion_group!(
     bench_partition_warm,
     bench_partition_warm_pipe128,
     bench_partition_cold_pipe256,
+    bench_partition_theta_d36,
     bench_placement,
     bench_insertion,
     bench_phase1_connectivity,

@@ -256,14 +256,23 @@ pub struct PartitionStats {
     /// switch count share across frequencies is computed, and counted,
     /// once.
     pub warm_partitions: u64,
-    /// Partitions recursive-bisected from scratch.
+    /// Phase-1 partitions recursive-bisected from scratch.
     pub cold_partitions: u64,
-    /// SPGs built for θ steps: one per θ step computed, so a shared step
-    /// counts once, like in [`PartitionStats::warm_partitions`].
+    /// θ steps partitioned on their θ's SPG: one per θ step computed, so a
+    /// shared step counts once, like in
+    /// [`PartitionStats::warm_partitions`]. A run builds each θ's SPG once,
+    /// when the first switch count needs it, and every count's step at
+    /// that θ partitions it; this counts the steps, not the builds.
     pub spg_derivations: u64,
+    /// Algorithm 2's per-layer partitions, each cold on its layer's LPG:
+    /// one per populated layer of every committed Phase-2 candidate.
+    pub layer_partitions: u64,
     /// Moves and swaps the partitioner's FM, k-way and swap passes applied
     /// in the partitions counted above, rolled-back ones included
-    /// ([`sunfloor_partition::Partitioning::fm_moves`]).
+    /// ([`sunfloor_partition::Partitioning::fm_moves`]). A cold restart's
+    /// split that an earlier partition of the same graph computed is
+    /// replayed, not recomputed, and counts the moves it applied then, so
+    /// the count does not depend on the order partitions run in.
     pub fm_moves: u64,
 }
 
@@ -282,6 +291,7 @@ impl std::ops::AddAssign for PartitionStats {
         self.warm_partitions += rhs.warm_partitions;
         self.cold_partitions += rhs.cold_partitions;
         self.spg_derivations += rhs.spg_derivations;
+        self.layer_partitions += rhs.layer_partitions;
         self.fm_moves += rhs.fm_moves;
     }
 }

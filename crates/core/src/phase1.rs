@@ -6,14 +6,20 @@
 //! its cores' layers (Algorithm 1, step 7). When the resulting design misses
 //! the `max_ill` constraint, the caller re-runs with the scaled partitioning
 //! graph (SPG) at increasing θ, which pulls same-layer cores together and
-//! trades inter-layer links for intra-layer power. Every call builds its PG
-//! or SPG from scratch: since the SPG folds its same-layer clique into a
-//! group attraction, a build costs `O(|flows|)`, a small fraction of the
-//! partition it feeds.
+//! trades inter-layer links for intra-layer power. The SPG folds its
+//! same-layer clique into a group attraction, so a build costs
+//! `O(|flows|)`, a small fraction of the partition it feeds.
+//!
+//! [`connectivity`] and [`connectivity_cached`] build their PG or SPG per
+//! call. The engine builds each graph once and partitions it at every
+//! switch count through [`connectivity_on`]: the PG once for the seed
+//! chain, each θ's SPG once per run for all counts' steps at that θ. The
+//! partitions of one graph share their cold restarts' bisections
+//! ([`MemoGraph`]), with the results and `fm_moves` of computing them.
 
 use crate::graph::{CommGraph, PartitionCache};
 use crate::spec::SocSpec;
-use sunfloor_partition::{PartitionConfig, PartitionError, Partitioning};
+use sunfloor_partition::{MemoGraph, PartitionConfig, PartitionError, Partitioning};
 
 /// A core-to-switch connectivity candidate produced by Phase 1 or Phase 2,
 /// ready for path computation.
@@ -86,19 +92,20 @@ const THETA_SEED_STRIDE: u32 = 2;
 
 /// [`connectivity`] with an optional `initial` assignment and a
 /// [`PartitionCache`] that tallies the work. The PG or SPG is built from
-/// scratch on every call; `initial` warm-starts the partitioner (FM-style
-/// refinement of the previous assignment) instead of recursive-bisecting
-/// from scratch.
+/// scratch on every call (see [`connectivity_on`] to share one); `initial`
+/// warm-starts the partitioner (FM-style refinement of the previous
+/// assignment) instead of recursive-bisecting from scratch.
 ///
 /// Warm-started calls (the seed chain
 /// [`SynthesisEngine::new`](crate::synthesis::SynthesisEngine::new)
 /// builds, one partition per swept switch count, and the θ steps a run
 /// computes once per switch count) run the warm refinement against a reduced
-/// cold restart budget and give the winner a final FM polish
-/// — roughly half the cold effort per call, with the warm seed making up
-/// the quality (hMetis-style refinement converges far faster than cold
-/// k-way partitioning). With `initial = None` the result is the cold-start
-/// result.
+/// cold restart budget and give the winner a final FM polish, unless the
+/// winner is a converged warm refinement, which the polish would return
+/// unchanged — roughly half the cold effort per call, with the warm seed
+/// making up the quality (hMetis-style refinement converges far faster
+/// than cold k-way partitioning). With `initial = None` the result is the
+/// cold-start result.
 ///
 /// # Errors
 ///
@@ -111,6 +118,30 @@ pub fn connectivity_cached(
     alpha: f64,
     theta: Option<f64>,
     theta_max: f64,
+    seed: u64,
+    initial: Option<&[u32]>,
+    cache: &mut PartitionCache,
+) -> Result<Connectivity, PartitionError> {
+    let pg = MemoGraph::new(match theta {
+        None => graph.partitioning_graph(alpha),
+        Some(t) => graph.scaled_partitioning_graph(alpha, t, theta_max),
+    });
+    connectivity_on(&pg, soc, switches, theta, seed, initial, cache)
+}
+
+/// [`connectivity_cached`] on a PG or SPG built by the caller: `pg` is the
+/// PG when `theta` is `None` and the SPG at `theta` otherwise. Partitions
+/// on one [`MemoGraph`] share their cold restarts' bisections, so a caller
+/// that partitions a graph at several switch counts builds it once.
+///
+/// # Errors
+///
+/// Propagates [`PartitionError`] when `switches` exceeds the core count.
+pub fn connectivity_on(
+    pg: &MemoGraph,
+    soc: &SocSpec,
+    switches: usize,
+    theta: Option<f64>,
     seed: u64,
     initial: Option<&[u32]>,
     cache: &mut PartitionCache,
@@ -128,13 +159,7 @@ pub fn connectivity_cached(
     } else {
         cache.stats.cold_partitions += 1;
     }
-    let pg = match theta {
-        None => graph.partitioning_graph(alpha),
-        Some(t) => {
-            cache.stats.spg_derivations += 1;
-            graph.scaled_partitioning_graph(alpha, t, theta_max)
-        }
-    };
+    cache.stats.spg_derivations += u64::from(theta.is_some());
     let parts = pg.partition(&cfg)?;
     cache.stats.fm_moves += parts.fm_moves();
     Ok(build_connectivity(&parts, soc, theta))

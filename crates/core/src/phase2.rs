@@ -8,7 +8,7 @@
 //! switch count by one (pruning rule 2 of §V-C) until the layer's core count
 //! is reached.
 
-use crate::graph::CommGraph;
+use crate::graph::{CommGraph, PartitionCache};
 use crate::phase1::Connectivity;
 use crate::spec::SocSpec;
 use sunfloor_partition::{PartitionConfig, PartitionError};
@@ -60,6 +60,26 @@ pub fn connectivity(
     alpha: f64,
     seed: u64,
 ) -> Result<Connectivity, PartitionError> {
+    let mut cache = PartitionCache::new();
+    connectivity_cached(graph, soc, increment, max_switch_size, alpha, seed, &mut cache)
+}
+
+/// [`connectivity`], tallying its per-layer partitions in `cache`: one
+/// [`PartitionStats::layer_partitions`](crate::graph::PartitionStats::layer_partitions)
+/// per populated layer, and their FM moves.
+///
+/// # Errors
+///
+/// As [`connectivity`].
+pub fn connectivity_cached(
+    graph: &CommGraph,
+    soc: &SocSpec,
+    increment: usize,
+    max_switch_size: u32,
+    alpha: f64,
+    seed: u64,
+    cache: &mut PartitionCache,
+) -> Result<Connectivity, PartitionError> {
     let minima = min_switches_per_layer(soc, max_switch_size);
     let mut core_attach = vec![0usize; soc.core_count()];
     let mut switch_layer = Vec::new();
@@ -73,7 +93,9 @@ pub fn connectivity(
             continue;
         }
         let np = (minima[layer as usize] + increment).clamp(1, members.len());
+        cache.stats.layer_partitions += 1;
         let parts = lpg.partition(&PartitionConfig::k_way(np).with_seed(seed))?;
+        cache.stats.fm_moves += parts.fm_moves();
 
         let base = switch_layer.len();
         for block in 0..np as u32 {

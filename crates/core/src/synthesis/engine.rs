@@ -18,10 +18,10 @@ use crate::place::{LpStats, PlacementSolver};
 use crate::spec::{CommSpec, SocSpec};
 use crate::topology::Topology;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
-use sunfloor_partition::PartitionError;
+use sunfloor_partition::{MemoGraph, PartitionError};
 
 /// Per-replica iteration budget of the tempered layout annealer. Modest on
 /// purpose: a run anneals each distinct layer input once (a later attempt
@@ -84,6 +84,10 @@ struct CandidateEvaluation {
     /// Routing counters this candidate accrued (same per-candidate
     /// determinism contract as `lp_stats`).
     routing_stats: RoutingStats,
+    /// Partitioning counters this candidate accrued itself: Phase 2's
+    /// per-layer partitions. A Phase-1 candidate's partitions are its
+    /// switch count's and are counted at commit.
+    partition_stats: PartitionStats,
     /// θ steps whose partition repeated the previous attempt, so the
     /// previous rejection was reused instead of evaluating it again.
     repeated_attempts: u64,
@@ -102,6 +106,7 @@ impl CandidateEvaluation {
             lp_stats: LpStats::default(),
             layouts: Vec::new(),
             routing_stats: RoutingStats::default(),
+            partition_stats: PartitionStats::default(),
             repeated_attempts: 0,
             shove_probes: 0,
         }
@@ -133,6 +138,34 @@ fn same_attempt(a: &Connectivity, b: &Connectivity) -> bool {
         c.est_positions.iter().map(|&(x, y)| (x.to_bits(), y.to_bits()))
     }
     a.core_attach == b.core_attach && a.switch_layer == b.switch_layer && bits(a).eq(bits(b))
+}
+
+/// Drops the spare capacity of an accepted point's vectors, which routing,
+/// evaluation and layout grow piecewise: the outcome keeps every point
+/// until the run ends.
+fn shrink(point: &mut DesignPoint) {
+    let t = &mut point.topology;
+    t.switch_layer.shrink_to_fit();
+    t.switch_pos.shrink_to_fit();
+    t.core_attach.shrink_to_fit();
+    t.links.shrink_to_fit();
+    for link in &mut t.links {
+        link.flows.shrink_to_fit();
+    }
+    t.flow_paths.shrink_to_fit();
+    for path in &mut t.flow_paths {
+        path.switches.shrink_to_fit();
+    }
+    t.indirect_switches.shrink_to_fit();
+    point.metrics.inter_layer_links.shrink_to_fit();
+    point.metrics.wire_lengths_mm.shrink_to_fit();
+    if let Some(layout) = &mut point.layout {
+        layout.layers.shrink_to_fit();
+        for plan in &mut layout.layers {
+            plan.blocks.shrink_to_fit();
+        }
+        layout.layer_area_mm2.shrink_to_fit();
+    }
 }
 
 /// The partitioner's warm start that refines `conn`.
@@ -174,9 +207,13 @@ struct Chain<'s> {
 }
 
 /// What one run shares between its candidates: a [`Chain`] per Phase-1
-/// switch count and the tempered layer anneals.
+/// switch count, the SPG of each θ and the tempered layer anneals.
 struct Run<'s> {
     chains: Vec<Chain<'s>>,
+    /// The SPG at each θ of the escalation loop, built by the first θ step
+    /// that needs it. Every switch count's step at that θ partitions it,
+    /// so they share their cold restarts' bisections.
+    spgs: Vec<OnceLock<MemoGraph>>,
     layouts: LayoutMemo,
 }
 
@@ -232,6 +269,9 @@ pub struct SynthesisEngine<'a> {
     /// The warm-chained Phase-1 seeds, `(switch count, partition on the
     /// PG)` in sweep order; empty in [`SynthesisMode::Phase2Only`].
     seeds: Vec<(usize, Partition)>,
+    /// The θ values of the escalation loop (Algorithm 1, steps 11–20):
+    /// `theta_min`, then each plus `theta_step`, up to `theta_max`.
+    thetas: Vec<f64>,
     /// The counters of building `seeds`, re-reported by every run.
     seed_stats: PartitionStats,
 }
@@ -291,19 +331,19 @@ impl<'a> SynthesisEngine<'a> {
             .collect();
         // The seed chain: each switch count warm-started from the previous
         // count's assignment, built serially so every sweep worker reads the
-        // same seeds. Switch counts do not depend on the frequency.
+        // same seeds. Switch counts do not depend on the frequency. All of
+        // them partition one PG, sharing its cold restarts' bisections.
         let mut cache = PartitionCache::new();
         let mut seeds = Vec::new();
         let mut prev: Option<Vec<u32>> = None;
+        let pg = MemoGraph::new(graph.partitioning_graph(cfg.alpha));
         for candidate in phase1 {
             let count = candidate.sweep.value();
-            let seed = phase1::connectivity_cached(
-                &graph,
+            let seed = phase1::connectivity_on(
+                &pg,
                 soc,
                 count,
-                cfg.alpha,
                 None,
-                cfg.theta_max,
                 cfg.rng_seed,
                 prev.as_deref(),
                 &mut cache,
@@ -313,7 +353,22 @@ impl<'a> SynthesisEngine<'a> {
             }
             seeds.push((count, seed));
         }
-        Ok(Self { soc, graph, cfg, frequencies, transit_switches, seeds, seed_stats: cache.stats })
+        let mut thetas = Vec::new();
+        let mut theta = cfg.theta_min;
+        while theta <= cfg.theta_max + 1e-9 {
+            thetas.push(theta);
+            theta += cfg.theta_step;
+        }
+        Ok(Self {
+            soc,
+            graph,
+            cfg,
+            frequencies,
+            transit_switches,
+            seeds,
+            thetas,
+            seed_stats: cache.stats,
+        })
     }
 
     /// The configuration the engine runs with.
@@ -381,7 +436,11 @@ impl<'a> SynthesisEngine<'a> {
         let mut outcome = SynthesisOutcome::default();
         // The seeds are built once per engine and count towards every run.
         outcome.partition_stats += self.seed_stats;
-        let run = Run { chains: self.chains(), layouts: LayoutMemo::default() };
+        let run = Run {
+            chains: self.chains(),
+            spgs: self.thetas.iter().map(|_| OnceLock::new()).collect(),
+            layouts: LayoutMemo::default(),
+        };
         for &freq in &self.frequencies {
             let primary = self.primary_candidates(freq);
             let before = outcome.points.len();
@@ -520,6 +579,7 @@ impl<'a> SynthesisEngine<'a> {
     /// serial sweep computes, whichever worker reached a step first, and a
     /// candidate an early stop leaves uncommitted is never counted. Its
     /// tempered layer anneals are counted the same way ([`count_layouts`]).
+    /// A Phase-2 candidate brings the counters of its per-layer partitions.
     fn commit(
         &self,
         ev: CandidateEvaluation,
@@ -550,6 +610,7 @@ impl<'a> SynthesisEngine<'a> {
             }
             outcome.shared_theta_steps += steps.min(counted) as u64;
         }
+        outcome.partition_stats += ev.partition_stats;
         outcome.lp_stats += ev.lp_stats;
         outcome.anneal_stats += count_layouts(&ev.layouts);
         outcome.routing_stats += ev.routing_stats;
@@ -557,7 +618,8 @@ impl<'a> SynthesisEngine<'a> {
         outcome.shove_probes += ev.shove_probes;
         outcome.rejected.extend(ev.attempts);
         match ev.point {
-            Some(point) => {
+            Some(mut point) => {
+                shrink(&mut point);
                 outcome.points.push(point);
                 emit(
                     observer,
@@ -588,13 +650,12 @@ impl<'a> SynthesisEngine<'a> {
     ) -> CandidateEvaluation {
         let lp_before = placement.stats();
         let routing_before = alloc.stats();
-        let memo = &run.layouts;
         let mut ev = match candidate.sweep {
             SweepParam::SwitchCount(k) => {
-                self.evaluate_phase1(candidate, chain(&run.chains, k), memo, alloc, placement)
+                self.evaluate_phase1(candidate, chain(&run.chains, k), run, alloc, placement)
             }
             SweepParam::Increment(inc) => {
-                self.evaluate_phase2(candidate, inc, memo, alloc, placement)
+                self.evaluate_phase2(candidate, inc, &run.layouts, alloc, placement)
             }
         };
         ev.lp_stats += placement.stats() - lp_before;
@@ -628,11 +689,11 @@ impl<'a> SynthesisEngine<'a> {
         &self,
         candidate: Candidate,
         chain: &Chain<'_>,
-        memo: &LayoutMemo,
+        run: &Run<'_>,
         alloc: &mut PathAllocator,
         placement: &mut PlacementSolver,
     ) -> CandidateEvaluation {
-        let cfg = &self.cfg;
+        let memo = &run.layouts;
         let freq = candidate.frequency_mhz;
         let mut ev = CandidateEvaluation::new(candidate);
         let reject = |theta: Option<f64>, reason: RejectReason| RejectedPoint {
@@ -671,12 +732,10 @@ impl<'a> SynthesisEngine<'a> {
         ev.attempts.push(reject(None, last_reason.clone()));
 
         // θ loop (Algorithm 1, steps 11–20).
-        let mut theta = cfg.theta_min;
-        while theta <= cfg.theta_max + 1e-9 {
-            let step = ev.thetas.len();
+        for (step, &theta) in self.thetas.iter().enumerate() {
             ev.thetas.push(theta);
             if let ThetaStep { partition: Ok(conn), repeats, .. } =
-                self.theta_step(chain, step, theta, seed)
+                self.theta_step(chain, step, &run.spgs[step], seed)
             {
                 let reason = if repeats {
                     ev.repeated_attempts += 1;
@@ -703,21 +762,21 @@ impl<'a> SynthesisEngine<'a> {
                 ev.attempts.push(reject(Some(theta), reason.clone()));
                 last_reason = reason;
             }
-            theta += cfg.theta_step;
         }
         ev
     }
 
-    /// Step `step` of `chain`, whose seed is `seed`: the partition at
-    /// `theta`, warm-started from the last `Ok` step before it or from the
-    /// seed. Computed under the chain's lock on first request and cloned
-    /// after that. A candidate requests its steps in order, so every step
-    /// before `step` is already in the chain.
+    /// Step `step` of `chain`, whose seed is `seed`: the partition of the
+    /// step's SPG, `spg` (built here if no step at its θ has built it yet),
+    /// warm-started from the last `Ok` step before it or from the seed.
+    /// Computed under the chain's lock on first request and cloned after
+    /// that. A candidate requests its steps in order, so every step before
+    /// `step` is already in the chain.
     fn theta_step(
         &self,
         chain: &Chain<'_>,
         step: usize,
-        theta: f64,
+        spg: &OnceLock<MemoGraph>,
         seed: &Connectivity,
     ) -> ThetaStep {
         // Poison recovery: the chain only ever holds whole steps, so it is
@@ -729,15 +788,17 @@ impl<'a> SynthesisEngine<'a> {
         debug_assert_eq!(steps.len(), step, "θ steps are requested in order");
         let prev = steps.iter().rev().find_map(|s| s.partition.as_ref().ok()).unwrap_or(seed);
         let cfg = &self.cfg;
+        let theta = self.thetas[step];
+        let spg = spg.get_or_init(|| {
+            MemoGraph::new(self.graph.scaled_partitioning_graph(cfg.alpha, theta, cfg.theta_max))
+        });
         // The chain's steps are counted at commit, from `stats`.
         let mut cache = PartitionCache::new();
-        let partition = phase1::connectivity_cached(
-            &self.graph,
+        let partition = phase1::connectivity_on(
+            spg,
             self.soc,
             chain.count,
-            cfg.alpha,
             Some(theta),
-            cfg.theta_max,
             cfg.rng_seed,
             Some(&assignment(prev)),
             &mut cache,
@@ -762,8 +823,18 @@ impl<'a> SynthesisEngine<'a> {
         let freq = candidate.frequency_mhz;
         let max_sw = cfg.library.switch.max_size_for_frequency(freq);
         let mut ev = CandidateEvaluation::new(candidate);
-        match phase2::connectivity(&self.graph, self.soc, increment, max_sw, cfg.alpha, cfg.rng_seed)
-        {
+        let mut cache = PartitionCache::new();
+        let conn = phase2::connectivity_cached(
+            &self.graph,
+            self.soc,
+            increment,
+            max_sw,
+            cfg.alpha,
+            cfg.rng_seed,
+            &mut cache,
+        );
+        ev.partition_stats = cache.stats;
+        match conn {
             Ok(conn) => match self.try_candidate(Attempt {
                 freq,
                 conn: &conn,
@@ -1005,6 +1076,9 @@ mod tests {
         // Steps whose partition differs when warm-started from the seed
         // instead: without them this test could not tell the two apart.
         let mut warm_start_matters = 0;
+        // One SPG per θ, shared by every count as in a run; `direct`
+        // builds a fresh one per call.
+        let spgs: Vec<OnceLock<MemoGraph>> = engine.thetas.iter().map(|_| OnceLock::new()).collect();
         for chain in engine.chains() {
             let (count, seed) = (chain.count, chain.seed.as_ref().unwrap());
             let mut warm = seed.clone();
@@ -1013,8 +1087,9 @@ mod tests {
             while theta <= cfg.theta_max + 1e-9 {
                 let expected = direct(count, theta, &warm);
                 let repeats = expected.as_ref().is_ok_and(|conn| same_attempt(conn, &warm));
+                assert_eq!(engine.thetas[step].to_bits(), theta.to_bits(), "θ of step {step}");
                 for _ in 0..2 {
-                    let shared = engine.theta_step(&chain, step, theta, seed);
+                    let shared = engine.theta_step(&chain, step, &spgs[step], seed);
                     assert_eq!(shared.partition, expected, "{count} switches, step {step}");
                     assert_eq!(shared.repeats, repeats, "{count} switches, step {step}");
                 }
@@ -1027,6 +1102,7 @@ mod tests {
                 theta += cfg.theta_step;
                 step += 1;
             }
+            assert_eq!(step, engine.thetas.len(), "one step per θ");
             assert_eq!(chain.steps.lock().unwrap().len(), step, "each step is computed once");
         }
         assert!(warm_start_matters > 0, "the design must tell warm starts apart");

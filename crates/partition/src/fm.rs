@@ -35,9 +35,10 @@
 //! is bit-identical to the attraction-free implementation.
 
 use crate::graph::{GroupAttraction, WeightedGraph};
+use crate::memo::{Bisections, Key, SMALL_SPLIT};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, RngCore, SeedableRng};
 
 /// One FM candidate in the gain heaps: max-gain first, lowest subset
 /// index on ties — exactly the vertex the original ascending linear scan
@@ -201,15 +202,62 @@ fn subset_split_attraction(g: &WeightedGraph, vertices: &[usize], side0: &[bool]
 /// stops early at the first pass that does not improve its cut.
 const MAX_PASSES: u32 = 10;
 
+/// A cold restart's RNG, counting its draws: from one seed, the count
+/// fixes the state.
+pub(crate) struct Draws {
+    rng: StdRng,
+    count: u64,
+}
+
+impl Draws {
+    pub(crate) fn new(rng: StdRng) -> Self {
+        Self { rng, count: 0 }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn into_rng(self) -> StdRng {
+        self.rng
+    }
+}
+
+impl RngCore for Draws {
+    fn next_u64(&mut self) -> u64 {
+        self.count += 1;
+        self.rng.next_u64()
+    }
+}
+
+/// One cold restart's recursion: its RNG and its place in the graph's
+/// split memo.
+pub(crate) struct Restart<'m> {
+    rng: Draws,
+    memo: &'m Bisections,
+    /// The memo node of the split whose side is being split, or `None`
+    /// below a split the memo does not hold.
+    at: Option<u32>,
+}
+
+impl<'m> Restart<'m> {
+    /// A restart seeded with `seed`, sharing the splits in `memo`.
+    pub(crate) fn new(memo: &'m Bisections, seed: u64) -> Self {
+        let rng = Draws::new(StdRng::seed_from_u64(seed));
+        Self { rng, memo, at: Some(memo.root(seed)) }
+    }
+}
+
 /// Recursively splits `vertices` into `parts` blocks, writing block labels
 /// `first_label..first_label + parts` into `assignment`. The slice is
-/// reordered in place (stable within each side) as subsets split.
+/// reordered in place (stable within each side) as subsets split. A split
+/// the restart's memo holds is replayed, not computed: the same side-0
+/// mask and work count, and the RNG advanced by the same draws. A split of
+/// at most [`SMALL_SPLIT`] vertices is computed, and the memo keeps neither
+/// it nor the splits below it.
 pub(crate) fn recursive_bisect(
     g: &WeightedGraph,
     vertices: &mut [usize],
     parts: usize,
     first_label: u32,
-    rng: &mut StdRng,
+    restart: &mut Restart<'_>,
     assignment: &mut [u32],
     ws: &mut Workspace,
 ) {
@@ -227,7 +275,22 @@ pub(crate) fn recursive_bisect(
     let ideal = (vertices.len() * k1 + parts / 2) / parts;
     let n1 = ideal.clamp(k1, vertices.len() - k2);
 
-    bisect(g, vertices, n1, GrowthStart::Random(rng), ws);
+    let m = vertices.len();
+    let parent = restart.at;
+    let key = parent
+        .filter(|_| m > SMALL_SPLIT)
+        .map(|p| (p, Key { draws: restart.rng.count, n1: n1 as u32 }));
+    let replayed = key.and_then(|(p, k)| restart.memo.replay(p, k, m, &mut ws.side0));
+    let node = if let Some((node, moves)) = replayed {
+        random_start(&mut ws.order, m, &mut restart.rng);
+        ws.applied += moves;
+        Some(node)
+    } else {
+        let before = ws.applied;
+        bisect(g, vertices, n1, GrowthStart::Random(&mut restart.rng), ws);
+        let moves = ws.applied - before;
+        key.map(|(p, k)| restart.memo.insert(p, k, &ws.side0[..m], moves))
+    };
 
     // Stable in-place split: side-0 vertices compact forward (the write
     // cursor never passes the read cursor), side-1 vertices spill and come
@@ -248,8 +311,11 @@ pub(crate) fn recursive_bisect(
     vertices[n1..].copy_from_slice(&ws.spill);
 
     let (left, right) = vertices.split_at_mut(n1);
-    recursive_bisect(g, left, k1, first_label, rng, assignment, ws);
-    recursive_bisect(g, right, k2, first_label + k1 as u32, rng, assignment, ws);
+    restart.at = node;
+    recursive_bisect(g, left, k1, first_label, restart, assignment, ws);
+    restart.at = node;
+    recursive_bisect(g, right, k2, first_label + k1 as u32, restart, assignment, ws);
+    restart.at = parent;
 }
 
 /// Where a bisection's greedy growth starts, and the order its ties break
@@ -257,7 +323,7 @@ pub(crate) fn recursive_bisect(
 pub(crate) enum GrowthStart<'r> {
     /// A cold restart: ties go to the vertex earliest in a shuffled order,
     /// and the seed is a random vertex (the shuffle, then one draw).
-    Random(&'r mut StdRng),
+    Random(&'r mut Draws),
     /// A warm split: ties go to the lowest subset index, and the seed is
     /// the most weakly attached vertex — the least weight to the rest of
     /// the subset, attraction included — the lowest index on ties.
@@ -352,14 +418,13 @@ fn grow(
     tournaments: bool,
 ) {
     let m = vertices.len();
-    ws.order.clear();
-    ws.order.extend(0..m);
     let seed = match start {
-        GrowthStart::Random(rng) => {
-            ws.order.shuffle(rng);
-            rng.gen_range(0..m)
+        GrowthStart::Random(rng) => random_start(&mut ws.order, m, rng),
+        GrowthStart::Periphery => {
+            ws.order.clear();
+            ws.order.extend(0..m);
+            periphery_seed(g, vertices, ws)
         }
-        GrowthStart::Periphery => periphery_seed(g, vertices, ws),
     };
 
     let at = g.attraction();
@@ -461,6 +526,16 @@ fn grow_from_tournaments(g: &WeightedGraph, vertices: &[usize], n1: usize, ws: &
     }
 }
 
+/// Every RNG draw of a cold bisection: shuffles `order` into a random
+/// permutation of the subset indices `0..m` and returns a random seed
+/// index. A replayed split takes the same draws.
+fn random_start(order: &mut Vec<usize>, m: usize, rng: &mut Draws) -> usize {
+    order.clear();
+    order.extend(0..m);
+    order.shuffle(rng);
+    rng.gen_range(0..m)
+}
+
 /// The subset vertex with the least weight to the rest of `vertices`,
 /// attraction included, the lowest index on ties (`total_cmp` order).
 fn periphery_seed(g: &WeightedGraph, vertices: &[usize], ws: &mut Workspace) -> usize {
@@ -513,7 +588,9 @@ pub(crate) fn grow_side0(
         ws.local[v] = i;
     }
     let tournaments = tournaments.unwrap_or_else(|| tournaments_pay(g, vertices));
-    grow(g, vertices, n1, GrowthStart::Random(rng), &mut ws, tournaments);
+    let mut draws = Draws::new(rng.clone());
+    grow(g, vertices, n1, GrowthStart::Random(&mut draws), &mut ws, tournaments);
+    *rng = draws.into_rng();
     ws.side0
 }
 
@@ -807,13 +884,19 @@ fn fm_pass(
 /// near-equal `{⌊n/k⌋, ⌈n/k⌉}` envelope, then runs move/swap local search.
 /// No randomness is consumed: a warm-started partition is a pure function
 /// of the graph and the initial assignment.
+///
+/// Returns whether the local search converged ([`kway_fm_refine`]): then
+/// the output is a fixed point, and refining it again returns it unchanged.
+/// Its `parts` labels are all in use and its sizes balanced, so the
+/// normalization and the rebalance change nothing, and the local search's
+/// first pass is the converged pass again.
 pub(crate) fn warm_refine(
     g: &WeightedGraph,
     initial: &[u32],
     parts: usize,
     out: &mut Vec<u32>,
     ws: &mut Workspace,
-) {
+) -> bool {
     out.clear();
     out.extend_from_slice(initial);
     let mut used = compact_labels(out);
@@ -826,7 +909,7 @@ pub(crate) fn warm_refine(
         used += 1;
     }
     rebalance(g, out, parts);
-    kway_fm_refine(g, out, parts, ws);
+    kway_fm_refine(g, out, parts, ws)
 }
 
 
@@ -1593,8 +1676,20 @@ pub(crate) fn select_action(s: &PassState<'_>, search: &mut BlockSearch) -> Opti
 /// touches, `O(k²)` pair bounds, and the members of the pairs whose bound
 /// reaches the best gain. The action sequence, every gain's bits and the
 /// kept prefix are the scan's.
-fn kway_fm_refine(g: &WeightedGraph, assignment: &mut [u32], parts: usize, ws: &mut Workspace) {
-    kway_fm_refine_with(g, assignment, parts, ws, select_action);
+///
+/// Returns whether it converged: a pass found no improvement, and that
+/// pass started from the connectivity a fresh refinement of the result
+/// starts from, bit for bit (the first pass always does; a later one does
+/// when the rolled-back moves left no rounding behind). A fresh refinement
+/// of the result then repeats that pass and stops. Stopping at the pass
+/// cap is not converging.
+fn kway_fm_refine(
+    g: &WeightedGraph,
+    assignment: &mut [u32],
+    parts: usize,
+    ws: &mut Workspace,
+) -> bool {
+    kway_fm_refine_with(g, assignment, parts, ws, select_action)
 }
 
 /// [`kway_fm_refine`] with the action selector as a parameter.
@@ -1604,10 +1699,10 @@ pub(crate) fn kway_fm_refine_with(
     parts: usize,
     ws: &mut Workspace,
     mut select: impl FnMut(&PassState<'_>, &mut BlockSearch) -> Option<(Action, f64)>,
-) {
+) -> bool {
     let n = assignment.len();
     if parts < 2 || n < 2 {
-        return;
+        return true;
     }
     let base = n / parts;
     let mut sizes = block_sizes(assignment, parts);
@@ -1619,8 +1714,14 @@ pub(crate) fn kway_fm_refine_with(
     let (wmat, search) = (&ws.wmat, &mut ws.search);
     let mut unlocked_in = vec![0usize; parts];
 
+    // The connectivity the current pass started from, kept from the
+    // second pass on.
+    let mut pass_start: Vec<f64> = Vec::new();
     const EPS: f64 = 1e-12;
-    for _ in 0..MAX_PASSES {
+    for pass in 0..MAX_PASSES {
+        if pass > 0 {
+            pass_start.clone_from(&conn.conn);
+        }
         search.invalidate();
         // Shrinking ascending roster of unlocked vertices, with their
         // count per block and the number of blocks holding one.
@@ -1688,9 +1789,16 @@ pub(crate) fn kway_fm_refine_with(
             }
         }
         if best_total <= EPS {
-            break;
+            let fresh = || Connectivity::new(g, assignment, parts).conn;
+            return pass == 0 || same_bits(&pass_start, &fresh());
         }
     }
+    false
+}
+
+/// Whether two float slices hold the same bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The polish state one swap selection of [`kway_swap_refine`] reads.

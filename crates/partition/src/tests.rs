@@ -627,9 +627,10 @@ proptest! {
         let initial = if bisected {
             let mut out = vec![0u32; n];
             let mut vertices: Vec<usize> = (0..n).collect();
-            let mut rng = StdRng::seed_from_u64(seed);
+            let memo = memo::Bisections::default();
+            let mut restart = fm::Restart::new(&memo, seed);
             let mut ws = fm::Workspace::new(n);
-            fm::recursive_bisect(&g, &mut vertices, parts, 0, &mut rng, &mut out, &mut ws);
+            fm::recursive_bisect(&g, &mut vertices, parts, 0, &mut restart, &mut out, &mut ws);
             out
         } else {
             let mut order: Vec<usize> = (0..n).collect();
@@ -712,4 +713,171 @@ proptest! {
             }
         }
     }
+}
+
+/// [`WeightedGraph::partition`] before converged warm winners skipped the
+/// final polish and cold restarts shared their splits: every warm-started
+/// run polishes its winner, and every restart bisects from scratch, with a
+/// memo of its own.
+fn always_polish_partition(g: &WeightedGraph, cfg: &PartitionConfig) -> Partitioning {
+    let n = g.node_count();
+    assert!(cfg.parts >= 2 && cfg.parts < n, "the trivial block counts take no search");
+    let mut ws = fm::Workspace::new(n);
+    let mut best: Option<(Vec<u32>, f64)> = None;
+    let warm = cfg.initial.as_deref().filter(|initial| initial.len() == n);
+    if let Some(initial) = warm {
+        let mut assignment = Vec::new();
+        fm::warm_refine(g, initial, cfg.parts, &mut assignment, &mut ws);
+        let cut = g.cut_weight(&assignment);
+        best = Some((assignment, cut));
+    }
+    let cold_restarts = if best.is_some() { cfg.restarts } else { cfg.restarts.max(1) };
+    for restart in 0..cold_restarts {
+        let seed = cfg.rng_seed.wrapping_add(u64::from(restart) * u64::from(cfg.seed_stride));
+        let memo = memo::Bisections::default();
+        let mut restart = fm::Restart::new(&memo, seed);
+        let mut assignment = vec![0u32; n];
+        let mut vertices: Vec<usize> = (0..n).collect();
+        fm::recursive_bisect(g, &mut vertices, cfg.parts, 0, &mut restart, &mut assignment, &mut ws);
+        fm::kway_swap_refine(g, &mut assignment, &mut ws);
+        let cut = g.cut_weight(&assignment);
+        if best.as_ref().is_none_or(|b| cut < b.1) {
+            best = Some((assignment, cut));
+        }
+    }
+    let (mut assignment, mut cut_weight) = best.expect("a warm candidate or a cold restart ran");
+    if warm.is_some() {
+        let mut polished = Vec::new();
+        fm::warm_refine(g, &assignment, cfg.parts, &mut polished, &mut ws);
+        let cut = g.cut_weight(&polished);
+        if cut < cut_weight {
+            (assignment, cut_weight) = (polished, cut);
+        }
+    }
+    Partitioning { assignment, parts: cfg.parts, cut_weight, fm_moves: ws.applied }
+}
+
+/// One polish-oracle case on `g`: a warm-started partition into `parts`
+/// blocks with `restarts` cold restarts, from `initial`, by
+/// [`WeightedGraph::partition`], by a [`MemoGraph`] that partitioned `g`
+/// at `other` blocks first, and by [`always_polish_partition`]. Returns
+/// whether all three agree on the assignment and the cut's bits and the
+/// two production runs on `fm_moves`, and whether the production run
+/// skipped the polish (fewer `fm_moves` than the oracle).
+fn polish_case(
+    g: &WeightedGraph,
+    parts: usize,
+    other: usize,
+    restarts: u32,
+    initial: &[u32],
+) -> (bool, bool) {
+    let mut cfg = PartitionConfig::k_way(parts).with_seed(0x5EED).with_initial(initial.to_vec());
+    cfg.restarts = restarts;
+    let real = g.partition(&cfg).unwrap();
+    let memo = MemoGraph::new(g.clone());
+    memo.partition(&PartitionConfig { parts: other, ..cfg.clone() }).unwrap();
+    let shared = memo.partition(&cfg).unwrap();
+    let oracle = always_polish_partition(g, &cfg);
+    let same = |p: &Partitioning| {
+        p.assignment == oracle.assignment && p.cut_weight.to_bits() == oracle.cut_weight.to_bits()
+    };
+    (
+        same(&real) && same(&shared) && real.fm_moves == shared.fm_moves,
+        real.fm_moves < oracle.fm_moves,
+    )
+}
+
+/// A warm start for [`polish_case`]: random labels over `parts - 1`,
+/// `parts` or `parts + 1` blocks (so the refinement also merges or splits),
+/// or the cold partition into `parts - 1` blocks, as a seed chain passes
+/// it on.
+fn polish_initial(g: &WeightedGraph, parts: usize, seed: u64) -> Vec<u32> {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = g.node_count();
+    match seed % 4 {
+        3 if parts > 2 => g.partition(&PartitionConfig::k_way(parts - 1)).unwrap().assignment,
+        pick => {
+            let labels = (parts + pick as usize).saturating_sub(1).clamp(1, n) as u32;
+            (0..n).map(|_| rng.gen_range(0..labels)).collect()
+        }
+    }
+}
+
+/// The polish-oracle cases below reach both the skipped and the run
+/// polish, at every restart budget, and agree with the oracle on all of
+/// them.
+#[test]
+fn polish_oracle_cases_skip_and_run_the_polish() {
+    let (mut skipped, mut polished) = ([0; 3], [0; 3]);
+    for seed in 0..60u64 {
+        let n = 6 + (seed as usize * 7) % 50;
+        let g = oracle_graph(n, seed, seed % 3 == 0, seed % 2 == 0);
+        let parts = 2 + (seed as usize * 5) % (n - 3);
+        let other = 2 + (seed as usize * 11) % (n - 3);
+        for (i, restarts) in [0u32, 2, 4].into_iter().enumerate() {
+            let initial = polish_initial(&g, parts, seed);
+            let (same, skip) = polish_case(&g, parts, other, restarts, &initial);
+            assert!(same, "seed {seed}, {restarts} restarts: diverged from the always-polish run");
+            if skip {
+                skipped[i] += 1;
+            } else {
+                polished[i] += 1;
+            }
+        }
+    }
+    assert!(
+        skipped.iter().chain(&polished).all(|&c| c > 0),
+        "skipped {skipped:?}, polished {polished:?} (0, 2 and 4 restarts)"
+    );
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+    /// Skipping a converged warm winner's polish, and replaying cold
+    /// restarts' splits from a graph's memo, against the partitioner that
+    /// does neither: the same assignment and cut bits, with and without a
+    /// group attraction, at 0, 2 and 4 cold restarts.
+    #[test]
+    fn partition_matches_the_always_polish_partition(
+        n in 6usize..90,
+        k_picks in 0usize..100_000_000,
+        seed in 0u64..1_000_000,
+        integer in proptest::bool::ANY,
+        attraction in proptest::bool::ANY,
+        restart_pick in 0u32..3,
+    ) {
+        let restarts = 2 * restart_pick;
+        let g = oracle_graph(n, seed, integer, attraction);
+        let parts = 2 + k_picks % (n - 3);
+        let other = 2 + k_picks / 10_000 % (n - 3);
+        let initial = polish_initial(&g, parts, seed);
+        let (same, _) = polish_case(&g, parts, other, restarts, &initial);
+        prop_assert!(same, "diverged from the always-polish run (n {}, k {})", n, parts);
+    }
+}
+
+/// A warm refinement that reports convergence returns a fixed point:
+/// refining its output again changes nothing and converges again.
+#[test]
+fn converged_warm_refinement_is_a_fixed_point() {
+    let mut converged = 0;
+    for seed in 0..80u64 {
+        let n = 6 + (seed as usize * 13) % 70;
+        let g = oracle_graph(n, seed, seed % 3 == 0, seed % 2 == 1);
+        let parts = 2 + (seed as usize * 7) % (n - 3);
+        let initial = polish_initial(&g, parts, seed);
+        let mut ws = fm::Workspace::new(n);
+        let mut out = Vec::new();
+        if !fm::warm_refine(&g, &initial, parts, &mut out, &mut ws) {
+            continue;
+        }
+        converged += 1;
+        let mut again = Vec::new();
+        assert!(fm::warm_refine(&g, &out, parts, &mut again, &mut ws), "seed {seed}");
+        assert_eq!(again, out, "seed {seed}: a converged refinement moved");
+    }
+    assert!(converged >= 20, "only {converged} of 80 refinements converged");
 }

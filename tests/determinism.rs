@@ -283,7 +283,8 @@ fn golden_media26_full_flow_is_reproducible_and_no_worse_than_cold_start() {
                 warm_partitions: 7,
                 cold_partitions: 1,
                 spg_derivations: 5,
-                fm_moves: 1828,
+                layer_partitions: 0,
+                fm_moves: 1802,
             },
             lp_stats: LpStats { cold_solves: 4, ..LpStats::default() },
             routing_stats: RoutingStats {
@@ -436,7 +437,8 @@ fn golden_dense36_shove_layout_is_reproducible() {
                 warm_partitions: 19,
                 cold_partitions: 1,
                 spg_derivations: 15,
-                fm_moves: 7809,
+                layer_partitions: 0,
+                fm_moves: 7487,
             },
             lp_stats: LpStats { cold_solves: 16, ..LpStats::default() },
             routing_stats: RoutingStats {
@@ -494,7 +496,8 @@ fn golden_dense36_router_tie_order_is_pinned() {
                 warm_partitions: 115,
                 cold_partitions: 1,
                 spg_derivations: 85,
-                fm_moves: 52807,
+                layer_partitions: 0,
+                fm_moves: 50549,
             },
             lp_stats: LpStats { cold_solves: 88, ..LpStats::default() },
             routing_stats: RoutingStats {
@@ -552,7 +555,8 @@ fn golden_dense36_theta_chains_are_shared_across_frequencies() {
                 warm_partitions: 53,
                 cold_partitions: 1,
                 spg_derivations: 45,
-                fm_moves: 20017,
+                layer_partitions: 0,
+                fm_moves: 19043,
             },
             lp_stats: LpStats { cold_solves: 76, ..LpStats::default() },
             routing_stats: RoutingStats {
@@ -614,7 +618,8 @@ fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
                     warm_partitions: 35,
                     cold_partitions: 1,
                     spg_derivations: 10,
-                    fm_moves: 15_564,
+                    layer_partitions: 0,
+                    fm_moves: 15_320,
                 },
                 lp_stats: LpStats { cold_solves: 48, ..LpStats::default() },
                 routing_stats: RoutingStats {
@@ -643,7 +648,8 @@ fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
                     warm_partitions: 205,
                     cold_partitions: 1,
                     spg_derivations: 170,
-                    fm_moves: 88_008,
+                    layer_partitions: 0,
+                    fm_moves: 84_039,
                 },
                 lp_stats: LpStats { cold_solves: 314, ..LpStats::default() },
                 routing_stats: RoutingStats {
@@ -673,7 +679,8 @@ fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
                     warm_partitions: 36,
                     cold_partitions: 1,
                     spg_derivations: 21,
-                    fm_moves: 67_057,
+                    layer_partitions: 0,
+                    fm_moves: 66_133,
                 },
                 lp_stats: LpStats { cold_solves: 30, ..LpStats::default() },
                 routing_stats: RoutingStats {
@@ -702,7 +709,8 @@ fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
                     warm_partitions: 35,
                     cold_partitions: 1,
                     spg_derivations: 10,
-                    fm_moves: 15_564,
+                    layer_partitions: 0,
+                    fm_moves: 15_320,
                 },
                 lp_stats: LpStats { cold_solves: 48, ..LpStats::default() },
                 routing_stats: RoutingStats {
@@ -765,8 +773,11 @@ fn check_rows(rows: impl IntoIterator<Item = PanelRow>) -> Vec<SynthesisOutcome>
 /// 500 MHz, and an `Auto` run on media26 at 900 MHz, where Phase 1 finds
 /// nothing and the fallback's Phase-2 attempts are rejected too. Pins
 /// both fingerprints and every counter, as the panel golden above does.
-/// Phase 2 reports no partition counters: its per-layer partitions are
-/// not counted.
+/// Phase 2's per-layer partitions count in `layer_partitions` and
+/// `fm_moves`: one per populated layer of each committed attempt (media26
+/// has 3 layers and `D_36_8` 2; the fallback row's 21 are its 7 Phase-2
+/// attempts). Those counters were re-pinned when they started counting;
+/// the fingerprints were not.
 #[test]
 #[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences flip SA decisions elsewhere")]
 fn golden_phase2_pins_outcomes_and_work_counters() {
@@ -783,6 +794,11 @@ fn golden_phase2_pins_outcomes_and_work_counters() {
             outcome: 0xa965_0bd8_7ea8_5d89,
             rejections: 0xaf63_bd4c_8601_b7df,
             counters: SynthesisOutcome {
+                partition_stats: PartitionStats {
+                    layer_partitions: 27,
+                    fm_moves: 3955,
+                    ..PartitionStats::default()
+                },
                 lp_stats: LpStats { cold_solves: 18, ..LpStats::default() },
                 routing_stats: RoutingStats {
                     flows_routed: 342,
@@ -804,6 +820,11 @@ fn golden_phase2_pins_outcomes_and_work_counters() {
             outcome: 0x8e71_b19c_7c0b_4d8b,
             rejections: 0xe1b3_f79e_b911_a0ec,
             counters: SynthesisOutcome {
+                partition_stats: PartitionStats {
+                    layer_partitions: 100,
+                    fm_moves: 40_416,
+                    ..PartitionStats::default()
+                },
                 lp_stats: LpStats { cold_solves: 98, ..LpStats::default() },
                 routing_stats: RoutingStats {
                     flows_routed: 7056,
@@ -830,7 +851,8 @@ fn golden_phase2_pins_outcomes_and_work_counters() {
                     warm_partitions: 155,
                     cold_partitions: 1,
                     spg_derivations: 130,
-                    fm_moves: 53_811,
+                    layer_partitions: 21,
+                    fm_moves: 56_324,
                 },
                 lp_stats: LpStats { cold_solves: 22, ..LpStats::default() },
                 routing_stats: RoutingStats {

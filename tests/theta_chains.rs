@@ -83,3 +83,26 @@ fn shared_theta_chains_are_thread_count_free_under_every_stop_policy() {
         }
     }
 }
+
+/// The perfbench dense36 sweep (every switch count at 300, 400 and
+/// 500 MHz, member seed 1000) stopped by a point budget: the θ steps of
+/// every count partition one SPG per θ, whose memo the workers fill in
+/// whatever order they reach it. Serial and parallel runs must still
+/// agree, `fm_moves` included.
+#[test]
+fn dense36_point_budget_run_is_thread_count_free() {
+    let bench = distributed(8);
+    let cfg = |jobs| {
+        SynthesisConfig::builder()
+            .rng_seed(1000)
+            .frequencies_mhz(FREQUENCIES)
+            .jobs(jobs)
+            .build()
+            .unwrap()
+    };
+    let policy = StopPolicy::PointBudget(40);
+    let serial = run(&bench, cfg(1), policy);
+    assert_eq!(serial.points.len(), 40);
+    assert!(serial.partition_stats.spg_derivations > 0, "the run must take θ steps");
+    assert_eq!(serial, run(&bench, cfg(2), policy), "--jobs 2 changed the outcome");
+}
