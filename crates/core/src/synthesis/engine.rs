@@ -140,6 +140,45 @@ fn same_attempt(a: &Connectivity, b: &Connectivity) -> bool {
     a.core_attach == b.core_attach && a.switch_layer == b.switch_layer && bits(a).eq(bits(b))
 }
 
+/// Keeps the transit switches (indices `first..`) that a route uses and
+/// drops the rest, which have no port: no core attaches to a transit
+/// switch, so one that no link touches is idle. The switches kept move
+/// down to close the gaps, in order, and `switch_layer`, `switch_pos`,
+/// `links`, `flow_paths` and `indirect_switches` follow.
+fn drop_idle_transit_switches(t: &mut Topology, first: usize) {
+    let mut used = vec![false; t.switch_count()];
+    for link in &t.links {
+        used[link.from] = true;
+        used[link.to] = true;
+    }
+    debug_assert!(t.core_attach.iter().all(|&s| s < first), "a core attaches to a transit switch");
+    // The new index of every switch; a dropped one has none.
+    let mut index: Vec<usize> = (0..first).collect();
+    let mut next = first;
+    for (s, &used) in used.iter().enumerate().skip(first) {
+        if used {
+            t.switch_layer[next] = t.switch_layer[s];
+            t.switch_pos[next] = t.switch_pos[s];
+            index.push(next);
+            next += 1;
+        } else {
+            index.push(usize::MAX);
+        }
+    }
+    t.switch_layer.truncate(next);
+    t.switch_pos.truncate(next);
+    for link in &mut t.links {
+        link.from = index[link.from];
+        link.to = index[link.to];
+    }
+    for path in &mut t.flow_paths {
+        for sw in &mut path.switches {
+            *sw = index[*sw];
+        }
+    }
+    t.indirect_switches = (first..next).collect();
+}
+
 /// Drops the spare capacity of an accepted point's vectors, which routing,
 /// evaluation and layout grow piecewise: the outcome keeps every point
 /// until the run ends.
@@ -914,7 +953,9 @@ impl<'a> SynthesisEngine<'a> {
                 cfg.alpha,
             ) {
                 Ok(mut t) => {
-                    t.indirect_switches = (conn.switch_count()..t.switch_count()).collect();
+                    if extended.is_some() {
+                        drop_idle_transit_switches(&mut t, conn.switch_count());
+                    }
                     topo = Some(t);
                     break;
                 }
@@ -1017,6 +1058,7 @@ impl<'a> SynthesisEngine<'a> {
 mod tests {
     use super::*;
     use crate::spec::{Core, Flow, MessageType};
+    use crate::topology::Link;
 
     /// Eight cores on two layers with twelve flows of uneven bandwidth,
     /// drawn from a fixed LCG. On such an irregular design the θ steps'
@@ -1189,8 +1231,14 @@ mod tests {
                 shove_probes: &mut 0,
             })
             .expect("the transit switches make the attempt routable");
+        // Of the three transit switches (2, 3 and 4, on layers 0, 1 and 2)
+        // only the layer-1 one relays; the other two are dropped and it
+        // becomes switch 2.
         let topo = &point.topology;
-        assert_eq!(topo.indirect_switches, vec![2, 3, 4]);
+        assert_eq!(topo.indirect_switches, vec![2]);
+        assert_eq!(topo.switch_layer, vec![0, 2, 1]);
+        assert_eq!(topo.switch_pos.len(), 3);
+        assert!((0..topo.switch_count()).all(|s| topo.switch_size(s) > 0), "a switch has no port");
         assert!(topo.indirect_switches.iter().all(|s| !topo.core_attach.contains(s)));
 
         let mut extended = conn.clone();
@@ -1199,11 +1247,20 @@ mod tests {
             extended.est_positions.push(pos);
         }
         let direct = route(&extended).expect("the extended connectivity routes");
-        assert_eq!(topo.switch_layer, direct.switch_layer);
+        assert_eq!((direct.switch_size(2), direct.switch_size(4)), (0, 0));
+        let compact = |s: usize| if s == 3 { 2 } else { s };
         assert_eq!(topo.core_attach, direct.core_attach);
-        assert_eq!(topo.links, direct.links);
-        assert_eq!(topo.flow_paths, direct.flow_paths);
-        assert!(topo.flow_paths[0].switches.contains(&3), "the layer-1 transit switch relays");
+        let links: Vec<_> = direct
+            .links
+            .iter()
+            .map(|l| Link { from: compact(l.from), to: compact(l.to), ..l.clone() })
+            .collect();
+        assert_eq!(topo.links, links);
+        for (path, direct) in topo.flow_paths.iter().zip(&direct.flow_paths) {
+            let switches: Vec<usize> = direct.switches.iter().map(|&s| compact(s)).collect();
+            assert_eq!(path.switches, switches);
+        }
+        assert!(topo.flow_paths[0].switches.contains(&2), "the layer-1 transit switch relays");
     }
 
     #[test]

@@ -17,13 +17,16 @@
 //!    `StopPolicy::PointBudget(1)` stop promptly with well-formed partial
 //!    outcomes, and the observer event stream stays well-formed even when
 //!    a policy cancels the sweep mid-stream.
+//! 5. **Certified points** — every accepted point passes checks that read
+//!    only the point's topology: every switch has a port, and no switch
+//!    the indirect-switch fallback inserted has a core attached.
 
 use crate::generator::FuzzCase;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use sunfloor_core::spec::{CommSpec, SocSpec};
 use sunfloor_core::synthesis::{
-    StopPolicy, SweepEvent, SynthesisEngine, SynthesisOutcome,
+    DesignPoint, StopPolicy, SweepEvent, SynthesisEngine, SynthesisOutcome,
 };
 
 /// How far through the pipeline a case travelled — every terminal state is
@@ -55,6 +58,9 @@ pub enum FailureKind {
     ObserverContract,
     /// A fault-injected run returned a malformed partial outcome.
     FaultInjection,
+    /// An accepted point has a switch without a port, or an indirect
+    /// switch with a core attached.
+    Uncertified,
 }
 
 impl FailureKind {
@@ -67,6 +73,7 @@ impl FailureKind {
             Self::Unclassified => "unclassified",
             Self::ObserverContract => "observer-contract",
             Self::FaultInjection => "fault-injection",
+            Self::Uncertified => "uncertified",
         }
     }
 }
@@ -141,6 +148,11 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseClass, Failure> {
     if let Err(detail) = check_event_stream(&events, &outcome) {
         return Err(fail(FailureKind::ObserverContract, detail));
     }
+    for (i, point) in outcome.points.iter().enumerate() {
+        if let Err(detail) = certify(point) {
+            return Err(fail(FailureKind::Uncertified, format!("point {i}: {detail}")));
+        }
+    }
     if outcome.points.is_empty() && outcome.rejected.is_empty() && n_candidates > 0 {
         return Err(fail(
             FailureKind::Unclassified,
@@ -176,6 +188,20 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseClass, Failure> {
     } else {
         Ok(CaseClass::Feasible)
     }
+}
+
+/// Checks an accepted point against constraints read from its topology
+/// alone: every switch has at least one port, and no switch in
+/// `indirect_switches` has a core attached.
+fn certify(point: &DesignPoint) -> Result<(), String> {
+    let topo = &point.topology;
+    if let Some(s) = (0..topo.switch_count()).find(|&s| topo.switch_size(s) == 0) {
+        return Err(format!("switch {s} has no port"));
+    }
+    if let Some(s) = topo.indirect_switches.iter().find(|&s| topo.core_attach.contains(s)) {
+        return Err(format!("indirect switch {s} has a core attached"));
+    }
+    Ok(())
 }
 
 /// Catches panics, rendering the payload.
@@ -340,6 +366,31 @@ mod tests {
             .expect("an unmutated standard case exists in 400 draws");
         let class = run_case(&case).expect("valid case must satisfy the contract");
         assert!(matches!(class, CaseClass::Feasible | CaseClass::NoFeasiblePoint));
+    }
+
+    #[test]
+    fn certify_rejects_portless_switches_and_attached_indirect_switches() {
+        let case = (0..400u64)
+            .map(|i| generate_case(1, i))
+            .find(|c| c.mutations.is_empty() && c.recipe == ConfigRecipe::Standard)
+            .expect("an unmutated standard case exists in 400 draws");
+        let soc = SocSpec::parse(&case.soc_text).unwrap();
+        let comm = CommSpec::parse(&case.comm_text, &soc).unwrap();
+        let cfg = case.recipe.build(1).unwrap();
+        let outcome = SynthesisEngine::new(&soc, &comm, cfg).unwrap().run();
+        let point = outcome.points.first().expect("the standard case has a feasible point");
+        assert_eq!(certify(point), Ok(()));
+
+        let mut idle = point.clone();
+        idle.topology.switch_layer.push(0);
+        idle.topology.switch_pos.push((0.0, 0.0));
+        let last = idle.topology.switch_count() - 1;
+        assert_eq!(certify(&idle), Err(format!("switch {last} has no port")));
+
+        let mut attached = point.clone();
+        let s = attached.topology.core_attach[0];
+        attached.topology.indirect_switches.push(s);
+        assert_eq!(certify(&attached), Err(format!("indirect switch {s} has a core attached")));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   [`mutate`]'s corruption passes layered on top;
 //! * [`harness`] — the differential contract checker: no panics anywhere,
 //!   bit-identical outcomes across serial/parallel/tempered schedules,
-//!   typed classification of every non-feasible outcome, and prompt,
-//!   well-formed partial outcomes under injected faults;
+//!   typed classification of every non-feasible outcome, prompt,
+//!   well-formed partial outcomes under injected faults, and a certifier
+//!   check of every accepted point;
 //! * [`mod@shrink`] — a greedy minimizer plus the repro-file writer.
 //!
 //! [`run_fuzz`] drives the whole thing; the `sunfloor3d fuzz` CLI
@@ -101,7 +102,10 @@ impl fmt::Display for FuzzReport {
         writeln!(f, "  no feasible pt   {:>8}", self.no_feasible_point)?;
         writeln!(f, "  feasible         {:>8}", self.feasible)?;
         if self.passed() {
-            writeln!(f, "  contract: OK (no panics, no divergences, all outcomes typed)")?;
+            writeln!(
+                f,
+                "  contract: OK (no panics, no divergences, all outcomes typed, points certified)"
+            )?;
         } else {
             for fail in &self.failures {
                 writeln!(

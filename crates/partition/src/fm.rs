@@ -1,9 +1,15 @@
-//! Recursive bisection with Fiduccia–Mattheyses refinement and a k-way
-//! swap polish.
+//! Recursive bisection with Fiduccia–Mattheyses refinement, and one k-way
+//! refinement picker for the warm FM passes and the cold restarts' swap
+//! polish.
 //!
 //! One routine, [`bisect`], splits a vertex subset for both the cold
 //! restarts' recursive bisection and the warm refinement's block splits;
 //! [`GrowthStart`] sets where its greedy growth begins and how ties break.
+//! One picker, [`select_action`], chooses every k-way step: the warm
+//! refinement's locked moves and swaps, and, in its polish mode
+//! ([`PassState::polish`]), the swap polish's unlocked improving swaps.
+//! Every k-way step reads and updates one connectivity table,
+//! [`Connectivity`].
 //!
 //! The cold path is written allocation-light: one [`Workspace`] per
 //! [`crate::WeightedGraph::partition`] call carries every scratch buffer
@@ -14,17 +20,16 @@
 //! and every float operation match the original allocating implementation
 //! bit for bit.
 //!
-//! Large vertex sets are not rescanned to pick one vertex, swap or action.
+//! Large vertex sets are not rescanned to pick one vertex or action.
 //! Greedy growth takes each vertex from per-group max tournaments
 //! ([`Tournament`], `O(log m)` per changed pull) once the subset is large
 //! and sparse enough for them to pay ([`tournaments_pay`]), and rescans
-//! its `O(m)` order otherwise. The swap polish and the warm k-way
-//! refinement pick each swap or action by a block-pair search
-//! ([`BlockSearch`]) over block lists and a per-(vertex, block) gain table
-//! kept between picks, with block pairs skipped by bounds; each falls back
-//! to the `O(m²)` vertex-pair scan while blocks average fewer than three
-//! vertices. Every path picks what the full rescan picked, ties included,
-//! with the same float bits.
+//! its `O(m)` order otherwise. The k-way picker finds each action by a
+//! block-pair search ([`BlockSearch`]) over block lists and a
+//! per-(vertex, block) gain table kept between picks, with block pairs
+//! skipped by bounds, and falls back to the `O(m²)` vertex-pair scan while
+//! blocks average fewer than three vertices. Every path picks what the
+//! full rescan picked, ties included, with the same float bits.
 //!
 //! Graphs may carry a [`GroupAttraction`] — an implicit complete graph per
 //! vertex group with one uniform weight. Every pass accounts for it
@@ -102,12 +107,11 @@ pub(crate) struct Workspace {
     moves: Vec<usize>,
     /// Spill buffer for the in-place subset split.
     spill: Vec<usize>,
-    /// Dense pair weights for the k-way swap polish (attraction included).
+    /// Dense pair weights for k-way swap gains (attraction included).
     wmat: Vec<f64>,
     /// Whether `wmat` has been filled for this graph yet.
     wmat_filled: bool,
-    /// Scratch of the block-pair search of the warm k-way refinement and
-    /// of the swap polish.
+    /// Scratch of the k-way picker's block-pair search.
     search: BlockSearch,
     /// Moves and swaps the FM, k-way and swap passes applied so far,
     /// rolled-back ones included.
@@ -944,9 +948,9 @@ fn block_sizes(assignment: &[u32], used: usize) -> Vec<usize> {
 }
 
 /// Dissolves the smallest block into the block it is most strongly
-/// connected to (stored edges plus implicit attraction), then relabels
-/// `used - 1` into the freed label so the labels stay dense. Ties break
-/// towards the lowest label.
+/// connected to (the victim's [`Connectivity`] rows summed: stored edges
+/// plus implicit attraction), then relabels `used - 1` into the freed label
+/// so the labels stay dense. Ties break towards the lowest label.
 fn merge_smallest_block(g: &WeightedGraph, assignment: &mut [u32], used: usize) {
     let sizes = block_sizes(assignment, used);
     let Some(victim) = sizes
@@ -957,34 +961,11 @@ fn merge_smallest_block(g: &WeightedGraph, assignment: &mut [u32], used: usize) 
     else {
         return; // no blocks: nothing to merge
     };
+    let conn = Connectivity::new(g, assignment, used);
     let mut conn_to = vec![0.0f64; used];
-    for (v, &a) in assignment.iter().enumerate() {
-        if a != victim {
-            continue;
-        }
-        for &(u, w) in g.neighbors(v) {
-            let t = assignment[u as usize];
-            if t != victim {
-                conn_to[t as usize] += w;
-            }
-        }
-    }
-    if let Some(at) = g.attraction() {
-        let ng = at.group_count().max(1);
-        let mut cnt = vec![0u64; ng * used];
-        for (v, &a) in assignment.iter().enumerate() {
-            cnt[at.group_of()[v] as usize * used + a as usize] += 1;
-        }
-        for (v, &a) in assignment.iter().enumerate() {
-            if a != victim {
-                continue;
-            }
-            let row = at.group_of()[v] as usize * used;
-            for (t, c) in conn_to.iter_mut().enumerate() {
-                if t as u32 != victim {
-                    *c += at.weight() * cnt[row + t] as f64;
-                }
-            }
+    for (v, _) in assignment.iter().enumerate().filter(|&(_, &a)| a == victim) {
+        for (c, &w) in conn_to.iter_mut().zip(conn.row(v)) {
+            *c += w;
         }
     }
     let Some(target) = (0..used as u32)
@@ -1118,6 +1099,11 @@ impl<'a> Connectivity<'a> {
         Self { conn, parts, at, members }
     }
 
+    /// Vertex `v`'s weight into each block.
+    fn row(&self, v: usize) -> &[f64] {
+        &self.conn[v * self.parts..(v + 1) * self.parts]
+    }
+
     fn gain(&self, v: usize, from: u32, to: u32) -> f64 {
         let d =
             self.conn[v * self.parts + to as usize] - self.conn[v * self.parts + from as usize];
@@ -1127,11 +1113,23 @@ impl<'a> Connectivity<'a> {
         }
     }
 
+    /// `gain(v, pv, pu) + gain(u, pu, pv)`, bit for bit, from the two
+    /// vertices' rows (`conn_v` and `conn_u`): the moves of a swap of `v`
+    /// in `pv` with `u` in `pu`, before the pair's own weight.
+    fn swap_gain(&self, conn_v: &[f64], pv: u32, conn_u: &[f64], pu: u32) -> f64 {
+        let (pv, pu) = (pv as usize, pu as usize);
+        let (dv, du) = (conn_v[pu] - conn_v[pv], conn_u[pv] - conn_u[pu]);
+        match self.at {
+            Some(a) => (dv + a.weight()) + (du + a.weight()),
+            None => dv + du,
+        }
+    }
+
     /// Writes `gain(v, from, p)` for every block `p` into `out` (the entry
     /// at `from` itself is meaningless) and raises `maxes[p]` to it — the
     /// same bits as [`Self::gain`], in one loop the compiler can vectorize.
     fn gains_from(&self, v: usize, from: usize, out: &mut [f64], maxes: &mut [f64]) {
-        let row = &self.conn[v * self.parts..(v + 1) * self.parts];
+        let row = self.row(v);
         let own = row[from];
         let entries = out.iter_mut().zip(row).zip(maxes.iter_mut());
         match self.at {
@@ -1147,6 +1145,23 @@ impl<'a> Connectivity<'a> {
                     *g = c - own;
                     *max = if *g > *max { *g } else { *max };
                 }
+            }
+        }
+    }
+
+    /// Applies `action`: a swap as two moves, the lower vertex first.
+    fn apply(
+        &mut self,
+        g: &WeightedGraph,
+        assignment: &mut [u32],
+        sizes: &mut [usize],
+        action: Action,
+    ) {
+        match action {
+            Action::Move(v, _, to) => self.apply_move(g, assignment, sizes, v, to),
+            Action::Swap(v, pv, u, pu) => {
+                self.apply_move(g, assignment, sizes, v, pu);
+                self.apply_move(g, assignment, sizes, u, pv);
             }
         }
     }
@@ -1179,8 +1194,8 @@ impl<'a> Connectivity<'a> {
     }
 }
 
-/// One warm-refinement action, logged so the tail of an FM pass can be
-/// rolled back to the best prefix.
+/// One k-way refinement action. The warm pass logs them so the tail of a
+/// pass can be rolled back to the best prefix.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Action {
     /// `(vertex, from-block, to-block)`.
@@ -1200,13 +1215,17 @@ pub(crate) enum Action {
 /// k > n/2 calls of dense36 and media26 run the scan.
 const BLOCK_SEARCH_RATIO: usize = 3;
 
-/// The pass state one action selection of [`kway_fm_refine`] reads.
+/// The least gain a polish swap must exceed to be taken.
+const POLISH_MIN_GAIN: f64 = 1e-12;
+
+/// The refinement state one action selection reads: a pass of
+/// [`kway_fm_refine`], or a round of the swap polish [`kway_swap_refine`].
 pub(crate) struct PassState<'s> {
     graph: &'s WeightedGraph,
     assignment: &'s [u32],
     sizes: &'s [usize],
     conn: &'s Connectivity<'s>,
-    /// Unlocked vertices, ascending.
+    /// Unlocked vertices, ascending: every vertex in the polish.
     unlocked: &'s [u32],
     /// How many blocks hold an unlocked vertex.
     filled_blocks: usize,
@@ -1214,6 +1233,21 @@ pub(crate) struct PassState<'s> {
     wmat: &'s [f64],
     /// The small block size `⌊n/k⌋`.
     base: usize,
+    /// The polish mode: only swaps, none of them locking a vertex, and
+    /// only gains above [`POLISH_MIN_GAIN`].
+    polish: bool,
+}
+
+impl PassState<'_> {
+    /// The gain an action must exceed: [`POLISH_MIN_GAIN`] in the polish,
+    /// none in a warm pass, which takes negative gains too.
+    fn min_gain(&self) -> f64 {
+        if self.polish {
+            POLISH_MIN_GAIN
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
 }
 
 /// The best action offered so far under the vertex-pair scan's order: the
@@ -1226,8 +1260,9 @@ struct Best {
 }
 
 impl Best {
-    fn new() -> Self {
-        Self { gain: f64::NEG_INFINITY, key: (usize::MAX, 0, 0), action: None }
+    /// No action yet; only gains above `min_gain` are taken.
+    fn above(min_gain: f64) -> Self {
+        Self { gain: min_gain, key: (usize::MAX, 0, 0), action: None }
     }
 
     /// Ties compare with `==`, so `0.0` and `-0.0` tie exactly as the
@@ -1243,8 +1278,7 @@ impl Best {
     }
 }
 
-/// Vertices of each block, ascending: the unlocked ones for the warm
-/// refinement's block search, every vertex for the swap polish.
+/// Unlocked vertices of each block, ascending.
 #[derive(Default)]
 struct BlockLists {
     /// `members[start[p]..end[p]]` lists block `p`'s vertices. A block's
@@ -1315,15 +1349,16 @@ impl BlockLists {
     }
 
     /// Recomputes the filled, donor and receiver blocks for block sizes
-    /// `sizes` around the small size `base`.
-    fn classify(&mut self, sizes: &[usize], base: usize) {
+    /// `sizes` around the small size `base`; with `moves` unset (the
+    /// polish) no block donates.
+    fn classify(&mut self, sizes: &[usize], base: usize, moves: bool) {
         self.filled.clear();
         self.donors.clear();
         self.receivers.clear();
         for (p, &size) in sizes.iter().enumerate() {
             if self.end[p] > self.start[p] {
                 self.filled.push(p);
-                if size == base + 1 {
+                if moves && size == base + 1 {
                     self.donors.push(p);
                 }
             }
@@ -1340,8 +1375,8 @@ impl BlockLists {
 struct GainTable {
     /// The block count `k`.
     parts: usize,
-    /// Whether [`Self::refresh`] keeps each vertex's row (the warm pass's
-    /// unlocked vertices).
+    /// Whether [`Self::refresh`] keeps each vertex's row (the unlocked
+    /// vertices).
     live: Vec<bool>,
     /// `gain[v * k + p]`: the gain of moving `v` into block `p`.
     gain: Vec<f64>,
@@ -1353,21 +1388,15 @@ struct GainTable {
 }
 
 impl GainTable {
-    /// Sizes the table for `n` vertices in `parts` blocks, every row dead
-    /// and every bound at −∞.
-    fn reset(&mut self, n: usize, parts: usize) {
+    /// Recomputes every unlocked vertex's gains and the exact maxima.
+    fn sweep_all(&mut self, s: &PassState<'_>, lists: &BlockLists) {
+        let (n, parts) = (s.assignment.len(), s.sizes.len());
         self.parts = parts;
         self.live.clear();
         self.live.resize(n, false);
         self.gain.resize(n * parts, 0.0);
         self.gmax.clear();
         self.gmax.resize(parts * parts, f64::NEG_INFINITY);
-    }
-
-    /// Recomputes every unlocked vertex's gains and the exact maxima.
-    fn sweep_all(&mut self, s: &PassState<'_>, lists: &BlockLists) {
-        let parts = s.sizes.len();
-        self.reset(s.assignment.len(), parts);
         for &v in s.unlocked {
             self.live[v as usize] = true;
         }
@@ -1380,16 +1409,21 @@ impl GainTable {
         }
     }
 
-    /// Locks the vertices `action` moved and recomputes the gain rows
-    /// whose connectivity it changed: the moved vertices' neighbors and,
-    /// with a [`GroupAttraction`], their groups.
+    /// Recomputes the gain rows whose connectivity `action` changed: its
+    /// vertices' neighbors and, with a [`GroupAttraction`], their groups.
+    /// A warm pass locks the vertices `action` moved; the polish keeps
+    /// them and recomputes their own rows too.
     fn refresh(&mut self, s: &PassState<'_>, action: Action) {
         let (v, u) = match action {
             Action::Move(v, _, _) => (v, None),
             Action::Swap(v, _, u, _) => (v, Some(u)),
         };
         for moved in [Some(v), u].into_iter().flatten() {
-            self.live[moved] = false;
+            if s.polish {
+                self.refresh_row(s, moved);
+            } else {
+                self.live[moved] = false;
+            }
         }
         for moved in [Some(v), u].into_iter().flatten() {
             for &(t, _) in s.graph.neighbors(moved) {
@@ -1421,21 +1455,6 @@ impl GainTable {
         );
     }
 
-    /// Sets vertex `x`'s row to the swap polish's one-sided gains,
-    /// `conn[x][p] − conn[x][own]` (`conn` laid out as in
-    /// [`Connectivity`]), and raises `gmax[own][·]` to it.
-    fn polish_row(&mut self, conn: &[f64], x: usize, own: usize) {
-        let parts = self.parts;
-        let row = &conn[x * parts..(x + 1) * parts];
-        let from = row[own];
-        let gains = self.gain[x * parts..(x + 1) * parts].iter_mut();
-        let maxes = self.gmax[own * parts..(own + 1) * parts].iter_mut();
-        for ((g, &c), max) in gains.zip(row).zip(maxes) {
-            *g = c - from;
-            *max = if *g > *max { *g } else { *max };
-        }
-    }
-
     /// Offers every move of a block-`a` member into block `b`, and sets
     /// `gmax[a][b]` to the exact maximum.
     fn scan_moves(&mut self, lists: &BlockLists, a: usize, b: usize, best: &mut Best) {
@@ -1452,23 +1471,20 @@ impl GainTable {
 
     /// Offers every swap between blocks `a` and `b` that can reach the
     /// best gain, and sets `gmax[a][b]` and `gmax[b][a]` to the exact
-    /// maxima. A swap's gain is `g(x) + g(y) − 2·w(x, y)`, plus `bonus`
-    /// when there is one (the swap polish's), and `w` is not negative, so
-    /// a member `x` of `a` is skipped when `g(x) + max g(·, b→a)` (plus
-    /// the bonus) is below the best, and a partner `y` when `g(x) + g(y)`
-    /// (plus the bonus) is.
+    /// maxima. A swap's gain is `g(x) + g(y) − 2·w(x, y)` and `w` is not
+    /// negative, so a member `x` of `a` is skipped when `g(x) + max
+    /// g(·, b→a)` is below the best, and a partner `y` when `g(x) + g(y)`
+    /// is.
     fn scan_swaps(
         &mut self,
         lists: &BlockLists,
         wmat: &[f64],
-        bonus: Option<f64>,
         a: usize,
         b: usize,
         best: &mut Best,
     ) {
         let parts = self.parts;
         let n = self.live.len();
-        let lift = |x: f64| bonus.map_or(x, |bonus| x + bonus);
         let mut top_b = f64::NEG_INFINITY;
         for &y in lists.of(b) {
             let gy = self.gain[y as usize * parts + a];
@@ -1479,18 +1495,18 @@ impl GainTable {
             let x = x as usize;
             let gx = self.gain[x * parts + b];
             top_a = if gx > top_a { gx } else { top_a };
-            if lift(gx + top_b) < best.gain {
+            if gx + top_b < best.gain {
                 continue;
             }
             for &y in lists.of(b) {
                 let y = y as usize;
                 let gy = self.gain[y * parts + a];
-                if lift(gx + gy) < best.gain {
+                if gx + gy < best.gain {
                     continue;
                 }
                 let (lo, hi) = (x.min(y), x.max(y));
                 let (plo, phi) = if lo == x { (a, b) } else { (b, a) };
-                let gain = lift(gx + gy - 2.0 * wmat[lo * n + hi]);
+                let gain = gx + gy - 2.0 * wmat[lo * n + hi];
                 best.offer(gain, (lo, 1, hi), Action::Swap(lo, plo as u32, hi, phi as u32));
             }
         }
@@ -1500,15 +1516,16 @@ impl GainTable {
 }
 
 /// Scratch and incremental state of the block-pair search, kept in
-/// [`Workspace`] so that no pick allocates. It serves two runs of picks,
-/// never interleaved, each of which starts by invalidating it: a pass of
-/// the warm k-way refinement ([`Self::best_action`]) and a swap polish
-/// ([`Self::best_swap`]).
+/// [`Workspace`] so that no pick allocates. It serves runs of picks, never
+/// interleaved — a pass of the warm refinement, or a swap polish — each of
+/// which starts by invalidating it.
 ///
-/// Between two searches of one pass, the pass applies the returned action.
-/// That locks the moved vertices, so the next search takes them off their
-/// block lists, and it changes the connectivity of their neighbors (and,
-/// with a [`GroupAttraction`], of their groups) only, so the next search
+/// Between two searches of one run, the run applies the returned action.
+/// In a warm pass that locks the moved vertices, so the next search takes
+/// them off their block lists; in the polish the two swapped vertices
+/// trade places on the lists and keep their gain rows, recomputed. An
+/// action changes the connectivity of its vertices' neighbors (and, with a
+/// [`GroupAttraction`], of their groups) only, so the next search
 /// recomputes just those gain rows. A scan-selected action in between
 /// invalidates both, and the next search rebuilds the lists from the
 /// unlocked roster and sweeps the table whole.
@@ -1516,8 +1533,6 @@ impl GainTable {
 pub(crate) struct BlockSearch {
     lists: BlockLists,
     table: GainTable,
-    /// Every vertex, ascending: what the polish lists.
-    everyone: Vec<u32>,
     /// The pick the previous search returned, while `lists` and `table`
     /// hold once it is taken into account; `None` makes the next search
     /// rebuild them.
@@ -1530,20 +1545,26 @@ impl BlockSearch {
         self.last = None;
     }
 
-    /// The exact best action; the pass must apply it before the next
+    /// The exact best action; the run must apply it before the next
     /// search. The gain table bounds each block pair: the moves of `a`
     /// into `b` by `gmax[a][b]`, the a–b swaps by `gmax[a][b] +
     /// gmax[b][a]` (pair weights are not negative). The pair with the top
     /// bound, of either kind, is scanned first; every other pair is
     /// skipped only if its bound (re-read, as scans tighten `gmax`) is
     /// below the best gain — strict `<`, so ties are still visited.
-    /// Rounding is monotone, so no gain exceeds its pair's bound.
+    /// Rounding is monotone, so no gain exceeds its pair's bound. In the
+    /// polish there are no moves, and the best gain starts at
+    /// [`POLISH_MIN_GAIN`].
     pub(crate) fn best_action(&mut self, s: &PassState<'_>) -> Option<(Action, f64)> {
         let (lists, table) = (&mut self.lists, &mut self.table);
         match self.last {
             Some(last) => {
                 match last {
                     Action::Move(v, from, _) => lists.remove(from as usize, v),
+                    Action::Swap(v, pv, u, pu) if s.polish => {
+                        lists.replace(pv as usize, v, u);
+                        lists.replace(pu as usize, u, v);
+                    }
                     Action::Swap(v, pv, u, pu) => {
                         lists.remove(pv as usize, v);
                         lists.remove(pu as usize, u);
@@ -1556,7 +1577,7 @@ impl BlockSearch {
                 table.sweep_all(s, lists);
             }
         }
-        lists.classify(s.sizes, s.base);
+        lists.classify(s.sizes, s.base, !s.polish);
         let lists = &*lists;
         let parts = s.sizes.len();
         let swap_bound =
@@ -1579,10 +1600,10 @@ impl BlockSearch {
             }
         }
 
-        let mut best = Best::new();
+        let mut best = Best::above(s.min_gain());
         if let Some((_, top_swap, ta, tb)) = top {
             if top_swap {
-                table.scan_swaps(lists, s.wmat, None, ta, tb, &mut best);
+                table.scan_swaps(lists, s.wmat, ta, tb, &mut best);
             } else {
                 table.scan_moves(lists, ta, tb, &mut best);
             }
@@ -1597,7 +1618,7 @@ impl BlockSearch {
             for (i, &a) in lists.filled.iter().enumerate() {
                 for &b in &lists.filled[i + 1..] {
                     if (top_swap, a, b) != (true, ta, tb) && swap_bound(table, a, b) >= best.gain {
-                        table.scan_swaps(lists, s.wmat, None, a, b, &mut best);
+                        table.scan_swaps(lists, s.wmat, a, b, &mut best);
                     }
                 }
             }
@@ -1609,17 +1630,18 @@ impl BlockSearch {
 }
 
 /// The vertex-pair scan: for each unlocked vertex in ascending order, its
-/// moves (ascending target block), then its swaps with every later
-/// unlocked vertex, keeping only strictly larger gains — so ties go to the
-/// first action in that order. `O(m²)` for `m` unlocked vertices.
+/// moves (ascending target block; none in the polish), then its swaps with
+/// every later unlocked vertex, keeping only strictly larger gains — so
+/// ties go to the first action in that order. `O(m²)` for `m` unlocked
+/// vertices.
 pub(crate) fn scan_best_action(s: &PassState<'_>) -> Option<(Action, f64)> {
     let n = s.assignment.len();
-    let mut best_gain = f64::NEG_INFINITY;
+    let mut best_gain = s.min_gain();
     let mut best_action: Option<Action> = None;
     for (i, &v32) in s.unlocked.iter().enumerate() {
         let v = v32 as usize;
         let pv = s.assignment[v];
-        if s.sizes[pv as usize] == s.base + 1 {
+        if !s.polish && s.sizes[pv as usize] == s.base + 1 {
             for p in 0..s.sizes.len() as u32 {
                 if p != pv && s.sizes[p as usize] == s.base {
                     let gain = s.conn.gain(v, pv, p);
@@ -1630,13 +1652,15 @@ pub(crate) fn scan_best_action(s: &PassState<'_>) -> Option<(Action, f64)> {
                 }
             }
         }
+        // `v`'s rows, read once for all its partners.
+        let (conn_v, wmat_v) = (s.conn.row(v), &s.wmat[v * n..(v + 1) * n]);
         for &u32v in &s.unlocked[i + 1..] {
             let u = u32v as usize;
             let pu = s.assignment[u];
             if pu == pv {
                 continue;
             }
-            let gain = s.conn.gain(v, pv, pu) + s.conn.gain(u, pu, pv) - 2.0 * s.wmat[v * n + u];
+            let gain = s.conn.swap_gain(conn_v, pv, s.conn.row(u), pu) - 2.0 * wmat_v[u];
             if gain > best_gain {
                 best_gain = gain;
                 best_action = Some(Action::Swap(v, pv, u, pu));
@@ -1646,10 +1670,10 @@ pub(crate) fn scan_best_action(s: &PassState<'_>) -> Option<(Action, f64)> {
     best_action.map(|a| (a, best_gain))
 }
 
-/// Selects a pass's next action: the block-pair search when the blocks
-/// holding an unlocked vertex hold [`BLOCK_SEARCH_RATIO`] each on average,
-/// the vertex-pair scan otherwise. Both return the same action with the
-/// same gain bits.
+/// Selects the next action of a warm pass or a polish round: the
+/// block-pair search when the blocks holding an unlocked vertex hold
+/// [`BLOCK_SEARCH_RATIO`] each on average, the vertex-pair scan otherwise.
+/// Both return the same action with the same gain bits.
 // sf: hot-path
 pub(crate) fn select_action(s: &PassState<'_>, search: &mut BlockSearch) -> Option<(Action, f64)> {
     if s.unlocked.len() >= BLOCK_SEARCH_RATIO * s.filled_blocks {
@@ -1745,8 +1769,10 @@ pub(crate) fn kway_fm_refine_with(
                 filled_blocks,
                 wmat,
                 base,
+                polish: false,
             };
             let Some((action, gain)) = select(&state, search) else { break };
+            conn.apply(g, assignment, &mut sizes, action);
             let mut lock = |v: usize, from: u32| {
                 if let Ok(pos) = unlocked.binary_search(&(v as u32)) {
                     unlocked.remove(pos);
@@ -1755,19 +1781,13 @@ pub(crate) fn kway_fm_refine_with(
                 filled_blocks -= usize::from(unlocked_in[from as usize] == 0);
             };
             match action {
-                Action::Move(v, from, to) => {
-                    conn.apply_move(g, assignment, &mut sizes, v, to);
-                    lock(v, from);
-                    log.push(action);
-                }
+                Action::Move(v, from, _) => lock(v, from),
                 Action::Swap(v, pv, u, pu) => {
-                    conn.apply_move(g, assignment, &mut sizes, v, pu);
-                    conn.apply_move(g, assignment, &mut sizes, u, pv);
                     lock(v, pv);
                     lock(u, pu);
-                    log.push(action);
                 }
             }
+            log.push(action);
             running += gain;
             if running > best_total + EPS {
                 best_total = running;
@@ -1801,235 +1821,59 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// The polish state one swap selection of [`kway_swap_refine`] reads.
-pub(crate) struct PolishState<'s> {
-    graph: &'s WeightedGraph,
-    assignment: &'s [u32],
-    parts: usize,
-    /// One-sided folded connectivity, laid out as in [`Connectivity`].
-    conn: &'s [f64],
-    /// Vertices of each group (only with an attraction).
-    members: &'s [Vec<u32>],
-    /// Dense pair weights, attraction included; none is negative.
-    wmat: &'s [f64],
-    /// The flat swap-delta bonus: `2 · weight` with an attraction.
-    bonus: f64,
-}
-
-/// The polish's pair scan: every vertex pair `u < v` in different blocks,
-/// ascending, keeping only deltas strictly above the best so far and
-/// `1e-12` — so ties go to the first pair. Returns `(u, v, delta)`.
-/// `O(n²)` per round.
-pub(crate) fn scan_best_swap(s: &PolishState<'_>) -> Option<(usize, usize, f64)> {
-    let (n, parts, conn) = (s.assignment.len(), s.parts, s.conn);
-    let mut best_delta = 1e-12;
-    let mut best_pair = None;
-    for u in 0..n {
-        let pu = s.assignment[u] as usize;
-        for v in (u + 1)..n {
-            let pv = s.assignment[v] as usize;
-            if pu == pv {
-                continue;
-            }
-            let du = conn[u * parts + pv] - conn[u * parts + pu];
-            let dv = conn[v * parts + pu] - conn[v * parts + pv];
-            let delta = du + dv - 2.0 * s.wmat[u * n + v] + s.bonus;
-            if delta > best_delta {
-                best_delta = delta;
-                best_pair = Some((u, v));
-            }
-        }
-    }
-    best_pair.map(|(u, v)| (u, v, best_delta))
-}
-
-impl BlockSearch {
-    /// The exact best swap, as [`scan_best_swap`] picks it; the polish
-    /// must apply it before the next search. For the polish the lists hold
-    /// every vertex and the table the one-sided gains `conn[x][p] −
-    /// conn[x][own]`. An applied swap trades one list entry in each of its
-    /// two blocks and changes the gain rows of its two vertices, their
-    /// neighbors and, with a [`GroupAttraction`] across two groups, those
-    /// groups only, so the next search recomputes just those rows.
-    ///
-    /// The a–b swaps are bounded by `(gmax[a][b] + gmax[b][a]) + bonus`: a
-    /// delta is `((g(u) + g(v)) − 2·w) + bonus` with `w ≥ 0`, and rounding
-    /// is monotone. The pair with the top bound is scanned first; every
-    /// other pair is skipped only if its bound (re-read, as scans tighten
-    /// `gmax`) is below the best delta so far, which starts at the `1e-12`
-    /// threshold.
-    pub(crate) fn best_swap(&mut self, s: &PolishState<'_>) -> Option<(usize, usize, f64)> {
-        let (lists, table) = (&mut self.lists, &mut self.table);
-        let parts = s.parts;
-        match self.last {
-            // The previous swap of this polish: `u` and `v` traded blocks.
-            Some(Action::Swap(u, _, v, _)) => {
-                let (pu, pv) = (s.assignment[u] as usize, s.assignment[v] as usize);
-                lists.replace(pv, u, v);
-                lists.replace(pu, v, u);
-                let mut refresh = |x: usize| table.polish_row(s.conn, x, s.assignment[x] as usize);
-                for moved in [u, v] {
-                    refresh(moved);
-                    for &(t, _) in s.graph.neighbors(moved) {
-                        refresh(t as usize);
-                    }
-                }
-                if let Some(at) = s.graph.attraction() {
-                    let (gu, gv) = (at.group_of()[u], at.group_of()[v]);
-                    if gu != gv {
-                        for &x in s.members[gu as usize].iter().chain(&s.members[gv as usize]) {
-                            refresh(x as usize);
-                        }
-                    }
-                }
-            }
-            // A polish start (which invalidates): list every vertex.
-            _ => {
-                let n = s.assignment.len();
-                self.everyone.clear();
-                self.everyone.extend(0..n as u32);
-                lists.list(&self.everyone, s.assignment, parts);
-                table.reset(n, parts);
-                for x in 0..n {
-                    table.polish_row(s.conn, x, s.assignment[x] as usize);
-                }
-            }
-        }
-        let lists = &*lists;
-        let bound = |t: &GainTable, a: usize, b: usize| {
-            (t.gmax[a * parts + b] + t.gmax[b * parts + a]) + s.bonus
-        };
-        let mut top: Option<(f64, usize, usize)> = None;
-        for a in 0..parts {
-            for b in a + 1..parts {
-                let bound = bound(table, a, b);
-                if top.is_none_or(|(t, ..)| bound > t) {
-                    top = Some((bound, a, b));
-                }
-            }
-        }
-        // Only deltas above the scan's threshold are offered.
-        let mut best = Best { gain: 1e-12, ..Best::new() };
-        if let Some((_, ta, tb)) = top {
-            table.scan_swaps(lists, s.wmat, Some(s.bonus), ta, tb, &mut best);
-            for a in 0..parts {
-                for b in a + 1..parts {
-                    if (a, b) != (ta, tb) && bound(table, a, b) >= best.gain {
-                        table.scan_swaps(lists, s.wmat, Some(s.bonus), a, b, &mut best);
-                    }
-                }
-            }
-        }
-        let choice = best.into_choice();
-        self.last = choice.map(|(action, _)| action);
-        match choice {
-            Some((Action::Swap(u, _, v, _), delta)) => Some((u, v, delta)),
-            _ => None,
-        }
-    }
-}
-
-/// Selects the polish's next swap: the block-pair search when the vertices
-/// number [`BLOCK_SEARCH_RATIO`] per block, the pair scan otherwise. Both
-/// return the same swap with the same delta bits.
-// sf: hot-path
-pub(crate) fn select_swap(
-    s: &PolishState<'_>,
-    search: &mut BlockSearch,
-) -> Option<(usize, usize, f64)> {
-    if s.assignment.len() >= BLOCK_SEARCH_RATIO * s.parts {
-        search.best_swap(s)
-    } else {
-        scan_best_swap(s)
-    }
-}
-
-/// Greedy pairwise-swap refinement across all block pairs: each round
-/// applies the swap with the largest delta above `1e-12` (ties to the
-/// first pair `u < v`), up to 64 rounds. Swapping keeps every block size
-/// unchanged, so balance is preserved exactly. The dense pair-weight
-/// matrix (filled once per `partition` call, attraction included) gives
-/// each pair's weight in `O(1)`; the attraction part of each one-sided
-/// gain is folded into the [`Connectivity`] table.
+/// Greedy pairwise-swap refinement across all block pairs: up to 64
+/// rounds, each applying the best swap over every vertex pair in different
+/// blocks if its gain exceeds [`POLISH_MIN_GAIN`] (ties to the first pair
+/// `v < u`). Swapping keeps every block size unchanged, so balance is
+/// preserved exactly.
 ///
-/// With `n` vertices in `k` blocks, [`select_swap`] finds a round's swap by
-/// the `O(n²)` pair scan when `n < 3k` and otherwise by the exact
-/// block-pair search ([`BlockSearch::best_swap`]): a gain table swept in
-/// `O(n·k)` once per polish and then updated on the rows each swap
-/// touches, `O(k²)` pair bounds, and the members of the pairs whose bound
-/// reaches the best delta. The swap sequence and every delta's bits are
-/// the scan's.
+/// Each round is one pick of [`select_action`] in the polish mode of
+/// [`PassState`] — swaps only, no vertex locked — so it runs the warm
+/// refinement's vertex-pair scan or block-pair search, with its gains,
+/// bounds and tie order; the search keeps its lists and gain table from
+/// round to round. A swap is applied as two [`Connectivity::apply_move`]s,
+/// the lower vertex first.
 pub(crate) fn kway_swap_refine(g: &WeightedGraph, assignment: &mut [u32], ws: &mut Workspace) {
-    kway_swap_refine_with(g, assignment, ws, select_swap);
+    kway_swap_refine_with(g, assignment, ws, select_action);
 }
 
-/// [`kway_swap_refine`] with the swap selector as a parameter.
+/// [`kway_swap_refine`] with the action selector as a parameter.
 pub(crate) fn kway_swap_refine_with(
     g: &WeightedGraph,
     assignment: &mut [u32],
     ws: &mut Workspace,
-    mut select: impl FnMut(&PolishState<'_>, &mut BlockSearch) -> Option<(usize, usize, f64)>,
+    mut select: impl FnMut(&PassState<'_>, &mut BlockSearch) -> Option<(Action, f64)>,
 ) {
     let parts = assignment.iter().copied().max().map_or(0, |p| p as usize + 1);
     if parts < 2 {
         return;
     }
+    let n = assignment.len();
+    let mut sizes = block_sizes(assignment, parts);
+    let mut conn = Connectivity::new(g, assignment, parts);
+    let everyone: Vec<u32> = (0..n as u32).collect();
+    let filled_blocks = sizes.iter().filter(|&&size| size > 0).count();
     fill_wmat(g, ws);
-    let Connectivity { mut conn, at, members, .. } = Connectivity::new(g, assignment, parts);
-    // Both one-sided folded gains undercount by `weight` (each endpoint
-    // counts itself in its source block), and `wmat` carries the pair's
-    // attraction, so the swap delta gains a flat `2·weight` bonus. Adding
-    // 0.0 on attraction-free graphs changes no comparison.
-    let swap_bonus = at.map_or(0.0, |a| 2.0 * a.weight());
-    ws.search.invalidate();
+    let (wmat, search) = (&ws.wmat, &mut ws.search);
+    search.invalidate();
 
     const MAX_ROUNDS: usize = 64;
     for _ in 0..MAX_ROUNDS {
-        let state = PolishState {
+        let state = PassState {
             graph: g,
             assignment,
-            parts,
+            sizes: &sizes,
             conn: &conn,
-            members: &members,
-            wmat: &ws.wmat,
-            bonus: swap_bonus,
+            unlocked: &everyone,
+            filled_blocks,
+            wmat,
+            base: n / parts,
+            polish: true,
         };
-        let Some((u, v, _)) = select(&state, &mut ws.search) else { break };
+        let Some((action, _)) = select(&state, search) else { break };
+        debug_assert!(matches!(action, Action::Swap(..)), "the polish only swaps");
+        conn.apply(g, assignment, &mut sizes, action);
         ws.applied += 1;
-        let pu = assignment[u] as usize;
-        let pv = assignment[v] as usize;
-        assignment[u] = pv as u32;
-        assignment[v] = pu as u32;
-        // Not two `Connectivity::apply_move`s: this update order (both
-        // edge passes, then both groups, none for a same-group swap) is
-        // what the swap polish's sums have always been rounded in.
-        for &(t, w) in g.neighbors(u) {
-            let t = t as usize;
-            conn[t * parts + pu] -= w;
-            conn[t * parts + pv] += w;
-        }
-        for &(t, w) in g.neighbors(v) {
-            let t = t as usize;
-            conn[t * parts + pv] -= w;
-            conn[t * parts + pu] += w;
-        }
-        if let Some(a) = at {
-            let gu = a.group_of()[u] as usize;
-            let gv = a.group_of()[v] as usize;
-            if gu != gv {
-                let w = a.weight();
-                for &x in &members[gu] {
-                    let row = x as usize * parts;
-                    conn[row + pu] -= w;
-                    conn[row + pv] += w;
-                }
-                for &x in &members[gv] {
-                    let row = x as usize * parts;
-                    conn[row + pv] -= w;
-                    conn[row + pu] += w;
-                }
-            }
-        }
     }
 }
 

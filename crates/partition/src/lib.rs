@@ -15,9 +15,11 @@
 //!   from a random vertex; a warm start that must split a block grows it
 //!   from the block's most weakly attached vertex, through the same
 //!   routine.
-//! * **Pairwise-swap k-way polish**: after recursion, a greedy swap pass
-//!   removes cut weight that straddles sibling blocks without disturbing the
-//!   block sizes.
+//! * **Pairwise-swap k-way polish**: after recursion, up to 64 greedy
+//!   swaps, each the best improving swap over all vertex pairs, remove cut
+//!   weight that straddles sibling blocks without disturbing the block
+//!   sizes. The polish is a mode of the warm k-way refinement's picker
+//!   (below): swaps only, no vertex locked, and only gains above `1e-12`.
 //! * **Multi-start determinism**: several seeded restarts are taken and the
 //!   best is returned; the RNG seed is part of the configuration, so results
 //!   are reproducible run to run.
@@ -42,16 +44,17 @@
 //!   the subset order for a warm split): `O(m)` to lay them out, then
 //!   `O(deg · log m)` per absorbed vertex. Smaller or denser subsets keep
 //!   the `O(m)` rescan per vertex, which is cheaper there.
-//! * Warm k-way refinement takes up to `n` actions per pass, each the exact
-//!   best move or swap over the `m` unlocked vertices; a pairwise-swap
-//!   polish round takes the best swap over all `n` vertices. While the `k`
-//!   blocks hold at least three vertices each on average, both find it by
-//!   a block-pair search: a per-(vertex, block) gain table and per-block
-//!   vertex lists, updated on the rows and entries each pick touches,
-//!   bound every block pair, and only the pairs whose bound reaches the
-//!   best gain are scanned — `O(m·k)` to sweep the table once, then
-//!   `O(k²)` plus the scanned pairs per pick. Below that (`k > m/3`) they
-//!   rescan every vertex pair, `O(m²)` per pick.
+//! * One picker takes every k-way refinement step: a warm pass's up to `n`
+//!   actions, each the exact best move or swap over the `m` unlocked
+//!   vertices, and a polish round's best swap over all `n` vertices (none
+//!   locked). While the `k` blocks hold at least three vertices each on
+//!   average, it finds the pick by a block-pair search: a per-(vertex,
+//!   block) gain table and per-block vertex lists, updated on the rows and
+//!   entries each pick touches, bound every block pair, and only the pairs
+//!   whose bound reaches the best gain are scanned — `O(m·k)` to sweep the
+//!   table once, then `O(k²)` plus the scanned pairs per pick. Below that
+//!   (`k > m/3`) it rescans every vertex pair, `O(m²)` per pick. Every
+//!   step reads and updates one per-(vertex, block) connectivity table.
 //!
 //! On 128-core pipelines (k ≤ 31, 2-vCPU Xeon) the warm block search made a
 //! whole `sunfloor3d` run about 65% faster, and the growth tournaments,

@@ -575,26 +575,21 @@ proptest! {
     }
 }
 
-/// Every swap one swap polish applied, with its delta's bits, then the
-/// final assignment and the applied-swap count.
-type PolishTrace = (Vec<(usize, usize, u64)>, Vec<u32>, u64);
-
-/// Runs the swap polish from `initial` with `select` choosing each swap.
+/// Runs the swap polish from `initial` with `select` choosing each swap:
+/// every swap it applied with its gain's bits, then the final assignment
+/// and the applied-swap count.
 fn polish_trace(
     g: &WeightedGraph,
     initial: &[u32],
-    mut select: impl FnMut(
-        &fm::PolishState<'_>,
-        &mut fm::BlockSearch,
-    ) -> Option<(usize, usize, f64)>,
-) -> PolishTrace {
+    mut select: impl FnMut(&fm::PassState<'_>, &mut fm::BlockSearch) -> Option<(fm::Action, f64)>,
+) -> RefineTrace {
     let mut assignment = initial.to_vec();
     let mut ws = fm::Workspace::new(g.node_count());
     let mut log = Vec::new();
     fm::kway_swap_refine_with(g, &mut assignment, &mut ws, |s, search| {
         let choice = select(s, search);
-        if let Some((u, v, delta)) = choice {
-            log.push((u, v, delta.to_bits()));
+        if let Some((action, gain)) = choice {
+            log.push((action, gain.to_bits()));
         }
         choice
     });
@@ -604,8 +599,9 @@ fn polish_trace(
 proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
 
-    /// The polish's block-pair swap search against the pair scan it
-    /// replaces: the same swaps with the same delta bits, the same final
+    /// The swap polish's picks, in the polish mode of the k-way picker:
+    /// the block-pair search against the vertex-pair scan, with the same
+    /// swaps with the same gain bits, the same final
     /// assignment and the same applied count — forced onto every polish,
     /// and through the production path choice. The polish starts from a
     /// random balanced assignment (many improving swaps) or from a cold
@@ -642,9 +638,9 @@ proptest! {
             initial
         };
 
-        let scan = polish_trace(&g, &initial, |s, _| fm::scan_best_swap(s));
-        let block = polish_trace(&g, &initial, |s, search| search.best_swap(s));
-        let production = polish_trace(&g, &initial, fm::select_swap);
+        let scan = polish_trace(&g, &initial, |s, _| fm::scan_best_action(s));
+        let block = polish_trace(&g, &initial, |s, search| search.best_action(s));
+        let production = polish_trace(&g, &initial, fm::select_action);
         prop_assert!(block == scan, "swap search diverged from the scan (n {}, k {})", n, parts);
         prop_assert!(production == scan, "production path diverged (n {}, k {})", n, parts);
     }

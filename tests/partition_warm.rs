@@ -4,7 +4,9 @@
 //! the cold-start cuts — on `media26` and both seeded synthetic
 //! generators.
 
-use sunfloor_benchmarks::{media26, pipeline_roster, pipeline_seeded, tvopd_seeded, Benchmark};
+use sunfloor_benchmarks::{
+    distributed, media26, pipeline_roster, pipeline_seeded, tvopd_seeded, Benchmark,
+};
 use sunfloor_core::graph::{CommGraph, PartitionCache};
 use sunfloor_core::phase1;
 use sunfloor_core::synthesis::{SweepEvent, SynthesisConfig, SynthesisEngine};
@@ -169,6 +171,39 @@ fn pipe256_cold_partitions_match_the_full_scans() {
     let (output, work) = (h.output, h.work);
     assert_eq!(output, 0xabbf_0c36_0e28_4330, "pipe256 cold partitions moved: {output:#018x}");
     assert_eq!(work, 0xe825_de04_91b8_f400, "pipe256 cold partition work moved: {work:#018x}");
+}
+
+/// Cold partitions with the default restarts on the graphs the engine
+/// builds: at every block count, the θ = 7 SPG (with its same-layer group
+/// attraction) of media26 and of `D_36_8`, and each populated layer's LPG
+/// of both. With no warm start, the swap polish after each restart's
+/// recursive bisection is the only k-way refinement, so this pins its
+/// arithmetic on engine-built attraction graphs. The fingerprints were
+/// taken before the polish became a mode of the warm refinement's picker.
+#[test]
+fn engine_graph_cold_partitions_are_pinned() {
+    let mut h = Fingerprint::new();
+    for bench in [media26(), distributed(8)] {
+        let graph = CommGraph::new(&bench.soc, &bench.comm);
+        let spg = graph.scaled_partitioning_graph(ALPHA, 7.0, THETA_MAX);
+        assert!(spg.attraction().is_some(), "the θ-step SPG must carry a group attraction");
+        let mut graphs = vec![spg];
+        for layer in 0..bench.soc.layers {
+            let (lpg, members) = graph.layer_partitioning_graph(layer, ALPHA);
+            if !members.is_empty() {
+                graphs.push(lpg);
+            }
+        }
+        for g in &graphs {
+            for k in 1..=g.node_count() {
+                let p = g.partition(&PartitionConfig::k_way(k).with_seed(SEED)).unwrap();
+                fold_partition(&mut h, &p);
+            }
+        }
+    }
+    let (output, work) = (h.output, h.work);
+    assert_eq!(output, 0xf944_9937_b31c_bd10, "engine-graph cold partitions moved: {output:#018x}");
+    assert_eq!(work, 0x1e4e_f3dd_d559_e82e, "engine-graph cold partition work moved: {work:#018x}");
 }
 
 /// θ-escalation warm starts, along the escalation trajectories the engine
