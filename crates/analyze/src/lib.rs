@@ -14,7 +14,7 @@
 //!
 //! | rule | scope | what it catches |
 //! |------|-------|-----------------|
-//! | `det-hash-iter` | deterministic crates | `HashMap`/`HashSet` (nondeterministic iteration order) |
+//! | `det-hash-iter` | deterministic crates | `HashMap`/`HashSet` (nondeterministic iteration order), `BinaryHeap` (unspecified order of equal elements) |
 //! | `float-partial-cmp` | everywhere | `partial_cmp(…).unwrap()` instead of `total_cmp` |
 //! | `nondet-source` | deterministic crates | `Instant::now`, `SystemTime::now`, `thread_rng`, env reads |
 //! | `panic-in-lib` | non-test code, ratcheted | `unwrap()`/`expect(…)`/`panic!` |

@@ -17,7 +17,7 @@ use crate::source::{SourceFile, Suppression};
 use crate::symbols::SymbolTable;
 use std::fmt;
 
-/// `HashMap`/`HashSet` in a deterministic crate.
+/// `HashMap`/`HashSet`/`BinaryHeap` in a deterministic crate.
 pub const DET_HASH_ITER: &str = "det-hash-iter";
 /// `partial_cmp(…).unwrap()` where `total_cmp` belongs.
 pub const FLOAT_PARTIAL_CMP: &str = "float-partial-cmp";
@@ -209,29 +209,34 @@ fn push(file: &SourceFile, out: &mut Vec<Finding>, rule: &'static str, i: usize,
     out.push(Finding { rule, path: file.path.clone(), line: file.tokens[i].line, message: msg });
 }
 
-/// `det-hash-iter`: any `HashMap`/`HashSet` mention in a deterministic
-/// crate. Lexical analysis cannot prove a given map is never iterated, so
-/// the deterministic crates ban the types outright; a keyed-lookup-only
-/// map that provably never leaks order can stay behind an `sf-allow` with
-/// its proof as the reason.
+/// `det-hash-iter`: any `HashMap`, `HashSet` or `BinaryHeap` mention in a
+/// deterministic crate. A hash container iterates in an unspecified order,
+/// and std leaves the pop order of equal `BinaryHeap` elements unspecified.
+/// Lexical analysis cannot prove a given map is never iterated, or that a
+/// heap's equal elements are identical, so the deterministic crates ban
+/// the types outright; a use that provably never leaks order can stay
+/// behind an `sf-allow` with its proof as the reason.
 fn det_hash_iter(file: &SourceFile, out: &mut Vec<Finding>) {
     if !file.is_deterministic_crate() {
         return;
     }
     for (i, t) in file.tokens.iter().enumerate() {
-        if t.is_ident("HashMap") || t.is_ident("HashSet") {
-            push(
-                file,
-                out,
-                DET_HASH_ITER,
-                i,
-                format!(
-                    "`{}` in deterministic crate `{}` — iteration order is nondeterministic; \
-                     use BTreeMap/BTreeSet, sorted vectors or dense indices",
-                    t.text, file.crate_name
-                ),
-            );
-        }
+        let why = if t.is_ident("HashMap") || t.is_ident("HashSet") {
+            "iteration order is nondeterministic; use BTreeMap/BTreeSet, sorted vectors or dense \
+             indices"
+        } else if t.is_ident("BinaryHeap") {
+            "std does not specify which of two equal elements pops first; order the entries \
+             totally (say, ties by index) or scan an array"
+        } else {
+            continue;
+        };
+        push(
+            file,
+            out,
+            DET_HASH_ITER,
+            i,
+            format!("`{}` in deterministic crate `{}` — {why}", t.text, file.crate_name),
+        );
     }
 }
 
@@ -498,6 +503,17 @@ mod tests {
         assert_eq!(rules_of(&det), vec![DET_HASH_ITER, DET_HASH_ITER], "one per line: {det:?}");
         assert!(check("crates/cli/src/x.rs", src).is_empty(), "cli is not a deterministic crate");
         assert!(check("crates/core/src/x.rs", "let s = \"HashMap\";").is_empty());
+    }
+
+    #[test]
+    fn binary_heap_flagged_only_in_deterministic_crates() {
+        let src = "use std::collections::BinaryHeap;\nfn f() { let h: BinaryHeap<u32> = BinaryHeap::new(); }";
+        let det = check("crates/core/src/x.rs", src);
+        assert_eq!(rules_of(&det), vec![DET_HASH_ITER, DET_HASH_ITER], "one per line: {det:?}");
+        assert!(det[0].message.contains("equal elements"), "{}", det[0].message);
+        assert!(check("crates/cli/src/x.rs", src).is_empty(), "cli is not a deterministic crate");
+        let allowed = "// sf-allow(det-hash-iter): equal entries are identical\nuse std::collections::BinaryHeap;";
+        assert!(check("crates/partition/src/x.rs", allowed).is_empty());
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   within `soft_max_ill` of its budget or a switch within the soft size
 //!   margin — steering the router away *before* the hard limits bite.
 //!
+//! A flow wider than a link's capacity fits on no link: it routes only
+//! between cores of one switch.
+//!
 //! Request and response flows share the vertical-link and port budgets, and
 //! both classes are routed in one interleaved pass in the global criticality
 //! order, so the soft steering of every flow sees what *both* classes have
@@ -50,21 +53,20 @@
 //! float operations in the same order as
 //! [`sunfloor_models::LinkModel::power_mw`], so costs are bit-identical.
 //!
-//! Ties between equal-cost paths are broken by the heap's pop order, which
-//! depends on the exact sequence of pushes. The search therefore pushes
-//! every improved node, even one whose cost already reaches the
-//! destination's tentative cost: pruning those pushes changes which of two
-//! equal paths wins, and with it the design points of a `D_36_8` sweep
+//! Dijkstra finds the next switch to settle by a scan: each step settles
+//! the reached, unsettled switch of lowest cost. Every settle already
+//! relaxes edges to all switches, so the scan adds no asymptotic cost over
+//! a priority queue, and it fixes the tie rule: of two switches at equal
+//! cost ([`f64::total_cmp`]), the lower index is settled first. Which of
+//! two equal-cost paths wins is therefore a function of the switch
+//! numbering alone, never of a container's internal order
 //! (`golden_dense36_router_tie_order_is_pinned` in `tests/determinism.rs`
-//! pins that sweep). Nor does it skip edges into nodes already settled:
-//! that saves about a quarter of the edge evaluations but no measurable
-//! time.
+//! pins it on a `D_36_8` sweep).
 
 use crate::graph::CommGraph;
 use crate::phase1::Connectivity;
 use crate::spec::MessageType;
 use crate::topology::{FlowPath, Link, Topology};
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 use sunfloor_models::{LinkFixedPower, NocLibrary};
@@ -171,29 +173,6 @@ impl fmt::Display for PathError {
 
 impl Error for PathError {}
 
-/// Dijkstra heap entry.
-///
-/// The ordering is *total* — costs compare with [`f64::total_cmp`], never a
-/// `partial_cmp(..).unwrap()` — so a degenerate edge cost (NaN from a
-/// pathological power model input) re-orders the heap instead of panicking
-/// the sweep.
-#[derive(Debug, PartialEq)]
-struct HeapEntry(f64, usize);
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.total_cmp(&self.0) // reverse: min-heap
-    }
-}
-
 /// Per-message-class channel-dependency graph with an exact cycle check.
 ///
 /// Nodes are *stable link indices* (tombstoned links keep their slot).
@@ -285,7 +264,7 @@ impl ClassCdg {
 /// scheduling), so the engine can accumulate a delta per candidate
 /// evaluation and sum the deltas in commit order, making serial and
 /// parallel sweeps report identical totals. Only successful routing calls
-/// are counted, except in [`Self::dijkstra_pops`].
+/// are counted, except in [`Self::switches_settled`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoutingStats {
     /// Flows successfully routed (single-hop same-switch flows included).
@@ -300,9 +279,9 @@ pub struct RoutingStats {
     pub class_merges: u64,
     /// Always 0, for the same reason as [`Self::class_merges`].
     pub merge_fallbacks: u64,
-    /// Entries popped from Dijkstra's heap, over every routing call,
-    /// failed ones included.
-    pub dijkstra_pops: u64,
+    /// Switches settled by Dijkstra, over every routing call, failed ones
+    /// included.
+    pub switches_settled: u64,
 }
 
 impl std::ops::AddAssign for RoutingStats {
@@ -310,7 +289,7 @@ impl std::ops::AddAssign for RoutingStats {
         self.flows_routed += rhs.flows_routed;
         self.links_created += rhs.links_created;
         self.deadlock_rollbacks += rhs.deadlock_rollbacks;
-        self.dijkstra_pops += rhs.dijkstra_pops;
+        self.switches_settled += rhs.switches_settled;
     }
 }
 
@@ -322,7 +301,7 @@ impl std::ops::Sub for RoutingStats {
             flows_routed: self.flows_routed - rhs.flows_routed,
             links_created: self.links_created - rhs.links_created,
             deadlock_rollbacks: self.deadlock_rollbacks - rhs.deadlock_rollbacks,
-            dijkstra_pops: self.dijkstra_pops - rhs.dijkstra_pops,
+            switches_settled: self.switches_settled - rhs.switches_settled,
             ..Self::default()
         }
     }
@@ -341,7 +320,6 @@ pub struct PathAllocator {
     prev: Vec<usize>,
     dij_stamp: Vec<u32>,
     dij_gen: u32,
-    heap: BinaryHeap<HeapEntry>,
     // Dense per-class live-link index: `link_of[(class·n + u)·n + v]` is the
     // link slot or `usize::MAX`.
     link_of: Vec<usize>,
@@ -651,6 +629,10 @@ impl<'a> Router<'a> {
             self.stats.flows_routed += 1;
             return Ok(());
         }
+        // A flow wider than a link's capacity fits on no link.
+        if bw_gbps > self.capacity_gbps {
+            return Err(PathError::NoRoute { flow: flow_idx });
+        }
 
         // Fresh banned-turn set for this flow: bump the generation.
         self.alloc.banned_gen += 1;
@@ -711,6 +693,10 @@ impl<'a> Router<'a> {
         bad
     }
 
+    /// The cheapest path from `src` to `dst`, or `None` when `dst` is
+    /// unreachable. Each step settles the reached, unsettled switch of lowest
+    /// cost, the lower index on ties, and relaxes its edges into unsettled
+    /// switches.
     // sf: hot-path
     fn dijkstra(
         &mut self,
@@ -720,30 +706,43 @@ impl<'a> Router<'a> {
         class: MessageType,
     ) -> Option<Vec<usize>> {
         let nsw = self.nsw;
-        // Generation-stamped reset: untouched entries read as INFINITY.
-        self.alloc.dij_gen += 1;
-        let gen = self.alloc.dij_gen;
+        // Generation-stamped reset: a switch stamped `reached` holds a
+        // tentative cost, one stamped `settled` its final cost, and any other
+        // stamp reads as unreached.
+        self.alloc.dij_gen += 2;
+        let reached = self.alloc.dij_gen;
+        let settled = reached + 1;
         self.alloc.dist[src] = 0.0;
         self.alloc.prev[src] = usize::MAX;
-        self.alloc.dij_stamp[src] = gen;
-        self.alloc.heap.clear();
-        self.alloc.heap.push(HeapEntry(0.0, src));
+        self.alloc.dij_stamp[src] = reached;
 
-        while let Some(HeapEntry(d, u)) = self.alloc.heap.pop() {
-            self.alloc.stats.dijkstra_pops += 1;
-            if d > self.alloc.dist[u] {
-                continue;
+        loop {
+            // A relaxation never stores +inf or NaN (`nd + 1e-15 < dv` is
+            // false for both), so `u` stays unset only when no reached switch
+            // is left.
+            let (mut u, mut d) = (usize::MAX, f64::INFINITY);
+            for v in 0..nsw {
+                if self.alloc.dij_stamp[v] == reached && self.alloc.dist[v].total_cmp(&d).is_lt() {
+                    (u, d) = (v, self.alloc.dist[v]);
+                }
             }
+            if u == usize::MAX {
+                return None;
+            }
+            self.alloc.dij_stamp[u] = settled;
+            self.alloc.stats.switches_settled += 1;
             if u == dst {
                 break;
             }
             for v in 0..nsw {
-                if v == u || self.alloc.banned[u * nsw + v] == self.alloc.banned_gen {
+                if self.alloc.dij_stamp[v] == settled
+                    || self.alloc.banned[u * nsw + v] == self.alloc.banned_gen
+                {
                     continue;
                 }
                 let Some(cost) = self.edge_cost(u, v, energy, class) else { continue };
                 let nd = d + cost;
-                let dv = if self.alloc.dij_stamp[v] == gen {
+                let dv = if self.alloc.dij_stamp[v] == reached {
                     self.alloc.dist[v]
                 } else {
                     f64::INFINITY
@@ -751,15 +750,11 @@ impl<'a> Router<'a> {
                 if nd + 1e-15 < dv {
                     self.alloc.dist[v] = nd;
                     self.alloc.prev[v] = u;
-                    self.alloc.dij_stamp[v] = gen;
-                    self.alloc.heap.push(HeapEntry(nd, v));
+                    self.alloc.dij_stamp[v] = reached;
                 }
             }
         }
 
-        if self.alloc.dij_stamp[dst] != gen || !self.alloc.dist[dst].is_finite() {
-            return None;
-        }
         let mut path = vec![dst]; // sf-allow(hot-path-alloc): the returned path is the per-flow result value
         let mut cur = dst;
         while cur != src {
@@ -1171,6 +1166,40 @@ mod tests {
         assert_eq!(topo2.flow_paths[0].switches, vec![0, 2]);
     }
 
+    /// Two equal-cost routes: a flow from layer 0 to layer 2 must pass a
+    /// layer-1 switch, and the two coreless layer-1 switches sit at mirror
+    /// images about the ends, so both routes cost the same bits. Dijkstra
+    /// settles the lower index first, so the route takes switch 1 whichever
+    /// side of the ends it stands on.
+    #[test]
+    fn equal_cost_routes_take_the_lower_index_switch() {
+        let core = |layer| Core {
+            name: format!("c{layer}"),
+            width: 1.0,
+            height: 1.0,
+            x: 0.0,
+            y: 0.0,
+            layer,
+        };
+        // A literal spec: `SocSpec::new` rejects more layers than cores.
+        let soc = SocSpec { cores: vec![core(0), core(2)], layers: 3 };
+        let flow = Flow {
+            src: 0,
+            dst: 1,
+            bandwidth_mbs: 100.0,
+            max_latency_cycles: 10.0,
+            message_type: MessageType::Request,
+        };
+        let g = CommGraph::new(&soc, &CommSpec { flows: vec![flow] });
+        let mut cfg = PathConfig::new(25, 11, 400.0);
+        cfg.adjacent_layers_only = true;
+        for (one, two) in [((1.0, 0.0), (3.0, 0.0)), ((3.0, 0.0), (1.0, 0.0))] {
+            let stack = conn(&[0, 3], &[0, 1, 1, 2], &[(2.0, 0.0), one, two, (2.0, 0.0)]);
+            let topo = route(&g, &stack, &cfg).unwrap();
+            assert_eq!(topo.flow_paths[0].switches, vec![0, 1, 3], "switch 1 at {one:?}");
+        }
+    }
+
     #[test]
     fn switch_size_limit_rejects_oversubscribed_attachment() {
         let (_, _, g) = setup();
@@ -1216,6 +1245,26 @@ mod tests {
         for l in req_links {
             assert!(l.bandwidth_gbps <= 12.8 + 1e-9);
         }
+    }
+
+    /// A flow wider than a link has no route between two switches, even
+    /// over a new link, but still routes within one switch.
+    #[test]
+    fn flow_wider_than_a_link_has_no_route() {
+        let (soc, _, _) = setup();
+        let flow = |dst| Flow {
+            src: 0,
+            dst,
+            bandwidth_mbs: 1700.0, // 13.6 Gbps
+            max_latency_cycles: 10.0,
+            message_type: MessageType::Request,
+        };
+        let cfg = PathConfig::new(25, 11, 400.0); // capacity 12.8 Gbps
+        let g = CommGraph::new(&soc, &CommSpec::new(vec![flow(2)], &soc).unwrap());
+        let err = route(&g, &two_switches(), &cfg).unwrap_err();
+        assert!(matches!(err, PathError::NoRoute { flow: 0 }), "{err:?}");
+        let g = CommGraph::new(&soc, &CommSpec::new(vec![flow(1)], &soc).unwrap());
+        assert_eq!(route(&g, &two_switches(), &cfg).unwrap().flow_paths[0].switches, vec![0]);
     }
 
     #[test]

@@ -17,16 +17,19 @@
 //!    `StopPolicy::PointBudget(1)` stop promptly with well-formed partial
 //!    outcomes, and the observer event stream stays well-formed even when
 //!    a policy cancels the sweep mid-stream.
-//! 5. **Certified points** — every accepted point passes checks that read
-//!    only the point's topology: every switch has a port, and no switch
-//!    the indirect-switch fallback inserted has a core attached.
+//! 5. **Certified points** — every accepted point passes [`certify`],
+//!    which reads only the point, the flows and the link capacity: every
+//!    switch has a port, no switch the indirect-switch fallback inserted
+//!    has a core attached, every flow runs over links of its class that
+//!    list it, each class's channel-dependency graph is acyclic, and no
+//!    link carries more than its capacity.
 
 use crate::generator::FuzzCase;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
-use sunfloor_core::spec::{CommSpec, SocSpec};
+use sunfloor_core::spec::{CommSpec, MessageType, SocSpec};
 use sunfloor_core::synthesis::{
-    DesignPoint, StopPolicy, SweepEvent, SynthesisEngine, SynthesisOutcome,
+    DesignPoint, StopPolicy, SweepEvent, SynthesisConfig, SynthesisEngine, SynthesisOutcome,
 };
 
 /// How far through the pipeline a case travelled — every terminal state is
@@ -58,8 +61,7 @@ pub enum FailureKind {
     ObserverContract,
     /// A fault-injected run returned a malformed partial outcome.
     FaultInjection,
-    /// An accepted point has a switch without a port, or an indirect
-    /// switch with a core attached.
+    /// An accepted point fails [`certify`].
     Uncertified,
 }
 
@@ -149,7 +151,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseClass, Failure> {
         return Err(fail(FailureKind::ObserverContract, detail));
     }
     for (i, point) in outcome.points.iter().enumerate() {
-        if let Err(detail) = certify(point) {
+        if let Err(detail) = certify(point, &comm, serial.config()) {
             return Err(fail(FailureKind::Uncertified, format!("point {i}: {detail}")));
         }
     }
@@ -190,16 +192,108 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseClass, Failure> {
     }
 }
 
-/// Checks an accepted point against constraints read from its topology
-/// alone: every switch has at least one port, and no switch in
-/// `indirect_switches` has a core attached.
-fn certify(point: &DesignPoint) -> Result<(), String> {
+/// Checks an accepted point against constraints read from its topology,
+/// the flows of `comm` and the link capacity of `cfg`'s library at the
+/// point's frequency, with no code shared with the router that built it:
+///
+/// * every switch has at least one port, and no switch in
+///   `indirect_switches` has a core attached;
+/// * each flow's path is a walk from its source core's switch to its
+///   destination core's switch over links of the flow's class that list
+///   the flow, and no other link lists it;
+/// * each class's channel-dependency graph, rebuilt from the paths (an
+///   edge joins consecutive links of a path), is acyclic;
+/// * each link's summed flow bandwidth is within the link capacity.
+///
+/// # Errors
+///
+/// Returns a description of the first check the point fails.
+pub fn certify(point: &DesignPoint, comm: &CommSpec, cfg: &SynthesisConfig) -> Result<(), String> {
     let topo = &point.topology;
     if let Some(s) = (0..topo.switch_count()).find(|&s| topo.switch_size(s) == 0) {
         return Err(format!("switch {s} has no port"));
     }
     if let Some(s) = topo.indirect_switches.iter().find(|&s| topo.core_attach.contains(s)) {
         return Err(format!("indirect switch {s} has a core attached"));
+    }
+    let flows = &comm.flows;
+    if topo.flow_paths.len() != flows.len() {
+        return Err(format!("{} paths for {} flows", topo.flow_paths.len(), flows.len()));
+    }
+
+    // How many links list each flow.
+    let mut listed = vec![0usize; flows.len()];
+    for (li, link) in topo.links.iter().enumerate() {
+        for &f in &link.flows {
+            let Some(n) = listed.get_mut(f) else {
+                return Err(format!("link {li} lists flow {f}, which does not exist"));
+            };
+            *n += 1;
+        }
+    }
+
+    // The links each flow's path crosses, in order.
+    let mut hops: Vec<Vec<usize>> = Vec::with_capacity(flows.len());
+    for (f, (flow, path)) in flows.iter().zip(&topo.flow_paths).enumerate() {
+        let (src, dst) = (topo.core_attach[flow.src], topo.core_attach[flow.dst]);
+        if path.switches.first() != Some(&src) || path.switches.last() != Some(&dst) {
+            return Err(format!("flow {f} does not run from switch {src} to switch {dst}"));
+        }
+        let mut links = Vec::with_capacity(path.switches.len() - 1);
+        for w in path.switches.windows(2) {
+            let Some(li) = topo.links.iter().position(|l| {
+                (l.from, l.to, l.class) == (w[0], w[1], flow.message_type) && l.flows.contains(&f)
+            }) else {
+                return Err(format!(
+                    "flow {f} hops {} -> {} on no {:?} link that lists it",
+                    w[0], w[1], flow.message_type
+                ));
+            };
+            links.push(li);
+        }
+        if listed[f] != links.len() {
+            return Err(format!("flow {f} is listed on {} links but crosses {}", listed[f], links.len()));
+        }
+        hops.push(links);
+    }
+
+    // Kahn's algorithm drains every link of a class's dependency graph
+    // exactly when the graph is acyclic.
+    for class in [MessageType::Request, MessageType::Response] {
+        let mut next: Vec<Vec<usize>> = vec![Vec::new(); topo.links.len()];
+        let mut indegree = vec![0usize; topo.links.len()];
+        for (flow, links) in flows.iter().zip(&hops) {
+            if flow.message_type == class {
+                for w in links.windows(2) {
+                    next[w[0]].push(w[1]);
+                    indegree[w[1]] += 1;
+                }
+            }
+        }
+        let mut ready: Vec<usize> = (0..topo.links.len()).filter(|&l| indegree[l] == 0).collect();
+        let mut drained = 0;
+        while let Some(l) = ready.pop() {
+            drained += 1;
+            for &m in &next[l] {
+                indegree[m] -= 1;
+                if indegree[m] == 0 {
+                    ready.push(m);
+                }
+            }
+        }
+        if drained < topo.links.len() {
+            return Err(format!("the {class:?} channel-dependency graph has a cycle"));
+        }
+    }
+
+    let capacity_gbps = cfg.library.link.capacity_gbps(point.metrics.frequency_mhz);
+    for (li, link) in topo.links.iter().enumerate() {
+        let load_gbps: f64 = link.flows.iter().map(|&f| flows[f].bandwidth_mbs * 8.0 / 1000.0).sum();
+        if load_gbps > capacity_gbps + 1e-9 {
+            return Err(format!(
+                "link {li} carries {load_gbps} Gbps, over its {capacity_gbps} Gbps capacity"
+            ));
+        }
     }
     Ok(())
 }
@@ -356,6 +450,8 @@ fn divergence_detail(serial: &SynthesisOutcome, parallel: &SynthesisOutcome) -> 
 mod tests {
     use super::*;
     use crate::generator::{generate_case, ConfigRecipe};
+    use sunfloor_core::spec::Flow;
+    use sunfloor_core::topology::{FlowPath, Link, Topology};
 
     #[test]
     fn a_valid_case_classifies_and_matches_across_schedules() {
@@ -368,8 +464,9 @@ mod tests {
         assert!(matches!(class, CaseClass::Feasible | CaseClass::NoFeasiblePoint));
     }
 
-    #[test]
-    fn certify_rejects_portless_switches_and_attached_indirect_switches() {
+    /// The first unmutated standard case's spec, its configuration and the
+    /// first accepted point with a switch-to-switch link.
+    fn certified_point() -> (CommSpec, SynthesisConfig, DesignPoint) {
         let case = (0..400u64)
             .map(|i| generate_case(1, i))
             .find(|c| c.mutations.is_empty() && c.recipe == ConfigRecipe::Standard)
@@ -377,20 +474,85 @@ mod tests {
         let soc = SocSpec::parse(&case.soc_text).unwrap();
         let comm = CommSpec::parse(&case.comm_text, &soc).unwrap();
         let cfg = case.recipe.build(1).unwrap();
-        let outcome = SynthesisEngine::new(&soc, &comm, cfg).unwrap().run();
-        let point = outcome.points.first().expect("the standard case has a feasible point");
-        assert_eq!(certify(point), Ok(()));
+        let outcome = SynthesisEngine::new(&soc, &comm, cfg.clone()).unwrap().run();
+        let point = (outcome.points.into_iter().find(|p| !p.topology.links.is_empty()))
+            .expect("the standard case has a point with a switch-to-switch link");
+        assert_eq!(certify(&point, &comm, &cfg), Ok(()));
+        (comm, cfg, point)
+    }
 
+    #[test]
+    fn certify_rejects_portless_switches_and_attached_indirect_switches() {
+        let (comm, cfg, point) = certified_point();
         let mut idle = point.clone();
         idle.topology.switch_layer.push(0);
         idle.topology.switch_pos.push((0.0, 0.0));
         let last = idle.topology.switch_count() - 1;
-        assert_eq!(certify(&idle), Err(format!("switch {last} has no port")));
+        assert_eq!(certify(&idle, &comm, &cfg), Err(format!("switch {last} has no port")));
 
         let mut attached = point.clone();
         let s = attached.topology.core_attach[0];
         attached.topology.indirect_switches.push(s);
-        assert_eq!(certify(&attached), Err(format!("indirect switch {s} has a core attached")));
+        assert_eq!(
+            certify(&attached, &comm, &cfg),
+            Err(format!("indirect switch {s} has a core attached"))
+        );
+    }
+
+    #[test]
+    fn certify_rejects_unlisted_hops_overloaded_links_and_dependency_cycles() {
+        let (comm, cfg, point) = certified_point();
+        // Link 0 is the first link that lists its first flow.
+        let f = point.topology.links[0].flows[0];
+        let mut unlisted = point.clone();
+        unlisted.topology.links[0].flows.retain(|&g| g != f);
+        let err = certify(&unlisted, &comm, &cfg).unwrap_err();
+        assert!(err.starts_with(&format!("flow {f} hops ")), "{err}");
+
+        let mut heavy = comm.clone();
+        heavy.flows[f].bandwidth_mbs = 1e9;
+        let err = certify(&point, &heavy, &cfg).unwrap_err();
+        assert!(err.starts_with("link 0 carries "), "{err}");
+
+        // Three request flows around a ring of three switches: each turn
+        // is a dependency, and the three close a cycle. Without the third
+        // flow the same links are certified.
+        let flow = |src, dst| Flow {
+            src,
+            dst,
+            bandwidth_mbs: 1.0,
+            max_latency_cycles: 10.0,
+            message_type: MessageType::Request,
+        };
+        let link = |from, to, flows: &[usize]| Link {
+            from,
+            to,
+            bandwidth_gbps: 0.0,
+            flows: flows.to_vec(),
+            class: MessageType::Request,
+        };
+        let mut ring = point.clone();
+        ring.topology = Topology {
+            switch_layer: vec![0; 3],
+            switch_pos: vec![(0.0, 0.0); 3],
+            core_attach: vec![0, 1, 2],
+            links: vec![link(0, 1, &[0, 2]), link(1, 2, &[0, 1]), link(2, 0, &[1, 2])],
+            flow_paths: [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+                .map(|p| FlowPath { switches: p.to_vec() })
+                .to_vec(),
+            indirect_switches: Vec::new(),
+        };
+        let ring_comm = CommSpec { flows: vec![flow(0, 2), flow(1, 0), flow(2, 1)] };
+        assert_eq!(
+            certify(&ring, &ring_comm, &cfg),
+            Err("the Request channel-dependency graph has a cycle".to_string())
+        );
+        ring.topology.flow_paths.pop();
+        for l in &mut ring.topology.links {
+            l.flows.retain(|&g| g != 2);
+        }
+        let two_flows = CommSpec { flows: ring_comm.flows[..2].to_vec() };
+        assert_eq!(certify(&ring, &two_flows, &cfg), Ok(()));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod mutate;
 pub mod shrink;
 
 pub use generator::{generate_case, ConfigRecipe, FuzzCase, TrafficPattern};
-pub use harness::{run_case, CaseClass, Failure, FailureKind};
+pub use harness::{certify, run_case, CaseClass, Failure, FailureKind};
 pub use shrink::{shrink, write_repro};
 
 use std::fmt;

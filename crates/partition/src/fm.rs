@@ -98,6 +98,8 @@ pub(crate) struct Workspace {
     /// superseded gain) are discarded at pop time. Entries hold *edge*
     /// gains; the attraction part of a gain is uniform within one heap, so
     /// it is added at selection time and never invalidates entries.
+    // sf-allow(det-hash-iter): `GainEntry` orders by gain, then index, so
+    // entries that compare equal are identical and their pop order cannot show
     heaps: Vec<std::collections::BinaryHeap<GainEntry>>,
     /// Subset member counts per (group, side): `gcnt[g * 2 + s]`, with the
     /// `conn` side indexing (`side0 == true` → index 0). The greedy growth
@@ -764,6 +766,8 @@ fn fm_pass(
     // a fresh entry, and pops discard entries whose vertex is locked or
     // whose recorded gain is no longer current.
     if ws.heaps.len() < 2 * ng {
+        // sf-allow(det-hash-iter): `GainEntry` orders by gain, then index, so
+        // entries that compare equal are identical
         ws.heaps.resize_with(2 * ng, std::collections::BinaryHeap::new);
     }
     for h in &mut ws.heaps {

@@ -11,6 +11,7 @@ use sunfloor_core::synthesis::{
     Parallelism, PhaseKind, SynthesisConfig, SynthesisConfigBuilder, SynthesisEngine,
     SynthesisMode, SynthesisOutcome,
 };
+use sunfloor_core::spec::CommSpec;
 use sunfloor_core::RoutingStats;
 use sunfloor_floorplan::{
     anneal, anneal_tempered, AnnealConfig, AnnealInput, Block, Floorplan, Net, TemperConfig,
@@ -24,7 +25,7 @@ fn run(cfg: SynthesisConfig) -> SynthesisOutcome {
 // ---------------------------------------------------------------------------
 // Golden fingerprints.
 //
-// The engine fingerprints below were consciously re-baselined four times:
+// The engine fingerprints below were consciously re-baselined five times:
 //
 // * for the warm-started partitioning pass (PR 4): the Phase-1 base
 //   partitions come from a warm-chained seed set and every θ-escalation
@@ -64,7 +65,18 @@ fn run(cfg: SynthesisConfig) -> SynthesisOutcome {
 //   changed; media26 and both annealer fingerprints did not. The
 //   placement counters now count axis solves only, and the routing
 //   counters lost the warm-up's routing pass. The quality anchors below
-//   and every point count held unchanged.
+//   and every point count held unchanged;
+// * for the router's tie rule: Dijkstra dropped its heap, whose pop order
+//   of equal-cost entries std leaves unspecified, and settles the
+//   cheapest switch by a scan, the lower index on ties. Paths moved
+//   wherever two routes cost the same bits: the outcomes of the D_36_8
+//   1..31 and three-frequency goldens and of the dense36 panel and
+//   Phase-2 rows, with their link and shove counters. The panel's dense36
+//   row gained a point (61 -> 62) and the Phase-2 dense36 row lost one
+//   (27 -> 26); every other count and the quality anchors held. The
+//   routing counter became `switches_settled`, which does not count the
+//   heap's stale entries, so it moved in every D_36_8 and media26 golden
+//   but the media26 2..4 one.
 //
 // Reusing the rejection of a θ step whose partition repeats the previous
 // attempt re-pinned *counters*, not fingerprints. Every outcome and
@@ -146,6 +158,18 @@ fn assert_no_worse_than_cold(out: &SynthesisOutcome, power_mw: f64, hops: f64, n
 fn assert_counters(out: &SynthesisOutcome, expected: SynthesisOutcome, name: &str) {
     let counters = SynthesisOutcome { points: Vec::new(), rejected: Vec::new(), ..out.clone() };
     assert_eq!(counters, expected, "{name}: work counters drifted");
+}
+
+/// Runs the fuzz harness's certifier on every accepted point: ports,
+/// transit switches, paths over links that list their flow, acyclic
+/// per-class channel-dependency graphs and link capacity, each checked
+/// without the router's code.
+fn assert_certified(out: &SynthesisOutcome, comm: &CommSpec, cfg: &SynthesisConfig, name: &str) {
+    for (i, point) in out.points.iter().enumerate() {
+        if let Err(detail) = sunfloor_fuzz::certify(point, comm, cfg) {
+            panic!("{name}: point {i} is not certified: {detail}");
+        }
+    }
 }
 
 fn mix(h: &mut u64, v: u64) {
@@ -293,7 +317,7 @@ fn golden_media26_full_flow_is_reproducible_and_no_worse_than_cold_start() {
                 deadlock_rollbacks: 0,
                 class_merges: 0,
                 merge_fallbacks: 0,
-                dijkstra_pops: 41,
+                switches_settled: 41,
             },
             shove_probes: 844,
             repeated_attempts: 2,
@@ -412,7 +436,8 @@ fn golden_dense36_shove_layout_is_reproducible() {
         .run_layout(true)
         .build()
         .unwrap();
-    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg).unwrap().run();
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg.clone()).unwrap().run();
+    assert_certified(&out, &bench.comm, &cfg, "D_36_8 4..8");
     assert_eq!(out.points.len(), 5, "D_36_8 4..8 sweep must keep its five points");
     for p in &out.points {
         let layout = p.layout.as_ref().expect("layout requested");
@@ -447,7 +472,7 @@ fn golden_dense36_shove_layout_is_reproducible() {
                 deadlock_rollbacks: 1,
                 class_merges: 0,
                 merge_fallbacks: 0,
-                dijkstra_pops: 2984,
+                switches_settled: 2944,
             },
             shove_probes: 16602,
             repeated_attempts: 12,
@@ -457,13 +482,13 @@ fn golden_dense36_shove_layout_is_reproducible() {
     );
 }
 
-/// Golden regression for the router's tie order: `D_36_8` at 300 MHz over
-/// switch counts 1..31 with layout on. Dijkstra breaks equal-cost ties by
-/// the heap's pop order, which depends on the exact sequence of pushes, so
-/// a change that skips or reorders pushes (say, not pushing a node whose
-/// tentative cost already reaches the destination's) can move a path here
-/// while every routing counter stays the same. The other goldens miss such
-/// a change; this sweep's 27 points do not.
+/// Golden regression for the router's tie rule: `D_36_8` at 300 MHz over
+/// switch counts 1..31 with layout on. Of two switches at equal cost,
+/// Dijkstra settles the lower index first, so a change to that rule (say,
+/// settling the higher index) moves paths here. Breaking ties by the
+/// higher index fails the outcome fingerprint below, and the unit test
+/// `equal_cost_routes_take_the_lower_index_switch` in `paths.rs` checks
+/// the rule on two mirror-image routes.
 #[test]
 #[cfg_attr(not(all(target_arch = "x86_64", target_os = "linux")), ignore = "golden hashes captured on x86_64-linux; libm last-ulp differences flip SA decisions elsewhere")]
 fn golden_dense36_router_tie_order_is_pinned() {
@@ -475,12 +500,13 @@ fn golden_dense36_router_tie_order_is_pinned() {
         .run_layout(true)
         .build()
         .unwrap();
-    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg).unwrap().run();
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg.clone()).unwrap().run();
+    assert_certified(&out, &bench.comm, &cfg, "D_36_8 1..31");
     assert_eq!(out.points.len(), 27, "D_36_8 1..31 sweep must keep its 27 points");
     assert_eq!(out.rejected.len(), 89);
     assert_eq!(
         fingerprint_outcome(&out),
-        0x384c_5aa2_408c_5c4d,
+        0x510f_f5f0_521d_7bd7,
         "D_36_8 300 MHz outcome drifted"
     );
     assert_eq!(
@@ -502,13 +528,13 @@ fn golden_dense36_router_tie_order_is_pinned() {
             lp_stats: LpStats { cold_solves: 88, ..LpStats::default() },
             routing_stats: RoutingStats {
                 flows_routed: 6336,
-                links_created: 1824,
+                links_created: 1822,
                 deadlock_rollbacks: 5,
                 class_merges: 0,
                 merge_fallbacks: 0,
-                dijkstra_pops: 46878,
+                switches_settled: 43106,
             },
-            shove_probes: 368494,
+            shove_probes: 368936,
             repeated_attempts: 69,
             ..SynthesisOutcome::default()
         },
@@ -534,12 +560,13 @@ fn golden_dense36_theta_chains_are_shared_across_frequencies() {
         .run_layout(true)
         .build()
         .unwrap();
-    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg).unwrap().run();
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg.clone()).unwrap().run();
+    assert_certified(&out, &bench.comm, &cfg, "D_36_8 three frequencies");
     assert_eq!(out.points.len(), 19, "D_36_8 three-frequency sweep must keep its 19 points");
     assert_eq!(out.rejected.len(), 88);
     assert_eq!(
         fingerprint_outcome(&out),
-        0x7bf8_ff72_b56e_0238,
+        0xd58d_602d_a9a3_9990,
         "D_36_8 three-frequency outcome drifted"
     );
     assert_eq!(
@@ -565,9 +592,9 @@ fn golden_dense36_theta_chains_are_shared_across_frequencies() {
                 deadlock_rollbacks: 62,
                 class_merges: 0,
                 merge_fallbacks: 0,
-                dijkstra_pops: 20426,
+                switches_settled: 19897,
             },
-            shove_probes: 125408,
+            shove_probes: 125758,
             repeated_attempts: 64,
             shared_theta_steps: 35,
             ..SynthesisOutcome::default()
@@ -593,7 +620,7 @@ struct PanelRow {
 /// `perfbench/src/workload.rs` passes to `sunfloor3d`, built through the
 /// builder as the CLI builds them, and pins both fingerprints and every
 /// work counter. A change that does more work in one layer — Phase-1 seed
-/// chain or θ steps (FM moves), routing (Dijkstra pops), placement (axis
+/// chain or θ steps (FM moves), routing (switches settled), placement (axis
 /// solves), shove layout (probes) or tempered layout (anneals, replica
 /// swaps) — fails here even when the outcome holds, on any host. Time is
 /// perfbench's job. A parallel row is also run serially, which must change
@@ -626,7 +653,7 @@ fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
                     flows_routed: 912,
                     links_created: 478,
                     deadlock_rollbacks: 0,
-                    dijkstra_pops: 3503,
+                    switches_settled: 3384,
                     ..RoutingStats::default()
                 },
                 shove_probes: 51_607,
@@ -638,10 +665,10 @@ fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
             name: "dense36",
             bench: distributed(8),
             cfg: flags().frequencies_mhz([300.0, 400.0, 500.0]),
-            points: 61,
-            rejected: 407,
-            outcome: 0x1b85_bf51_50a1_2e6c,
-            rejections: 0xd718_2367_35c6_0f35,
+            points: 62,
+            rejected: 406,
+            outcome: 0xd67c_e466_1196_ab69,
+            rejections: 0x3f4b_d663_e480_9349,
             counters: SynthesisOutcome {
                 partition_stats: PartitionStats {
                     base_cache_hits: 108,
@@ -654,12 +681,12 @@ fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
                 lp_stats: LpStats { cold_solves: 314, ..LpStats::default() },
                 routing_stats: RoutingStats {
                     flows_routed: 22_608,
-                    links_created: 6657,
+                    links_created: 6656,
                     deadlock_rollbacks: 97,
-                    dijkstra_pops: 197_406,
+                    switches_settled: 178_082,
                     ..RoutingStats::default()
                 },
-                shove_probes: 1_669_081,
+                shove_probes: 1_672_310,
                 repeated_attempts: 294,
                 shared_theta_steps: 190,
                 ..SynthesisOutcome::default()
@@ -687,7 +714,7 @@ fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
                     flows_routed: 2385,
                     links_created: 285,
                     deadlock_rollbacks: 0,
-                    dijkstra_pops: 3707,
+                    switches_settled: 3707,
                     ..RoutingStats::default()
                 },
                 shove_probes: 55_430,
@@ -717,7 +744,7 @@ fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
                     flows_routed: 912,
                     links_created: 478,
                     deadlock_rollbacks: 0,
-                    dijkstra_pops: 3503,
+                    switches_settled: 3384,
                     ..RoutingStats::default()
                 },
                 // 72 layer layouts (24 candidate attempts × 3 layers), of
@@ -738,8 +765,9 @@ fn golden_perfbench_panels_pin_outcomes_and_work_counters() {
     check_rows(rows);
 }
 
-/// Runs every row and checks its point and rejection counts, both
-/// fingerprints and every counter; a parallel row is re-run serially.
+/// Runs every row, certifies its points and checks its point and rejection
+/// counts, both fingerprints and every counter; a parallel row is re-run
+/// serially.
 /// Returns the outcomes in row order.
 fn check_rows(rows: impl IntoIterator<Item = PanelRow>) -> Vec<SynthesisOutcome> {
     let mut outcomes = Vec::new();
@@ -750,6 +778,7 @@ fn check_rows(rows: impl IntoIterator<Item = PanelRow>) -> Vec<SynthesisOutcome>
             SynthesisEngine::new(&row.bench.soc, &row.bench.comm, cfg).unwrap().run()
         };
         let out = run(cfg.clone());
+        assert_certified(&out, &row.bench.comm, &cfg, name);
         assert_eq!(
             (out.points.len(), out.rejected.len()),
             (row.points, row.rejected),
@@ -804,7 +833,7 @@ fn golden_phase2_pins_outcomes_and_work_counters() {
                     flows_routed: 342,
                     links_created: 205,
                     deadlock_rollbacks: 0,
-                    dijkstra_pops: 1341,
+                    switches_settled: 1293,
                     ..RoutingStats::default()
                 },
                 shove_probes: 24_597,
@@ -815,10 +844,10 @@ fn golden_phase2_pins_outcomes_and_work_counters() {
             name: "dense36 phase2",
             bench: distributed(8),
             cfg: phase2().frequencies_mhz([300.0, 400.0, 500.0]),
-            points: 27,
-            rejected: 23,
-            outcome: 0x8e71_b19c_7c0b_4d8b,
-            rejections: 0xe1b3_f79e_b911_a0ec,
+            points: 26,
+            rejected: 24,
+            outcome: 0x8746_12a6_ea36_51db,
+            rejections: 0x006f_85c8_0984_9b8a,
             counters: SynthesisOutcome {
                 partition_stats: PartitionStats {
                     layer_partitions: 100,
@@ -828,12 +857,12 @@ fn golden_phase2_pins_outcomes_and_work_counters() {
                 lp_stats: LpStats { cold_solves: 98, ..LpStats::default() },
                 routing_stats: RoutingStats {
                     flows_routed: 7056,
-                    links_created: 1709,
+                    links_created: 1712,
                     deadlock_rollbacks: 2,
-                    dijkstra_pops: 63_847,
+                    switches_settled: 59_664,
                     ..RoutingStats::default()
                 },
-                shove_probes: 528_535,
+                shove_probes: 527_288,
                 ..SynthesisOutcome::default()
             },
         },
@@ -859,7 +888,7 @@ fn golden_phase2_pins_outcomes_and_work_counters() {
                     flows_routed: 418,
                     links_created: 353,
                     deadlock_rollbacks: 0,
-                    dijkstra_pops: 15_790,
+                    switches_settled: 15_482,
                     ..RoutingStats::default()
                 },
                 shove_probes: 63_287,
