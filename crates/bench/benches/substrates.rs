@@ -136,11 +136,12 @@ fn bench_phase1_connectivity(c: &mut Criterion) {
 
 /// The indexed routing core: one full flow-routing pass per iteration with
 /// a reused [`PathAllocator`], the per-candidate hot path of the sweep. On
-/// media26 (4 and 8 switches) and on `D_36_8` with 24 switches, where each
-/// Dijkstra prices hundreds of switch pairs.
+/// media26 (4 and 8 switches) and on `D_36_8` with 24 and 36 switches (the
+/// most its sweep tries), where each Dijkstra settle prices a row of up to
+/// 36 switch pairs.
 fn bench_router(c: &mut Criterion) {
     route_flows(c, "route_flows_media26", &media26(), &[4, 8]);
-    route_flows(c, "route_flows_d36_8", &distributed(8), &[24]);
+    route_flows(c, "route_flows_d36_8", &distributed(8), &[24, 36]);
 }
 
 fn route_flows(c: &mut Criterion, name: &str, bench: &Benchmark, switches: &[usize]) {

@@ -43,25 +43,44 @@
 //! search reaches `a`.
 //!
 //! Dijkstra prices every switch pair for every flow, so the edge cost does
-//! no work that the flow does not change. A switch pair's estimated length
-//! and the clock frequency are fixed for the whole routing call, so the
-//! router fills a per-pair table once per call with the bandwidth-independent
-//! terms: the clamped length, the wire leakage, the pipeline-register power
-//! (which needs a square root, a division and a `ceil`) and the TSV hops. It
-//! computes the flow's bandwidth products (wire, TSV and switch energy)
-//! once per flow. An edge cost is then a few multiplies and adds, the same
-//! float operations in the same order as
-//! [`sunfloor_models::LinkModel::power_mw`], so costs are bit-identical.
+//! no work that the flow or the settled switch does not change:
 //!
-//! Dijkstra finds the next switch to settle by a scan: each step settles
-//! the reached, unsettled switch of lowest cost. Every settle already
-//! relaxes edges to all switches, so the scan adds no asymptotic cost over
-//! a priority queue, and it fixes the tie rule: of two switches at equal
-//! cost ([`f64::total_cmp`]), the lower index is settled first. Which of
-//! two equal-cost paths wins is therefore a function of the switch
-//! numbering alone, never of a container's internal order
+//! * a switch pair's estimated length and the clock frequency are fixed for
+//!   the whole routing call, so the router fills a per-pair table once per
+//!   call with the bandwidth-independent terms: the clamped length, the
+//!   wire leakage, the pipeline-register power (which needs a square root,
+//!   a division and a `ceil`) and the TSV hops. Both are symmetric, so each
+//!   unordered pair is priced once;
+//! * the flow's bandwidth products (wire, TSV and switch energy) are
+//!   computed once per flow;
+//! * the vertical budget changes only between flows, so each Dijkstra call
+//!   tabulates, per pair of layers, whether a link may join them at all,
+//!   whether a new one would pass `max_ill` and how many of the boundaries
+//!   it crosses are at the soft limit;
+//! * each settle reads its switch's rows of the per-pair tables, its
+//!   layer's row of that table and whether one more output port passes the
+//!   hard or the soft size limit.
+//!
+//! An edge cost is then a few multiplies and adds, the same float
+//! operations in the same order as [`sunfloor_models::LinkModel::power_mw`],
+//! so costs are bit-identical, and its SOFT_INF penalties come from a table
+//! of `k` penalties added one at a time, the order in which Algorithm 3
+//! adds them (boundaries first, then the port).
+//!
+//! Each Dijkstra step settles the reached, unsettled switch of lowest cost,
+//! and one pass over the switches both relaxes the edges out of the switch
+//! just settled and picks the next one: a switch's cost is final for the
+//! step once its own edge is relaxed, so the pick is the one a scan after
+//! all relaxations would make, at no cost beyond the relaxations. The pick
+//! also fixes the tie rule: of two switches at equal cost
+//! ([`f64::total_cmp`]), the lower index is settled first. Which of two
+//! equal-cost paths wins is therefore a function of the switch numbering
+//! alone, never of a container's internal order
 //! (`golden_dense36_router_tie_order_is_pinned` in `tests/determinism.rs`
-//! pins it on a `D_36_8` sweep).
+//! pins it on a `D_36_8` sweep). A property test routes random small
+//! designs through this kernel and through the two-pass kernel it
+//! replaced, kept under `#[cfg(test)]`, and requires bit-equal topologies,
+//! errors and counters.
 
 use crate::graph::CommGraph;
 use crate::phase1::Connectivity;
@@ -315,16 +334,16 @@ impl std::ops::Sub for RoutingStats {
 /// its own. A one-off call routes on a fresh [`PathAllocator::new`].
 #[derive(Debug, Default)]
 pub struct PathAllocator {
-    // Dijkstra scratch (generation-stamped: resetting is O(1)).
-    dist: Vec<f64>,
-    prev: Vec<usize>,
-    dij_stamp: Vec<u32>,
-    dij_gen: u32,
+    dijkstra: DijkstraState,
     // Dense per-class live-link index: `link_of[(class·n + u)·n + v]` is the
     // link slot or `usize::MAX`.
     link_of: Vec<usize>,
     // Bandwidth-independent link costs per switch pair, `pair[u·n + v]`.
     pair: Vec<PairCost>,
+    // What a layer pair allows, `gates[lu·layers + lv]`, refilled per
+    // Dijkstra call, and `soft_sums[k]`: `k` SOFT_INF penalties summed.
+    gates: Vec<LayerGate>,
+    soft_sums: Vec<f64>,
     // Banned turns for the current flow attempt (generation-stamped).
     banned: Vec<u32>,
     banned_gen: u32,
@@ -352,11 +371,12 @@ impl PathAllocator {
 
     /// Grows the switch-indexed scratch to `nsw` switches and resets the
     /// per-run state.
-    fn reset(&mut self, nsw: usize, boundaries: usize) {
-        if self.dist.len() < nsw {
-            self.dist.resize(nsw, f64::INFINITY);
-            self.prev.resize(nsw, usize::MAX);
-            self.dij_stamp.resize(nsw, 0);
+    fn reset(&mut self, nsw: usize, layers: usize) {
+        let state = &mut self.dijkstra;
+        if state.dist.len() < nsw {
+            state.dist.resize(nsw, f64::INFINITY);
+            state.prev.resize(nsw, usize::MAX);
+            state.stamp.resize(nsw, 0);
         }
         self.link_of.clear();
         self.link_of.resize(2 * nsw * nsw, usize::MAX);
@@ -368,8 +388,10 @@ impl PathAllocator {
         for cdg in &mut self.cdg {
             cdg.clear();
         }
+        self.gates.clear();
+        self.gates.resize(layers * layers, LayerGate::default());
         self.ill.clear();
-        self.ill.resize(boundaries, 0);
+        self.ill.resize(layers.saturating_sub(1), 0);
         self.in_ports.clear();
         self.in_ports.resize(nsw, 0);
         self.out_ports.clear();
@@ -403,7 +425,7 @@ impl PathAllocator {
         alpha: f64,
     ) -> Result<Topology, PathError> {
         let mut router = Router::new(self, graph, conn, lib, cfg)?;
-        router.route_all(alpha)?;
+        router.route_all(alpha, Router::dijkstra)?;
         Ok(router.finish())
     }
 
@@ -474,6 +496,132 @@ impl FlowEnergy {
     }
 }
 
+/// Dijkstra's per-switch state. It is generation-stamped, so a search
+/// starts in O(1): a switch stamped `gen` holds a tentative cost, one
+/// stamped `gen + 1` its final cost, and any other stamp reads as unreached.
+#[derive(Debug, Default)]
+struct DijkstraState {
+    dist: Vec<f64>,
+    prev: Vec<usize>,
+    stamp: Vec<u32>,
+    gen: u32,
+}
+
+impl DijkstraState {
+    /// The settled route from `src` to `dst`, read back through `prev`.
+    // sf: hot-path
+    fn path(&self, src: usize, dst: usize) -> Vec<usize> {
+        let mut path = vec![dst]; // sf-allow(hot-path-alloc): the returned path is the per-flow result value
+        let mut cur = dst;
+        while cur != src {
+            cur = self.prev[cur];
+            path.push(cur);
+        }
+        path.reverse();
+        path
+    }
+}
+
+/// What Algorithm 3 allows a link between two layers, for one Dijkstra
+/// call: the vertical budget changes only between flows.
+#[derive(Debug, Clone, Copy, Default)]
+struct LayerGate {
+    /// The layers may be linked at all (step 3: not when they are two or
+    /// more apart and only adjacent-layer links are allowed).
+    edge: bool,
+    /// For a new link, how many of the boundaries it crosses are at the
+    /// soft limit; `None` when one is at `max_ill` (steps 3–6).
+    new_link: Option<usize>,
+}
+
+/// Fills `gates[lu·layers + lv]` from the vertical links `ill` in use at
+/// each boundary.
+// sf: hot-path
+fn fill_layer_gates(gates: &mut [LayerGate], ill: &[u32], cfg: &PathConfig, layers: usize) {
+    let soft_max_ill = cfg.soft_max_ill();
+    for lu in 0..layers {
+        for lv in 0..layers {
+            let crossed = &ill[lu.min(lv)..lu.max(lv)];
+            let new_link = if crossed.iter().any(|&used| used >= cfg.max_ill) {
+                None
+            } else {
+                Some(crossed.iter().filter(|&&used| used >= soft_max_ill).count())
+            };
+            let edge = !(cfg.adjacent_layers_only && crossed.len() >= 2);
+            gates[lu * layers + lv] = LayerGate { edge, new_link };
+        }
+    }
+}
+
+/// What [`FlowCosts::edge_cost`] reads that holds for a whole Dijkstra
+/// call: the flow's energy, the links and port counts the flows routed so
+/// far left, and the router's constants.
+struct FlowCosts<'r> {
+    energy: &'r FlowEnergy,
+    links: &'r [Link],
+    in_ports: &'r [u32],
+    switch_layer: &'r [u32],
+    /// `soft_sums[k]`: `k` SOFT_INF penalties added one at a time to zero.
+    soft_sums: &'r [f64],
+    capacity_gbps: f64,
+    new_port_cost: f64,
+    max_switch_size: u32,
+    soft_max_switch_size: u32,
+}
+
+/// What [`FlowCosts::edge_cost`] reads that holds for the edges out of one
+/// switch: its rows of the pair-cost table, of its class's live links and
+/// of its layer's gates, and whether one more output port passes the hard
+/// or the soft size limit.
+struct OutEdges<'r> {
+    pair: &'r [PairCost],
+    link_of: &'r [usize],
+    gates: &'r [LayerGate],
+    out_full: bool,
+    out_soft: bool,
+}
+
+impl FlowCosts<'_> {
+    /// Marginal cost of sending the flow over the edge from `from` to
+    /// switch `v`, or `None` when the edge is forbidden (Algorithm 3's
+    /// `INF`).
+    ///
+    /// The wire part is the link power, plus the TSV power, plus the switch
+    /// traversal energy, summed in that order. The link power is
+    /// [`LinkFixedPower::power_mw`] over the pair's table entry, the same
+    /// float operations [`sunfloor_models::LinkModel::power_mw`] performs.
+    /// A new link adds the port cost, then its SOFT_INF penalties: one per
+    /// boundary at the soft limit, then one for a port near the size limit.
+    // sf: hot-path
+    fn edge_cost(&self, from: &OutEdges<'_>, v: usize) -> Option<f64> {
+        let gate = from.gates[self.switch_layer[v] as usize];
+        if !gate.edge {
+            return None; // Algorithm 3 step 3
+        }
+        let pair = &from.pair[v];
+        let energy = self.energy;
+        let wire = pair.link.power_mw(energy.wire) + energy.tsv * pair.tsv_hops + energy.switch;
+
+        // Reuse an existing same-class link with spare capacity? A saturated
+        // one falls through: a second, parallel link would be created.
+        let li = from.link_of[v];
+        if li != usize::MAX && self.links[li].bandwidth_gbps + energy.bw_gbps <= self.capacity_gbps
+        {
+            return Some(wire);
+        }
+
+        // New link: the vertical budget (steps 3–6)…
+        let soft_boundaries = gate.new_link?;
+        // …and port growth (steps 7–10).
+        let in_ports = self.in_ports[v] + 1;
+        if from.out_full || in_ports > self.max_switch_size {
+            return None;
+        }
+        let soft_port = from.out_soft || in_ports > self.soft_max_switch_size;
+        Some(wire + self.new_port_cost + self.soft_sums[soft_boundaries + usize::from(soft_port)])
+    }
+}
+
 fn class_index(class: MessageType) -> usize {
     match class {
         MessageType::Request => 0,
@@ -488,8 +636,9 @@ struct Router<'a> {
     cfg: &'a PathConfig,
     topo: Topology,
     nsw: usize,
+    /// Layers in the stack.
+    layers: usize,
     capacity_gbps: f64,
-    soft_inf: f64,
     /// Marginal port power of opening a new link (frequency-dependent,
     /// identical for every edge).
     new_port_cost: f64,
@@ -507,8 +656,8 @@ impl<'a> Router<'a> {
     ) -> Result<Self, PathError> {
         let Connectivity { core_attach, switch_layer, est_positions: est_switch_pos, .. } = conn;
         let nsw = switch_layer.len();
-        let boundaries = graph.layers().saturating_sub(1) as usize;
-        alloc.reset(nsw, boundaries);
+        let layers = graph.layers() as usize;
+        alloc.reset(nsw, layers);
         let topo = Topology {
             switch_layer: switch_layer.to_vec(),
             switch_pos: est_switch_pos.to_vec(),
@@ -557,15 +706,19 @@ impl<'a> Router<'a> {
         let capacity_gbps = lib.link.capacity_gbps(cfg.frequency_mhz);
 
         // The bandwidth-independent cost of every switch pair, and the
-        // placement diameter for the SOFT_INF bound below.
+        // placement diameter for the SOFT_INF bound below. Both terms give
+        // the same bits either way round, so each pair is priced once and
+        // mirrored; the diagonal stays unset, as Dijkstra never reads it.
         let mut max_d = 1.0f64;
         for (u, a) in est_switch_pos.iter().enumerate() {
-            for (v, b) in est_switch_pos.iter().enumerate() {
+            for (v, b) in est_switch_pos.iter().enumerate().skip(u + 1) {
                 let d = (a.0 - b.0).abs() + (a.1 - b.1).abs();
-                alloc.pair[u * nsw + v] = PairCost {
+                let cost = PairCost {
                     link: lib.link.fixed_power(d.max(0.05), cfg.frequency_mhz),
                     tsv_hops: f64::from(switch_layer[u].abs_diff(switch_layer[v])),
                 };
+                alloc.pair[u * nsw + v] = cost;
+                alloc.pair[v * nsw + u] = cost;
                 max_d = max_d.max(d);
             }
         }
@@ -576,6 +729,14 @@ impl<'a> Router<'a> {
         let max_flow_cost = lib.link.power_mw(max_d, max_bw, cfg.frequency_mhz)
             + lib.switch.power_mw(4, 4, max_bw, cfg.frequency_mhz);
         let soft_inf = 10.0 * max_flow_cost;
+        // An edge collects one SOFT_INF per boundary at the soft limit and
+        // one for a port, added one at a time from zero.
+        alloc.soft_sums.clear();
+        alloc.soft_sums.push(0.0);
+        for k in 0..layers {
+            let sum = alloc.soft_sums[k] + soft_inf;
+            alloc.soft_sums.push(sum);
+        }
 
         let new_port_cost = 2.0
             * (lib.switch.dyn_mw_per_port_mhz * cfg.frequency_mhz + lib.switch.leak_mw_per_port);
@@ -587,8 +748,8 @@ impl<'a> Router<'a> {
             cfg,
             topo,
             nsw,
+            layers,
             capacity_gbps,
-            soft_inf,
             new_port_cost,
             stats: RoutingStats::default(),
         })
@@ -600,14 +761,20 @@ impl<'a> Router<'a> {
         (li != usize::MAX).then_some(li)
     }
 
+    /// Routes every flow in criticality order, finding each path with
+    /// `search`, which is [`Self::dijkstra`] (the tests also pass the
+    /// two-pass kernel it replaced).
     // sf: hot-path
-    fn route_all(&mut self, alpha: f64) -> Result<(), PathError> {
+    fn route_all<S>(&mut self, alpha: f64, mut search: S) -> Result<(), PathError>
+    where
+        S: FnMut(&mut Self, usize, usize, &FlowEnergy, MessageType) -> Option<Vec<usize>>,
+    {
         let mut order = std::mem::take(&mut self.alloc.order);
         let mut weights = std::mem::take(&mut self.alloc.weights);
         self.graph.flows_by_criticality_into(alpha, &mut order, &mut weights);
         self.alloc.weights = weights;
         for i in 0..order.len() {
-            if let Err(e) = self.route_flow(order[i]) {
+            if let Err(e) = self.route_flow(order[i], &mut search) {
                 self.alloc.order = order;
                 return Err(e);
             }
@@ -617,7 +784,10 @@ impl<'a> Router<'a> {
     }
 
     // sf: hot-path
-    fn route_flow(&mut self, flow_idx: usize) -> Result<(), PathError> {
+    fn route_flow<S>(&mut self, flow_idx: usize, search: &mut S) -> Result<(), PathError>
+    where
+        S: FnMut(&mut Self, usize, usize, &FlowEnergy, MessageType) -> Option<Vec<usize>>,
+    {
         let e = self.graph.edge_list()[flow_idx];
         let bw_gbps = e.bandwidth_mbs * 8.0 / 1000.0;
         let energy = FlowEnergy::new(self.lib, bw_gbps);
@@ -637,7 +807,7 @@ impl<'a> Router<'a> {
         // Fresh banned-turn set for this flow: bump the generation.
         self.alloc.banned_gen += 1;
         for attempt in 0..=self.cfg.deadlock_retries {
-            let Some(path) = self.dijkstra(s_sw, d_sw, &energy, e.class) else {
+            let Some(path) = search(self, s_sw, d_sw, &energy, e.class) else {
                 return if attempt == 0 {
                     Err(PathError::NoRoute { flow: flow_idx })
                 } else {
@@ -695,8 +865,11 @@ impl<'a> Router<'a> {
 
     /// The cheapest path from `src` to `dst`, or `None` when `dst` is
     /// unreachable. Each step settles the reached, unsettled switch of lowest
-    /// cost, the lower index on ties, and relaxes its edges into unsettled
-    /// switches.
+    /// cost, the lower index on ties. One pass over the switches relaxes the
+    /// settled switch's edges into unsettled switches and, in the same pass,
+    /// picks the next switch to settle: switch `v`'s cost is final for this
+    /// step once its own edge is relaxed, so the pick equals a scan after
+    /// all relaxations.
     // sf: hot-path
     fn dijkstra(
         &mut self,
@@ -705,125 +878,99 @@ impl<'a> Router<'a> {
         energy: &FlowEnergy,
         class: MessageType,
     ) -> Option<Vec<usize>> {
+        fill_layer_gates(&mut self.alloc.gates, &self.alloc.ill, self.cfg, self.layers);
+        // The search reads the router and writes only its own state.
+        let mut state = std::mem::take(&mut self.alloc.dijkstra);
         let nsw = self.nsw;
-        // Generation-stamped reset: a switch stamped `reached` holds a
-        // tentative cost, one stamped `settled` its final cost, and any other
-        // stamp reads as unreached.
-        self.alloc.dij_gen += 2;
-        let reached = self.alloc.dij_gen;
+        state.gen += 2;
+        let reached = state.gen;
         let settled = reached + 1;
-        self.alloc.dist[src] = 0.0;
-        self.alloc.prev[src] = usize::MAX;
-        self.alloc.dij_stamp[src] = reached;
+        let dist = &mut state.dist[..nsw];
+        let prev = &mut state.prev[..nsw];
+        let stamp = &mut state.stamp[..nsw];
+        dist[src] = 0.0;
+        prev[src] = usize::MAX;
+        stamp[src] = reached;
 
-        loop {
-            // A relaxation never stores +inf or NaN (`nd + 1e-15 < dv` is
-            // false for both), so `u` stays unset only when no reached switch
-            // is left.
-            let (mut u, mut d) = (usize::MAX, f64::INFINITY);
-            for v in 0..nsw {
-                if self.alloc.dij_stamp[v] == reached && self.alloc.dist[v].total_cmp(&d).is_lt() {
-                    (u, d) = (v, self.alloc.dist[v]);
-                }
-            }
-            if u == usize::MAX {
-                return None;
-            }
-            self.alloc.dij_stamp[u] = settled;
-            self.alloc.stats.switches_settled += 1;
+        let costs = self.flow_costs(energy);
+        let banned_gen = self.alloc.banned_gen;
+        let (mut u, mut d) = (src, 0.0);
+        let mut settles = 0;
+        let found = loop {
+            stamp[u] = settled;
+            settles += 1;
             if u == dst {
-                break;
+                break true;
             }
+            let from = self.out_edges(u, class);
+            let banned = &self.alloc.banned[u * nsw..][..nsw];
+            // A relaxation never stores +inf or NaN (`nd + 1e-15 < dv` is
+            // false for both), so an unreached switch, at +inf, is never
+            // picked, and `next` stays unset only when no reached switch is
+            // left.
+            let (mut next, mut best) = (usize::MAX, f64::INFINITY);
             for v in 0..nsw {
-                if self.alloc.dij_stamp[v] == settled
-                    || self.alloc.banned[u * nsw + v] == self.alloc.banned_gen
-                {
+                let sv = stamp[v];
+                if sv == settled {
                     continue;
                 }
-                let Some(cost) = self.edge_cost(u, v, energy, class) else { continue };
-                let nd = d + cost;
-                let dv = if self.alloc.dij_stamp[v] == reached {
-                    self.alloc.dist[v]
-                } else {
-                    f64::INFINITY
-                };
-                if nd + 1e-15 < dv {
-                    self.alloc.dist[v] = nd;
-                    self.alloc.prev[v] = u;
-                    self.alloc.dij_stamp[v] = reached;
+                let mut dv = if sv == reached { dist[v] } else { f64::INFINITY };
+                if banned[v] != banned_gen {
+                    if let Some(cost) = costs.edge_cost(&from, v) {
+                        let nd = d + cost;
+                        if nd + 1e-15 < dv {
+                            dist[v] = nd;
+                            prev[v] = u;
+                            stamp[v] = reached;
+                            dv = nd;
+                        }
+                    }
+                }
+                if dv.total_cmp(&best).is_lt() {
+                    (next, best) = (v, dv);
                 }
             }
-        }
-
-        let mut path = vec![dst]; // sf-allow(hot-path-alloc): the returned path is the per-flow result value
-        let mut cur = dst;
-        while cur != src {
-            cur = self.alloc.prev[cur];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
+            if next == usize::MAX {
+                break false;
+            }
+            (u, d) = (next, best);
+        };
+        self.alloc.stats.switches_settled += settles;
+        let path = found.then(|| state.path(src, dst));
+        self.alloc.dijkstra = state;
+        path
     }
 
-    /// Marginal cost of sending the flow over `u → v`, or `None` when the
-    /// edge is forbidden (Algorithm 3's `INF`).
-    ///
-    /// The wire part is the link power, plus the TSV power, plus the switch
-    /// traversal energy, summed in that order. The link power is
-    /// [`LinkFixedPower::power_mw`] over the pair's table entry, the same
-    /// float operations [`sunfloor_models::LinkModel::power_mw`] performs.
+    /// What [`FlowCosts::edge_cost`] reads that holds for one Dijkstra call.
     // sf: hot-path
-    fn edge_cost(
-        &self,
-        u: usize,
-        v: usize,
-        energy: &FlowEnergy,
-        class: MessageType,
-    ) -> Option<f64> {
-        let (lu, lv) = (self.topo.switch_layer[u], self.topo.switch_layer[v]);
-
-        if self.cfg.adjacent_layers_only && lu.abs_diff(lv) >= 2 {
-            return None; // Algorithm 3 step 3
+    fn flow_costs<'r>(&'r self, energy: &'r FlowEnergy) -> FlowCosts<'r> {
+        FlowCosts {
+            energy,
+            links: &self.topo.links,
+            in_ports: &self.alloc.in_ports[..self.nsw],
+            switch_layer: &self.topo.switch_layer[..self.nsw],
+            soft_sums: &self.alloc.soft_sums,
+            capacity_gbps: self.capacity_gbps,
+            new_port_cost: self.new_port_cost,
+            max_switch_size: self.cfg.max_switch_size,
+            soft_max_switch_size: self.cfg.soft_max_switch_size(),
         }
+    }
 
-        let pair = &self.alloc.pair[u * self.nsw + v];
-        let wire =
-            pair.link.power_mw(energy.wire) + energy.tsv * pair.tsv_hops + energy.switch;
-
-        // Reuse an existing same-class link with spare capacity?
-        if let Some(li) = self.live_link(u, v, class) {
-            if self.topo.links[li].bandwidth_gbps + energy.bw_gbps <= self.capacity_gbps {
-                return Some(wire);
-            }
-            // Saturated: fall through to the new-link cost below (a second
-            // parallel link would be created).
+    /// What [`FlowCosts::edge_cost`] reads that holds for the edges out of
+    /// switch `u` in `class`.
+    // sf: hot-path
+    fn out_edges(&self, u: usize, class: MessageType) -> OutEdges<'_> {
+        let (nsw, layers) = (self.nsw, self.layers);
+        let lu = self.topo.switch_layer[u] as usize;
+        let out_ports = self.alloc.out_ports[u] + 1;
+        OutEdges {
+            pair: &self.alloc.pair[u * nsw..][..nsw],
+            link_of: &self.alloc.link_of[(class_index(class) * nsw + u) * nsw..][..nsw],
+            gates: &self.alloc.gates[lu * layers..][..layers],
+            out_full: out_ports > self.cfg.max_switch_size,
+            out_soft: out_ports > self.cfg.soft_max_switch_size(),
         }
-
-        // New link: vertical budget checks (Algorithm 3 steps 3–6)…
-        let mut penalty = 0.0;
-        let (lo, hi) = if lu <= lv { (lu, lv) } else { (lv, lu) };
-        for b in lo..hi {
-            let used = self.alloc.ill[b as usize];
-            if used >= self.cfg.max_ill {
-                return None;
-            }
-            if used >= self.cfg.soft_max_ill() {
-                penalty += self.soft_inf;
-            }
-        }
-        // …and port-growth checks (steps 7–10).
-        if self.alloc.out_ports[u] + 1 > self.cfg.max_switch_size
-            || self.alloc.in_ports[v] + 1 > self.cfg.max_switch_size
-        {
-            return None;
-        }
-        if self.alloc.out_ports[u] + 1 > self.cfg.soft_max_switch_size()
-            || self.alloc.in_ports[v] + 1 > self.cfg.soft_max_switch_size()
-        {
-            penalty += self.soft_inf;
-        }
-
-        Some(wire + self.new_port_cost + penalty)
     }
 
     /// Ensures all links along `path` exist (creating them as needed), adds
@@ -1412,7 +1559,7 @@ mod tests {
             let cfg = PathConfig::new(1000, 1000, frequency_mhz);
             let attach: Vec<usize> = (0..nsw).collect();
             let partition = conn(&attach, &switch_layer, &pos);
-            let router = Router::new(&mut alloc, &g, &partition, &lib, &cfg).unwrap();
+            let mut router = Router::new(&mut alloc, &g, &partition, &lib, &cfg).unwrap();
             for bw_gbps in bandwidths(unit()) {
                 let energy = FlowEnergy::new(&lib, bw_gbps);
                 for u in 0..nsw {
@@ -1431,7 +1578,7 @@ mod tests {
                         // near its soft limit: every edge is a new link with
                         // no penalty.
                         let expected = wire + router.new_port_cost + 0.0;
-                        let got = router.edge_cost(u, v, &energy, MessageType::Request);
+                        let got = price(&mut router, u, v, &energy, MessageType::Request);
                         assert_eq!(
                             got.map(f64::to_bits),
                             Some(expected.to_bits()),
@@ -1442,6 +1589,328 @@ mod tests {
             }
         }
         assert!(non_finite > 0, "the sample must reach inf/NaN costs");
+    }
+
+    /// [`FlowCosts::edge_cost`] of `u → v` under the router's current
+    /// budgets, set up as [`Router::dijkstra`] sets it up.
+    fn price(
+        router: &mut Router<'_>,
+        u: usize,
+        v: usize,
+        energy: &FlowEnergy,
+        class: MessageType,
+    ) -> Option<f64> {
+        fill_layer_gates(&mut router.alloc.gates, &router.alloc.ill, router.cfg, router.layers);
+        router.flow_costs(energy).edge_cost(&router.out_edges(u, class), v)
+    }
+
+    /// How often the reference kernel took each branch of an edge's price.
+    #[derive(Debug, Default)]
+    struct Branches {
+        not_adjacent: usize,
+        reused: usize,
+        saturated: usize,
+        ill_full: usize,
+        ill_soft: usize,
+        ill_soft_twice: usize,
+        port_full: usize,
+        port_soft: usize,
+        banned: usize,
+        infinite: usize,
+        nan: usize,
+    }
+
+    /// The two-pass Dijkstra that [`Router::dijkstra`] replaced: each step
+    /// scans for the reached, unsettled switch of lowest cost (the lower
+    /// index on ties), settles it, then relaxes its edges into unsettled
+    /// switches, pricing each edge with [`reference_edge_cost`].
+    fn reference_dijkstra(
+        r: &mut Router<'_>,
+        src: usize,
+        dst: usize,
+        energy: &FlowEnergy,
+        class: MessageType,
+        seen: &mut Branches,
+    ) -> Option<Vec<usize>> {
+        let nsw = r.nsw;
+        r.alloc.dijkstra.gen += 2;
+        let reached = r.alloc.dijkstra.gen;
+        let settled = reached + 1;
+        r.alloc.dijkstra.dist[src] = 0.0;
+        r.alloc.dijkstra.prev[src] = usize::MAX;
+        r.alloc.dijkstra.stamp[src] = reached;
+
+        loop {
+            let (mut u, mut d) = (usize::MAX, f64::INFINITY);
+            for v in 0..nsw {
+                let state = &r.alloc.dijkstra;
+                if state.stamp[v] == reached && state.dist[v].total_cmp(&d).is_lt() {
+                    (u, d) = (v, state.dist[v]);
+                }
+            }
+            if u == usize::MAX {
+                return None;
+            }
+            r.alloc.dijkstra.stamp[u] = settled;
+            r.alloc.stats.switches_settled += 1;
+            if u == dst {
+                break;
+            }
+            for v in 0..nsw {
+                if r.alloc.dijkstra.stamp[v] == settled {
+                    continue;
+                }
+                if r.alloc.banned[u * nsw + v] == r.alloc.banned_gen {
+                    seen.banned += 1;
+                    continue;
+                }
+                let Some(cost) = reference_edge_cost(r, u, v, energy, class, seen) else {
+                    continue;
+                };
+                seen.infinite += usize::from(cost.is_infinite());
+                seen.nan += usize::from(cost.is_nan());
+                let nd = d + cost;
+                let state = &mut r.alloc.dijkstra;
+                let dv = if state.stamp[v] == reached { state.dist[v] } else { f64::INFINITY };
+                if nd + 1e-15 < dv {
+                    state.dist[v] = nd;
+                    state.prev[v] = u;
+                    state.stamp[v] = reached;
+                }
+            }
+        }
+        Some(r.alloc.dijkstra.path(src, dst))
+    }
+
+    /// The per-edge price that [`FlowCosts::edge_cost`] replaced: every
+    /// check from the router's live state, the penalties summed as found.
+    fn reference_edge_cost(
+        r: &Router<'_>,
+        u: usize,
+        v: usize,
+        energy: &FlowEnergy,
+        class: MessageType,
+        seen: &mut Branches,
+    ) -> Option<f64> {
+        let (lu, lv) = (r.topo.switch_layer[u], r.topo.switch_layer[v]);
+        if r.cfg.adjacent_layers_only && lu.abs_diff(lv) >= 2 {
+            seen.not_adjacent += 1;
+            return None;
+        }
+        let pair = &r.alloc.pair[u * r.nsw + v];
+        let wire =
+            pair.link.power_mw(energy.wire) + energy.tsv * pair.tsv_hops + energy.switch;
+        if let Some(li) = r.live_link(u, v, class) {
+            if r.topo.links[li].bandwidth_gbps + energy.bw_gbps <= r.capacity_gbps {
+                seen.reused += 1;
+                return Some(wire);
+            }
+            seen.saturated += 1;
+        }
+        let soft_inf = r.alloc.soft_sums[1];
+        let mut penalty = 0.0;
+        let (lo, hi) = if lu <= lv { (lu, lv) } else { (lv, lu) };
+        for b in lo..hi {
+            let used = r.alloc.ill[b as usize];
+            if used >= r.cfg.max_ill {
+                seen.ill_full += 1;
+                return None;
+            }
+            if used >= r.cfg.soft_max_ill() {
+                seen.ill_soft_twice += usize::from(penalty != 0.0);
+                seen.ill_soft += 1;
+                penalty += soft_inf;
+            }
+        }
+        if r.alloc.out_ports[u] + 1 > r.cfg.max_switch_size
+            || r.alloc.in_ports[v] + 1 > r.cfg.max_switch_size
+        {
+            seen.port_full += 1;
+            return None;
+        }
+        if r.alloc.out_ports[u] + 1 > r.cfg.soft_max_switch_size()
+            || r.alloc.in_ports[v] + 1 > r.cfg.soft_max_switch_size()
+        {
+            seen.port_soft += 1;
+            penalty += soft_inf;
+        }
+        Some(wire + r.new_port_cost + penalty)
+    }
+
+    /// Routes `conn` with the reference kernel, as
+    /// [`PathAllocator::compute_paths`] routes it with [`Router::dijkstra`].
+    fn route_with_reference(
+        alloc: &mut PathAllocator,
+        g: &CommGraph,
+        conn: &Connectivity,
+        cfg: &PathConfig,
+        alpha: f64,
+        seen: &mut Branches,
+    ) -> Result<Topology, PathError> {
+        let lib = lib();
+        let mut router = Router::new(alloc, g, conn, &lib, cfg)?;
+        router.route_all(alpha, |r, src, dst, energy, class| {
+            reference_dijkstra(r, src, dst, energy, class, seen)
+        })?;
+        Ok(router.finish())
+    }
+
+    /// The one-pass kernel routes random small designs exactly as the
+    /// two-pass reference does: the same topology or error (compared by
+    /// their `Debug` text, which tells every float bit apart) and the same
+    /// counters, on one reused allocator per kernel. The designs have 1–4
+    /// layers with adjacent-only links on and off, vertical budgets and
+    /// soft margins that put multi-boundary links at the soft and hard
+    /// limits, tight switch sizes, flows that saturate a link or exceed its
+    /// capacity, both message classes, deadlock retries, and switches so
+    /// far apart that costs reach inf, and NaN for a flow of no bandwidth.
+    #[test]
+    fn one_pass_dijkstra_routes_as_the_two_pass_reference() {
+        let mut state = 0x853C_49E6_748F_EA9Bu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut below = move |n: usize| (next() % n as u64) as usize;
+        let (mut fast, mut slow) = (PathAllocator::new(), PathAllocator::new());
+        let mut seen = Branches::default();
+        let (mut routed, mut no_route, mut deadlocked, mut rolled_back) = (0, 0, 0, 0);
+        for case in 0..3000usize {
+            let layers = 1 + case % 4;
+            // A ring: one core per switch, each sending to the next two
+            // switches in one class, with room for one or two links out of
+            // each switch, so the two-hop flows close a dependency cycle
+            // that a retry may or may not route around.
+            let ring = case.is_multiple_of(5);
+            let nsw = if ring { 3 + below(4) } else { 1 + below(8) };
+            let far = below(8) == 0;
+            let mut switch_layer = Vec::new();
+            let mut pos: Vec<(f64, f64)> = Vec::new();
+            for s in 0..nsw {
+                switch_layer.push(below(layers) as u32);
+                pos.push(match below(10) {
+                    0 if s > 0 => pos[s - 1],
+                    1..=3 if far => (1e308 * if s.is_multiple_of(2) { 1.0 } else { -1.0 }, 0.0),
+                    _ => (below(80) as f64 / 10.0, below(80) as f64 / 10.0),
+                });
+            }
+            let cores = if ring { nsw } else { 2 + below(10) };
+            let mut attach = Vec::new();
+            let soc = SocSpec {
+                cores: (0..cores)
+                    .map(|i| {
+                        let sw = if ring { i } else { below(nsw) };
+                        attach.push(sw);
+                        let layer =
+                            if below(5) == 0 { below(layers) as u32 } else { switch_layer[sw] };
+                        Core {
+                            name: format!("c{i}"),
+                            width: 1.0,
+                            height: 1.0,
+                            x: 0.0,
+                            y: 0.0,
+                            layer,
+                        }
+                    })
+                    .collect(),
+                layers: layers as u32,
+            };
+            let class = |response| {
+                if response {
+                    MessageType::Response
+                } else {
+                    MessageType::Request
+                }
+            };
+            let ring_flow = |i: usize| Flow {
+                src: i / 2,
+                dst: (i / 2 + 1 + i % 2) % nsw,
+                bandwidth_mbs: if i.is_multiple_of(2) { 800.0 } else { 100.0 },
+                max_latency_cycles: 10.0,
+                message_type: class(case.is_multiple_of(2)),
+            };
+            let random_flow = |below: &mut dyn FnMut(usize) -> usize| Flow {
+                src: below(cores),
+                dst: below(cores),
+                bandwidth_mbs: match below(10) {
+                    0 => 0.0,
+                    1 => 1600.0 + below(800) as f64,
+                    _ => 10.0 + below(1200) as f64,
+                },
+                max_latency_cycles: 2.0 + below(20) as f64,
+                message_type: class(below(3) == 0),
+            };
+            let flows = if ring {
+                (0..2 * nsw).map(ring_flow).collect()
+            } else {
+                (0..1 + below(3 * cores)).map(|_| random_flow(&mut below)).collect()
+            };
+            let g = CommGraph::new(&soc, &CommSpec { flows });
+            let mut attached = vec![0u32; nsw];
+            for &sw in &attach {
+                attached[sw] += 1;
+            }
+            let mut cfg = PathConfig::new(
+                if ring { 25 } else { below(7) as u32 },
+                attached.iter().max().copied().unwrap_or(0) + if ring { 1 + below(2) } else { below(4) } as u32,
+                200.0 + below(400) as f64,
+            );
+            cfg.soft_ill_margin = below(4) as u32;
+            cfg.soft_switch_margin = below(3) as u32;
+            cfg.adjacent_layers_only = below(2) == 0;
+            cfg.deadlock_retries = below(5) as u32;
+            let alpha = below(11) as f64 / 10.0;
+            let partition = conn(&attach, &switch_layer, &pos);
+
+            let (fast_before, slow_before) = (fast.stats(), slow.stats());
+            let got = fast.compute_paths(&g, &partition, &lib(), &cfg, alpha);
+            let want = route_with_reference(&mut slow, &g, &partition, &cfg, alpha, &mut seen);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "case {case}");
+            let delta = slow.stats() - slow_before;
+            assert_eq!(fast.stats() - fast_before, delta, "case {case}");
+            rolled_back += delta.deadlock_rollbacks;
+            match want {
+                Ok(_) => routed += 1,
+                Err(PathError::NoRoute { .. }) => no_route += 1,
+                Err(PathError::DeadlockUnavoidable { .. }) => deadlocked += 1,
+                Err(_) => {}
+            }
+        }
+        let Branches {
+            not_adjacent,
+            reused,
+            saturated,
+            ill_full,
+            ill_soft,
+            ill_soft_twice,
+            port_full,
+            port_soft,
+            banned,
+            infinite,
+            nan,
+        } = seen;
+        let counts = [
+            ("not adjacent", not_adjacent),
+            ("reused", reused),
+            ("saturated", saturated),
+            ("ill at the hard limit", ill_full),
+            ("ill at the soft limit", ill_soft),
+            ("two boundaries at the soft limit", ill_soft_twice),
+            ("ports at the hard limit", port_full),
+            ("ports at the soft limit", port_soft),
+            ("banned turns", banned),
+            ("infinite costs", infinite),
+            ("NaN costs", nan),
+            ("routed designs", routed),
+            ("designs without a route", no_route),
+            ("designs without a deadlock-free route", deadlocked),
+            ("rollbacks in routed designs", rolled_back as usize),
+        ];
+        for (what, count) in counts {
+            assert!(count > 0, "no {what} in the sample: {counts:?}");
+        }
     }
 
     /// The CDG's cycle check agrees with a from-scratch reachability check

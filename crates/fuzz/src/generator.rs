@@ -42,15 +42,24 @@ pub enum TrafficPattern {
     Disconnected,
     /// A linear pipeline with request/response pairs.
     Pipeline,
+    /// A ring in both classes: requests to the next core and responses to
+    /// the previous one, plus far lighter flows half-way round it. Reusing
+    /// the ring's links is cheaper than opening new ones, so the light
+    /// flows chain turns around the ring and only the router's deadlock
+    /// check keeps each class's channel-dependency graph acyclic. Latency
+    /// bounds are four times looser than the other shapes', so that the
+    /// multi-hop routes are accepted rather than rejected for latency.
+    Ring,
 }
 
-const PATTERNS: [TrafficPattern; 6] = [
+const PATTERNS: [TrafficPattern; 7] = [
     TrafficPattern::Random,
     TrafficPattern::Hotspot,
     TrafficPattern::Transpose,
     TrafficPattern::BitComplement,
     TrafficPattern::Disconnected,
     TrafficPattern::Pipeline,
+    TrafficPattern::Ring,
 ];
 
 /// The engine configuration a case runs under. Most recipes are valid
@@ -174,14 +183,18 @@ fn soc_text(rng: &mut StdRng, n: usize, layers: u32) -> String {
 
 fn comm_text(rng: &mut StdRng, n: usize, pattern: TrafficPattern) -> String {
     let mut out = String::from("# fuzz-generated communication specification\n");
-    let mut push = |rng: &mut StdRng, src: usize, dst: usize, response: bool| {
+    // A flow's drawn bandwidth and latency bound, each times its scale.
+    let mut push_scaled = |rng: &mut StdRng, src, dst, response, bw_scale: f64, lat_scale: f64| {
         if src == dst || src >= n || dst >= n {
             return;
         }
-        let bw = rng.gen_range(10.0..800.0);
-        let lat = rng.gen_range(4.0..30.0);
+        let bw = rng.gen_range(10.0..800.0) * bw_scale;
+        let lat = rng.gen_range(4.0..30.0) * lat_scale;
         let kind = if response { "response" } else { "request" };
         out.push_str(&format!("flow c{src} c{dst} {bw} {lat} {kind}\n"));
+    };
+    let mut push = |rng: &mut StdRng, src: usize, dst: usize, response: bool| {
+        push_scaled(rng, src, dst, response, 1.0, 1.0);
     };
     match pattern {
         TrafficPattern::Random => {
@@ -227,6 +240,15 @@ fn comm_text(rng: &mut StdRng, n: usize, pattern: TrafficPattern) -> String {
                 }
             }
         }
+        TrafficPattern::Ring => {
+            for i in 0..n {
+                let far = (i + n / 2) % n;
+                push_scaled(rng, i, (i + 1) % n, false, 1.0, 4.0);
+                push_scaled(rng, i, far, false, 0.02, 4.0);
+                push_scaled(rng, (i + 1) % n, i, true, 1.0, 4.0);
+                push_scaled(rng, far, i, true, 0.02, 4.0);
+            }
+        }
     }
     out
 }
@@ -235,6 +257,7 @@ fn comm_text(rng: &mut StdRng, n: usize, pattern: TrafficPattern) -> String {
 mod tests {
     use super::*;
     use sunfloor_core::spec::{CommSpec, SocSpec};
+    use sunfloor_core::synthesis::SynthesisEngine;
 
     #[test]
     fn generation_is_a_pure_function_of_seed_and_index() {
@@ -261,6 +284,30 @@ mod tests {
             valid += 1;
         }
         assert!(valid > 30, "only {valid} unmutated cases in 200");
+    }
+
+    /// The ring shape reaches the router's deadlock check: over a few dozen
+    /// ring specs under the workhorse recipe, some routings roll a path
+    /// back because it closed a channel-dependency cycle. Without such
+    /// cases, a router that skipped the check would still pass every fuzz
+    /// contract.
+    #[test]
+    fn ring_traffic_makes_the_router_break_dependency_cycles() {
+        let mut rollbacks = 0;
+        for index in 0..40u64 {
+            let mut rng = case_rng(9, index);
+            let n = rng.gen_range(3..=10usize);
+            let layers = rng.gen_range(1..=2u32);
+            let soc_text = soc_text(&mut rng, n, layers);
+            let comm_text = comm_text(&mut rng, n, TrafficPattern::Ring);
+            let soc = SocSpec::parse(&soc_text).expect("generated soc is valid");
+            let comm = CommSpec::parse(&comm_text, &soc).expect("generated comm is valid");
+            let cfg = ConfigRecipe::Standard.build(1).expect("the standard recipe builds");
+            if let Ok(engine) = SynthesisEngine::new(&soc, &comm, cfg) {
+                rollbacks += engine.run().routing_stats.deadlock_rollbacks;
+            }
+        }
+        assert!(rollbacks > 0, "no ring case made the router roll a path back");
     }
 
     #[test]
