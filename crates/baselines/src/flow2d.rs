@@ -16,8 +16,11 @@ use sunfloor_core::synthesis::{
 ///
 /// # Errors
 ///
-/// Returns [`SynthesisError`] for invalid specifications, and
-/// `SynthesisError::Spec` when the benchmark is not single-layer.
+/// Returns [`SynthesisError`] for invalid specifications.
+///
+/// # Panics
+///
+/// Panics when the benchmark is not single-layer (`bench.soc.layers != 1`).
 pub fn synthesize_2d(
     bench: &Benchmark,
     cfg: &SynthesisConfig,

@@ -13,18 +13,18 @@
 //!
 //! The cold path is written allocation-light: one [`Workspace`] per
 //! [`crate::WeightedGraph::partition`] call carries every scratch buffer
-//! through all restarts and recursion levels, vertex subsets are split in
-//! place, and the FM inner loop scans a cached gain array gated by a
-//! per-step balance rule instead of recomputing gains per vertex. All of
-//! it is arithmetic-order-preserving: the moves taken, the RNG consumption
-//! and every float operation match the original allocating implementation
-//! bit for bit.
+//! through all restarts and recursion levels, and vertex subsets are split
+//! in place. All of it is arithmetic-order-preserving: the moves taken, the
+//! RNG consumption and every float operation match the original allocating
+//! implementation bit for bit.
 //!
-//! Large vertex sets are not rescanned to pick one vertex or action.
-//! Greedy growth takes each vertex from per-group max tournaments
-//! ([`Tournament`], `O(log m)` per changed pull) once the subset is large
-//! and sparse enough for them to pay ([`tournaments_pay`]), and rescans
-//! its `O(m)` order otherwise. The k-way picker finds each action by a
+//! Large vertex sets are not rescanned to pick one vertex or action. One
+//! pick structure, the max [`Tournament`] (`O(log m)` per changed value),
+//! serves both bisection steps. Greedy growth takes each vertex from
+//! per-group tournaments once the subset is large and sparse enough for
+//! them to pay ([`tournaments_pay`]), and rescans its `O(m)` order
+//! otherwise; every FM pass takes each move from per-(side, group)
+//! tournaments of edge gains. The k-way picker finds each action by a
 //! block-pair search ([`BlockSearch`]) over block lists and a
 //! per-(vertex, block) gain table kept between picks, with block pairs
 //! skipped by bounds, and falls back to the `O(m²)` vertex-pair scan while
@@ -45,33 +45,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// One FM candidate in the gain heaps: max-gain first, lowest subset
-/// index on ties — exactly the vertex the original ascending linear scan
-/// (with its strict `>` comparison) selected. Gains here are conn-value
-/// differences of finite weights (negative values are possible on
-/// attraction-compensated graphs, but −0.0 is never produced by
-/// adding/subtracting finite sums), so `total_cmp` agrees with the numeric
-/// comparison the scan performed.
-#[derive(Clone, Copy, PartialEq)]
-struct GainEntry {
-    gain: f64,
-    idx: usize,
-}
-
-impl Eq for GainEntry {}
-
-impl Ord for GainEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.gain.total_cmp(&other.gain).then(other.idx.cmp(&self.idx))
-    }
-}
-
-impl PartialOrd for GainEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Reusable scratch for one `partition` call: shared by every restart and
 /// every recursion level (a bisection finishes with its buffers — and
 /// resets `local` — before its children run).
@@ -85,22 +58,13 @@ pub(crate) struct Workspace {
     attraction: Vec<f64>,
     /// Shuffled tie-break order of the greedy growth.
     order: Vec<usize>,
-    /// The greedy growth's per-group tournaments.
+    /// The vertex picks' tournaments: the greedy growth's per group, an FM
+    /// pass's per (side, group).
     tour: Tournament,
     /// `conn[i][s]` = weight from subset vertex `i` to side `s`.
     conn: Vec<[f64; 2]>,
-    /// Cached FM gains (`conn[i][other] - conn[i][own]`), edge part only.
-    gain: Vec<f64>,
     /// FM lock flags.
     locked: Vec<bool>,
-    /// Lazy-invalidation gain heaps, one per (side, group) — `2 × 1` when
-    /// the graph has no attraction: stale entries (locked vertex,
-    /// superseded gain) are discarded at pop time. Entries hold *edge*
-    /// gains; the attraction part of a gain is uniform within one heap, so
-    /// it is added at selection time and never invalidates entries.
-    // sf-allow(det-hash-iter): `GainEntry` orders by gain, then index, so
-    // entries that compare equal are identical and their pop order cannot show
-    heaps: Vec<std::collections::BinaryHeap<GainEntry>>,
     /// Subset member counts per (group, side): `gcnt[g * 2 + s]`, with the
     /// `conn` side indexing (`side0 == true` → index 0). The greedy growth
     /// uses it for its side-0 counts per group, `gcnt[g]`.
@@ -129,9 +93,7 @@ impl Workspace {
             order: Vec::new(),
             tour: Tournament::default(),
             conn: Vec::new(),
-            gain: Vec::new(),
             locked: Vec::new(),
-            heaps: Vec::new(),
             gcnt: Vec::new(),
             moves: Vec::new(),
             spill: Vec::new(),
@@ -151,8 +113,6 @@ impl Workspace {
         self.attraction.resize(m, 0.0);
         self.conn.clear();
         self.conn.resize(m, [0.0; 2]);
-        self.gain.clear();
-        self.gain.resize(m, 0.0);
         self.locked.clear();
         self.locked.resize(m, false);
     }
@@ -600,12 +560,20 @@ pub(crate) fn grow_side0(
     ws.side0
 }
 
-/// The greedy growth's candidates: per group, a max tournament over the
-/// group's subset vertices in `order`. Leaves hold pulls (−∞ once a
-/// vertex is absorbed, and on padding) and every inner node the larger of
-/// its two children, the left one on a tie, with that leaf's `order`
-/// position — so the root holds the group's largest edge pull and the
-/// earliest vertex with it.
+/// The bisection's vertex picks: per group, a max tournament over the
+/// group's subset vertices in `order`. The greedy growth's groups are the
+/// attraction groups and its leaves pulls, over its tie-break order; an FM
+/// pass's groups are (side at pass start, attraction group) and its leaves
+/// edge gains, over the subset in index order. Leaves hold −∞ once a
+/// vertex is taken (absorbed or moved), and on padding; every inner node
+/// holds the larger of its two children, the left one on a tie, with that
+/// leaf's `order` position — so the root holds the group's largest edge
+/// value and the earliest vertex with it.
+///
+/// The FM pass passes no offset and adds its group's attraction offset
+/// itself, so within a group it takes the largest edge gain, the lowest
+/// index among equal edge gains. With the offset passed, a lower edge gain
+/// at a lower index that rounds to the same total would win instead.
 ///
 /// A group's pulls add one offset to its edge pulls, and rounding is
 /// monotone, so the root plus the offset is the group's best pull. A lower
@@ -614,7 +582,7 @@ pub(crate) fn grow_side0(
 /// whenever its maximum plus the offset still reaches the sum finds the
 /// earliest vertex that ties, in `O(log m)`.
 #[derive(Default)]
-struct Tournament {
+pub(crate) struct Tournament {
     /// Per group, the start of its nodes in `node` and its leaf count (a
     /// power of two): node `j` of group `g` is `node[start[g] + j]`, the
     /// root is `j = 1` and the leaves are `width[g]..2·width[g]`.
@@ -631,7 +599,7 @@ struct Tournament {
 impl Tournament {
     /// Lays out the tournaments of `ng` groups over `order`, with `grp`
     /// giving a subset vertex's group and `pull` its leaf value.
-    fn lay_out(
+    pub(crate) fn lay_out(
         &mut self,
         order: &[usize],
         ng: usize,
@@ -678,7 +646,7 @@ impl Tournament {
     }
 
     /// Sets subset vertex `i`'s leaf (in group `g`) to `pull`.
-    fn set(&mut self, i: usize, g: usize, pull: f64) {
+    pub(crate) fn set(&mut self, i: usize, g: usize, pull: f64) {
         let tree = &mut self.node[self.start[g]..self.start[g] + 2 * self.width[g]];
         let mut j = self.leaf[i];
         tree[j].0 = pull;
@@ -694,8 +662,10 @@ impl Tournament {
 
     /// Group `g`'s best pull — its largest edge pull plus `offset`, the
     /// group's attraction part — and the earliest `order` position that
-    /// reaches it; `None` once every vertex of the group is absorbed.
-    fn best(&self, g: usize, offset: Option<f64>) -> Option<(f64, usize)> {
+    /// reaches it; with no offset, the root: the largest edge value and the
+    /// earliest position holding it. `None` once every leaf of the group
+    /// is −∞, and for a group with no members.
+    pub(crate) fn best(&self, g: usize, offset: Option<f64>) -> Option<(f64, usize)> {
         let s = self.start[g];
         let (root, first) = self.node[s + 1];
         if root == f64::NEG_INFINITY {
@@ -718,19 +688,22 @@ impl Tournament {
 /// vertex out of balance mid-pass, and the best *balanced* prefix of the
 /// move sequence is kept. Returns whether the cut improved.
 ///
-/// The inner scan reads a cached gain array (`gain[i] = conn[i][other] −
-/// conn[i][own]`, recomputed only for vertices whose connectivity the last
-/// move touched) and a per-step balance gate: with `size0 ∈ [n1−1, n1+1]`,
-/// a side-0 vertex may move iff `size0 ≥ n1` and a side-1 vertex iff
-/// `size0 ≤ n1` — exactly the `|new_size0 − n1| ≤ 1` test the original
-/// per-vertex check performed.
+/// Each step picks from one [`Tournament`] per (side at pass start, group)
+/// — one per side without an attraction — laid out over the subset in
+/// index order, whose leaves hold edge gains (`conn[i][other] −
+/// conn[i][own]`): the largest gain, the lowest index on ties, in
+/// `O(log m)` per changed gain. A moved vertex's leaf drops to −∞, and
+/// only the leaves of the unlocked vertices whose connectivity the move
+/// touched change. The balance gate is per side: with
+/// `size0 ∈ [n1−1, n1+1]`, a side-0 vertex may move iff `size0 ≥ n1` and a
+/// side-1 vertex iff `size0 ≤ n1` — exactly the `|new_size0 − n1| ≤ 1`
+/// test of a per-vertex check.
 ///
 /// With a [`GroupAttraction`], a move's full gain is its edge gain plus
 /// `weight · (cnt[g][other] − (cnt[g][own] − 1))`. The attraction part is
-/// uniform across one (side, group), so the heaps are split per
-/// (side, group), hold edge gains only, and the attraction offset joins at
+/// uniform across one (side, group), so it joins each tournament's best at
 /// selection time — a move shifts the offsets of its own group through the
-/// count table instead of invalidating heap entries.
+/// count table and leaves every leaf as it is.
 // sf: hot-path
 fn fm_pass(
     vertices: &[usize],
@@ -743,45 +716,31 @@ fn fm_pass(
     let at = g.attraction();
     let ng = at.map_or(1, |a| a.group_count().max(1));
     let grp = |i: usize| at.map_or(0, |a| a.group_of()[vertices[i]] as usize);
+    // Tournament `t · ng + g` holds group `g`'s vertices with `side0 == (t == 1)`.
+    let tour_of = |side0: bool, i: usize| usize::from(side0) * ng + grp(i);
+    let edge_gain = |c: [f64; 2], side0: bool| c[usize::from(side0)] - c[usize::from(!side0)];
     let start_cut = *cut;
     ws.locked[..m].fill(false);
     let mut size0 = ws.side0[..m].iter().filter(|&&s| s).count();
-    for i in 0..m {
-        let own = usize::from(!ws.side0[i]);
-        let other = usize::from(ws.side0[i]);
-        ws.gain[i] = ws.conn[i][other] - ws.conn[i][own];
-    }
     ws.gcnt.clear();
     ws.gcnt.resize(ng * 2, 0);
     for i in 0..m {
         ws.gcnt[grp(i) * 2 + usize::from(!ws.side0[i])] += 1;
     }
+    ws.order.clear();
+    ws.order.extend(0..m);
+    let (side0, conn) = (&ws.side0, &ws.conn);
+    ws.tour.lay_out(&ws.order, 2 * ng, |i| tour_of(side0[i], i), |i| edge_gain(conn[i], side0[i]));
 
     ws.moves.clear();
     let mut running = *cut;
     let mut best_cut = *cut;
     let mut best_prefix = 0usize;
 
-    // Seed the per-(side, group) gain heaps; every edge-gain update pushes
-    // a fresh entry, and pops discard entries whose vertex is locked or
-    // whose recorded gain is no longer current.
-    if ws.heaps.len() < 2 * ng {
-        // sf-allow(det-hash-iter): `GainEntry` orders by gain, then index, so
-        // entries that compare equal are identical
-        ws.heaps.resize_with(2 * ng, std::collections::BinaryHeap::new);
-    }
-    for h in &mut ws.heaps {
-        h.clear();
-    }
-    for i in 0..m {
-        ws.heaps[usize::from(ws.side0[i]) * ng + grp(i)]
-            .push(GainEntry { gain: ws.gain[i], idx: i });
-    }
-
     for _step in 0..m {
         // Pick the best-gain unlocked vertex whose move keeps |size0-n1|<=1:
         // the balance gate reduces to which *side* may donate, so the
-        // selection is the best of the allowed sides' heap tops (plus the
+        // selection is the best of the allowed sides' tournaments (plus the
         // per-group attraction offset).
         let allow_from0 = size0 >= n1;
         let allow_from1 = size0 <= n1;
@@ -791,32 +750,22 @@ fn fm_pass(
             if !allowed {
                 continue;
             }
-            // side index: heaps `1*ng..2*ng` hold side-0 vertices
-            // (side0 == true).
             for gi in 0..ng {
-                let h = side * ng + gi;
-                while let Some(&top) = ws.heaps[h].peek() {
-                    if ws.locked[top.idx] || ws.gain[top.idx] != top.gain {
-                        ws.heaps[h].pop();
-                        continue;
+                // With `order` the identity, a position is a subset index.
+                let Some((edge, i)) = ws.tour.best(side * ng + gi, None) else { continue };
+                let gain = match at {
+                    // A side-0 vertex (tournament side 1) has conn side
+                    // index `own = 0`, i.e. `own = 1 - side`.
+                    Some(a) => {
+                        let own = ws.gcnt[gi * 2 + (1 - side)];
+                        let other = ws.gcnt[gi * 2 + side];
+                        edge + a.weight() * (f64::from(other) - f64::from(own - 1))
                     }
-                    break;
-                }
-                if let Some(&top) = ws.heaps[h].peek() {
-                    let gain = match at {
-                        // A side-0 vertex (heap side 1) has conn side index
-                        // `own = 0`, i.e. `own = 1 - side`.
-                        Some(a) => {
-                            let own = ws.gcnt[gi * 2 + (1 - side)];
-                            let other = ws.gcnt[gi * 2 + side];
-                            top.gain + a.weight() * (f64::from(other) - f64::from(own - 1))
-                        }
-                        None => top.gain,
-                    };
-                    if gain > best_gain || (gain == best_gain && top.idx < best) {
-                        best_gain = gain;
-                        best = top.idx;
-                    }
+                    None => edge,
+                };
+                if gain > best_gain || (gain == best_gain && i < best) {
+                    best_gain = gain;
+                    best = i;
                 }
             }
         }
@@ -831,13 +780,14 @@ fn fm_pass(
         running -= best_gain;
         ws.locked[best] = true;
         ws.moves.push(best);
+        ws.tour.set(best, tour_of(from0, best), f64::NEG_INFINITY);
         if at.is_some() {
             let gb = grp(best);
             ws.gcnt[gb * 2 + usize::from(!from0)] -= 1;
             ws.gcnt[gb * 2 + usize::from(from0)] += 1;
         }
 
-        // Update neighbor connectivity and cached edge gains.
+        // Update neighbor connectivity and the unlocked neighbors' gains.
         for &(u, w) in g.neighbors(vertices[best]) {
             let lu = ws.local[u as usize];
             if lu == usize::MAX {
@@ -848,12 +798,9 @@ fn fm_pass(
             let new_s = usize::from(from0);
             ws.conn[lu][old_s] -= w;
             ws.conn[lu][new_s] += w;
-            let own = usize::from(!ws.side0[lu]);
-            let other = usize::from(ws.side0[lu]);
-            ws.gain[lu] = ws.conn[lu][other] - ws.conn[lu][own];
             if !ws.locked[lu] {
-                ws.heaps[usize::from(ws.side0[lu]) * ng + grp(lu)]
-                    .push(GainEntry { gain: ws.gain[lu], idx: lu });
+                let s0 = ws.side0[lu];
+                ws.tour.set(lu, tour_of(s0, lu), edge_gain(ws.conn[lu], s0));
             }
         }
 

@@ -38,12 +38,17 @@
 //! Every step below picks exactly what a full rescan would, ties and float
 //! bits included, and rescans only where that is the cheaper way:
 //!
-//! * Greedy growth absorbs `n₁` of `m` vertices. While `m` is at least
-//!   `2 · (1 + average degree) · log₂ m`, each is taken from per-group max
+//! * One pick structure, per-group max tournaments, serves both steps of a
+//!   bisection. Greedy growth absorbs `n₁` of `m` vertices. While `m` is at
+//!   least `2 · (1 + average degree) · log₂ m`, each is taken from
 //!   tournaments over the tie-break order (shuffled for a cold restart,
 //!   the subset order for a warm split): `O(m)` to lay them out, then
 //!   `O(deg · log m)` per absorbed vertex. Smaller or denser subsets keep
-//!   the `O(m)` rescan per vertex, which is cheaper there.
+//!   the `O(m)` rescan per vertex, which is cheaper there. Every FM pass
+//!   lays out one tournament of edge gains per (side, group) over the
+//!   subset in index order and takes each move from them: the largest
+//!   gain with its group's attraction added, the lowest index on ties,
+//!   then `O(deg · log m)` per move.
 //! * One picker takes every k-way refinement step: a warm pass's up to `n`
 //!   actions, each the exact best move or swap over the `m` unlocked
 //!   vertices, and a polish round's best swap over all `n` vertices (none

@@ -441,6 +441,68 @@ fn growth_case(g: &WeightedGraph, seed: u64) -> (Vec<&'static str>, usize) {
     (diverged, ties)
 }
 
+/// The tournament rule the greedy growth and the FM pass pick by: a
+/// group's best is its largest value at the lowest `order` position holding
+/// it, a −∞ leaf is never returned, a group with no members (or only −∞
+/// leaves) has none, and `set` after `lay_out` moves the root. A random
+/// run of sets is checked against a scan of the leaves.
+#[test]
+fn tournament_picks_the_largest_value_at_the_lowest_position() {
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    const NEG: f64 = f64::NEG_INFINITY;
+    let order: Vec<usize> = (0..7).collect();
+    let grp = [0, 0, 0, 0, 0, 1, 1]; // group 2 has no members
+    let vals = [1.0, 3.0, NEG, 3.0, 2.0, NEG, NEG];
+    let mut t = fm::Tournament::default();
+    t.lay_out(&order, 3, |i| grp[i], |i| vals[i]);
+    assert_eq!(t.best(0, None), Some((3.0, 1)), "equal values: the lowest position");
+    assert_eq!(t.best(1, None), None, "only −∞ leaves");
+    assert_eq!(t.best(2, None), None, "no members");
+    t.set(1, 0, NEG);
+    assert_eq!(t.best(0, None), Some((3.0, 3)));
+    t.set(3, 0, NEG);
+    assert_eq!(t.best(0, None), Some((2.0, 4)));
+    t.set(0, 0, 5.0);
+    assert_eq!(t.best(0, None), Some((5.0, 0)));
+    t.set(4, 0, 5.0);
+    assert_eq!(t.best(0, None), Some((5.0, 0)), "a later tie does not move the root");
+    t.set(0, 0, NEG);
+    assert_eq!(t.best(0, None), Some((5.0, 4)));
+    t.set(6, 1, -1.0);
+    assert_eq!(t.best(1, None), Some((-1.0, 6)));
+    for i in [2, 4] {
+        t.set(i, 0, NEG);
+    }
+    assert_eq!(t.best(0, None), None, "every leaf set to −∞");
+
+    let mut rng = StdRng::seed_from_u64(33);
+    let (m, ng) = (37, 4);
+    let mut order: Vec<usize> = (0..m).collect();
+    order.shuffle(&mut rng);
+    let grp: Vec<usize> = (0..m).map(|_| rng.gen_range(0..ng)).collect();
+    let mut val: Vec<f64> = (0..m).map(|_| f64::from(rng.gen_range(0..4u8))).collect();
+    let mut t = fm::Tournament::default();
+    t.lay_out(&order, ng, |i| grp[i], |i| val[i]);
+    for step in 0..2000 {
+        for g in 0..ng {
+            let scan = order
+                .iter()
+                .enumerate()
+                .filter(|&(_, &i)| grp[i] == g && val[i] > NEG)
+                .fold(None, |best: Option<(f64, usize)>, (p, &i)| match best {
+                    Some((v, _)) if v >= val[i] => best,
+                    _ => Some((val[i], p)),
+                });
+            assert_eq!(t.best(g, None), scan, "step {step}, group {g}");
+        }
+        let i = rng.gen_range(0..m);
+        val[i] = if rng.gen_bool(0.2) { NEG } else { f64::from(rng.gen_range(0..4u8)) };
+        t.set(i, grp[i], val[i]);
+    }
+}
+
 /// The near-tie graphs do reach the rounding ties the tournaments must
 /// break like the scan — so the proptest below is not vacuous — and every
 /// growth path breaks them the same way.

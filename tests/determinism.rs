@@ -281,8 +281,9 @@ fn golden_media26_full_flow_is_reproducible_and_no_worse_than_cold_start() {
         .build()
         .unwrap();
     let bench = media26();
-    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg).unwrap().run();
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg.clone()).unwrap().run();
     assert_eq!(out.points.len(), 2, "media26 2..4 sweep must keep its two feasible points");
+    assert_certified(&out, &bench.comm, &cfg, "media26 2..4");
     assert_no_worse_than_cold(
         &out,
         MEDIA26_COLD_BEST_POWER_MW,
@@ -352,6 +353,7 @@ fn tvopd_wide_sweep_quality_is_pinned_no_worse_than_pr4() {
         TVOPD_PR4_POINTS,
         "tvopd 2..10 sweep must keep its {TVOPD_PR4_POINTS} feasible points"
     );
+    assert_certified(&out, &bench.comm, &cfg(), "tvopd_seeded(9) 2..10");
     assert_no_worse_than_cold(
         &out,
         TVOPD_PR4_BEST_POWER_MW,
@@ -373,8 +375,9 @@ fn golden_seeded_pipeline_is_reproducible_and_no_worse_than_cold_start() {
         .run_layout(false)
         .build()
         .unwrap();
-    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg).unwrap().run();
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg.clone()).unwrap().run();
     assert_eq!(out.points.len(), 3, "pipeline(12, seed 7) sweep must keep its three points");
+    assert_certified(&out, &bench.comm, &cfg, "pipeline(12, 7) 2..4");
     assert_no_worse_than_cold(
         &out,
         PIPELINE_COLD_BEST_POWER_MW,
@@ -405,9 +408,10 @@ fn golden_128_core_pipeline_is_reproducible() {
         .run_layout(false)
         .build()
         .unwrap();
-    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg).unwrap().run();
+    let out = SynthesisEngine::new(&bench.soc, &bench.comm, cfg.clone()).unwrap().run();
     let lp = out.lp_stats;
     assert_eq!(out.points.len(), 4, "128-core 6..24 sweep must keep its four points");
+    assert_certified(&out, &bench.comm, &cfg, "pipeline(128, 401) 6..24");
     assert_eq!(
         lp,
         LpStats { cold_solves: 8, ..LpStats::default() },
