@@ -1,4 +1,28 @@
 //! Simulated-annealing floorplanner over sequence pairs.
+//!
+//! # Performance
+//!
+//! One move of `ReplicaState::step` mutates the sequence pair in place,
+//! packs it, prices the packing and undoes the move if it is rejected;
+//! nothing is cloned or allocated. Every shortcut below keeps each
+//! floorplan, cost bit, RNG draw and counter of the plain loop (a
+//! proptest anneals random inputs through this loop and through the
+//! reference loop it replaced):
+//!
+//! * the packer computes both axes in one walk over the two sequences,
+//!   each on its own Fenwick tree, from ranks and rotation-effective
+//!   dimensions that moves keep current (see
+//!   [`SequencePair::pack_coords_ranked`]), and hands back the bounding
+//!   box;
+//! * the cost sums the deviations of a `(block, x, y, weight)` list built
+//!   once per chain, so untargeted blocks cost nothing;
+//! * with nets, only the nets of blocks that moved are re-measured;
+//!   without nets (the constrained layout) nothing is scanned;
+//! * a move that changes nothing (a reinsert drawn back into its own slot,
+//!   or a rotation of a square block) is not packed: it would be accepted
+//!   at delta 0 without a draw, so it only decays the temperature. At the
+//!   engine's layer size (about 13 blocks, none rotatable) that is about
+//!   one move in seventeen.
 
 use crate::geometry::{Block, Floorplan, Net};
 use crate::seqpair::{PackScratch, SequencePair};
@@ -234,6 +258,22 @@ enum Move {
     Rot(usize),
 }
 
+impl Move {
+    /// Whether the move left the sequence pair and every footprint as they
+    /// were: a reinsert drawn back into its own slot (both of them for
+    /// [`Move::Both`]), or a rotation of a square block, which flips only
+    /// the block's rotation flag. Packing such a move reproduces the
+    /// accepted coordinates and cost bit for bit.
+    // sf: hot-path
+    fn changes_nothing(&self, w: &[f64], h: &[f64]) -> bool {
+        match *self {
+            Move::Perm(_, from, to) => from == to,
+            Move::Both((pf, pt), (nf, nt)) => pf == pt && nf == nt,
+            Move::Rot(b) => w[b] == h[b],
+        }
+    }
+}
+
 /// One complete annealing chain: the sequence pair, its incremental
 /// rank/pack/net-cache machinery, the accepted and best states, the RNG
 /// and the temperature schedule.
@@ -244,9 +284,12 @@ enum Move {
 /// chunks. Chunked stepping is bit-identical to one big `step` call — the
 /// state carries everything across calls.
 pub(crate) struct ReplicaState<'a> {
-    blocks: &'a [Block],
+    input: &'a AnnealInput,
     nets: &'a [Net],
-    ideal: Option<&'a [IdealTarget]>,
+    /// `(block, x, y, weight)` of every targeted block, in block order:
+    /// the deviation terms of the cost, without a scan of the untargeted
+    /// blocks' empty slots.
+    targets: Vec<(usize, f64, f64, f64)>,
     cfg: &'a AnnealConfig,
     /// Indices of blocks the moves may touch.
     movable_idx: Vec<usize>,
@@ -291,8 +334,7 @@ impl<'a> ReplicaState<'a> {
     /// Sets up a chain at `input.seed` with its own RNG stream and ladder
     /// slot. The temperature schedule starts where ~an average move is
     /// accepted with p≈0.8 and decays geometrically to near-greedy over
-    /// `cfg.iterations` steps. Without any target, no step measures a
-    /// deviation.
+    /// `cfg.iterations` steps.
     pub(crate) fn new(
         input: &'a AnnealInput,
         nets: &'a [Net],
@@ -301,7 +343,9 @@ impl<'a> ReplicaState<'a> {
         ladder: f64,
     ) -> Self {
         let blocks = &input.blocks[..];
-        let ideal = input.ideal.iter().any(Option::is_some).then_some(&input.ideal[..]);
+        let targets: Vec<(usize, f64, f64, f64)> = (input.ideal.iter().enumerate())
+            .filter_map(|(b, t)| t.map(|(x, y, weight)| (b, x, y, weight)))
+            .collect();
         let n = blocks.len();
         let rng = StdRng::seed_from_u64(rng_seed);
         let sp = input.seed.clone();
@@ -325,7 +369,7 @@ impl<'a> ReplicaState<'a> {
         }
         let bb = sp.pack_coords_ranked(&pp, &nn, &w, &h, &mut scratch);
         cache.rebuild_all(nets, &scratch.x, &scratch.y, &w, &h);
-        let cur_cost = cost_of(&scratch.x, &scratch.y, &w, &h, bb, cache.total(), ideal, cfg);
+        let cur_cost = cost_of(&scratch.x, &scratch.y, &w, &h, bb, cache.total(), &targets, cfg);
         let cur_x = scratch.x.clone();
         let cur_y = scratch.y.clone();
 
@@ -335,9 +379,9 @@ impl<'a> ReplicaState<'a> {
         let alpha = (t_final / temp).powf(1.0 / f64::from(cfg.iterations.max(2)));
 
         Self {
-            blocks,
+            input,
             nets,
-            ideal,
+            targets,
             cfg,
             movable_idx,
             best_cost: cur_cost,
@@ -364,18 +408,26 @@ impl<'a> ReplicaState<'a> {
     /// Whether moves exist at all: degenerate inputs (fewer than two
     /// blocks, or nothing movable) stay at the seed placement.
     fn steppable(&self) -> bool {
-        self.blocks.len() >= 2 && !self.movable_idx.is_empty()
+        self.input.blocks.len() >= 2 && !self.movable_idx.is_empty()
     }
 
     /// Runs `iters` annealing iterations, advancing the RNG, the accepted
     /// state and the base temperature. Acceptance tests use the effective
     /// temperature `temp * ladder`.
+    ///
+    /// A move that changes nothing ([`Move::changes_nothing`]) is not
+    /// packed: its candidate would cost `cur_cost` bit for bit, and a
+    /// candidate at delta `cur_cost - cur_cost <= 0.0` is accepted without
+    /// an acceptance draw, so the move only decays the temperature and
+    /// keeps a square block's flipped rotation flag. The skip asks the
+    /// accept test's own question: for a NaN or infinite `cur_cost` the
+    /// delta is NaN, the move is packed, and the acceptance number is drawn.
     // sf: hot-path
     pub(crate) fn step(&mut self, iters: u32) {
         if !self.steppable() {
             return;
         }
-        let n = self.blocks.len();
+        let n = self.input.blocks.len();
         for _ in 0..iters {
             let m = self.movable_idx[self.rng.gen_range(0..self.movable_idx.len())];
             // Mutate in place, remembering how to undo.
@@ -394,7 +446,7 @@ impl<'a> ReplicaState<'a> {
                     Move::Both(p, q)
                 }
                 _ => {
-                    if self.blocks[m].rotatable {
+                    if self.input.blocks[m].rotatable {
                         self.rotated[m] = !self.rotated[m];
                         std::mem::swap(&mut self.w[m], &mut self.h[m]);
                         Move::Rot(m)
@@ -404,6 +456,11 @@ impl<'a> ReplicaState<'a> {
                     }
                 }
             };
+            #[allow(clippy::eq_op)] // false exactly when `cur_cost` is NaN or ±inf
+            if mv.changes_nothing(&self.w, &self.h) && self.cur_cost - self.cur_cost <= 0.0 {
+                self.temp *= self.alpha;
+                continue;
+            }
             // The only block whose footprint can differ from the accepted
             // state is the one a rotation move just flipped.
             let rotated_block = match mv {
@@ -431,7 +488,7 @@ impl<'a> ReplicaState<'a> {
                 &self.h,
                 bb,
                 self.cache.total(),
-                self.ideal,
+                &self.targets,
                 self.cfg,
             );
 
@@ -496,7 +553,7 @@ impl<'a> ReplicaState<'a> {
 
     /// Packs the best state seen into a finished floorplan.
     pub(crate) fn build_best(&self) -> Floorplan {
-        self.best_sp.pack(self.blocks, &self.best_rot)
+        self.best_sp.pack(&self.input.blocks, &self.best_rot)
     }
 }
 
@@ -505,7 +562,9 @@ impl<'a> ReplicaState<'a> {
 /// weighted wirelength, aspect penalty, fixed-outline penalty and
 /// ideal-position deviation. The bounding box comes straight from the
 /// packer (a packed placement is flush against both axes, so the box
-/// equals the extent maxima the original min/max fold produced).
+/// equals the extent maxima the original min/max fold produced). The
+/// deviations of `targets`, `(block, x, y, weight)` in block order, are
+/// added in that order.
 // sf: hot-path
 #[allow(clippy::too_many_arguments)]
 fn cost_of(
@@ -515,7 +574,7 @@ fn cost_of(
     h: &[f64],
     (bw, bh): (f64, f64),
     hpwl_total: f64,
-    ideal: Option<&[IdealTarget]>,
+    targets: &[(usize, f64, f64, f64)],
     cfg: &AnnealConfig,
 ) -> f64 {
     let area = bw * bh;
@@ -529,14 +588,10 @@ fn cost_of(
         let over = (bw - ow).max(0.0) + (bh - oh).max(0.0);
         c += 50.0 * over * over + 100.0 * over;
     }
-    if let Some(targets) = ideal {
-        for (b, t) in targets.iter().enumerate() {
-            if let Some((tx, ty, weight)) = t {
-                let cx = x[b] + w[b] / 2.0;
-                let cy = y[b] + h[b] / 2.0;
-                c += weight * ((cx - tx).abs() + (cy - ty).abs());
-            }
-        }
+    for &(b, tx, ty, weight) in targets {
+        let cx = x[b] + w[b] / 2.0;
+        let cy = y[b] + h[b] / 2.0;
+        c += weight * ((cx - tx).abs() + (cy - ty).abs());
     }
     c
 }
@@ -593,7 +648,204 @@ fn shift(perm: &mut [usize], ranks: &mut [usize], from: usize, to: usize) {
 mod tests {
     use super::*;
     use crate::geometry::PlacedBlock;
+    use crate::seqpair::tests::pack_coords_two_walks;
+    use crate::tempering::temper;
     use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::RngCore;
+
+    /// The move loop [`ReplicaState::step`] replaced: every move is packed
+    /// by two walks ([`pack_coords_two_walks`]) and priced by
+    /// [`cost_of_reference`], no-op moves included.
+    fn step_reference(st: &mut ReplicaState<'_>, iters: u32) {
+        if !st.steppable() {
+            return;
+        }
+        let ideal = st.input.ideal.iter().any(Option::is_some).then_some(&st.input.ideal[..]);
+        let n = st.input.blocks.len();
+        for _ in 0..iters {
+            let m = st.movable_idx[st.rng.gen_range(0..st.movable_idx.len())];
+            let mv = match st.rng.gen_range(0..4u8) {
+                0 => {
+                    let (f, t) = reinsert(&mut st.sp.pos, &mut st.pp, m, &mut st.rng);
+                    Move::Perm(true, f, t)
+                }
+                1 => {
+                    let (f, t) = reinsert(&mut st.sp.neg, &mut st.nn, m, &mut st.rng);
+                    Move::Perm(false, f, t)
+                }
+                2 => {
+                    let p = reinsert(&mut st.sp.pos, &mut st.pp, m, &mut st.rng);
+                    let q = reinsert(&mut st.sp.neg, &mut st.nn, m, &mut st.rng);
+                    Move::Both(p, q)
+                }
+                _ => {
+                    if st.input.blocks[m].rotatable {
+                        st.rotated[m] = !st.rotated[m];
+                        std::mem::swap(&mut st.w[m], &mut st.h[m]);
+                        Move::Rot(m)
+                    } else {
+                        let (f, t) = reinsert(&mut st.sp.pos, &mut st.pp, m, &mut st.rng);
+                        Move::Perm(true, f, t)
+                    }
+                }
+            };
+            let rotated_block = match mv {
+                Move::Rot(b) if st.w[b] != st.h[b] => Some(b),
+                _ => None,
+            };
+            let bb = pack_coords_two_walks(&st.sp, &st.pp, &st.nn, &st.w, &st.h, &mut st.scratch);
+            if !st.nets.is_empty() {
+                let (scratch, cur_x, cur_y) = (&st.scratch, &st.cur_x, &st.cur_y);
+                let moved = (0..n).filter(|&b| {
+                    scratch.x[b] != cur_x[b] || scratch.y[b] != cur_y[b] || rotated_block == Some(b)
+                });
+                st.cache.update_for_move(moved, st.nets, &scratch.x, &scratch.y, &st.w, &st.h);
+            }
+            let (x, y) = (&st.scratch.x, &st.scratch.y);
+            let cand_cost =
+                cost_of_reference(x, y, &st.w, &st.h, bb, st.cache.total(), ideal, st.cfg);
+            let delta = cand_cost - st.cur_cost;
+            let t_eff = st.temp * st.ladder;
+            if delta <= 0.0 || st.rng.gen_bool((-delta / t_eff).exp().clamp(0.0, 1.0)) {
+                std::mem::swap(&mut st.cur_x, &mut st.scratch.x);
+                std::mem::swap(&mut st.cur_y, &mut st.scratch.y);
+                st.cur_cost = cand_cost;
+                st.cache.undo.clear();
+                if st.cur_cost < st.best_cost {
+                    st.best_cost = st.cur_cost;
+                    st.best_sp.pos.clone_from(&st.sp.pos);
+                    st.best_sp.neg.clone_from(&st.sp.neg);
+                    st.best_rot.clone_from(&st.rotated);
+                }
+            } else {
+                st.cache.revert();
+                match mv {
+                    Move::Perm(true, f, t) => undo_reinsert(&mut st.sp.pos, &mut st.pp, f, t),
+                    Move::Perm(false, f, t) => undo_reinsert(&mut st.sp.neg, &mut st.nn, f, t),
+                    Move::Both((pf, pt), (nf, nt)) => {
+                        undo_reinsert(&mut st.sp.neg, &mut st.nn, nf, nt);
+                        undo_reinsert(&mut st.sp.pos, &mut st.pp, pf, pt);
+                    }
+                    Move::Rot(b) => {
+                        st.rotated[b] = !st.rotated[b];
+                        std::mem::swap(&mut st.w[b], &mut st.h[b]);
+                    }
+                }
+            }
+            st.temp *= st.alpha;
+        }
+    }
+
+    /// The cost [`cost_of`] replaced: the deviation terms come from a scan
+    /// of every block's target slot.
+    #[allow(clippy::too_many_arguments)]
+    fn cost_of_reference(
+        x: &[f64],
+        y: &[f64],
+        w: &[f64],
+        h: &[f64],
+        (bw, bh): (f64, f64),
+        hpwl_total: f64,
+        ideal: Option<&[IdealTarget]>,
+        cfg: &AnnealConfig,
+    ) -> f64 {
+        let area = bw * bh;
+        let mut c = area + cfg.lambda_wirelength * hpwl_total;
+        if bw > 0.0 && bh > 0.0 {
+            let aspect = if bw > bh { bw / bh } else { bh / bw };
+            c += cfg.lambda_aspect * area * (aspect - 1.0);
+        }
+        if let Some((ow, oh)) = cfg.outline {
+            let over = (bw - ow).max(0.0) + (bh - oh).max(0.0);
+            c += 50.0 * over * over + 100.0 * over;
+        }
+        if let Some(targets) = ideal {
+            for (b, t) in targets.iter().enumerate() {
+                if let Some((tx, ty, weight)) = t {
+                    let cx = x[b] + w[b] / 2.0;
+                    let cy = y[b] + h[b] / 2.0;
+                    c += weight * ((cx - tx).abs() + (cy - ty).abs());
+                }
+            }
+        }
+        c
+    }
+
+    /// An anneal drawn from `seed`: 1–40 blocks (a quarter square, half
+    /// rotatable) with 0–12 order-frozen leading ones; targets on none,
+    /// some or all blocks; nets and an outline each on or off; 1–4
+    /// replicas on 0–4 threads; a budget of up to 240 moves in swap rounds
+    /// of 1–60, so most budgets end mid-round. One case in eight gives a
+    /// block an infinite width and one in eight a target a NaN coordinate:
+    /// there every cost is +inf or NaN, so a move that changes nothing is
+    /// still packed and still draws its acceptance number.
+    fn random_anneal(seed: u64) -> (AnnealInput, Vec<Net>, TemperConfig) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..=40usize);
+        let mut blocks: Vec<Block> = (0..n)
+            .map(|i| {
+                let w = rng.gen_range(0.5..4.0);
+                let h = if rng.gen_range(0..4u8) == 0 { w } else { rng.gen_range(0.5..4.0) };
+                let block = Block::new(format!("b{i}"), w, h);
+                if rng.gen_bool(0.5) {
+                    block.rotatable()
+                } else {
+                    block
+                }
+            })
+            .collect();
+        let targeted = match rng.gen_range(0..3u8) {
+            0 => 0.0,
+            1 => 0.5,
+            _ => 1.0,
+        };
+        let mut ideal: Vec<IdealTarget> = (0..n)
+            .map(|_| {
+                rng.gen_bool(targeted).then(|| {
+                    (rng.gen_range(0.0..12.0), rng.gen_range(0.0..12.0), rng.gen_range(0.5..3.0))
+                })
+            })
+            .collect();
+        match rng.gen_range(0..8u8) {
+            0 => blocks[rng.gen_range(0..n)].width = f64::INFINITY,
+            1 => ideal[rng.gen_range(0..n)] = Some((f64::NAN, 1.0, 2.0)),
+            _ => {}
+        }
+        let mut nets = Vec::new();
+        if rng.gen_bool(0.5) {
+            for _ in 0..rng.gen_range(1..=2 * n) {
+                let pins = (0..rng.gen_range(1..=4usize)).map(|_| rng.gen_range(0..n)).collect();
+                nets.push(Net { pins, weight: rng.gen_range(0.5..2.0) });
+            }
+        }
+        let mut seed_sp = SequencePair::identity(n);
+        seed_sp.pos.shuffle(&mut rng);
+        seed_sp.neg.shuffle(&mut rng);
+        let input = AnnealInput {
+            seed: seed_sp,
+            blocks,
+            ideal,
+            fixed_order_count: rng.gen_range(0..=12usize).min(n),
+        };
+        let outline = rng.gen_bool(0.5).then(|| {
+            let side = (n as f64).sqrt() * 2.0;
+            (rng.gen_range(0.5..1.5) * side, rng.gen_range(0.5..1.5) * side)
+        });
+        let cfg = TemperConfig {
+            base: AnnealConfig {
+                iterations: rng.gen_range(1..=240u32),
+                rng_seed: rng.next_u64(),
+                outline,
+                ..AnnealConfig::default()
+            },
+            replicas: rng.gen_range(1..=4usize),
+            swap_interval: rng.gen_range(1..=60u32),
+            threads: rng.gen_range(0..=4usize),
+            ..TemperConfig::default()
+        };
+        (input, nets, cfg)
+    }
 
     fn blocks_mixed() -> Vec<Block> {
         vec![
@@ -640,6 +892,58 @@ mod tests {
                     prop_assert_eq!(ranks[b], i, "rank of block {} after undo", b);
                 }
                 shift(&mut perm, &mut ranks, from, to);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The move loop and the one-walk packer equal the loop and
+        /// packer they replaced, bit for bit: the same floorplan, best cost
+        /// and stats through the tempering driver (the reference on one
+        /// thread per replica, the change on the drawn thread count, so a
+        /// lone lane runs inline), and after every swap-round chunk the
+        /// same chain state and RNG, which is where a skipped no-op move
+        /// that should have drawn would show.
+        #[test]
+        fn move_loop_matches_the_two_walk_reference(seed in 0..u64::MAX) {
+            let (input, nets, cfg) = random_anneal(seed);
+            let (plan, stats) = temper(&input, &nets, &cfg, ReplicaState::step);
+            let reference_cfg = cfg.clone().with_threads(0);
+            let (ref_plan, ref_stats) = temper(&input, &nets, &reference_cfg, step_reference);
+            prop_assert_eq!(&plan, &ref_plan);
+            prop_assert_eq!(stats.best_cost.to_bits(), ref_stats.best_cost.to_bits());
+            prop_assert_eq!(
+                (stats.replicas, stats.swap_attempts, stats.swap_accepts),
+                (ref_stats.replicas, ref_stats.swap_attempts, ref_stats.swap_accepts)
+            );
+            prop_assert_eq!(
+                (stats.best_replica, stats.iterations_total),
+                (ref_stats.best_replica, ref_stats.iterations_total)
+            );
+
+            let base = &cfg.base;
+            let mut chain = ReplicaState::new(&input, &nets, base, base.rng_seed, 1.0);
+            let mut reference = ReplicaState::new(&input, &nets, base, base.rng_seed, 1.0);
+            let chunks = if input.blocks.len() < 2 { Vec::new() } else {
+                let mut left = base.iterations;
+                std::iter::from_fn(|| {
+                    let chunk = left.min(cfg.swap_interval);
+                    left -= chunk;
+                    (chunk > 0).then_some(chunk)
+                })
+                .collect()
+            };
+            for chunk in chunks {
+                chain.step(chunk);
+                step_reference(&mut reference, chunk);
+                prop_assert_eq!(&chain.rng, &reference.rng);
+                prop_assert_eq!((&chain.sp, &chain.rotated), (&reference.sp, &reference.rotated));
+                prop_assert_eq!((&chain.best_sp, &chain.best_rot), (&reference.best_sp, &reference.best_rot));
+                prop_assert_eq!(chain.cur_cost.to_bits(), reference.cur_cost.to_bits());
+                prop_assert_eq!(chain.best_cost.to_bits(), reference.best_cost.to_bits());
+                prop_assert_eq!(chain.temp.to_bits(), reference.temp.to_bits());
             }
         }
     }

@@ -104,14 +104,15 @@ impl SequencePair {
     /// rotation-effective dimensions in [`PackScratch::w`]/[`PackScratch::h`].
     ///
     /// This is the Tang/Wong longest-common-subsequence formulation: each
-    /// coordinate pass walks one sequence and answers "longest packed
-    /// extent among my feasible prefix" with a Fenwick prefix-max tree
-    /// over the other sequence's ranks, dropping the per-block work from
-    /// O(n) to O(log n) — O(n log n) per pack instead of the longest-path
-    /// O(n²). The feasible-prefix scan of the longest-path form survives
-    /// as the tree's exclusive prefix query, and because `max` is
-    /// order-insensitive the coordinates are bit-identical to the
-    /// longest-path packing (the reference oracle in this module's tests).
+    /// coordinate answers "longest packed extent among my feasible prefix"
+    /// with a Fenwick prefix-max tree over the other sequence's ranks,
+    /// dropping the per-block work from O(n) to O(log n) — O(n log n) per
+    /// pack instead of the longest-path O(n²). The feasible-prefix scan of
+    /// the longest-path form survives as the tree's exclusive prefix query,
+    /// and because `max` is order-insensitive the coordinates are
+    /// bit-identical to the longest-path packing (the reference oracle in
+    /// this module's tests). One walk computes both axes, each on its own
+    /// tree (see `pack_xy`).
     ///
     /// All scratch vectors are resized in place, so a reused scratch makes
     /// the call allocation-free — this is what keeps the annealer's
@@ -126,7 +127,7 @@ impl SequencePair {
         assert_eq!(blocks.len(), n, "block count mismatch");
         assert_eq!(rotated.len(), n, "rotation flag count mismatch");
         scratch.resize(n);
-        let PackScratch { pp, nn, x, y, w, h, fen } = scratch;
+        let PackScratch { pp, nn, x, y, w, h, fen_x, fen_y } = scratch;
         for (i, &b) in self.pos.iter().enumerate() {
             pp[b] = i;
         }
@@ -142,7 +143,7 @@ impl SequencePair {
                 h[b] = blocks[b].height;
             }
         }
-        let _ = pack_xy(&self.pos, &self.neg, pp, nn, x, y, fen, w, h);
+        let _ = pack_xy(&self.pos, &self.neg, pp, nn, x, y, fen_x, fen_y, w, h);
     }
 
     /// The LCS packing of [`Self::pack_into`] with caller-provided
@@ -151,7 +152,8 @@ impl SequencePair {
     /// permutations of `pos`/`neg`. The annealer maintains `w`/`h`
     /// incrementally (a rotation move swaps one block's pair) and keeps the
     /// ranks current across reinsertion moves (an O(|from − to|) range
-    /// touch-up) instead of rebuilding them on every pack.
+    /// touch-up) instead of rebuilding them on every pack. Like
+    /// [`Self::pack_into`], it packs both axes in one walk.
     ///
     /// Returns the packed bounding box `(width, height)` — read off the
     /// Fenwick roots for free, and bit-identical to a max-fold over the
@@ -178,20 +180,29 @@ impl SequencePair {
         debug_assert!(self.pos.iter().enumerate().all(|(i, &b)| pp[b] == i), "stale pos ranks");
         debug_assert!(self.neg.iter().enumerate().all(|(i, &b)| nn[b] == i), "stale neg ranks");
         scratch.resize(n);
-        let PackScratch { x, y, fen, .. } = scratch;
-        pack_xy(&self.pos, &self.neg, pp, nn, x, y, fen, w, h)
+        let PackScratch { x, y, fen_x, fen_y, .. } = scratch;
+        pack_xy(&self.pos, &self.neg, pp, nn, x, y, fen_x, fen_y, w, h)
     }
 }
 
-/// The two LCS coordinate passes shared by [`SequencePair::pack_into`] and
-/// [`SequencePair::pack_coords_ranked`].
+/// The LCS coordinates of both axes, shared by [`SequencePair::pack_into`]
+/// and [`SequencePair::pack_coords_ranked`]; returns the bounding box.
 ///
 /// x: blocks left of `b` are exactly those earlier in *both* sequences;
-/// walking P, the tree holds `x + w` of every placed block keyed by
+/// walking P, the x tree holds `x + w` of every placed block keyed by
 /// N-rank, so the exclusive prefix max below b's N-rank is its packed x.
 /// y: blocks below `b` are later in P but earlier in N; walking N with the
-/// tree keyed by *reversed* P-rank turns "later in P" into the same
+/// y tree keyed by *reversed* P-rank turns "later in P" into the same
 /// exclusive prefix query.
+///
+/// The two walks share no state, so one loop advances both: step `i` packs
+/// the `i`-th block of P on the x tree and the `i`-th block of N on the y
+/// tree. Each walk is a latency-bound chain of tree reads and writes, and
+/// interleaving two independent chains lets each hide the other's
+/// latency. Every coordinate and both extents come from the same
+/// operations, in the same order per tree, as two walks one after the
+/// other.
+// sf: hot-path
 #[allow(clippy::too_many_arguments)]
 fn pack_xy(
     pos: &[usize],
@@ -200,27 +211,26 @@ fn pack_xy(
     nn: &[usize],
     x: &mut [f64],
     y: &mut [f64],
-    fen: &mut [f64],
+    fen_x: &mut [f64],
+    fen_y: &mut [f64],
     w: &[f64],
     h: &[f64],
 ) -> (f64, f64) {
     let n = pos.len();
     let steps = fen_steps(n);
-    fen_clear(fen, n);
-    for &b in pos {
-        let r = nn[b];
-        x[b] = fen_prefix_max(fen, r, steps);
-        fen_update(fen, n, r, x[b] + w[b], steps);
+    fen_clear(fen_x, n);
+    fen_clear(fen_y, n);
+    for (&bx, &by) in pos.iter().zip(neg) {
+        let rx = nn[bx];
+        let ry = n - 1 - pp[by];
+        let xb = fen_prefix_max(fen_x, rx, steps);
+        let yb = fen_prefix_max(fen_y, ry, steps);
+        x[bx] = xb;
+        y[by] = yb;
+        fen_update(fen_x, n, rx, xb + w[bx], steps);
+        fen_update(fen_y, n, ry, yb + h[by], steps);
     }
-    let bw = fen_prefix_max(fen, n, steps);
-    fen_clear(fen, n);
-    for &b in neg {
-        let r = n - 1 - pp[b];
-        y[b] = fen_prefix_max(fen, r, steps);
-        fen_update(fen, n, r, y[b] + h[b], steps);
-    }
-    let bh = fen_prefix_max(fen, n, steps);
-    (bw, bh)
+    (fen_prefix_max(fen_x, n, steps), fen_prefix_max(fen_y, n, steps))
 }
 
 /// The bit length of `n`: enough steps for any prefix query (one per set
@@ -295,9 +305,10 @@ pub struct PackScratch {
     pub w: Vec<f64>,
     /// Effective height per block (rotation applied).
     pub h: Vec<f64>,
-    /// Fenwick prefix-max tree of the LCS packing (1-based ranks in slots
-    /// `1..=n`, slot 0 and a sink slot `n + 1`).
-    fen: Vec<f64>,
+    /// Fenwick prefix-max trees of the LCS packing's x and y walks
+    /// (1-based ranks in slots `1..=n`, slot 0 and a sink slot `n + 1`).
+    fen_x: Vec<f64>,
+    fen_y: Vec<f64>,
 }
 
 impl PackScratch {
@@ -308,14 +319,47 @@ impl PackScratch {
         self.y.resize(n, 0.0);
         self.w.resize(n, 0.0);
         self.h.resize(n, 0.0);
-        self.fen.resize(n + 2, 0.0);
+        self.fen_x.resize(n + 2, 0.0);
+        self.fen_y.resize(n + 2, 0.0);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// [`SequencePair::pack_coords_ranked`] as two walks, x then y, on one
+    /// tree: the packer the one-walk `pack_xy` replaced, kept as the
+    /// reference of the annealer's bit-identity test.
+    pub(crate) fn pack_coords_two_walks(
+        sp: &SequencePair,
+        pp: &[usize],
+        nn: &[usize],
+        w: &[f64],
+        h: &[f64],
+        scratch: &mut PackScratch,
+    ) -> (f64, f64) {
+        let n = sp.pos.len();
+        scratch.resize(n);
+        let PackScratch { x, y, fen_x: fen, .. } = scratch;
+        let steps = fen_steps(n);
+        fen_clear(fen, n);
+        for &b in &sp.pos {
+            let r = nn[b];
+            x[b] = fen_prefix_max(fen, r, steps);
+            fen_update(fen, n, r, x[b] + w[b], steps);
+        }
+        let bw = fen_prefix_max(fen, n, steps);
+        fen_clear(fen, n);
+        for &b in &sp.neg {
+            let r = n - 1 - pp[b];
+            y[b] = fen_prefix_max(fen, r, steps);
+            fen_update(fen, n, r, y[b] + h[b], steps);
+        }
+        let bh = fen_prefix_max(fen, n, steps);
+        (bw, bh)
+    }
 
     /// The O(n²) longest-path packing the LCS [`SequencePair::pack_into`]
     /// must reproduce bit for bit.

@@ -31,6 +31,15 @@
 //! `threads` therefore only chooses how replicas are multiplexed onto
 //! workers; `TemperConfig::with_replicas(1)` degenerates to one serial
 //! chain, which is what [`anneal`](crate::anneal) runs.
+//!
+//! # Performance
+//!
+//! The replicas' moves are the cost (see the annealer's module docs); the
+//! driver adds a barrier pair per swap round. A single lane (`threads`
+//! of 1, which the engine uses under a parallel sweep, or a single
+//! replica) runs on the calling thread, so an anneal spawns no thread
+//! unless it has a second lane to run; its swap rounds and replica
+//! assignment are those of any other thread count.
 
 use crate::annealer::{AnnealConfig, AnnealInput, ReplicaState};
 use crate::geometry::{Floorplan, Net};
@@ -55,7 +64,8 @@ pub struct TemperConfig {
     /// anneals at `stagger^i` times the base schedule.
     pub stagger: f64,
     /// Worker threads to multiplex replicas onto: `0` means one thread
-    /// per replica. Scheduling only — never affects the result.
+    /// per replica, and one runs every replica on the calling thread.
+    /// Scheduling only — never affects the result.
     pub threads: usize,
 }
 
@@ -169,20 +179,32 @@ pub fn anneal_tempered(
     nets: &[Net],
     cfg: &TemperConfig,
 ) -> (Floorplan, TemperStats) {
+    temper(input, nets, cfg, ReplicaState::step)
+}
+
+/// [`anneal_tempered`] with the move loop `step` that advances a replica
+/// by a number of iterations: [`ReplicaState::step`], or in the tests the
+/// move loop it replaced.
+pub(crate) fn temper<'a>(
+    input: &'a AnnealInput,
+    nets: &'a [Net],
+    cfg: &'a TemperConfig,
+    step: fn(&mut ReplicaState<'a>, u32),
+) -> (Floorplan, TemperStats) {
     let n = input.blocks.len();
     assert_eq!(input.seed.len(), n, "seed/blocks length mismatch");
     assert_eq!(input.ideal.len(), n, "one target slot per block");
-    if n == 0 {
-        return (Floorplan::default(), TemperStats::default());
-    }
     for net in nets {
         for &p in &net.pins {
             assert!(p < n, "net references block {p} out of range");
         }
     }
+    if n == 0 {
+        return (Floorplan::default(), TemperStats::default());
+    }
     let r = cfg.replicas.max(1);
     let stagger = if cfg.stagger > 1.0 { cfg.stagger } else { TemperConfig::default().stagger };
-    let mut replicas: Vec<ReplicaState<'_>> = (0..r)
+    let mut replicas: Vec<ReplicaState<'a>> = (0..r)
         .map(|i| {
             ReplicaState::new(
                 input,
@@ -202,7 +224,7 @@ pub fn anneal_tempered(
 
     if r == 1 {
         // Degenerate ladder: one serial chain (ladder 1.0, no swap rounds).
-        replicas[0].step(cfg.base.iterations);
+        step(&mut replicas[0], cfg.base.iterations);
     } else {
         let threads = if cfg.threads == 0 { r } else { cfg.threads.clamp(1, r) };
         let schedule = round_schedule(cfg.base.iterations, cfg.swap_interval.max(1));
@@ -222,47 +244,55 @@ pub fn anneal_tempered(
         // Static assignment of replicas to worker lanes (round-robin).
         // Any static assignment would do: results never depend on which
         // lane steps which replica, only the wall-clock does.
-        let mut lanes: Vec<Vec<(usize, &mut ReplicaState<'_>)>> =
+        let mut lanes: Vec<Vec<(usize, &mut ReplicaState<'a>)>> =
             (0..threads).map(|_| Vec::new()).collect();
         for (i, rep) in replicas.iter_mut().enumerate() {
             lanes[i % threads].push((i, rep));
         }
 
-        std::thread::scope(|s| {
-            let (schedule, energies, ladders) = (&schedule, &energies, &ladders);
-            let (barrier, swap_attempts, swap_accepts) = (&barrier, &swap_attempts, &swap_accepts);
-            for (tid, mut lane) in lanes.into_iter().enumerate() {
-                s.spawn(move || {
-                    // Lane 0 (which owns replica 0) doubles as the swap
-                    // coordinator between the two barriers of each round.
-                    let mut coordinator = (tid == 0).then(|| {
-                        (StdRng::seed_from_u64(swap_seed), (0..r).collect::<Vec<usize>>(), 0u64, 0u64)
-                    });
-                    for (round, &chunk) in schedule.iter().enumerate() {
-                        for (i, rep) in &mut lane {
-                            rep.step(chunk);
-                            energies[*i].store(rep.cur_cost().to_bits(), Ordering::Relaxed);
-                        }
-                        barrier.wait();
-                        if let Some((rng, holders, attempts, accepts)) = coordinator.as_mut() {
-                            let base_temp = lane[0].1.base_temp();
-                            swap_round(
-                                round, rng, holders, energies, ladders, base_temp, stagger,
-                                attempts, accepts,
-                            );
-                        }
-                        barrier.wait();
-                        for (i, rep) in &mut lane {
-                            rep.set_ladder(f64::from_bits(ladders[*i].load(Ordering::Relaxed)));
-                        }
-                    }
-                    if let Some((_, _, attempts, accepts)) = coordinator {
-                        swap_attempts.store(attempts, Ordering::Relaxed);
-                        swap_accepts.store(accepts, Ordering::Relaxed);
-                    }
-                });
+        let run_lane = |tid: usize, mut lane: Vec<(usize, &mut ReplicaState<'a>)>| {
+            // Lane 0 (which owns replica 0) doubles as the swap
+            // coordinator between the two barriers of each round.
+            let mut coordinator = (tid == 0).then(|| {
+                (StdRng::seed_from_u64(swap_seed), (0..r).collect::<Vec<usize>>(), 0u64, 0u64)
+            });
+            for (round, &chunk) in schedule.iter().enumerate() {
+                for (i, rep) in &mut lane {
+                    step(rep, chunk);
+                    energies[*i].store(rep.cur_cost().to_bits(), Ordering::Relaxed);
+                }
+                barrier.wait();
+                if let Some((rng, holders, attempts, accepts)) = coordinator.as_mut() {
+                    let base_temp = lane[0].1.base_temp();
+                    swap_round(
+                        round, rng, holders, &energies, &ladders, base_temp, stagger, attempts,
+                        accepts,
+                    );
+                }
+                barrier.wait();
+                for (i, rep) in &mut lane {
+                    rep.set_ladder(f64::from_bits(ladders[*i].load(Ordering::Relaxed)));
+                }
             }
-        });
+            if let Some((_, _, attempts, accepts)) = coordinator {
+                swap_attempts.store(attempts, Ordering::Relaxed);
+                swap_accepts.store(accepts, Ordering::Relaxed);
+            }
+        };
+        if threads == 1 {
+            // A lone lane runs on the calling thread: the same rounds, and
+            // its barrier of one never waits.
+            for lane in lanes {
+                run_lane(0, lane);
+            }
+        } else {
+            std::thread::scope(|s| {
+                let run_lane = &run_lane;
+                for (tid, lane) in lanes.into_iter().enumerate() {
+                    s.spawn(move || run_lane(tid, lane));
+                }
+            });
+        }
 
         stats.swap_attempts = swap_attempts.load(Ordering::Relaxed);
         stats.swap_accepts = swap_accepts.load(Ordering::Relaxed);
@@ -435,6 +465,14 @@ mod tests {
         input.ideal[3] = Some((1.0, 1.0, 2.0));
         let nets = [Net::two_pin(0, 4, 1.0)];
         let _ = anneal_tempered(&input, &nets, &TemperConfig::default().with_iterations(10));
+    }
+
+    /// An empty input does not skip the pin check either.
+    #[test]
+    #[should_panic(expected = "net references block 0 out of range")]
+    fn rejects_a_net_pin_on_an_empty_input() {
+        let nets = [Net::two_pin(0, 0, 1.0)];
+        let _ = anneal_tempered(&AnnealInput::new(vec![]), &nets, &TemperConfig::default());
     }
 
     #[test]
