@@ -392,30 +392,24 @@ fn bench_anneal_tempering(c: &mut Criterion) {
     group.finish();
 }
 
-/// One layer of the tempered layout at the engine's configuration, shaped
-/// like a media26 layer: 9 order-frozen cores on a grid, 3 switches and 2
-/// TSV macros (square, not rotatable, like the engine's) pulled toward
-/// ideal centres at weight 2.0, no nets, 2 replicas × 8,000 moves
-/// multiplexed onto one thread (what a parallel sweep's worker runs per
-/// layer).
+/// One layer of the tempered layout at the engine's configuration: 10
+/// order-frozen cores on a grid and 5 square NoC components (switches and
+/// TSV macros, not rotatable, like the engine's) pulled toward ideal
+/// centers at weight 2.0, no nets, 2 replicas × 8,000 moves multiplexed
+/// onto one thread (what a parallel sweep's worker runs per layer).
 fn bench_anneal_tempered_layer(c: &mut Criterion) {
-    let mut placed: Vec<PlacedBlock> = (0..9)
+    let mut placed: Vec<PlacedBlock> = (0..10)
         .map(|i| {
-            let (col, row) = (f64::from(i % 3), f64::from(i / 3));
-            let block = Block::new(format!("core{i}"), 1.5 + col * 0.3, 1.2 + row * 0.4);
-            PlacedBlock::new(block, col * 2.4, row * 2.2)
+            let (col, row) = (f64::from(i % 4), f64::from(i / 4));
+            let block = Block::new(format!("core{i}"), 1.5 + col * 0.2, 1.2 + row * 0.3);
+            PlacedBlock::new(block, col * 2.2, row * 2.0)
         })
         .collect();
     let mut ideal = vec![None; placed.len()];
-    let components = [
-        ("sw0", 0.45, 1.1, 1.0),
-        ("sw1", 0.38, 3.3, 2.1),
-        ("sw2", 0.52, 5.0, 4.2),
-        ("tsv_l0", 0.16, 2.4, 3.3),
-        ("tsv_c4", 0.16, 4.4, 1.0),
-    ];
-    for (name, side, x, y) in components {
-        let block = Block::new(name, side, side);
+    for k in 0..5 {
+        let side = 0.4 + f64::from(k % 3) * 0.1;
+        let (x, y) = (1.0 + f64::from(k) * 1.6, 0.9 + f64::from(k % 2) * 2.1);
+        let block = Block::new(format!("sw{k}"), side, side);
         placed.push(PlacedBlock::new(block, x - side / 2.0, y - side / 2.0));
         ideal.push(Some((x, y, 2.0)));
     }
@@ -423,7 +417,7 @@ fn bench_anneal_tempered_layer(c: &mut Criterion) {
         seed: SequencePair::from_placement(&placed),
         blocks: placed.iter().map(|p| p.block.clone()).collect(),
         ideal,
-        fixed_order_count: 9,
+        fixed_order_count: 10,
     };
     let cfg = TemperConfig {
         base: AnnealConfig::default().with_iterations(8_000).with_seed(1000),
@@ -433,7 +427,7 @@ fn bench_anneal_tempered_layer(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("anneal_tempered_layer");
     group.sample_size(10);
-    group.bench_function("9cores_5targets", |b| {
+    group.bench_function("15blocks_5movable", |b| {
         b.iter(|| anneal_tempered(black_box(&input), &[], &cfg));
     });
     group.finish();

@@ -53,12 +53,10 @@
 //!   unordered pair is priced once;
 //! * the flow's bandwidth products (wire, TSV and switch energy) are
 //!   computed once per flow;
-//! * the vertical budget changes only when a flow creates or rolls back a
-//!   vertical link, so a table per pair of layers (whether a link may join
-//!   them at all, whether a new one would pass `max_ill` and how many of
-//!   the boundaries it crosses are at the soft limit) is refilled by the
-//!   next Dijkstra call only after such a change, not for every flow and
-//!   deadlock retry;
+//! * the vertical budget changes only between flows, so each Dijkstra call
+//!   tabulates, per pair of layers, whether a link may join them at all,
+//!   whether a new one would pass `max_ill` and how many of the boundaries
+//!   it crosses are at the soft limit;
 //! * each settle reads its switch's rows of the per-pair tables, its
 //!   layer's row of that table and whether one more output port passes the
 //!   hard or the soft size limit.
@@ -342,12 +340,9 @@ pub struct PathAllocator {
     link_of: Vec<usize>,
     // Bandwidth-independent link costs per switch pair, `pair[u·n + v]`.
     pair: Vec<PairCost>,
-    // What a layer pair allows, `gates[lu·layers + lv]`, refilled by the
-    // next Dijkstra call once `gates_stale` is set (at reset and whenever
-    // a vertical link is created or released, the only changes to `ill`),
-    // and `soft_sums[k]`: `k` SOFT_INF penalties summed.
+    // What a layer pair allows, `gates[lu·layers + lv]`, refilled per
+    // Dijkstra call, and `soft_sums[k]`: `k` SOFT_INF penalties summed.
     gates: Vec<LayerGate>,
-    gates_stale: bool,
     soft_sums: Vec<f64>,
     // Banned turns for the current flow attempt (generation-stamped).
     banned: Vec<u32>,
@@ -395,7 +390,6 @@ impl PathAllocator {
         }
         self.gates.clear();
         self.gates.resize(layers * layers, LayerGate::default());
-        self.gates_stale = true;
         self.ill.clear();
         self.ill.resize(layers.saturating_sub(1), 0);
         self.in_ports.clear();
@@ -884,10 +878,7 @@ impl<'a> Router<'a> {
         energy: &FlowEnergy,
         class: MessageType,
     ) -> Option<Vec<usize>> {
-        if self.alloc.gates_stale {
-            fill_layer_gates(&mut self.alloc.gates, &self.alloc.ill, self.cfg, self.layers);
-            self.alloc.gates_stale = false;
-        }
+        fill_layer_gates(&mut self.alloc.gates, &self.alloc.ill, self.cfg, self.layers);
         // The search reads the router and writes only its own state.
         let mut state = std::mem::take(&mut self.alloc.dijkstra);
         let nsw = self.nsw;
@@ -1012,7 +1003,6 @@ impl<'a> Router<'a> {
                     let (lo, hi) = if lu <= lv { (lu, lv) } else { (lv, lu) };
                     for b in lo..hi {
                         self.alloc.ill[b as usize] += 1;
-                        self.alloc.gates_stale = true;
                     }
                     li
                 }
@@ -1047,7 +1037,6 @@ impl<'a> Router<'a> {
                     let (lo, hi) = if lu <= lv { (lu, lv) } else { (lv, lu) };
                     for b in lo..hi {
                         self.alloc.ill[b as usize] -= 1;
-                        self.alloc.gates_stale = true;
                     }
                 }
             }

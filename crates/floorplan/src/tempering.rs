@@ -35,11 +35,12 @@
 //! # Performance
 //!
 //! The replicas' moves are the cost (see the annealer's module docs); the
-//! driver adds a barrier pair per swap round. A single lane (`threads`
-//! of 1, which the engine uses under a parallel sweep, or a single
-//! replica) runs on the calling thread, so an anneal spawns no thread
-//! unless it has a second lane to run; its swap rounds and replica
-//! assignment are those of any other thread count.
+//! driver adds a barrier pair per swap round. Lane 0, the swap
+//! coordinator, runs on the calling thread and only the lanes after it
+//! are spawned, so a single lane (`threads` of 1, which the engine uses
+//! under a parallel sweep, or a single replica) spawns no thread; its
+//! swap rounds and replica assignment are those of any other thread
+//! count.
 
 use crate::annealer::{AnnealConfig, AnnealInput, ReplicaState};
 use crate::geometry::{Floorplan, Net};
@@ -279,20 +280,16 @@ pub(crate) fn temper<'a>(
                 swap_accepts.store(accepts, Ordering::Relaxed);
             }
         };
-        if threads == 1 {
-            // A lone lane runs on the calling thread: the same rounds, and
-            // its barrier of one never waits.
-            for lane in lanes {
-                run_lane(0, lane);
+        // Lane 0 runs on the calling thread, so a lone lane spawns nothing
+        // and its barrier of one never waits.
+        let lane0 = lanes.remove(0);
+        std::thread::scope(|s| {
+            let run_lane = &run_lane;
+            for (tid, lane) in (1..).zip(lanes) {
+                s.spawn(move || run_lane(tid, lane));
             }
-        } else {
-            std::thread::scope(|s| {
-                let run_lane = &run_lane;
-                for (tid, lane) in lanes.into_iter().enumerate() {
-                    s.spawn(move || run_lane(tid, lane));
-                }
-            });
-        }
+            run_lane(0, lane0);
+        });
 
         stats.swap_attempts = swap_attempts.load(Ordering::Relaxed);
         stats.swap_accepts = swap_accepts.load(Ordering::Relaxed);
