@@ -18,8 +18,8 @@
 //!   --out <dir>           write best-point artifacts (DOT, SVG, report)
 //! ```
 //!
-//! `--jobs` fans the design-space sweep out over scoped worker threads;
-//! results are committed in deterministic candidate order, so any `--jobs`
+//! `--jobs <n>` evaluates the design-space sweep on the calling thread and
+//! `n - 1` scoped worker threads; results are committed in deterministic candidate order, so any `--jobs`
 //! value produces the same report. `--seed` pins the partitioner RNG so a
 //! run can be reproduced exactly. `--anneal-replicas <n>` routes the layout
 //! step through the parallel-tempering floorplanner with `n` replicas; the
@@ -61,7 +61,7 @@ pub struct Options {
     pub switches: Option<(usize, usize)>,
     /// Stride of the switch-count sweep.
     pub step: usize,
-    /// Worker threads for candidate evaluation.
+    /// Threads for candidate evaluation, the calling thread included.
     pub jobs: usize,
     /// Tempered-annealing layout replicas (`0` = classic shove insertion).
     pub anneal_replicas: usize,

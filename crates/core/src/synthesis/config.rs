@@ -20,11 +20,13 @@ pub enum SynthesisMode {
     Phase2Only,
 }
 
-/// How candidate evaluation is spread over worker threads.
+/// How candidate evaluation is spread over threads.
 ///
 /// Candidates of the design-space sweep are independent (the θ-escalation
 /// loop stays inside each candidate), so the engine can fan them out over
-/// scoped threads. Results are committed in candidate order regardless of
+/// scoped threads. One driver serves every setting: the calling thread
+/// evaluates candidates and commits them, and any further threads only
+/// evaluate. Results are committed in candidate order regardless of
 /// completion order, so serial and parallel runs produce identical
 /// [`super::SynthesisOutcome`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,13 +34,15 @@ pub enum Parallelism {
     /// Evaluate candidates one at a time on the calling thread.
     #[default]
     Serial,
-    /// Evaluate up to `n` candidates concurrently on scoped worker threads
-    /// (`0` and `1` behave like [`Parallelism::Serial`]).
+    /// Evaluate up to `n` candidates concurrently: on the calling thread
+    /// and `n - 1` scoped worker threads (`0` and `1` behave like
+    /// [`Parallelism::Serial`], which spawns none).
     Jobs(usize),
 }
 
 impl Parallelism {
-    /// The worker count this setting resolves to (at least 1).
+    /// The number of threads this setting evaluates on, the calling thread
+    /// included (at least 1).
     #[must_use]
     pub fn effective_jobs(self) -> usize {
         match self {
@@ -392,7 +396,8 @@ impl SynthesisConfigBuilder {
     }
 
     /// Shorthand for [`Self::parallelism`]: `jobs <= 1` is serial,
-    /// anything larger fans out over that many scoped worker threads.
+    /// anything larger evaluates on the calling thread and `jobs - 1`
+    /// scoped worker threads.
     #[must_use]
     pub fn jobs(self, jobs: usize) -> Self {
         self.parallelism(if jobs <= 1 { Parallelism::Serial } else { Parallelism::Jobs(jobs) })

@@ -17,8 +17,9 @@ use crate::phase2;
 use crate::place::{LpStats, PlacementSolver};
 use crate::spec::{CommSpec, SocSpec};
 use crate::topology::Topology;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 use sunfloor_partition::{MemoGraph, PartitionError};
@@ -64,8 +65,8 @@ impl StopPolicy {
 
 /// Everything one candidate produced: the attempts it burned through
 /// (base + θ escalations), the θ values it escalated to, and the feasible
-/// point, if any. Computed on a worker thread, committed in order by the
-/// driver.
+/// point, if any. Computed by the thread that claimed the candidate,
+/// committed in order by the calling thread.
 struct CandidateEvaluation {
     candidate: Candidate,
     /// Rejected attempts in the order tried (terminal one last, unless the
@@ -120,8 +121,6 @@ struct Attempt<'a> {
     freq: f64,
     conn: &'a Connectivity,
     phase: PhaseKind,
-    /// Restrict vertical links to adjacent layers (Phase 2).
-    adjacent_only: bool,
     alloc: &'a mut PathAllocator,
     placement: &'a mut PlacementSolver,
     memo: &'a LayoutMemo,
@@ -267,11 +266,10 @@ fn chain<'c, 's>(chains: &'c [Chain<'s>], count: usize) -> &'c Chain<'s> {
 /// The redesigned synthesis driver (paper Fig. 3).
 ///
 /// Construction validates the configuration and the specifications eagerly;
-/// [`SynthesisEngine::run`] then evaluates the explicit candidate list —
-/// serially or fanned out over scoped worker threads per
-/// [`super::Parallelism`] — committing results in deterministic candidate
-/// order, so serial and parallel runs produce identical
-/// [`SynthesisOutcome`]s.
+/// [`SynthesisEngine::run`] then evaluates the explicit candidate list on
+/// the calling thread and, per [`super::Parallelism`], scoped worker
+/// threads, committing results in deterministic candidate order, so
+/// serial and parallel runs produce identical [`SynthesisOutcome`]s.
 ///
 /// ```
 /// use sunfloor_core::spec::{CommSpec, Core, Flow, MessageType, SocSpec};
@@ -369,7 +367,7 @@ impl<'a> SynthesisEngine<'a> {
             })
             .collect();
         // The seed chain: each switch count warm-started from the previous
-        // count's assignment, built serially so every sweep worker reads the
+        // count's assignment, built serially so every sweep thread reads the
         // same seeds. Switch counts do not depend on the frequency. All of
         // them partition one PG, sharing its cold restarts' bisections.
         let mut cache = PartitionCache::new();
@@ -480,17 +478,18 @@ impl<'a> SynthesisEngine<'a> {
             spgs: self.thetas.iter().map(|_| OnceLock::new()).collect(),
             layouts: LayoutMemo::default(),
         };
+        let eval = Self::evaluate_candidate;
         for &freq in &self.frequencies {
             let primary = self.primary_candidates(freq);
             let before = outcome.points.len();
-            if self.sweep(&primary, policy, &mut observer, &mut outcome, started, &run) {
+            if self.sweep(&primary, policy, &mut observer, &mut outcome, started, &run, eval) {
                 return outcome;
             }
             // The two-phase method of §IV: when Phase 1 delivers nothing at
             // this frequency, retry layer-by-layer.
             if self.cfg.mode == SynthesisMode::Auto && outcome.points.len() == before {
                 let fallback = phase2_candidates(&self.cfg, self.soc, freq);
-                if self.sweep(&fallback, policy, &mut observer, &mut outcome, started, &run) {
+                if self.sweep(&fallback, policy, &mut observer, &mut outcome, started, &run, eval) {
                     return outcome;
                 }
             }
@@ -511,17 +510,24 @@ impl<'a> SynthesisEngine<'a> {
             .collect()
     }
 
-    /// Evaluates one candidate batch, committing results (and streaming
-    /// events) in candidate order as evaluations complete. Returns `true`
-    /// when `policy` stopped the run.
+    /// Evaluates one candidate batch with `evaluate`, committing results
+    /// (and streaming events) in candidate order. Returns `true` when
+    /// `policy` stopped the run.
     ///
-    /// Serially, each candidate is committed the moment it finishes. In
-    /// parallel, `jobs` scoped workers pull candidates from a shared queue
-    /// (a slow candidate never idles the others) and deposit results into
-    /// per-candidate slots; the driver thread commits slot `i` as soon as
-    /// it fills, so the observer still sees a live, in-order stream. An
-    /// early stop raises a flag that keeps workers from claiming further
-    /// candidates, bounding wasted work to the in-flight ones.
+    /// One driver serves every thread count. The calling thread and
+    /// `jobs - 1` scoped workers claim candidates from a shared counter (a
+    /// slow candidate never idles the others), each with its own routing
+    /// workspace and placement solver, and fill per-candidate slots. The
+    /// calling thread also commits: it checks `policy` before slot `i`,
+    /// commits the slot once it is filled, claims and evaluates candidates
+    /// itself while it is empty, and waits only when every candidate is
+    /// claimed. With one job nothing is spawned, and each candidate is
+    /// checked, evaluated and committed in turn. An early stop raises a
+    /// flag that keeps workers from claiming further candidates, bounding
+    /// wasted work to the in-flight ones. An evaluation that panics fills
+    /// its slot with the panic, which its commit raises on the calling
+    /// thread, so the panic propagates at every thread count.
+    #[allow(clippy::too_many_arguments)]
     fn sweep(
         &self,
         candidates: &[Candidate],
@@ -530,80 +536,77 @@ impl<'a> SynthesisEngine<'a> {
         outcome: &mut SynthesisOutcome,
         started: Instant,
         run: &Run<'_>,
+        evaluate: impl Fn(
+                &Self,
+                Candidate,
+                &mut PathAllocator,
+                &mut PlacementSolver,
+                &Run<'_>,
+            ) -> CandidateEvaluation
+            + Sync,
     ) -> bool {
         let jobs = self.cfg.parallelism.effective_jobs().min(candidates.len());
-        if jobs <= 1 {
-            // One reusable routing workspace and placement solver for the
-            // whole serial sweep.
-            let mut alloc = PathAllocator::new();
-            let mut placement = PlacementSolver::new();
-            for &candidate in candidates {
-                if policy.met(outcome, started) {
-                    return true;
-                }
-                let ev = self.evaluate_candidate(candidate, &mut alloc, &mut placement, run);
-                self.commit(ev, observer, outcome, run);
-            }
-            return false;
-        }
-
         let stop = AtomicBool::new(false);
         let next = AtomicUsize::new(0);
-        let slots: Vec<(Mutex<Option<CandidateEvaluation>>, Condvar)> =
+        let slots: Vec<(Mutex<Option<thread::Result<CandidateEvaluation>>>, Condvar)> =
             candidates.iter().map(|_| (Mutex::new(None), Condvar::new())).collect();
-        let mut stopped = false;
+        // Poison recovery: a slot holds a plain Option, so its value is
+        // valid even if a thread panicked while holding the lock.
+        let lock = |i: usize| slots[i].0.lock().unwrap_or_else(PoisonError::into_inner);
+        // Claims the next candidate, evaluates it and fills its slot;
+        // `false` once there is none left to claim.
+        let claim = |alloc: &mut PathAllocator, placement: &mut PlacementSolver| {
+            if stop.load(Ordering::Relaxed) {
+                return false;
+            }
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&candidate) = candidates.get(i) else { return false };
+            let ev = panic::catch_unwind(AssertUnwindSafe(|| {
+                evaluate(self, candidate, alloc, placement, run)
+            }));
+            *lock(i) = Some(ev);
+            slots[i].1.notify_all();
+            true
+        };
         thread::scope(|s| {
-            for _ in 0..jobs {
+            for _ in 1..jobs {
                 s.spawn(|| {
-                    // Per-worker routing workspace and placement solver,
-                    // reused across every candidate this worker claims.
-                    let mut alloc = PathAllocator::new();
-                    let mut placement = PlacementSolver::new();
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&candidate) = candidates.get(i) else { break };
-                        let ev =
-                            self.evaluate_candidate(candidate, &mut alloc, &mut placement, run);
-                        let (lock, cvar) = &slots[i];
-                        // Poison recovery: a slot holds a plain Option, so
-                        // the value is valid even if another worker
-                        // panicked mid-sweep (the panic still propagates at
-                        // scope join).
-                        *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                            Some(ev);
-                        cvar.notify_all();
-                    }
+                    let (mut alloc, mut placement) = (PathAllocator::new(), PlacementSolver::new());
+                    while claim(&mut alloc, &mut placement) {}
                 });
             }
-            // Commit in candidate order, each slot as soon as it fills. A
-            // claimed index is always filled before its worker exits, and
-            // indices are claimed in order, so waiting on slot `i` cannot
-            // deadlock.
-            for (i, (lock, cvar)) in slots.iter().enumerate() {
+            let (mut alloc, mut placement) = (PathAllocator::new(), PlacementSolver::new());
+            let mut claiming = true;
+            for (i, &candidate) in candidates.iter().enumerate() {
                 if policy.met(outcome, started) {
                     stop.store(true, Ordering::Relaxed);
-                    stopped = true;
-                    break;
+                    return true;
                 }
-                let mut guard =
-                    lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut slot = lock(i);
                 let ev = loop {
-                    if let Some(ev) = guard.take() {
+                    if let Some(ev) = slot.take() {
                         break ev;
                     }
-                    guard = cvar
-                        .wait(guard)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    if claiming {
+                        drop(slot);
+                        claiming = claim(&mut alloc, &mut placement);
+                        slot = lock(i);
+                    } else {
+                        // Every candidate is claimed, this one too, and a
+                        // claimed candidate's slot is always filled.
+                        slot = slots[i].1.wait(slot).unwrap_or_else(PoisonError::into_inner);
+                    }
                 };
-                drop(guard);
-                debug_assert_eq!(ev.candidate, candidates[i]);
+                drop(slot);
+                let ev = ev.unwrap_or_else(|payload| {
+                    stop.store(true, Ordering::Relaxed);
+                    panic::resume_unwind(payload)
+                });
+                debug_assert_eq!(ev.candidate, candidate);
                 self.commit(ev, observer, outcome, run);
             }
-        });
-        stopped
+            false
+        })
     }
 
     /// Appends one candidate's results to the outcome and replays its event
@@ -615,7 +618,7 @@ impl<'a> SynthesisEngine<'a> {
     /// steps beyond the longest θ list an earlier committed candidate of the
     /// same switch count had are new partitions (warm-started, each on its
     /// own SPG), and the rest were shared with it. That is exactly what a
-    /// serial sweep computes, whichever worker reached a step first, and a
+    /// serial sweep computes, whichever thread reached a step first, and a
     /// candidate an early stop leaves uncommitted is never counted. Its
     /// tempered layer anneals are counted the same way ([`count_layouts`]).
     /// A Phase-2 candidate brings the counters of its per-layer partitions.
@@ -643,7 +646,7 @@ impl<'a> SynthesisEngine<'a> {
             let steps = ev.thetas.len();
             let counted = chain.committed.fetch_max(steps, Ordering::Relaxed);
             // Poison recovery: see `theta_step`.
-            let computed = chain.steps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let computed = chain.steps.lock().unwrap_or_else(PoisonError::into_inner);
             for step in computed.get(counted..steps).unwrap_or_default() {
                 outcome.partition_stats += step.stats;
             }
@@ -755,7 +758,6 @@ impl<'a> SynthesisEngine<'a> {
             freq,
             conn: seed,
             phase: PhaseKind::Phase1,
-            adjacent_only: false,
             alloc,
             placement,
             memo,
@@ -784,7 +786,6 @@ impl<'a> SynthesisEngine<'a> {
                         freq,
                         conn: &conn,
                         phase: PhaseKind::Phase1,
-                        adjacent_only: false,
                         alloc,
                         placement,
                         memo,
@@ -819,8 +820,8 @@ impl<'a> SynthesisEngine<'a> {
         seed: &Connectivity,
     ) -> ThetaStep {
         // Poison recovery: the chain only ever holds whole steps, so it is
-        // valid even if a worker panicked while holding the lock.
-        let mut steps = chain.steps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        // valid even if a thread panicked while holding the lock.
+        let mut steps = chain.steps.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(done) = steps.get(step) {
             return done.clone();
         }
@@ -878,7 +879,6 @@ impl<'a> SynthesisEngine<'a> {
                 freq,
                 conn: &conn,
                 phase: PhaseKind::Phase2,
-                adjacent_only: true,
                 alloc,
                 placement,
                 memo,
@@ -923,20 +923,11 @@ impl<'a> SynthesisEngine<'a> {
     /// appended to `attempt.layouts`; shove probes accrue into
     /// `attempt.shove_probes`.
     fn try_candidate(&self, attempt: Attempt<'_>) -> Result<DesignPoint, RejectReason> {
-        let Attempt {
-            freq,
-            conn,
-            phase,
-            adjacent_only,
-            alloc,
-            placement,
-            memo,
-            layouts,
-            shove_probes,
-        } = attempt;
+        let Attempt { freq, conn, phase, alloc, placement, memo, layouts, shove_probes } = attempt;
         let cfg = &self.cfg;
         let soc = self.soc;
-        let path_cfg = self.path_config(freq, adjacent_only);
+        // Phase 2 restricts vertical links to adjacent layers.
+        let path_cfg = self.path_config(freq, phase == PhaseKind::Phase2);
 
         // Routing with the indirect-switch fallback (§VI): when no route
         // exists, add the transit switches (one unattached switch per
@@ -1059,6 +1050,7 @@ mod tests {
     use super::*;
     use crate::spec::{Core, Flow, MessageType};
     use crate::topology::Link;
+    use std::sync::mpsc;
 
     /// Eight cores on two layers with twelve flows of uneven bandwidth,
     /// drawn from a fixed LCG. On such an irregular design the θ steps'
@@ -1150,6 +1142,136 @@ mod tests {
         assert!(warm_start_matters > 0, "the design must tell warm starts apart");
     }
 
+    /// Sweeps every candidate of `engine` under `policy` with `evaluate`,
+    /// as one batch of a run. Returns the outcome and whether the policy
+    /// stopped the sweep.
+    fn sweep_with<'a>(
+        engine: &SynthesisEngine<'a>,
+        policy: StopPolicy,
+        evaluate: impl Fn(
+                &SynthesisEngine<'a>,
+                Candidate,
+                &mut PathAllocator,
+                &mut PlacementSolver,
+                &Run<'_>,
+            ) -> CandidateEvaluation
+            + Sync,
+    ) -> (SynthesisOutcome, bool) {
+        let run = Run {
+            chains: engine.chains(),
+            spgs: engine.thetas.iter().map(|_| OnceLock::new()).collect(),
+            layouts: LayoutMemo::default(),
+        };
+        let mut outcome = SynthesisOutcome::default();
+        let candidates = engine.candidates();
+        let started = Instant::now(); // sf-allow(nondet-source): a run's Deadline clock; only the spent Deadline(0) reads it, and it stops at any time
+        let stopped =
+            engine.sweep(&candidates, policy, &mut None, &mut outcome, started, &run, evaluate);
+        (outcome, stopped)
+    }
+
+    /// The irregular design's configuration at `jobs`: at 800 MHz its
+    /// first candidates are rejected and the later ones accepted.
+    fn config(jobs: usize) -> SynthesisConfig {
+        SynthesisConfig::builder().frequency_mhz(800.0).jobs(jobs).build().unwrap()
+    }
+
+    /// Sweeps `design`'s candidates at `jobs` under `policy` and returns
+    /// every evaluation's candidate, thread and acceptance, in the order
+    /// they finished, and whether the policy stopped the sweep.
+    fn traced_sweep(
+        (soc, comm): &(SocSpec, CommSpec),
+        jobs: usize,
+        policy: StopPolicy,
+    ) -> (Vec<(Candidate, thread::ThreadId, bool)>, bool) {
+        let engine = SynthesisEngine::new(soc, comm, config(jobs)).unwrap();
+        let seen = Mutex::new(Vec::new());
+        let (_, stopped) = sweep_with(&engine, policy, |e, c, alloc, placement, run| {
+            let ev = e.evaluate_candidate(c, alloc, placement, run);
+            seen.lock().unwrap().push((c, thread::current().id(), ev.point.is_some()));
+            ev
+        });
+        (seen.into_inner().unwrap(), stopped)
+    }
+
+    /// At one job the sweep is a serial loop: every evaluation runs on the
+    /// calling thread, in candidate order, each after a policy check.
+    #[test]
+    fn one_job_evaluates_each_candidate_in_turn_on_the_calling_thread() {
+        let design = irregular_design();
+        let (all, stopped) = traced_sweep(&design, 1, StopPolicy::Exhaustive);
+        assert!(!stopped);
+        let caller = thread::current().id();
+        assert!(all.iter().all(|&(_, t, _)| t == caller), "an evaluation left the calling thread");
+        let engine = SynthesisEngine::new(&design.0, &design.1, config(1)).unwrap();
+        assert_eq!(all.iter().map(|&(c, ..)| c).collect::<Vec<_>>(), engine.candidates());
+        let first = all.iter().position(|&(.., accepted)| accepted).unwrap();
+        assert!(first > 0, "a rejected first candidate shows where the budget stops");
+        let (budget, stopped) = traced_sweep(&design, 1, StopPolicy::PointBudget(1));
+        assert_eq!(budget, all[..=first], "the evaluations up to the first accepted one");
+        assert_eq!(stopped, first + 1 < all.len());
+        let (none, stopped) = traced_sweep(&design, 1, StopPolicy::Deadline(Duration::ZERO));
+        assert!(none.is_empty() && stopped, "a spent deadline evaluates nothing");
+    }
+
+    #[test]
+    fn three_jobs_evaluate_each_candidate_once_on_at_most_three_threads() {
+        let design = irregular_design();
+        let (all, _) = traced_sweep(&design, 3, StopPolicy::Exhaustive);
+        let mut threads = Vec::new();
+        for &(_, t, _) in &all {
+            if !threads.contains(&t) {
+                threads.push(t);
+            }
+        }
+        assert!(threads.len() <= 3, "{} threads evaluated", threads.len());
+        // One frequency, so the switch count names a candidate.
+        let mut counts: Vec<usize> = all.iter().map(|&(c, ..)| c.sweep.value()).collect();
+        counts.sort_unstable();
+        let engine = SynthesisEngine::new(&design.0, &design.1, config(3)).unwrap();
+        let expected: Vec<usize> = engine.candidates().iter().map(|c| c.sweep.value()).collect();
+        assert_eq!(counts, expected);
+    }
+
+    /// An evaluation that panics stops the sweep, and the panic reaches the
+    /// caller at one job and at three. At three, the calling thread
+    /// evaluates nothing until a worker has started, so the panic is a
+    /// worker's: without the panic in its slot, the calling thread would
+    /// wait on that slot forever. A watchdog fails a hung sweep.
+    #[test]
+    fn a_panicking_evaluation_reaches_the_caller_at_every_job_count() {
+        for jobs in [1, 3] {
+            let (tx, rx) = mpsc::channel();
+            thread::spawn(move || {
+                let (soc, comm) = irregular_design();
+                let engine = SynthesisEngine::new(&soc, &comm, config(jobs)).unwrap();
+                let caller = thread::current().id();
+                let started = AtomicBool::new(false);
+                let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                    sweep_with(&engine, StopPolicy::Exhaustive, |e, c, alloc, placement, run| {
+                        while jobs > 1
+                            && thread::current().id() == caller
+                            && !started.load(Ordering::SeqCst)
+                        {
+                            thread::yield_now();
+                        }
+                        // The first evaluation to start panics.
+                        if !started.swap(true, Ordering::SeqCst) {
+                            panic!("injected evaluation panic");
+                        }
+                        e.evaluate_candidate(c, alloc, placement, run)
+                    })
+                }));
+                let payload = result.err().and_then(|p| p.downcast_ref::<&str>().copied());
+                let _ = tx.send(payload);
+            });
+            let payload = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("jobs {jobs}: the sweep did not return: {e}"));
+            assert_eq!(payload, Some("injected evaluation panic"), "jobs {jobs}");
+        }
+    }
+
     fn conn() -> Connectivity {
         Connectivity {
             core_attach: vec![0, 1, 1, 0],
@@ -1223,7 +1345,6 @@ mod tests {
                 freq,
                 conn: &conn,
                 phase: PhaseKind::Phase2,
-                adjacent_only: true,
                 alloc: &mut PathAllocator::new(),
                 placement: &mut PlacementSolver::new(),
                 memo: &LayoutMemo::default(),

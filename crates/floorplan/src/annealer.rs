@@ -279,10 +279,10 @@ impl Move {
 /// and the temperature schedule.
 ///
 /// [`crate::tempering`] builds one per replica, with a per-replica RNG
-/// seed and a ladder temperature multiplier. A single replica is stepped
-/// for the whole budget at once; more are stepped in barrier-synchronized
-/// chunks. Chunked stepping is bit-identical to one big `step` call — the
-/// state carries everything across calls.
+/// seed and a ladder temperature multiplier. Every replica, a single one
+/// too, is stepped in barrier-synchronized swap-interval chunks. Chunked
+/// stepping is bit-identical to one big `step` call — the state carries
+/// everything across calls.
 pub(crate) struct ReplicaState<'a> {
     input: &'a AnnealInput,
     nets: &'a [Net],

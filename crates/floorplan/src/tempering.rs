@@ -29,17 +29,20 @@
 //!   replica index — a strict-less scan in index order.
 //!
 //! `threads` therefore only chooses how replicas are multiplexed onto
-//! workers; `TemperConfig::with_replicas(1)` degenerates to one serial
-//! chain, which is what [`anneal`](crate::anneal) runs.
+//! workers. `TemperConfig::with_replicas(1)` runs the same round loop
+//! with one lane and swap rounds that pair nobody: one serial chain,
+//! stepped in swap-interval chunks, which is what [`anneal`](crate::anneal)
+//! runs.
 //!
 //! # Performance
 //!
 //! The replicas' moves are the cost (see the annealer's module docs); the
-//! driver adds a barrier pair per swap round. Lane 0, the swap
-//! coordinator, runs on the calling thread and only the lanes after it
-//! are spawned, so a single lane (`threads` of 1, which the engine uses
-//! under a parallel sweep, or a single replica) spawns no thread; its
-//! swap rounds and replica assignment are those of any other thread
+//! driver adds a barrier pair per swap round. One round loop serves every
+//! replica and thread count. Lane 0, the swap coordinator, runs on the
+//! calling thread and only the lanes after it are spawned, so a single
+//! lane (`threads` of 1, which the engine uses under a parallel sweep, or
+//! a single replica) spawns no thread and its barrier of one never waits;
+//! its swap rounds and replica assignment are those of any other thread
 //! count.
 
 use crate::annealer::{AnnealConfig, AnnealInput, ReplicaState};
@@ -55,8 +58,8 @@ pub struct TemperConfig {
     /// The per-replica annealing configuration (iterations are *per
     /// replica*; the aggregate move budget is `iterations · replicas`).
     pub base: AnnealConfig,
-    /// Number of replicas (ladder rungs). `1` degenerates to one serial
-    /// chain; values are clamped to at least 1.
+    /// Number of replicas (ladder rungs). `1` is one serial chain; values
+    /// are clamped to at least 1.
     pub replicas: usize,
     /// Iterations each replica runs between swap rounds (clamped to at
     /// least 1).
@@ -217,83 +220,64 @@ pub(crate) fn temper<'a>(
         })
         .collect();
 
-    let mut stats = TemperStats {
-        replicas: r,
-        iterations_total: u64::from(cfg.base.iterations) * r as u64,
-        ..TemperStats::default()
-    };
+    let threads = if cfg.threads == 0 { r } else { cfg.threads.clamp(1, r) };
+    let schedule = round_schedule(cfg.base.iterations, cfg.swap_interval.max(1));
+    // Published per-replica energies and ladder assignments (f64 bits).
+    // The barriers around each swap round order every access, so the
+    // atomics only provide race-free storage, not synchronization.
+    let energies: Vec<AtomicU64> = (0..r).map(|_| AtomicU64::new(0)).collect();
+    let ladders: Vec<AtomicU64> =
+        replicas.iter().map(|rep| AtomicU64::new(rep.ladder().to_bits())).collect();
+    let barrier = Barrier::new(threads);
+    // Decorrelate the coordinator's swap stream from the replicas'
+    // move streams (splitmix of the base seed with an odd constant).
+    let swap_seed = cfg.base.rng_seed ^ 0x9E37_79B9_7F4A_7C15;
 
-    if r == 1 {
-        // Degenerate ladder: one serial chain (ladder 1.0, no swap rounds).
-        step(&mut replicas[0], cfg.base.iterations);
-    } else {
-        let threads = if cfg.threads == 0 { r } else { cfg.threads.clamp(1, r) };
-        let schedule = round_schedule(cfg.base.iterations, cfg.swap_interval.max(1));
-        // Published per-replica energies and ladder assignments (f64 bits).
-        // The barriers around each swap round order every access, so the
-        // atomics only provide race-free storage, not synchronization.
-        let energies: Vec<AtomicU64> = (0..r).map(|_| AtomicU64::new(0)).collect();
-        let ladders: Vec<AtomicU64> =
-            replicas.iter().map(|rep| AtomicU64::new(rep.ladder().to_bits())).collect();
-        let swap_attempts = AtomicU64::new(0);
-        let swap_accepts = AtomicU64::new(0);
-        let barrier = Barrier::new(threads);
-        // Decorrelate the coordinator's swap stream from the replicas'
-        // move streams (splitmix of the base seed with an odd constant).
-        let swap_seed = cfg.base.rng_seed ^ 0x9E37_79B9_7F4A_7C15;
-
-        // Static assignment of replicas to worker lanes (round-robin).
-        // Any static assignment would do: results never depend on which
-        // lane steps which replica, only the wall-clock does.
-        let mut lanes: Vec<Vec<(usize, &mut ReplicaState<'a>)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (i, rep) in replicas.iter_mut().enumerate() {
-            lanes[i % threads].push((i, rep));
-        }
-
-        let run_lane = |tid: usize, mut lane: Vec<(usize, &mut ReplicaState<'a>)>| {
-            // Lane 0 (which owns replica 0) doubles as the swap
-            // coordinator between the two barriers of each round.
-            let mut coordinator = (tid == 0).then(|| {
-                (StdRng::seed_from_u64(swap_seed), (0..r).collect::<Vec<usize>>(), 0u64, 0u64)
-            });
-            for (round, &chunk) in schedule.iter().enumerate() {
-                for (i, rep) in &mut lane {
-                    step(rep, chunk);
-                    energies[*i].store(rep.cur_cost().to_bits(), Ordering::Relaxed);
-                }
-                barrier.wait();
-                if let Some((rng, holders, attempts, accepts)) = coordinator.as_mut() {
-                    let base_temp = lane[0].1.base_temp();
-                    swap_round(
-                        round, rng, holders, &energies, &ladders, base_temp, stagger, attempts,
-                        accepts,
-                    );
-                }
-                barrier.wait();
-                for (i, rep) in &mut lane {
-                    rep.set_ladder(f64::from_bits(ladders[*i].load(Ordering::Relaxed)));
-                }
-            }
-            if let Some((_, _, attempts, accepts)) = coordinator {
-                swap_attempts.store(attempts, Ordering::Relaxed);
-                swap_accepts.store(accepts, Ordering::Relaxed);
-            }
-        };
-        // Lane 0 runs on the calling thread, so a lone lane spawns nothing
-        // and its barrier of one never waits.
-        let lane0 = lanes.remove(0);
-        std::thread::scope(|s| {
-            let run_lane = &run_lane;
-            for (tid, lane) in (1..).zip(lanes) {
-                s.spawn(move || run_lane(tid, lane));
-            }
-            run_lane(0, lane0);
-        });
-
-        stats.swap_attempts = swap_attempts.load(Ordering::Relaxed);
-        stats.swap_accepts = swap_accepts.load(Ordering::Relaxed);
+    // Static assignment of replicas to worker lanes (round-robin).
+    // Any static assignment would do: results never depend on which
+    // lane steps which replica, only the wall-clock does.
+    let mut lanes: Vec<Vec<(usize, &mut ReplicaState<'a>)>> =
+        (0..threads).map(|_| Vec::new()).collect();
+    for (i, rep) in replicas.iter_mut().enumerate() {
+        lanes[i % threads].push((i, rep));
     }
+
+    // Runs a lane through every round and returns the swaps it attempted
+    // and accepted: lane 0 (which owns replica 0) doubles as the swap
+    // coordinator between the two barriers of each round.
+    let run_lane = |tid: usize, mut lane: Vec<(usize, &mut ReplicaState<'a>)>| {
+        let mut coordinator = (tid == 0).then(|| {
+            (StdRng::seed_from_u64(swap_seed), (0..r).collect::<Vec<usize>>(), 0u64, 0u64)
+        });
+        for (round, &chunk) in schedule.iter().enumerate() {
+            for (i, rep) in &mut lane {
+                step(rep, chunk);
+                energies[*i].store(rep.cur_cost().to_bits(), Ordering::Relaxed);
+            }
+            barrier.wait();
+            if let Some((rng, holders, attempts, accepts)) = coordinator.as_mut() {
+                let base_temp = lane[0].1.base_temp();
+                swap_round(
+                    round, rng, holders, &energies, &ladders, base_temp, stagger, attempts, accepts,
+                );
+            }
+            barrier.wait();
+            for (i, rep) in &mut lane {
+                rep.set_ladder(f64::from_bits(ladders[*i].load(Ordering::Relaxed)));
+            }
+        }
+        coordinator.map_or((0, 0), |(_, _, attempts, accepts)| (attempts, accepts))
+    };
+    // Lane 0 runs on the calling thread, so a lone lane spawns nothing
+    // and its barrier of one never waits.
+    let lane0 = lanes.remove(0);
+    let (swap_attempts, swap_accepts) = std::thread::scope(|s| {
+        let run_lane = &run_lane;
+        for (tid, lane) in (1..).zip(lanes) {
+            s.spawn(move || run_lane(tid, lane));
+        }
+        run_lane(0, lane0)
+    });
 
     // Deterministic reduction: lowest best cost wins, ties to the lowest
     // replica index (strict-less scan in index order).
@@ -303,8 +287,14 @@ pub(crate) fn temper<'a>(
             best = i;
         }
     }
-    stats.best_replica = best;
-    stats.best_cost = replicas[best].best_cost();
+    let stats = TemperStats {
+        replicas: r,
+        swap_attempts,
+        swap_accepts,
+        best_replica: best,
+        best_cost: replicas[best].best_cost(),
+        iterations_total: u64::from(cfg.base.iterations) * r as u64,
+    };
     (replicas[best].build_best(), stats)
 }
 
